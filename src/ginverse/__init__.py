@@ -10,12 +10,14 @@ from .classical import (
     IndexResult,
     NoCoreInverse,
     NoGroupInverse,
+    Tower,
     core_ep,
     core_inverse,
     drazin,
     group_inverse,
     index,
     moore_penrose,
+    tower,
 )
 from .eqsolve import EquationSolution, residual, solve_general, solve_in_range
 from .matcore import (
@@ -43,6 +45,7 @@ from .oracle import (
     exact_mp,
     exact_mwgi,
 )
+from .report import Check, VerificationReport
 from .shiftlab import (
     FinSeq,
     ShiftWord,
@@ -52,14 +55,12 @@ from .shiftlab import (
     verify_shift_identities,
 )
 from .wgi import (
-    Check,
     GroupDecomposition,
     MwgiResult,
     OrthogonalityViolation,
     PolarData,
     RepresentationMismatch,
     Route,
-    VerificationReport,
     additive_mwgi,
     b_characterization,
     bc_inverse_check,

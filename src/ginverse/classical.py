@@ -9,7 +9,7 @@ rank(A^j) = rank(A^{j+1})):
 * core-EP inverse     A^o  = A^D A^k (A^k)^+, always defined
 
 The core-EP inverse X is the unique solution of AX^2 = X, (AX)* = AX and
-A^n = A X A^n for all n >= k.
+A^n = A X A^n for all n >= k.  ``tower`` computes k, A^k, A^D and A^o once.
 """
 
 from __future__ import annotations
@@ -18,12 +18,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import DEFAULT_TOL, TolerancePolicy, as_matrix, numerical_rank
+from .matcore import (
+    DEFAULT_TOL,
+    TolerancePolicy,
+    as_matrix,
+    as_square_matrix,
+    numerical_rank,
+    readonly,
+)
 
 __all__ = [
     "NoGroupInverse",
     "NoCoreInverse",
     "IndexResult",
+    "Tower",
+    "tower",
     "moore_penrose",
     "index",
     "drazin",
@@ -53,9 +62,14 @@ class IndexResult:
     rank_chain: tuple[int, ...]
 
 
-def _require_square(a: np.ndarray) -> None:
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
+@dataclass(frozen=True)
+class Tower:
+    """A matrix's index (with rank chain), A^k, A^D and A^o; arrays are read-only."""
+
+    index: IndexResult
+    ak: np.ndarray
+    d: np.ndarray
+    o: np.ndarray
 
 
 def moore_penrose(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -83,8 +97,7 @@ def _power_rank(power: np.ndarray, tol: TolerancePolicy) -> int:
 
 def index(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> IndexResult:
     """Smallest k >= 0 with rank(A^k) = rank(A^{k+1}), found by rank stabilization."""
-    a = as_matrix(a)
-    _require_square(a)
+    a = as_square_matrix(a)
     n = a.shape[0]
     chain = [n]  # rank of A^0
     power = np.eye(n, dtype=np.complex128)
@@ -97,48 +110,47 @@ def index(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> IndexResult:
             raise ArithmeticError("rank chain failed to stabilize")
 
 
+def tower(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> Tower:
+    """The spectral tower of A: its index, A^k, A^D and A^o, each computed once.
+
+    A^D = A^k (A^{2k+1})^+ A^k and A^o = A^D A^k (A^k)^+; both are zero when
+    ||A^k|| <= nil_atol (A nilpotent).
+    """
+    a = as_square_matrix(a)
+    idx = index(a, tol)
+    ak = np.linalg.matrix_power(a, idx.k)
+    if float(np.linalg.norm(ak, "fro")) <= tol.nil_atol:  # nilpotent
+        d = o = np.zeros_like(ak)
+    else:
+        d = ak @ moore_penrose(np.linalg.matrix_power(a, 2 * idx.k + 1), tol) @ ak
+        o = d @ ak @ moore_penrose(ak, tol)
+    return Tower(index=idx, ak=readonly(ak), d=readonly(d), o=readonly(o))
+
+
 def drazin(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Drazin inverse A^D = A^k (A^{2k+1})^+ A^k with k the index of A."""
-    a = as_matrix(a)
-    _require_square(a)
-    k = index(a, tol).k
-    ak = np.linalg.matrix_power(a, k)
-    if float(np.linalg.norm(ak, "fro")) <= tol.nil_atol:  # nilpotent
-        return np.zeros_like(ak)
-    mid = moore_penrose(np.linalg.matrix_power(a, 2 * k + 1), tol)
-    return ak @ mid @ ak
+    return tower(a, tol).d
+
+
+def _index_at_most_one(a: np.ndarray, tol: TolerancePolicy, error: type) -> Tower:
+    t = tower(a, tol)
+    if t.index.k > 1:
+        chain = t.index.rank_chain
+        raise error(f"rank(A) = {chain[1]} differs from rank(A^2) = {chain[2]}")
+    return t
 
 
 def group_inverse(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Group inverse A^#; requires rank(A) = rank(A^2)."""
-    a = as_matrix(a)
-    _require_square(a)
-    idx = index(a, tol)
-    if idx.k > 1:
-        raise NoGroupInverse(
-            f"rank(A) = {idx.rank_chain[1]} differs from rank(A^2) = {idx.rank_chain[2]}"
-        )
-    return drazin(a, tol)
+    return _index_at_most_one(a, tol, NoGroupInverse).d
 
 
 def core_inverse(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Core inverse A^# A A^+; requires index <= 1."""
-    a = as_matrix(a)
-    _require_square(a)
-    idx = index(a, tol)
-    if idx.k > 1:
-        raise NoCoreInverse(
-            f"rank(A) = {idx.rank_chain[1]} differs from rank(A^2) = {idx.rank_chain[2]}"
-        )
-    return drazin(a, tol) @ a @ moore_penrose(a, tol)
+    a = as_square_matrix(a)
+    return _index_at_most_one(a, tol, NoCoreInverse).d @ a @ moore_penrose(a, tol)
 
 
 def core_ep(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Core-EP inverse A^D A^k (A^k)^+, defined for every square matrix."""
-    a = as_matrix(a)
-    _require_square(a)
-    k = index(a, tol).k
-    ak = np.linalg.matrix_power(a, k)
-    if float(np.linalg.norm(ak, "fro")) <= tol.nil_atol:  # nilpotent
-        return np.zeros_like(ak)
-    return drazin(a, tol) @ ak @ moore_penrose(ak, tol)
+    return tower(a, tol).o

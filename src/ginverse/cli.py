@@ -26,15 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import eqsolve, generators, oracle, shiftlab, wgi
-from .classical import (
-    NoCoreInverse,
-    NoGroupInverse,
-    core_ep,
-    core_inverse,
-    drazin,
-    group_inverse,
-    moore_penrose,
-)
+from .classical import core_ep, core_inverse, drazin, group_inverse, moore_penrose
 from .matcore import (
     DEFAULT_TOL,
     MatrixFormatError,
@@ -350,7 +342,8 @@ def run(config: RunConfig) -> int:
     """Execute one command; returns the process exit code."""
     try:
         return _COMMANDS[config.command](config)
-    except (NoGroupInverse, NoCoreInverse, wgi.OrthogonalityViolation, oracle.HeightOverflow) as exc:
+    except (ArithmeticError, wgi.OrthogonalityViolation) as exc:
+        # no such inverse, a failed self-check, or exact-arithmetic overflow
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (InputError, ValueError) as exc:
@@ -406,11 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--m", type=int, default=0, help="fix m; 0 cycles through 1..3")
-    p.add_argument("--tol-rank", type=float, default=None)
-    p.add_argument("--tol-eq", type=float, default=None)
-    p.add_argument("--tol-nil", type=float, default=None)
-    p.add_argument("--output", default=None)
-    p.add_argument("--pretty", action="store_true")
+    common(p, needs_m=False)
 
     p = sub.add_parser("certify", help="exact-arithmetic identity battery")
     p.add_argument("--input", default=None, help="rational matrix JSON")
@@ -419,11 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--m", type=int, default=0, help="fix m; 0 cycles through 1..3")
-    p.add_argument("--tol-rank", type=float, default=None)
-    p.add_argument("--tol-eq", type=float, default=None)
-    p.add_argument("--tol-nil", type=float, default=None)
-    p.add_argument("--output", default=None)
-    p.add_argument("--pretty", action="store_true")
+    common(p, needs_m=False)
 
     return parser
 

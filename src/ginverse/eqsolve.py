@@ -14,7 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import drazin
-from .matcore import DEFAULT_TOL, TolerancePolicy, as_matrix, conj_transpose, frobenius
+from .matcore import (
+    DEFAULT_TOL,
+    TolerancePolicy,
+    as_matrix,
+    as_square_matrix,
+    conj_transpose,
+    frobenius,
+)
 from .wgi import mwgi
 
 __all__ = ["EquationSolution", "residual", "solve_general", "solve_in_range"]
@@ -43,9 +50,7 @@ def residual(a, b, m: int, x, tol: TolerancePolicy = DEFAULT_TOL) -> float:
     Computed as ||L - R|| / max(1, ||R||) with L = (A A^D)* A^{m+1} X and
     R = (A A^D)* A^m B, so a candidate of twice the right size reads as 1.
     """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    a = as_square_matrix(a)
     b = _conformable(a, b, "B")
     x = _conformable(a, x, "X")
     if x.shape[1] != b.shape[1]:
@@ -58,9 +63,7 @@ def residual(a, b, m: int, x, tol: TolerancePolicy = DEFAULT_TOL) -> float:
 
 def solve_general(a, b, m: int, y=None, tol: TolerancePolicy = DEFAULT_TOL) -> EquationSolution:
     """General solution X = Z B + (I - Z A) Y; Y defaults to zero."""
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    a = as_square_matrix(a)
     b = _conformable(a, b, "B")
     z = mwgi(a, m, tol).Z
     x = z @ b
@@ -76,9 +79,4 @@ def solve_general(a, b, m: int, y=None, tol: TolerancePolicy = DEFAULT_TOL) -> E
 
 def solve_in_range(a, b, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> EquationSolution:
     """The unique solution with columns inside col(Z), namely X = Z B."""
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    b = _conformable(a, b, "B")
-    z = mwgi(a, m, tol).Z
-    return EquationSolution(X=z @ b, free_part_used=False)
+    return solve_general(a, b, m, tol=tol)

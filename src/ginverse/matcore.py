@@ -17,6 +17,8 @@ __all__ = [
     "DEFAULT_TOL",
     "MatrixFormatError",
     "as_matrix",
+    "as_square_matrix",
+    "readonly",
     "conj_transpose",
     "frobenius",
     "rel_residual",
@@ -59,7 +61,8 @@ class TolerancePolicy:
 DEFAULT_TOL = TolerancePolicy()
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
+def readonly(a: np.ndarray) -> np.ndarray:
+    """Mark ``a`` read-only in place and return it."""
     a.setflags(write=False)
     return a
 
@@ -74,7 +77,15 @@ def as_matrix(values) -> np.ndarray:
         raise ValueError(f"matrix dimensions must be positive, got {a.shape}")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise ValueError("matrix entries must be finite (no NaN or Inf)")
-    return _readonly(a)
+    return readonly(a)
+
+
+def as_square_matrix(values) -> np.ndarray:
+    """``as_matrix`` for inputs that must be square."""
+    a = as_matrix(values)
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    return a
 
 
 def conj_transpose(a: np.ndarray) -> np.ndarray:
@@ -160,4 +171,4 @@ def matrix_from_json(obj) -> np.ndarray:
             if not np.isfinite(part):
                 raise MatrixFormatError(f"entry {pos} is not finite: {pair!r}")
         flat[pos] = complex(re, im)
-    return _readonly(flat.reshape(rows, cols))
+    return readonly(flat.reshape(rows, cols))

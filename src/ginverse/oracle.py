@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .wgi import Check, VerificationReport
+from .report import Check, VerificationReport, _merge
 
 __all__ = [
     "MAX_HEIGHT_BITS",
@@ -387,8 +387,8 @@ def exact_index(a: RationalMatrix) -> int:
         k += 1
 
 
-def exact_drazin(a: RationalMatrix, max_bits: int = MAX_HEIGHT_BITS) -> RationalMatrix:
-    """Exact Drazin inverse by the iterated full-rank factorization chain.
+def _drazin_and_index(a: RationalMatrix, max_bits: int) -> tuple[int, RationalMatrix]:
+    """The index k of A and its Drazin inverse, with the Drazin identities verified.
 
     Factor A = B1 C1, then C1 B1 = B2 C2, ... until the product Cj Bj is
     invertible (or zero, in which case A is nilpotent and A^D = 0); then
@@ -421,26 +421,34 @@ def exact_drazin(a: RationalMatrix, max_bits: int = MAX_HEIGHT_BITS) -> Rational
     _require_exact(a @ d == d @ a, "A X = X A")
     _require_exact(d @ a @ d == d, "X A X = X")
     _require_exact(a.power(k + 1) @ d == a.power(k), "A^(k+1) X = A^k")
-    return d
+    return k, d
 
 
-def exact_core_ep(a: RationalMatrix, max_bits: int = MAX_HEIGHT_BITS) -> RationalMatrix:
-    """Exact core-EP inverse A^D A^k (A^k)^+ with exact verification."""
-    if not a.is_square():
-        raise ValueError("core-EP inverse requires a square matrix")
-    k = exact_index(a)
+def exact_drazin(a: RationalMatrix, max_bits: int = MAX_HEIGHT_BITS) -> RationalMatrix:
+    """Exact Drazin inverse by the iterated full-rank factorization chain."""
+    return _drazin_and_index(a, max_bits)[1]
+
+
+def _core_ep(a: RationalMatrix, k: int, d: RationalMatrix, max_bits: int) -> RationalMatrix:
+    """A^D A^k (A^k)^+ from the index k and Drazin inverse d of A, verified."""
     ak = a.power(k)
-    x = _guard(exact_drazin(a, max_bits) @ ak @ exact_mp(ak, max_bits), max_bits)
+    x = _guard(d @ ak @ exact_mp(ak, max_bits), max_bits)
     _require_exact(a @ x @ x == x, "A X^2 = X")
     _require_exact((a @ x).conj_transpose() == a @ x, "(A X)* = A X")
     _require_exact(a @ x @ ak == ak, "A X A^k = A^k")
     return x
 
 
+def exact_core_ep(a: RationalMatrix, max_bits: int = MAX_HEIGHT_BITS) -> RationalMatrix:
+    """Exact core-EP inverse A^D A^k (A^k)^+ with exact verification."""
+    if not a.is_square():
+        raise ValueError("core-EP inverse requires a square matrix")
+    return _core_ep(a, *_drazin_and_index(a, max_bits), max_bits)
+
+
 def _mwgi_parts(a: RationalMatrix, m: int, max_bits: int):
-    d = exact_drazin(a, max_bits)
-    cep = exact_core_ep(a, max_bits)
-    k = exact_index(a)
+    k, d = _drazin_and_index(a, max_bits)
+    cep = _core_ep(a, k, d, max_bits)
     am = a.power(m)
     z = _guard(d.power(m + 1) @ a @ cep @ am, max_bits)
     return k, d, cep, am, z
@@ -484,11 +492,6 @@ def _diff_residual(left: RationalMatrix, right: RationalMatrix) -> float:
 def _exact_check(left: RationalMatrix, right: RationalMatrix) -> Check:
     residual = _diff_residual(left, right)
     return Check(residual=residual, passed=residual == 0.0)
-
-
-def _merge(*checks: Check) -> Check:
-    residual = max(c.residual for c in checks)
-    return Check(residual=residual, passed=all(c.passed for c in checks))
 
 
 def _test_matrices(n: int) -> tuple[RationalMatrix, RationalMatrix]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .wgi import Check, VerificationReport
+from .report import Check, VerificationReport, _merge
 
 __all__ = [
     "FinSeq",
@@ -176,13 +176,6 @@ def _words_agree(w1: ShiftWord, w2: ShiftWord, window: int) -> Check:
         for j in range(1, window + 1)
     )
     return Check(residual=residual, passed=residual == 0.0)
-
-
-def _merge(*checks: Check) -> Check:
-    return Check(
-        residual=max(c.residual for c in checks),
-        passed=all(c.passed for c in checks),
-    )
 
 
 def verify_shift_identities(m: int, window: int, z: ShiftWord | None = None) -> VerificationReport:

@@ -25,18 +25,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import core_ep, core_inverse, drazin, group_inverse, index, moore_penrose
+from .classical import core_inverse, drazin, moore_penrose, tower
 from .matcore import (
     DEFAULT_TOL,
     TolerancePolicy,
     approx_equal,
     as_matrix,
+    as_square_matrix,
     col_space_contains,
     conj_transpose,
     frobenius,
     numerical_rank,
+    readonly,
     rel_residual,
 )
+from .report import Check, VerificationReport, _bool_check, _eq_check, _merge, _nil_check
 
 __all__ = [
     "OrthogonalityViolation",
@@ -87,74 +90,8 @@ class Route(enum.Enum):
     REGULAR_LIFT = "regular-lift"
 
 
-@dataclass(frozen=True)
-class Check:
-    """One named verification: residual plus its pass flag.
-
-    Equation checks store the relative Frobenius residual of left-minus-right;
-    nilpotency checks store the absolute Frobenius norm of the tested power;
-    subspace/rank checks are boolean and store 0.0 or 1.0.
-    """
-
-    residual: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    """Named residuals with pass flags; overall is their conjunction."""
-
-    checks: dict[str, Check]
-
-    @property
-    def overall(self) -> bool:
-        return all(c.passed for c in self.checks.values())
-
-    def to_dict(self) -> dict:
-        return {
-            "checks": {
-                name: {"residual": c.residual, "pass": c.passed}
-                for name, c in self.checks.items()
-            },
-            "overall": self.overall,
-        }
-
-
-def _eq_check(left: np.ndarray, right: np.ndarray, tol: TolerancePolicy) -> Check:
-    residual = rel_residual(left, right)
-    return Check(residual=residual, passed=residual <= tol.eq_rtol)
-
-
-def _nil_check(power: np.ndarray, tol: TolerancePolicy) -> Check:
-    norm = frobenius(power)
-    return Check(residual=norm, passed=norm <= tol.nil_atol)
-
-
-def _bool_check(flag: bool) -> Check:
-    return Check(residual=0.0 if flag else 1.0, passed=flag)
-
-
-def _merge(*checks: Check) -> Check:
-    return Check(
-        residual=max(c.residual for c in checks),
-        passed=all(c.passed for c in checks),
-    )
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 def _pow(a: np.ndarray, e: int) -> np.ndarray:
     return np.linalg.matrix_power(a, e)
-
-
-def _square(a) -> np.ndarray:
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    return a
 
 
 def _check_m(m: int) -> None:
@@ -183,7 +120,7 @@ class GroupDecomposition:
         """Check the side conditions: X* A^{m-1} Y = 0, Y X = 0, Y nilpotent,
         X of index <= 1 (nonzero unless A is nilpotent), and that the group
         inverse of X is the m-weak group inverse of A."""
-        a = _square(a)
+        a = as_square_matrix(a)
         n = a.shape[0]
         z = mwgi(a, m, tol).Z
         checks: dict[str, Check] = {}
@@ -193,14 +130,14 @@ class GroupDecomposition:
         )
         checks["orth_right"] = _eq_check(self.Y @ self.X, np.zeros((n, n)), tol)
         checks["y_nilpotent"] = _nil_check(_pow(self.Y, n), tol)
-        x_idx = index(self.X, tol).k
-        checks["x_index"] = _bool_check(x_idx <= 1)
+        x = tower(self.X, tol)
+        checks["x_index"] = _bool_check(x.index.k <= 1)
         a_nilpotent = frobenius(_pow(a, n)) <= tol.nil_atol
         checks["x_nonzero"] = _bool_check(a_nilpotent or frobenius(self.X) > tol.nil_atol)
-        try:
-            checks["group_matches"] = _eq_check(group_inverse(self.X, tol), z, tol)
-        except ArithmeticError:
-            checks["group_matches"] = _bool_check(False)
+        # X^D is the group inverse of X exactly when X has index <= 1
+        checks["group_matches"] = (
+            _eq_check(x.d, z, tol) if x.index.k <= 1 else _bool_check(False)
+        )
         return VerificationReport(checks=checks)
 
 
@@ -215,7 +152,7 @@ class PolarData:
         """Check p^2 = p, the Hermitian weighting (A^m)* A^m p, nilpotency of
         A p, invertibility of (I-p)A(I-p) inside the corner, the range identity
         col(I-p) = col(A(I-p)), and invertibility of A + p (full-rank test)."""
-        a = _square(a)
+        a = as_square_matrix(a)
         n = a.shape[0]
         one_minus_p = np.eye(n, dtype=np.complex128) - self.p
         corner = one_minus_p @ a @ one_minus_p
@@ -234,34 +171,27 @@ class PolarData:
         return VerificationReport(checks=checks)
 
 
-def _parts(a: np.ndarray, m: int, tol: TolerancePolicy):
-    k = index(a, tol).k
-    d = drazin(a, tol)
-    cep = core_ep(a, tol)
-    return k, d, cep, _pow(a, m)
-
-
 def mwgi(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> MwgiResult:
     """m-weak group inverse by the canonical route Z = (A^D)^{m+1} A A^o A^m.
 
     The algebraically equal product form (A^D A A^o)^{m+1} A^m is evaluated
     as well; disagreement beyond tolerance raises RepresentationMismatch.
     """
-    a = _square(a)
+    a = as_square_matrix(a)
     _check_m(m)
-    k, d, cep, am = _parts(a, m, tol)
-    z = _pow(d, m + 1) @ a @ cep @ am
-    alt = _pow(d @ a @ cep, m + 1) @ am
+    t, am = tower(a, tol), _pow(a, m)
+    z = _pow(t.d, m + 1) @ a @ t.o @ am
+    alt = _pow(t.d @ a @ t.o, m + 1) @ am
     if not approx_equal(z, alt, tol):
         raise RepresentationMismatch(
             f"the two product forms disagree: residual {rel_residual(z, alt):.3e}"
         )
-    return MwgiResult(Z=_readonly(z), m=m, k=k, route=Route.CORE_EP)
+    return MwgiResult(Z=readonly(z), m=m, k=t.index.k, route=Route.CORE_EP)
 
 
 def mwgi_via_power(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Power-reduction route: A^{m-1} W with W the 1-weak group inverse of A^m."""
-    a = _square(a)
+    a = as_square_matrix(a)
     _check_m(m)
     w = mwgi(_pow(a, m), 1, tol).Z
     return _pow(a, m - 1) @ w
@@ -273,7 +203,7 @@ def mwgi_normal_equation(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.nd
     x = Q^+ A^m works because Q Q^+ is the orthogonal projector onto col(Q);
     the remaining null(Q) freedom in x is annihilated by the (A^D)^{m+1} factor.
     """
-    a = _square(a)
+    a = as_square_matrix(a)
     _check_m(m)
     d = drazin(a, tol)
     q = a @ d
@@ -283,7 +213,7 @@ def mwgi_normal_equation(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.nd
 
 def mwgi_drazin_solve(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Drazin-weighted route: (A^D)^{m+2} x with x solving (A^D)* A^D x = (A^D)* A^m."""
-    a = _square(a)
+    a = as_square_matrix(a)
     _check_m(m)
     d = drazin(a, tol)
     x = moore_penrose(d, tol) @ _pow(a, m)
@@ -296,7 +226,7 @@ def mwgi_step(a, zm, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     The caller owns the precondition that zm is the m-weak group inverse of a
     for some m; no validation is attempted.
     """
-    a = _square(a)
+    a = as_square_matrix(a)
     zm = as_matrix(zm)
     return zm @ zm @ a
 
@@ -306,7 +236,7 @@ def mwgi_core_of_drazin(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.nda
 
     A^D always has index <= 1, so its core inverse exists unconditionally.
     """
-    a = _square(a)
+    a = as_square_matrix(a)
     _check_m(m)
     d = drazin(a, tol)
     return _pow(d, m + 2) @ core_inverse(d, tol) @ _pow(a, m)
@@ -318,19 +248,17 @@ def mwgi_core_chain(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray
     B = A^{m+1} A^o always has index <= 1 (its core inverse is (A^o)^m, which
     is verified here), even when A itself has no core inverse.
     """
-    a = _square(a)
+    a = as_square_matrix(a)
     _check_m(m)
-    d = drazin(a, tol)
-    cep = core_ep(a, tol)
-    am = _pow(a, m)
-    b = _pow(a, m + 1) @ cep
+    t, am = tower(a, tol), _pow(a, m)
+    b = _pow(a, m + 1) @ t.o
     c = core_inverse(b, tol)  # NoCoreInverse propagates if B misbehaves
-    if not approx_equal(c, _pow(cep, m), tol):
+    if not approx_equal(c, _pow(t.o, m), tol):
         raise RepresentationMismatch(
             f"core inverse of A^({m + 1}) A^o is not (A^o)^{m}: "
-            f"residual {rel_residual(c, _pow(cep, m)):.3e}"
+            f"residual {rel_residual(c, _pow(t.o, m)):.3e}"
         )
-    return _pow(d @ am @ c, m + 1) @ am
+    return _pow(t.d @ am @ c, m + 1) @ am
 
 
 def mwgi_regular_lift(a, m: int, tol: TolerancePolicy = DEFAULT_TOL, inner=None) -> np.ndarray:
@@ -339,7 +267,7 @@ def mwgi_regular_lift(a, m: int, tol: TolerancePolicy = DEFAULT_TOL, inner=None)
     Returns the (m+1)-weak group inverse of A.  The inner inverse A^- defaults
     to the Moore-Penrose inverse; any matrix with A A^- A = A may be supplied.
     """
-    a = _square(a)
+    a = as_square_matrix(a)
     _check_m(m)
     if inner is None:
         inner = moore_penrose(a, tol)
@@ -390,14 +318,14 @@ def verify_definition(a, z, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> Verif
       limit        A^k = A Z A^k (the eventual identity, at n = k)
       idem34       A Z = A^n Z^n for n = 2, 3
     """
-    a = _square(a)
+    a = as_square_matrix(a)
     z = as_matrix(z)
     if z.shape != a.shape:
         raise ValueError(f"candidate shape {z.shape} does not match {a.shape}")
     _check_m(m)
-    k, d, cep, am = _parts(a, m, tol)
+    t = tower(a, tol)
+    k, ak, d, cep, am = t.index.k, t.ak, t.d, t.o, _pow(a, m)
     am1 = _pow(a, m + 1)
-    ak = _pow(a, k)
     q_star = conj_transpose(a @ d)
     ak_star = conj_transpose(ak)
 
@@ -420,23 +348,23 @@ def verify_definition(a, z, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> Verif
 
 def group_decomposition(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> GroupDecomposition:
     """Split A = X + Y along Z = mwgi(A, m): X = A^2 Z carries the group part."""
-    a = _square(a)
+    a = as_square_matrix(a)
     _check_m(m)
     z = mwgi(a, m, tol).Z
     x = a @ a @ z
-    return GroupDecomposition(X=_readonly(x), Y=_readonly(a - x))
+    return GroupDecomposition(X=readonly(x), Y=readonly(a - x))
 
 
 def polar_idempotent(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> PolarData:
     """Polar-like data: p = I - A Z and the corner witness (I-p) Z (I-p)."""
-    a = _square(a)
+    a = as_square_matrix(a)
     _check_m(m)
     n = a.shape[0]
     z = mwgi(a, m, tol).Z
     p = np.eye(n, dtype=np.complex128) - a @ z
     one_minus_p = np.eye(n, dtype=np.complex128) - p
     corner_inverse = one_minus_p @ z @ one_minus_p
-    return PolarData(p=_readonly(p), corner_inverse=_readonly(corner_inverse))
+    return PolarData(p=readonly(p), corner_inverse=readonly(corner_inverse))
 
 
 def b_characterization(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> VerificationReport:
@@ -445,7 +373,7 @@ def b_characterization(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> Verific
     Named checks: bab (b A b = b), a2b2 (A^2 b^2 = A b), herm ((A^m)* A^{m+1} b
     Hermitian), range (col(A b) = col(A^2 b)), qnil ((A - A^2 b)^n vanishes).
     """
-    a = _square(a)
+    a = as_square_matrix(a)
     _check_m(m)
     n = a.shape[0]
     b = mwgi(a, m, tol).Z
@@ -470,12 +398,12 @@ def bc_inverse_check(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> Verificat
     Membership x in b0*R*x and x*R*c0 is realized as the column-space inclusion
     col(Z) in col(b0) and the row-space inclusion row(Z) in row(c0).
     """
-    a = _square(a)
+    a = as_square_matrix(a)
     _check_m(m)
-    k, d, cep, am = _parts(a, m, tol)
-    z = _pow(d, m + 1) @ a @ cep @ am
-    b0 = _pow(d, m + 1) @ am
-    c0 = d @ a @ cep @ am
+    t, am = tower(a, tol), _pow(a, m)
+    z = _pow(t.d, m + 1) @ a @ t.o @ am
+    b0 = _pow(t.d, m + 1) @ am
+    c0 = t.d @ a @ t.o @ am
     checks: dict[str, Check] = {}
     checks["xab"] = _eq_check(z @ a @ b0, b0, tol)
     checks["cax"] = _eq_check(c0 @ a @ z, c0, tol)
@@ -489,12 +417,12 @@ def bc_inverse_check(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> Verificat
 def outer_inverse_subspaces(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> VerificationReport:
     """Check that Z is the outer inverse with range col((A^D)^{m+1} A^m) and
     kernel equal to that of A^o A^m (tested as row-space equality)."""
-    a = _square(a)
+    a = as_square_matrix(a)
     _check_m(m)
-    k, d, cep, am = _parts(a, m, tol)
-    z = _pow(d, m + 1) @ a @ cep @ am
-    range_target = _pow(d, m + 1) @ am
-    kernel_target = cep @ am
+    t, am = tower(a, tol), _pow(a, m)
+    z = _pow(t.d, m + 1) @ a @ t.o @ am
+    range_target = _pow(t.d, m + 1) @ am
+    kernel_target = t.o @ am
     checks: dict[str, Check] = {}
     checks["outer"] = _eq_check(z @ a @ z, z, tol)
     checks["range_eq"] = _bool_check(
@@ -511,8 +439,8 @@ def outer_inverse_subspaces(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> Ve
 
 def additive_mwgi(a, b, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Sum rule: when AB = BA = A*B = 0, the inverse of A + B splits blockwise."""
-    a = _square(a)
-    b = _square(b)
+    a = as_square_matrix(a)
+    b = as_square_matrix(b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     _check_m(m)

@@ -11,6 +11,7 @@ from ginverse.classical import (
     group_inverse,
     index,
     moore_penrose,
+    tower,
 )
 from ginverse.generators import haar_unitary, rational_with_index, with_index
 from ginverse.matcore import DEFAULT_TOL, approx_equal, frobenius, rel_residual
@@ -183,3 +184,28 @@ class TestCoreEP:
         for a, _, _ in corpus[:12]:
             d = drazin(a)
             assert approx_equal(core_ep(a), d @ d @ core_inverse(d))
+
+
+class TestTower:
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_fields_match_closed_forms(self, k):
+        a = with_index(np.random.default_rng(40 + k), 6, k)
+        t = tower(a)
+        assert t.index == index(a)
+        ak = np.linalg.matrix_power(a, k)
+        d = ak @ moore_penrose(np.linalg.matrix_power(a, 2 * k + 1)) @ ak
+        assert np.array_equal(t.ak, ak)
+        assert np.array_equal(t.d, d)
+        assert np.array_equal(t.o, d @ ak @ moore_penrose(ak))
+
+    def test_nilpotent(self):
+        t = tower(J2)
+        assert t.index.k == 2
+        assert np.array_equal(t.ak, np.linalg.matrix_power(J2, 2))
+        assert np.array_equal(t.d, np.zeros((2, 2)))
+        assert np.array_equal(t.o, np.zeros((2, 2)))
+
+    def test_frozen_readonly(self):
+        t = tower(IDEMPOTENT)
+        with pytest.raises(ValueError):
+            t.d[0, 0] = 2

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ginverse import oracle
+from ginverse import oracle, wgi
 from ginverse.cli import main
 from ginverse.matcore import approx_equal, matrix_from_json, matrix_to_json
 
@@ -58,6 +58,16 @@ class TestCompute:
         code, _, err = run_cli(capsys, "compute", "--inverse", "group", "--input", path)
         assert code == 1
         assert "rank" in err
+
+    def test_representation_mismatch_exits_1(self, capsys, monkeypatch, identity3):
+        def mismatch(*args, **kwargs):
+            raise wgi.RepresentationMismatch("the two product forms disagree")
+
+        monkeypatch.setattr(wgi, "mwgi", mismatch)
+        code, out, err = run_cli(capsys, "compute", "--input", identity3)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == ["error: the two product forms disagree"]
 
     def test_output_file(self, capsys, tmp_path, identity3):
         target = tmp_path / "out.json"

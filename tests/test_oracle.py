@@ -232,3 +232,23 @@ class TestExactRank:
         eps = Fraction(1, 10**30)
         a = RM.from_rows([[1, 1], [1, GR(1 + eps)]])
         assert o.rank(a) == 2
+
+
+class TestOneExactTowerPerCall:
+    def test_certify_index_and_drazin_counts(self, monkeypatch):
+        # certify builds the exact parts of (A, m), (A^m, 1) and (A, m + 1)
+        counts = {"index": 0, "chain": 0}
+        exact_index, drazin_and_index = o.exact_index, o._drazin_and_index
+
+        def counting_index(a):
+            counts["index"] += 1
+            return exact_index(a)
+
+        def counting_chain(a, max_bits):
+            counts["chain"] += 1
+            return drazin_and_index(a, max_bits)
+
+        monkeypatch.setattr(o, "exact_index", counting_index)
+        monkeypatch.setattr(o, "_drazin_and_index", counting_chain)
+        assert o.certify(BLOCK3, 2).overall
+        assert counts == {"index": 3, "chain": 3}

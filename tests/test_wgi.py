@@ -375,3 +375,20 @@ class TestDegenerateInputs:
         assert wgi.group_decomposition(a, 2).verify(a, 2).overall
         assert wgi.polar_idempotent(a, 2).verify(a, 2).overall
         assert wgi.b_characterization(a, 2).overall
+
+
+class TestOneTowerPerMatrix:
+    def test_mwgi_svd_count(self, monkeypatch):
+        # index chain A, A^2, A^3, A^4, then (A^7)^+ and (A^3)^+: k + 3 SVDs
+        a = with_index(np.random.default_rng(5), 8, 3)
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        result = wgi.mwgi(a, 2)
+        assert result.k == 3
+        assert len(calls) == 6
