@@ -3,10 +3,10 @@
 Conventions, for a square complex matrix A with index k (the smallest j with
 rank(A^j) = rank(A^{j+1})):
 
-* Drazin inverse      A^D  = A^k (A^{2k+1})^+ A^k
+* core-EP inverse     A^o  = U1 T^-1 U1*, always defined (see ``tower``)
+* Drazin inverse      A^D  = (A^o)^{k+1} A^k
 * group inverse       A^#  = A^D, defined only when k <= 1
 * core inverse        A^#o = A^# A A^+, defined only when k <= 1
-* core-EP inverse     A^o  = A^D A^k (A^k)^+, always defined
 
 The core-EP inverse X is the unique solution of AX^2 = X, (AX)* = AX and
 A^n = A X A^n for all n >= k.  ``tower`` computes k, A^k, A^D and A^o once.
@@ -113,22 +113,22 @@ def index(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> IndexResult:
 def tower(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> Tower:
     """The spectral tower of A: its index, A^k, A^D and A^o, each computed once.
 
-    A^D = A^k (A^{2k+1})^+ A^k and A^o = A^D A^k (A^k)^+; both are zero when
-    ||A^k|| <= nil_atol (A nilpotent).
+    Core-EP decomposition A = U [[T, S], [0, N]] U* (Wang, LAA 508, 2016): U1,
+    the first rank(A^k) left singular vectors of A^k, spans col(A^k), and
+    T = U1* A U1 is invertible.  For nilpotent A, U1 is empty and A^o is zero.
     """
     a = as_square_matrix(a)
     idx = index(a, tol)
     ak = np.linalg.matrix_power(a, idx.k)
-    if float(np.linalg.norm(ak, "fro")) <= tol.nil_atol:  # nilpotent
-        d = o = np.zeros_like(ak)
-    else:
-        d = ak @ moore_penrose(np.linalg.matrix_power(a, 2 * idx.k + 1), tol) @ ak
-        o = d @ ak @ moore_penrose(ak, tol)
+    u1 = np.linalg.svd(ak)[0][:, : idx.rank_chain[idx.k]]
+    u1h = u1.conj().T
+    o = u1 @ np.linalg.inv(u1h @ a @ u1) @ u1h
+    d = np.linalg.matrix_power(o, idx.k + 1) @ ak
     return Tower(index=idx, ak=readonly(ak), d=readonly(d), o=readonly(o))
 
 
 def drazin(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    """Drazin inverse A^D = A^k (A^{2k+1})^+ A^k with k the index of A."""
+    """Drazin inverse A^D = (A^o)^{k+1} A^k with k the index of A."""
     return tower(a, tol).d
 
 
@@ -152,5 +152,5 @@ def core_inverse(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarra
 
 
 def core_ep(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    """Core-EP inverse A^D A^k (A^k)^+, defined for every square matrix."""
+    """Core-EP inverse U1 T^-1 U1* (see ``tower``), defined for every square matrix."""
     return tower(a, tol).o

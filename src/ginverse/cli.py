@@ -138,10 +138,7 @@ def _cmd_compute(config: RunConfig) -> int:
     a = _load_matrix(config.input)
     if config.inverse == "mwgi":
         route = _ROUTE_BY_FLAG[config.route]
-        try:
-            z = wgi.mwgi_by_route(a, config.m, route, config.tol)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        z = wgi.mwgi_by_route(a, config.m, route, config.tol)
     else:
         z = _INVERSES[config.inverse](a, config.m, config.tol)
     _emit(config, matrix_to_json(z))
@@ -175,11 +172,8 @@ def _cmd_solve(config: RunConfig) -> int:
     a = _load_matrix(config.input)
     b = _load_matrix(config.b)
     y = _load_matrix(config.y) if config.y else None
-    try:
-        solution = eqsolve.solve_general(a, b, config.m, y, config.tol)
-        value = eqsolve.residual(a, b, config.m, solution.X, config.tol)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    solution = eqsolve.solve_general(a, b, config.m, y, config.tol)
+    value = eqsolve.residual(a, b, config.m, solution.X, config.tol)
     payload = {
         "x": matrix_to_json(solution.X),
         "residual": value,
@@ -194,10 +188,7 @@ def _cmd_solve(config: RunConfig) -> int:
 
 
 def _cmd_shift(config: RunConfig) -> int:
-    try:
-        report = shiftlab.verify_shift_identities(config.m, config.window)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    report = shiftlab.verify_shift_identities(config.m, config.window)
     word = str(shiftlab.mwgi_shift(config.m))
     payload = {"word": word, "report": report.to_dict()}
     table = _report_table(report, f"Z = {word} (m={config.m}, window={config.window})")
@@ -342,12 +333,14 @@ def run(config: RunConfig) -> int:
     """Execute one command; returns the process exit code."""
     try:
         return _COMMANDS[config.command](config)
-    except (ArithmeticError, wgi.OrthogonalityViolation) as exc:
-        # no such inverse, a failed self-check, or exact-arithmetic overflow
+    except (ArithmeticError, np.linalg.LinAlgError, wgi.OrthogonalityViolation) as exc:
+        # no such inverse, a failed self-check, a singular core block, or
+        # exact-arithmetic overflow
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (InputError, ValueError) as exc:
-        # well-formed JSON can still be unusable (wrong shape, bad m, ...)
+        # well-formed JSON can still be unusable (wrong shape, bad m, ...);
+        # LinAlgError is a ValueError too, but the clause above takes it
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

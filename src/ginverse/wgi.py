@@ -5,12 +5,13 @@ the m-weak group inverse is the unique Z with
 
     Z = A Z^2,   Z A^{k+1} = A^k,   (A^k)* A^{m+1} Z = (A^k)* A^m.
 
-The canonical computation is Z = (A^D)^{m+1} A A^o A^m.  Six more routes
-are provided purely for cross-verification, together with checkers for the
-equivalent characterizations: the additive decomposition A = X + Y with X
-group invertible and Y nilpotent, the polar-like idempotent p = I - A Z,
-the fixed-point system in b, the (b,c)-inverse realization and the outer
-inverse with prescribed range and kernel.
+The canonical computation is Z = (A^o)^{m+1} A^m, checked against these
+equations before it is returned.  Six more routes are provided purely for
+cross-verification, together with checkers for the equivalent
+characterizations: the additive decomposition A = X + Y with X group
+invertible and Y nilpotent, the polar-like idempotent p = I - A Z, the
+fixed-point system in b, the (b,c)-inverse realization and the outer inverse
+with prescribed range and kernel.
 
 All one-sided ("right") notions coincide with their two-sided counterparts
 for square complex matrices: the algebra is Dedekind-finite, so one-sided
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import core_inverse, drazin, moore_penrose, tower
+from .classical import Tower, core_inverse, drazin, moore_penrose, tower
 from .matcore import (
     DEFAULT_TOL,
     TolerancePolicy,
@@ -74,7 +75,7 @@ class OrthogonalityViolation(ValueError):
 
 
 class RepresentationMismatch(ArithmeticError):
-    """Two algebraically equal product forms disagreed beyond tolerance."""
+    """A result failed its defining equations or an internal cross-check."""
 
 
 class Route(enum.Enum):
@@ -171,21 +172,34 @@ class PolarData:
         return VerificationReport(checks=checks)
 
 
-def mwgi(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> MwgiResult:
-    """m-weak group inverse by the canonical route Z = (A^D)^{m+1} A A^o A^m.
+def _defining_checks(a, z, t: Tower, am, am1, tol: TolerancePolicy) -> dict[str, Check]:
+    """ax2: Z = A Z^2; wgm_k: Z A^{k+1} = A^k and (A^k)* A^{m+1} Z = (A^k)* A^m."""
+    ak_star = conj_transpose(t.ak)
+    return {
+        "ax2": _eq_check(z, a @ z @ z, tol),
+        "wgm_k": _merge(
+            _eq_check(z @ _pow(a, t.index.k + 1), t.ak, tol),
+            _eq_check(ak_star @ am1 @ z, ak_star @ am, tol),
+        ),
+    }
 
-    The algebraically equal product form (A^D A A^o)^{m+1} A^m is evaluated
-    as well; disagreement beyond tolerance raises RepresentationMismatch.
+
+def mwgi(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> MwgiResult:
+    """m-weak group inverse by the canonical route Z = (A^o)^{m+1} A^m.
+
+    Z is checked against its defining equations (ax2 and wgm_k of
+    ``verify_definition``); a failure beyond tolerance raises
+    RepresentationMismatch naming the failed check.
     """
     a = as_square_matrix(a)
     _check_m(m)
     t, am = tower(a, tol), _pow(a, m)
-    z = _pow(t.d, m + 1) @ a @ t.o @ am
-    alt = _pow(t.d @ a @ t.o, m + 1) @ am
-    if not approx_equal(z, alt, tol):
-        raise RepresentationMismatch(
-            f"the two product forms disagree: residual {rel_residual(z, alt):.3e}"
-        )
+    z = _pow(t.o, m + 1) @ am
+    for name, check in _defining_checks(a, z, t, am, a @ am, tol).items():
+        if not check.passed:
+            raise RepresentationMismatch(
+                f"Z fails its defining equations ({name}): residual {check.residual:.3e}"
+            )
     return MwgiResult(Z=readonly(z), m=m, k=t.index.k, route=Route.CORE_EP)
 
 
@@ -323,23 +337,16 @@ def verify_definition(a, z, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> Verif
     if z.shape != a.shape:
         raise ValueError(f"candidate shape {z.shape} does not match {a.shape}")
     _check_m(m)
-    t = tower(a, tol)
-    k, ak, d, cep, am = t.index.k, t.ak, t.d, t.o, _pow(a, m)
-    am1 = _pow(a, m + 1)
-    q_star = conj_transpose(a @ d)
-    ak_star = conj_transpose(ak)
-
-    checks: dict[str, Check] = {}
-    checks["ax2"] = _eq_check(z, a @ z @ z, tol)
+    t, am, am1 = tower(a, tol), _pow(a, m), _pow(a, m + 1)
+    q_star = conj_transpose(a @ t.d)
+    defining = _defining_checks(a, z, t, am, am1, tol)
+    checks: dict[str, Check] = {"ax2": defining["ax2"]}
     checks["def11"] = _eq_check(q_star @ am1 @ z, q_star @ am, tol)
-    checks["wgm_k"] = _merge(
-        _eq_check(z @ _pow(a, k + 1), ak, tol),
-        _eq_check(ak_star @ am1 @ z, ak_star @ am, tol),
-    )
+    checks["wgm_k"] = defining["wgm_k"]
     weighted = conj_transpose(am) @ am1 @ z
     checks["hermitian31"] = _eq_check(weighted, conj_transpose(weighted), tol)
-    checks["coreEP48"] = _eq_check(am1 @ z, a @ cep @ am, tol)
-    checks["limit"] = _eq_check(ak, a @ z @ ak, tol)
+    checks["coreEP48"] = _eq_check(am1 @ z, a @ t.o @ am, tol)
+    checks["limit"] = _eq_check(t.ak, a @ z @ t.ak, tol)
     checks["idem34"] = _merge(
         *(_eq_check(a @ z, _pow(a, n) @ _pow(z, n), tol) for n in (2, 3))
     )
@@ -401,7 +408,7 @@ def bc_inverse_check(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> Verificat
     a = as_square_matrix(a)
     _check_m(m)
     t, am = tower(a, tol), _pow(a, m)
-    z = _pow(t.d, m + 1) @ a @ t.o @ am
+    z = _pow(t.o, m + 1) @ am
     b0 = _pow(t.d, m + 1) @ am
     c0 = t.d @ a @ t.o @ am
     checks: dict[str, Check] = {}
@@ -420,7 +427,7 @@ def outer_inverse_subspaces(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> Ve
     a = as_square_matrix(a)
     _check_m(m)
     t, am = tower(a, tol), _pow(a, m)
-    z = _pow(t.d, m + 1) @ a @ t.o @ am
+    z = _pow(t.o, m + 1) @ am
     range_target = _pow(t.d, m + 1) @ am
     kernel_target = t.o @ am
     checks: dict[str, Check] = {}

@@ -193,10 +193,17 @@ class TestTower:
         t = tower(a)
         assert t.index == index(a)
         ak = np.linalg.matrix_power(a, k)
-        d = ak @ moore_penrose(np.linalg.matrix_power(a, 2 * k + 1)) @ ak
+        u1 = np.linalg.svd(ak)[0][:, : t.index.rank_chain[k]]
+        u1h = u1.conj().T
+        o = u1 @ np.linalg.inv(u1h @ a @ u1) @ u1h
+        d = np.linalg.matrix_power(o, k + 1) @ ak
         assert np.array_equal(t.ak, ak)
+        assert np.array_equal(t.o, o)
         assert np.array_equal(t.d, d)
-        assert np.array_equal(t.o, d @ ak @ moore_penrose(ak))
+        # the Drazin and core-EP closed forms the decomposition replaces
+        d_ref = ak @ moore_penrose(np.linalg.matrix_power(a, 2 * k + 1)) @ ak
+        assert approx_equal(t.d, d_ref)
+        assert approx_equal(t.o, d_ref @ ak @ moore_penrose(ak))
 
     def test_nilpotent(self):
         t = tower(J2)

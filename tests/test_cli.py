@@ -69,6 +69,16 @@ class TestCompute:
         assert out == ""
         assert err.splitlines() == ["error: the two product forms disagree"]
 
+    def test_linalg_error_exits_1(self, capsys, monkeypatch, identity3):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(wgi, "mwgi_by_route", singular)
+        code, out, err = run_cli(capsys, "compute", "--input", identity3)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == ["error: Singular matrix"]
+
     def test_output_file(self, capsys, tmp_path, identity3):
         target = tmp_path / "out.json"
         code, out, _ = run_cli(
@@ -103,7 +113,7 @@ class TestVerify:
 
     def test_env_tolerance_override(self, capsys, tmp_path, monkeypatch):
         # an absurdly tight equality tolerance makes benign roundoff fail
-        a_mat = np.array([[1.0, 0.5], [0.0, 2.0]])
+        a_mat = np.array([[2.0, 1.0], [1.0, 3.0]])
         a = write_matrix(tmp_path / "a.json", a_mat)
         z_path = tmp_path / "z.json"
         run_cli(capsys, "compute", "--input", a, "--output", str(z_path))

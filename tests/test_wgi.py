@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ginverse import wgi
-from ginverse.classical import drazin, core_ep, group_inverse, index, moore_penrose
+from ginverse import oracle, wgi
+from ginverse.classical import Tower, drazin, core_ep, group_inverse, index, moore_penrose, tower
 from ginverse.generators import orthogonal_pair, with_index
 from ginverse.matcore import DEFAULT_TOL, approx_equal, frobenius
 
@@ -379,7 +379,7 @@ class TestDegenerateInputs:
 
 class TestOneTowerPerMatrix:
     def test_mwgi_svd_count(self, monkeypatch):
-        # index chain A, A^2, A^3, A^4, then (A^7)^+ and (A^3)^+: k + 3 SVDs
+        # index chain A, A^2, A^3, A^4, then one SVD of A^3: k + 2 SVDs
         a = with_index(np.random.default_rng(5), 8, 3)
         calls = []
         svd = np.linalg.svd
@@ -391,4 +391,44 @@ class TestOneTowerPerMatrix:
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         result = wgi.mwgi(a, 2)
         assert result.k == 3
-        assert len(calls) == 6
+        assert len(calls) == 5
+        calls.clear()
+        drazin(a)
+        assert len(calls) == 5
+
+
+class TestDefiningSelfCheck:
+    def test_exact_regression_k2_m3(self):
+        # a Drazin inverse built from (A^5)^+ missed Z A^3 = A^2 here by 8.3e-8
+        rows = [
+            [(1, 3), (-3, 2), (-3, 2), (-1, -3)],
+            [(1, 2), (-1, 2), (-1, 2), (-2, -2)],
+            [(0, 0), (-1, 0), (-1, 0), (1, 0)],
+            [(1, 2), (-2, 2), (-2, 2), (-1, -2)],
+        ]
+        exact = oracle.RationalMatrix.from_rows(rows)
+        a = exact.to_complex()
+        result = wgi.mwgi(a, 3)
+        z, power = result.Z, np.linalg.matrix_power
+        assert result.k == 2
+        a2_star = power(a, 2).conj().T
+        assert approx_equal(z, a @ z @ z)
+        assert approx_equal(z @ power(a, 3), power(a, 2))
+        assert approx_equal(a2_star @ power(a, 4) @ z, a2_star @ power(a, 3))
+        assert wgi.verify_definition(a, z, 3).overall
+        assert approx_equal(z, oracle.exact_mwgi(exact, 3).to_complex())
+
+    def test_ill_conditioned_cores(self):
+        rng = np.random.default_rng(12)
+        for i in range(120):
+            a = with_index(rng, 12, 1 + i % 3, core_sigma=(0.1, 10))
+            z = wgi.mwgi(a, 2).Z
+            assert wgi.verify_definition(a, z, 2).overall, i
+
+    def test_perturbed_core_ep_raises(self, monkeypatch):
+        a = with_index(np.random.default_rng(3), 6, 2)
+        t = tower(a)
+        bad = Tower(index=t.index, ak=t.ak, d=t.d, o=t.o * (1 + 1e-6))
+        monkeypatch.setattr(wgi, "tower", lambda *args, **kwargs: bad)
+        with pytest.raises(wgi.RepresentationMismatch, match="ax2"):
+            wgi.mwgi(a, 2)
