@@ -6,8 +6,19 @@ inverses from the iterated (Cline) factorization chain, and every identity
 is verified with exact arithmetic before a result is returned.  The floating
 point modules are validated against these computations.
 
-Intermediate growth is bounded: any entry whose numerator or denominator
-exceeds ``MAX_HEIGHT_BITS`` bits triggers :class:`HeightOverflow`.
+A :class:`RationalMatrix` stores Gaussian-integer numerators (real and
+imaginary parts as Python ints) over one positive common denominator, in
+lowest terms, so arithmetic runs on integers and reduces once per result
+rather than once per entry.  Rank, rref and inverses use fraction-free
+Gauss-Jordan elimination over Z[i] (Bareiss, Math. Comp. 22, 1968): every
+intermediate entry is a minor of the input, each division is exact and
+checked, and the rows are divided by the last pivot only at the end.
+
+Intermediate growth is bounded: any entry whose numerator or denominator,
+in lowest terms, exceeds ``MAX_HEIGHT_BITS`` bits triggers
+:class:`HeightOverflow`.  The common denominator may be longer than any
+entry's; the guard reads the per-entry heights only when the stored
+integers exceed the bound.
 """
 
 from __future__ import annotations
@@ -15,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -131,32 +143,82 @@ def _coerce(x) -> GaussianRational:
     raise TypeError(f"cannot coerce {type(x).__name__} to a Gaussian rational")
 
 
-_ZERO = GaussianRational()
-_ONE = GaussianRational(Fraction(1))
+def _parts(x: GaussianRational) -> tuple[int, int, int]:
+    """x as (re numerator, im numerator, common positive denominator)."""
+    re, im = x.re, x.im
+    den = math.lcm(re.denominator, im.denominator)
+    return re.numerator * (den // re.denominator), im.numerator * (den // im.denominator), den
 
 
-@dataclass(frozen=True)
 class RationalMatrix:
-    """Dense matrix of Gaussian rationals with exact arithmetic throughout."""
+    """Dense matrix of Gaussian rationals with exact arithmetic throughout.
 
-    entries: tuple[tuple[GaussianRational, ...], ...]
+    Stored as two row-major tuples of integer numerators, real and imaginary
+    parts, over one positive common denominator, in lowest terms: the gcd of
+    the denominator and every numerator is 1.  That form is canonical, so
+    equality and hashing compare the stored integers directly.  ``entries``
+    gives the same matrix as rows of :class:`GaussianRational`.
+    """
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(_coerce(x) for x in row) for row in self.entries)
+    __slots__ = ("_nrows", "_ncols", "_re", "_im", "_den", "_entries", "_powers")
+
+    def __init__(self, entries) -> None:
+        rows = tuple(tuple(_coerce(x) for x in row) for row in entries)
         if not rows or not rows[0]:
             raise ValueError("matrix must have positive dimensions")
         width = len(rows[0])
         if any(len(row) != width for row in rows):
             raise ValueError("all rows must have the same length")
-        object.__setattr__(self, "entries", rows)
+        parts = [_parts(x) for row in rows for x in row]
+        den = math.lcm(*(d for _, _, d in parts))
+        self._set(
+            len(rows),
+            width,
+            tuple(r * (den // d) for r, _, d in parts),
+            tuple(i * (den // d) for _, i, d in parts),
+            den,
+        )
+        self._entries = rows
+
+    def _set(self, nrows: int, ncols: int, re: tuple, im: tuple, den: int) -> None:
+        self._nrows, self._ncols = nrows, ncols
+        self._re, self._im, self._den = re, im, den
+        self._entries = None
+        self._powers = None
+
+    @classmethod
+    def _of(cls, nrows: int, ncols: int, re, im, den: int) -> "RationalMatrix":
+        """The matrix (re + i im) / den, brought to lowest terms; den must be positive."""
+        re, im = tuple(re), tuple(im)
+        g = math.gcd(den, *re, *im)
+        if g != 1:
+            re = tuple(x // g for x in re)
+            im = tuple(x // g for x in im)
+            den //= g
+        obj = cls.__new__(cls)
+        obj._set(nrows, ncols, re, im, den)
+        return obj
+
+    @property
+    def entries(self) -> tuple[tuple[GaussianRational, ...], ...]:
+        if self._entries is None:
+            d, c = self._den, self._ncols
+            flat = [
+                GaussianRational(Fraction(x, d), Fraction(y, d))
+                for x, y in zip(self._re, self._im)
+            ]
+            self._entries = tuple(
+                tuple(flat[i * c : (i + 1) * c]) for i in range(self._nrows)
+            )
+        return self._entries
 
     @property
     def rows(self) -> int:
-        return len(self.entries)
+        return self._nrows
 
     @property
     def cols(self) -> int:
-        return len(self.entries[0])
+        return self._ncols
 
     @classmethod
     def from_rows(cls, rows) -> "RationalMatrix":
@@ -164,87 +226,137 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls(tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)))
+        ones = tuple(1 if i == j else 0 for i in range(n) for j in range(n))
+        return cls._of(n, n, ones, (0,) * (n * n), 1)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls(tuple(tuple(_ZERO for _ in range(cols)) for _ in range(rows)))
+        return cls._of(rows, cols, (0,) * (rows * cols), (0,) * (rows * cols), 1)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RationalMatrix):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"RationalMatrix(entries={self.entries!r})"
+
+    def _key(self) -> tuple:
+        return (self._nrows, self._ncols, self._den, self._re, self._im)
 
     def is_zero(self) -> bool:
-        return all(x.is_zero() for row in self.entries for x in row)
+        return not any(self._re) and not any(self._im)
 
     def is_square(self) -> bool:
-        return self.rows == self.cols
+        return self._nrows == self._ncols
 
     def max_height_bits(self) -> int:
-        return max(x.bit_height() for row in self.entries for x in row)
+        """Largest bit length of any entry's numerator or denominator in lowest terms."""
+        d = self._den
+        height = 0
+        for x in self._re + self._im:
+            g = math.gcd(x, d)
+            height = max(height, (x // g).bit_length(), (d // g).bit_length())
+        return height
+
+    def _height_bound(self) -> int:
+        """An upper bound of ``max_height_bits``, read off the stored integers."""
+        return max(self._den.bit_length(), *(x.bit_length() for x in self._re + self._im))
+
+    def _plus(self, other: "RationalMatrix", sign: int) -> "RationalMatrix":
+        self._same_shape(other)
+        den = math.lcm(self._den, other._den)
+        s, t = den // self._den, sign * (den // other._den)
+        return RationalMatrix._of(
+            self._nrows,
+            self._ncols,
+            (s * x + t * y for x, y in zip(self._re, other._re)),
+            (s * x + t * y for x, y in zip(self._im, other._im)),
+            den,
+        )
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._same_shape(other)
-        return RationalMatrix(
-            tuple(
-                tuple(x + y for x, y in zip(r1, r2))
-                for r1, r2 in zip(self.entries, other.entries)
-            )
-        )
+        return self._plus(other, 1)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._same_shape(other)
-        return RationalMatrix(
-            tuple(
-                tuple(x - y for x, y in zip(r1, r2))
-                for r1, r2 in zip(self.entries, other.entries)
-            )
-        )
+        return self._plus(other, -1)
 
     def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix(tuple(tuple(-x for x in row) for row in self.entries))
+        return RationalMatrix._of(
+            self._nrows,
+            self._ncols,
+            (-x for x in self._re),
+            (-y for y in self._im),
+            self._den,
+        )
 
     def __mul__(self, scalar) -> "RationalMatrix":
-        c = _coerce(scalar)
-        return RationalMatrix(tuple(tuple(x * c for x in row) for row in self.entries))
+        cr, ci, cd = _parts(_coerce(scalar))
+        return RationalMatrix._of(
+            self._nrows,
+            self._ncols,
+            (x * cr - y * ci for x, y in zip(self._re, self._im)),
+            (x * ci + y * cr for x, y in zip(self._re, self._im)),
+            self._den * cd,
+        )
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        bt = tuple(zip(*other.entries))  # columns of other
-        return RationalMatrix(
-            tuple(
-                tuple(sum((x * y for x, y in zip(row, col)), _ZERO) for col in bt)
-                for row in self.entries
-            )
-        )
+        n, c = self._ncols, other._ncols
+        a_rows = [
+            (self._re[i * n : (i + 1) * n], self._im[i * n : (i + 1) * n])
+            for i in range(self._nrows)
+        ]
+        b_cols = [(other._re[j::c], other._im[j::c]) for j in range(c)]
+        re: list[int] = []
+        im: list[int] = []
+        for ar, ai in a_rows:
+            for br, bi in b_cols:
+                re.append(sum(map(mul, ar, br)) - sum(map(mul, ai, bi)))
+                im.append(sum(map(mul, ar, bi)) + sum(map(mul, ai, br)))
+        return RationalMatrix._of(self._nrows, c, re, im, self._den * other._den)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
     def power(self, e: int) -> "RationalMatrix":
+        """A^e; each power of a matrix is formed once and kept with it."""
         if not self.is_square():
             raise ValueError("matrix power requires a square matrix")
         if e < 0:
             raise ValueError("negative powers are not supported; invert first")
-        result = RationalMatrix.identity(self.rows)
-        for _ in range(e):
-            result = result @ self
-        return result
+        if e == 0:
+            return RationalMatrix.identity(self.rows)
+        if e == 1:
+            return self
+        if self._powers is None:
+            self._powers = []  # A^2, A^3, ...
+        powers = self._powers
+        while len(powers) < e - 1:
+            powers.append((powers[-1] if powers else self) @ self)
+        return powers[e - 2]
 
     def conj_transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            tuple(
-                tuple(self.entries[i][j].conjugate() for i in range(self.rows))
-                for j in range(self.cols)
-            )
+        c = self._ncols
+        return RationalMatrix._of(
+            c,
+            self._nrows,
+            (x for j in range(c) for x in self._re[j::c]),
+            (-y for j in range(c) for y in self._im[j::c]),
+            self._den,
         )
 
     def to_complex(self) -> np.ndarray:
-        out = np.empty((self.rows, self.cols), dtype=np.complex128)
-        for i, row in enumerate(self.entries):
-            for j, x in enumerate(row):
-                out[i, j] = x.to_complex()
-        return out
+        d = self._den
+        values = [complex(x / d, y / d) for x, y in zip(self._re, self._im)]
+        return np.array(values, dtype=np.complex128).reshape(self.shape)
 
     def to_json(self) -> dict:
         entries = [
@@ -274,13 +386,21 @@ class RationalMatrix:
             [values[i * cols : (i + 1) * cols] for i in range(rows)]
         )
 
+    def _int_rows(self) -> tuple[list[list[int]], list[list[int]]]:
+        """Working copies of the numerator rows, real and imaginary parts."""
+        n = self._ncols
+        return (
+            [list(self._re[i * n : (i + 1) * n]) for i in range(self._nrows)],
+            [list(self._im[i * n : (i + 1) * n]) for i in range(self._nrows)],
+        )
+
     def _same_shape(self, other: "RationalMatrix") -> None:
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
 
 
 def _guard(a: RationalMatrix, max_bits: int) -> RationalMatrix:
-    if a.max_height_bits() > max_bits:
+    if a._height_bound() > max_bits and a.max_height_bits() > max_bits:
         raise HeightOverflow(
             f"intermediate entries exceed {max_bits} bits; "
             "raise max_bits or supply a smaller input"
@@ -288,33 +408,76 @@ def _guard(a: RationalMatrix, max_bits: int) -> RationalMatrix:
     return a
 
 
-def _rref(a: RationalMatrix) -> tuple[list[list[GaussianRational]], list[int]]:
-    """Reduced row echelon form (as working rows) plus the pivot column list."""
-    m = [list(row) for row in a.entries]
-    n_rows, n_cols = a.rows, a.cols
+def _exact_quotient(num: int, den: int) -> int:
+    q, r = divmod(num, den)
+    if r:
+        raise ArithmeticError("fraction-free elimination left a remainder; this is a bug")
+    return q
+
+
+def _rref(re: list[list[int]], im: list[list[int]]) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination over Z[i], in place (Bareiss, 1968).
+
+    With pivot p in row r, every other row becomes (p row - row[c] pivot row)
+    / q, where q is the previous pivot (1 at first).  Every entry is then a
+    minor of the input, so each division is exact, and checked.  On return
+    the rows hold p times the reduced row echelon form, where p = pr + i pi
+    is the last pivot; returns the pivot columns, pr and pi.
+    """
+    n_rows, n_cols = len(re), len(re[0])
     pivots: list[int] = []
+    qr, qi = 1, 0
     r = 0
     for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if not m[i][c].is_zero()), None)
-        if pivot_row is None:
+        p = next((i for i in range(r, n_rows) if re[i][c] or im[i][c]), None)
+        if p is None:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv_p = _ONE / m[r][c]
-        m[r] = [x * inv_p for x in m[r]]
+        re[r], re[p] = re[p], re[r]
+        im[r], im[p] = im[p], im[r]
+        pr, pi = re[r][c], im[r][c]
+        yrs, yis = re[r], im[r]
+        divisor = qr * qr + qi * qi if qi else qr
         for i in range(n_rows):
-            if i != r and not m[i][c].is_zero():
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            if i == r:
+                continue
+            fr, fi = re[i][c], im[i][c]
+            new_re, new_im = [], []
+            for xr, xi, yr, yi in zip(re[i], im[i], yrs, yis):
+                tr = pr * xr - pi * xi - fr * yr + fi * yi
+                ti = pr * xi + pi * xr - fr * yi - fi * yr
+                if qi:  # t / q = t conj(q) / |q|^2
+                    tr, ti = tr * qr + ti * qi, ti * qr - tr * qi
+                if divisor != 1:
+                    tr = _exact_quotient(tr, divisor)
+                    ti = _exact_quotient(ti, divisor)
+                new_re.append(tr)
+                new_im.append(ti)
+            re[i], im[i] = new_re, new_im
+        qr, qi = pr, pi
         pivots.append(c)
         r += 1
         if r == n_rows:
             break
-    return m, pivots
+    return pivots, qr, qi
+
+
+def _over_pivot(
+    re: list[list[int]], im: list[list[int]], pr: int, pi: int, scale: int = 1
+) -> RationalMatrix:
+    """The matrix scale (re + i im) / (pr + i pi) from integer rows."""
+    flat = [(x, y) for xs, ys in zip(re, im) for x, y in zip(xs, ys)]
+    return RationalMatrix._of(
+        len(re),
+        len(re[0]),
+        (scale * (x * pr + y * pi) for x, y in flat),
+        (scale * (y * pr - x * pi) for x, y in flat),
+        pr * pr + pi * pi,
+    )
 
 
 def rank(a: RationalMatrix) -> int:
-    """Exact rank by Gaussian elimination; no tolerance enters anywhere."""
-    return len(_rref(a)[1])
+    """Exact rank by fraction-free elimination; no tolerance enters anywhere."""
+    return len(_rref(*a._int_rows())[0])
 
 
 def inverse(a: RationalMatrix, max_bits: int = MAX_HEIGHT_BITS) -> RationalMatrix:
@@ -322,13 +485,16 @@ def inverse(a: RationalMatrix, max_bits: int = MAX_HEIGHT_BITS) -> RationalMatri
     if not a.is_square():
         raise ValueError("only square matrices can be inverted")
     n = a.rows
-    aug = RationalMatrix.from_rows(
-        [list(a.entries[i]) + list(RationalMatrix.identity(n).entries[i]) for i in range(n)]
-    )
-    reduced, pivots = _rref(aug)
+    re, im = a._int_rows()
+    for i in range(n):
+        re[i] += [int(i == j) for j in range(n)]
+        im[i] += [0] * n
+    pivots, pr, pi = _rref(re, im)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return _guard(RationalMatrix.from_rows([row[n:] for row in reduced[:n]]), max_bits)
+    # A = N / den and the right half holds p N^-1, so A^-1 = den (p N^-1) / p
+    right = _over_pivot([row[n:] for row in re], [row[n:] for row in im], pr, pi, a._den)
+    return _guard(right, max_bits)
 
 
 def full_rank_factorization(
@@ -339,14 +505,20 @@ def full_rank_factorization(
     F holds the pivot columns of A; G holds the nonzero rows of rref(A).
     The caller must ensure A is nonzero (rank 0 has no such factorization).
     """
-    reduced, pivots = _rref(a)
+    re, im = a._int_rows()
+    pivots, pr, pi = _rref(re, im)
     r = len(pivots)
     if r == 0:
         raise ValueError("zero matrix has no full-rank factorization")
-    f = RationalMatrix.from_rows(
-        [[a.entries[i][c] for c in pivots] for i in range(a.rows)]
+    n = a.cols
+    f = RationalMatrix._of(
+        a.rows,
+        r,
+        (a._re[i * n + c] for i in range(a.rows) for c in pivots),
+        (a._im[i * n + c] for i in range(a.rows) for c in pivots),
+        a._den,
     )
-    g = RationalMatrix.from_rows(reduced[:r])
+    g = _over_pivot(re[:r], im[:r], pr, pi)
     return _guard(f, max_bits), _guard(g, max_bits)
 
 
@@ -376,11 +548,9 @@ def exact_index(a: RationalMatrix) -> int:
     if not a.is_square():
         raise ValueError("index requires a square matrix")
     previous = a.rows  # rank of A^0
-    power = RationalMatrix.identity(a.rows)
     k = 0
     while True:
-        power = power @ a
-        current = rank(power)
+        current = rank(a.power(k + 1))
         if current == previous:
             return k
         previous = current
@@ -446,12 +616,31 @@ def exact_core_ep(a: RationalMatrix, max_bits: int = MAX_HEIGHT_BITS) -> Rationa
     return _core_ep(a, *_drazin_and_index(a, max_bits), max_bits)
 
 
-def _mwgi_parts(a: RationalMatrix, m: int, max_bits: int):
+def _tower(a: RationalMatrix, max_bits: int) -> tuple[int, RationalMatrix, RationalMatrix]:
+    """The index k, A^D and A^o of A, each verified."""
     k, d = _drazin_and_index(a, max_bits)
-    cep = _core_ep(a, k, d, max_bits)
-    am = a.power(m)
-    z = _guard(d.power(m + 1) @ a @ cep @ am, max_bits)
-    return k, d, cep, am, z
+    return k, d, _core_ep(a, k, d, max_bits)
+
+
+def _mwgi_of(a: RationalMatrix, m: int, d: RationalMatrix, cep: RationalMatrix, max_bits: int):
+    """(A^D)^{m+1} A A^o A^m from A^D and A^o, not yet verified."""
+    return _guard(d.power(m + 1) @ a @ cep @ a.power(m), max_bits)
+
+
+def _verified_mwgi(
+    a: RationalMatrix, m: int, tower: tuple[int, RationalMatrix, RationalMatrix], max_bits: int
+) -> RationalMatrix:
+    k, d, cep = tower
+    z = _mwgi_of(a, m, d, cep, max_bits)
+    qs = (a @ d).conj_transpose()
+    aks = a.power(k).conj_transpose()
+    am, am1 = a.power(m), a.power(m + 1)
+    _require_exact(a @ z @ z == z, "A Z^2 = Z")
+    _require_exact(qs @ am1 @ z == qs @ am, "(A A^D)* A^(m+1) Z = (A A^D)* A^m")
+    _require_exact(z @ a.power(k + 1) == a.power(k), "Z A^(k+1) = A^k")
+    _require_exact(aks @ am1 @ z == aks @ am, "(A^k)* A^(m+1) Z = (A^k)* A^m")
+    _require_exact((d @ a @ cep).power(m + 1) @ am == z, "product form agreement")
+    return z
 
 
 def exact_mwgi(a: RationalMatrix, m: int, max_bits: int = MAX_HEIGHT_BITS) -> RationalMatrix:
@@ -464,17 +653,7 @@ def exact_mwgi(a: RationalMatrix, m: int, max_bits: int = MAX_HEIGHT_BITS) -> Ra
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
-    k, d, cep, am, z = _mwgi_parts(a, m, max_bits)
-    q = a @ d
-    qs = q.conj_transpose()
-    aks = a.power(k).conj_transpose()
-    am1 = a.power(m + 1)
-    _require_exact(a @ z @ z == z, "A Z^2 = Z")
-    _require_exact(qs @ am1 @ z == qs @ am, "(A A^D)* A^(m+1) Z = (A A^D)* A^m")
-    _require_exact(z @ a.power(k + 1) == a.power(k), "Z A^(k+1) = A^k")
-    _require_exact(aks @ am1 @ z == aks @ am, "(A^k)* A^(m+1) Z = (A^k)* A^m")
-    _require_exact((d @ a @ cep).power(m + 1) @ am == z, "product form agreement")
-    return z
+    return _verified_mwgi(a, m, _tower(a, max_bits), max_bits)
 
 
 def _diff_residual(left: RationalMatrix, right: RationalMatrix) -> float:
@@ -482,11 +661,8 @@ def _diff_residual(left: RationalMatrix, right: RationalMatrix) -> float:
     if left == right:
         return 0.0
     diff = left - right
-    total = Fraction(0)
-    for row in diff.entries:
-        for x in row:
-            total += x.abs2()
-    return math.sqrt(float(total))
+    total = sum(x * x for x in diff._re + diff._im)
+    return math.sqrt(total / diff._den**2)
 
 
 def _exact_check(left: RationalMatrix, right: RationalMatrix) -> Check:
@@ -531,14 +707,15 @@ def certify(
     if m < 1:
         raise ValueError("m must be a positive integer")
     n = a.rows
-    k, d, cep, am, z_computed = _mwgi_parts(a, m, max_bits)
+    tower = _tower(a, max_bits)
+    k, d, cep = tower
+    z_computed = _mwgi_of(a, m, d, cep, max_bits)
     if z is None:
         z = z_computed
-    q = a @ d
-    qs = q.conj_transpose()
-    am1 = a.power(m + 1)
+    qs = (a @ d).conj_transpose()
+    am, am1 = a.power(m), a.power(m + 1)
     aks = a.power(k).conj_transpose()
-    ident = RationalMatrix.identity(n)
+    zero = RationalMatrix.zeros(n, n)
 
     checks: dict[str, Check] = {}
     checks["ax2"] = _exact_check(a @ z @ z, z)
@@ -549,38 +726,41 @@ def certify(
     )
     checks["second_form"] = _exact_check((d @ a @ cep).power(m + 1) @ am, z)
 
-    w = exact_mwgi(a.power(m), 1, max_bits)
+    # A^m has a tower of its own, unless m = 1
+    w = _verified_mwgi(am, 1, tower if m == 1 else _tower(am, max_bits), max_bits)
     checks["power"] = _merge(
         _exact_check(a.power(m - 1) @ w, z_computed),
         _exact_check(w, z_computed.power(m)),
     )
-    checks["step"] = _exact_check(exact_mwgi(a, m + 1, max_bits), z_computed @ z_computed @ a)
+    checks["step"] = _exact_check(
+        _verified_mwgi(a, m + 1, tower, max_bits), z_computed @ z_computed @ a
+    )
     checks["fixed_point"] = _exact_check(z @ a @ z, z)
     checks["idem"] = _merge(
         *(_exact_check(a @ z, a.power(p) @ z.power(p)) for p in (2, 3))
     )
 
-    x_part = a @ a @ z
+    x_part = a.power(2) @ z
     y_part = a - x_part
     checks["decomp"] = _merge(
-        _exact_check(x_part.conj_transpose() @ a.power(m - 1) @ y_part, RationalMatrix.zeros(n, n)),
-        _exact_check(y_part @ x_part, RationalMatrix.zeros(n, n)),
-        _exact_check(y_part.power(n), RationalMatrix.zeros(n, n)),
+        _exact_check(x_part.conj_transpose() @ a.power(m - 1) @ y_part, zero),
+        _exact_check(y_part @ x_part, zero),
+        _exact_check(y_part.power(n), zero),
         _exact_check(x_part @ z @ x_part, x_part),
         _exact_check(z @ x_part @ z, z),
         _exact_check(x_part @ z, z @ x_part),
     )
 
-    herm = a.power(m).conj_transpose() @ am1 @ z
+    herm = am.conj_transpose() @ am1 @ z
     checks["b_char"] = _merge(
         _exact_check(z @ a @ z, z),
-        _exact_check(a @ a @ z @ z, a @ z),
+        _exact_check(x_part @ z, a @ z),
         _exact_check(herm.conj_transpose(), herm),
-        _exact_check((a - a @ a @ z).power(n), RationalMatrix.zeros(n, n)),
+        _exact_check(y_part.power(n), zero),
     )
 
     b_mat, y_mat = _test_matrices(n)
-    x_sol = z @ b_mat + (ident - z @ a) @ y_mat
+    x_sol = z @ b_mat + (RationalMatrix.identity(n) - z @ a) @ y_mat
     checks["solution"] = _exact_check(qs @ am1 @ x_sol, qs @ am @ b_mat)
 
     return VerificationReport(checks=checks)

@@ -1,6 +1,11 @@
+import json
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ginverse import oracle as o
 from ginverse.classical import drazin
@@ -173,6 +178,12 @@ class TestHeightGuard:
         a = RM.from_rows([[GR(Fraction(2**40, 3), 0), 1], [1, GR(Fraction(1, 2**40), 0)]])
         o.exact_mp(a, max_bits=4096)
 
+    def test_common_denominator_beyond_bound_entries_within(self):
+        # the common denominator 2^20 3^13 has 41 bits, every entry at most 21
+        a = RM.from_rows([[GR(Fraction(1, 2**20)), 0], [0, GR(Fraction(1, 3**13))]])
+        assert a.max_height_bits() == 21
+        assert o.exact_drazin(a, max_bits=32) == RM.from_rows([[2**20, 0], [0, 3**13]])
+
 
 class TestRationalJson:
     def test_exact_roundtrip(self):
@@ -236,7 +247,7 @@ class TestExactRank:
 
 class TestOneExactTowerPerCall:
     def test_certify_index_and_drazin_counts(self, monkeypatch):
-        # certify builds the exact parts of (A, m), (A^m, 1) and (A, m + 1)
+        # certify builds the exact parts of A once and those of A^m once
         counts = {"index": 0, "chain": 0}
         exact_index, drazin_and_index = o.exact_index, o._drazin_and_index
 
@@ -251,4 +262,219 @@ class TestOneExactTowerPerCall:
         monkeypatch.setattr(o, "exact_index", counting_index)
         monkeypatch.setattr(o, "_drazin_and_index", counting_chain)
         assert o.certify(BLOCK3, 2).overall
-        assert counts == {"index": 3, "chain": 3}
+        assert counts == {"index": 2, "chain": 2}
+
+
+class TestPowersOncePerCall:
+    def test_certify_forms_each_power_once(self, monkeypatch):
+        a = rational_with_index(np.random.default_rng(5), 4, 2)
+        fresh = RM.from_json(a.to_json())  # same value, no powers kept yet
+        powers = [fresh.power(j) for j in range(12)]
+        formed: dict[int, int] = {}
+        matmul = RM.__matmul__
+
+        def counting_matmul(left, right):
+            if right is a:  # a product that extends a power of A
+                for j, p in enumerate(powers):
+                    if left == p:
+                        formed[j + 1] = formed.get(j + 1, 0) + 1
+            return matmul(left, right)
+
+        monkeypatch.setattr(RM, "__matmul__", counting_matmul)
+        assert o.certify(a, 3).overall
+        assert formed and max(formed.values()) == 1, formed
+
+
+# ------------------------------------------------------------------------------
+# Equivalence with plain per-entry Gaussian-rational arithmetic.  The reference
+# below works on lists of GaussianRational rows; RationalMatrix must agree with
+# it entry by entry.
+
+FRACTIONS = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+ENTRIES = st.one_of(st.just(GR()), st.builds(GR, FRACTIONS, FRACTIONS))
+SCALARS = st.one_of(st.integers(-3, 3), FRACTIONS, st.builds(GR, FRACTIONS, FRACTIONS))
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def rational_rows(draw, rows=None, cols=None):
+    """Rows of Gaussian rationals with mixed denominators, zero rows and zero matrices."""
+    r = rows or draw(st.integers(1, 4))
+    c = cols or draw(st.integers(1, 4))
+    if draw(st.integers(0, 9)) == 0:
+        return [[GR()] * c for _ in range(r)]
+    out = [[draw(ENTRIES) for _ in range(c)] for _ in range(r)]
+    for i in range(r):
+        if draw(st.integers(0, 4)) == 0:
+            out[i] = [GR()] * c
+    return out
+
+
+@st.composite
+def square_rows(draw):
+    n = draw(st.integers(1, 4))
+    return draw(rational_rows(n, n))
+
+
+def as_entries(rows):
+    return tuple(tuple(row) for row in rows)
+
+
+def ref_matmul(x, y):
+    return [[sum((x[i][t] * y[t][j] for t in range(len(y))), GR()) for j in range(len(y[0]))]
+            for i in range(len(x))]
+
+
+def ref_power(x, e):
+    n = len(x)
+    out = [[GR(int(i == j)) for j in range(n)] for i in range(n)]
+    for _ in range(e):
+        out = ref_matmul(out, x)
+    return out
+
+
+def ref_rref(rows):
+    """Gauss-Jordan on GaussianRational rows: reduced rows and pivot columns."""
+    m = [list(row) for row in rows]
+    n_rows, n_cols = len(m), len(m[0])
+    pivots, r = [], 0
+    for c in range(n_cols):
+        p = next((i for i in range(r, n_rows) if not m[i][c].is_zero()), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        inv = GR(1) / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(n_rows):
+            if i != r and not m[i][c].is_zero():
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return m, pivots
+
+
+def assert_canonical(a):
+    assert a._den > 0
+    assert math.gcd(a._den, *a._re, *a._im) == 1
+
+
+class TestEquivalence:
+    @SETTINGS
+    @given(st.data())
+    def test_matmul(self, data):
+        x = data.draw(rational_rows())
+        y = data.draw(rational_rows(rows=len(x[0])))
+        got = RM.from_rows(x) @ RM.from_rows(y)
+        assert got.entries == as_entries(ref_matmul(x, y))
+        assert_canonical(got)
+
+    @SETTINGS
+    @given(st.data())
+    def test_add_sub_neg(self, data):
+        x = data.draw(rational_rows())
+        y = data.draw(rational_rows(rows=len(x), cols=len(x[0])))
+        a, b = RM.from_rows(x), RM.from_rows(y)
+        for got, want in (
+            (a + b, [[u + v for u, v in zip(r, s)] for r, s in zip(x, y)]),
+            (a - b, [[u - v for u, v in zip(r, s)] for r, s in zip(x, y)]),
+            (-a, [[-u for u in r] for r in x]),
+        ):
+            assert got.entries == as_entries(want)
+            assert_canonical(got)
+
+    @SETTINGS
+    @given(rational_rows(), SCALARS)
+    def test_scalar_multiple(self, x, c):
+        want = as_entries([[u * c for u in r] for r in x])
+        products = [RM.from_rows(x) * c]
+        if not isinstance(c, GR):  # GaussianRational * RationalMatrix is not defined
+            products.append(c * RM.from_rows(x))
+        for got in products:
+            assert got.entries == want
+            assert_canonical(got)
+
+    @SETTINGS
+    @given(rational_rows())
+    def test_conj_transpose_and_is_zero(self, x):
+        a = RM.from_rows(x)
+        got = a.conj_transpose()
+        assert got.entries == as_entries(
+            [[x[i][j].conjugate() for i in range(len(x))] for j in range(len(x[0]))]
+        )
+        assert got.shape == (a.cols, a.rows)
+        assert a.is_zero() == all(u.is_zero() for r in x for u in r)
+        assert a.max_height_bits() == max(u.bit_height() for r in x for u in r)
+
+    @SETTINGS
+    @given(square_rows(), st.integers(0, 4))
+    def test_power(self, x, e):
+        got = RM.from_rows(x).power(e)
+        assert got.entries == as_entries(ref_power(x, e))
+        assert_canonical(got)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_identity_and_zeros(self, n):
+        assert RM.identity(n).entries == as_entries(ref_power([[GR()] * n] * n, 0))
+        assert RM.zeros(n, n + 1).entries == as_entries([[GR()] * (n + 1)] * n)
+        assert RM.zeros(n, 2) == RM.from_rows([[0, Fraction(0, 3)]] * n)
+
+    @SETTINGS
+    @given(st.data())
+    def test_equality_and_hash(self, data):
+        x = data.draw(rational_rows())
+        y = data.draw(rational_rows(rows=len(x), cols=len(x[0])))
+        a, b = RM.from_rows(x), RM.from_rows(y)
+        # the same value reached by a different route is equal and hashes equal
+        same = (a + b) - b
+        assert same == a and hash(same) == hash(a)
+        assert (a == b) == (as_entries(x) == as_entries(y))
+        assert a != x
+
+    @SETTINGS
+    @given(rational_rows())
+    def test_json_roundtrip(self, x):
+        a = RM.from_rows(x)
+        back = RM.from_json(json.loads(json.dumps(a.to_json())))
+        assert back == a and hash(back) == hash(a)
+        assert back.entries == as_entries(x)
+        assert a.to_json()["entries"] == [[str(u.re), str(u.im)] for r in x for u in r]
+
+    @SETTINGS
+    @given(rational_rows())
+    def test_rank_and_full_rank_factorization(self, x):
+        reduced, pivots = ref_rref(x)
+        a = RM.from_rows(x)
+        assert o.rank(a) == len(pivots)
+        if not pivots:
+            with pytest.raises(ValueError):
+                o.full_rank_factorization(a)
+            return
+        f, g = o.full_rank_factorization(a)
+        assert f.entries == as_entries([[row[c] for c in pivots] for row in x])
+        assert g.entries == as_entries(reduced[: len(pivots)])
+        assert f @ g == a
+
+    @SETTINGS
+    @given(square_rows())
+    def test_inverse(self, x):
+        n = len(x)
+        aug = [row + [GR(int(i == j)) for j in range(n)] for i, row in enumerate(x)]
+        reduced, pivots = ref_rref(aug)
+        a = RM.from_rows(x)
+        if pivots != list(range(n)):
+            with pytest.raises(ValueError):
+                o.inverse(a)
+            return
+        got = o.inverse(a)
+        assert got.entries == as_entries([row[n:] for row in reduced])
+        assert got @ a == RM.identity(n)
+
+
+class TestExactDivision:
+    def test_remainder_raises(self):
+        assert o._exact_quotient(-12, 4) == -3
+        with pytest.raises(ArithmeticError):
+            o._exact_quotient(7, 2)
