@@ -1,10 +1,14 @@
 """Exact ground truth over the Gaussian rationals.
 
 Everything in this module is tolerance-free: ranks come from exact Gaussian
-elimination, pseudoinverses from an exact full-rank factorization, Drazin
-inverses from the iterated (Cline) factorization chain, and every identity
-is verified with exact arithmetic before a result is returned.  The floating
-point modules are validated against these computations.
+elimination, pseudoinverses from an exact full-rank factorization, and every
+identity is verified with exact arithmetic before a result is returned.  The
+floating point modules are validated against these computations.
+
+The spectral tower of a square A (the index k by exact rank, the core-EP
+inverse A^o = F (F* A F)^-1 F* with F the pivot columns of A^k, and the
+Drazin inverse A^D = (A^o)^{k+1} A^k) is built and its identities verified
+once per matrix and height bound; it is kept with the matrix, like its powers.
 
 A :class:`RationalMatrix` stores Gaussian-integer numerators (real and
 imaginary parts as Python ints) over one positive common denominator, in
@@ -23,6 +27,7 @@ integers exceed the bound.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,6 +68,20 @@ def _frac(x) -> Fraction:
     raise TypeError(f"cannot build an exact rational from {type(x).__name__}")
 
 
+def _defers(method):
+    """A binary operator that coerces its operand, or defers to the operand's type."""
+
+    @functools.wraps(method)
+    def operator(self, other):
+        try:
+            other = _coerce(other)
+        except TypeError:
+            return NotImplemented
+        return method(self, other)
+
+    return operator
+
+
 @dataclass(frozen=True)
 class GaussianRational:
     """A complex number with exact rational real and imaginary parts."""
@@ -98,21 +117,21 @@ class GaussianRational:
     def to_complex(self) -> complex:
         return complex(float(self.re), float(self.im))
 
-    def __add__(self, other) -> "GaussianRational":
-        other = _coerce(other)
+    @_defers
+    def __add__(self, other: "GaussianRational") -> "GaussianRational":
         return GaussianRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "GaussianRational":
-        other = _coerce(other)
+    @_defers
+    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
         return GaussianRational(self.re - other.re, self.im - other.im)
 
     def __neg__(self) -> "GaussianRational":
         return GaussianRational(-self.re, -self.im)
 
-    def __mul__(self, other) -> "GaussianRational":
-        other = _coerce(other)
+    @_defers
+    def __mul__(self, other: "GaussianRational") -> "GaussianRational":
         return GaussianRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -120,8 +139,8 @@ class GaussianRational:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "GaussianRational":
-        other = _coerce(other)
+    @_defers
+    def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
         d = other.abs2()
         if d == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
@@ -160,7 +179,7 @@ class RationalMatrix:
     gives the same matrix as rows of :class:`GaussianRational`.
     """
 
-    __slots__ = ("_nrows", "_ncols", "_re", "_im", "_den", "_entries", "_powers")
+    __slots__ = ("_nrows", "_ncols", "_re", "_im", "_den", "_entries", "_powers", "_towers")
 
     def __init__(self, entries) -> None:
         rows = tuple(tuple(_coerce(x) for x in row) for row in entries)
@@ -185,6 +204,7 @@ class RationalMatrix:
         self._re, self._im, self._den = re, im, den
         self._entries = None
         self._powers = None
+        self._towers = None  # max_bits -> (k, A^D, A^o), see _tower
 
     @classmethod
     def _of(cls, nrows: int, ncols: int, re, im, den: int) -> "RationalMatrix":
@@ -557,69 +577,52 @@ def exact_index(a: RationalMatrix) -> int:
         k += 1
 
 
-def _drazin_and_index(a: RationalMatrix, max_bits: int) -> tuple[int, RationalMatrix]:
-    """The index k of A and its Drazin inverse, with the Drazin identities verified.
+def _tower(a: RationalMatrix, max_bits: int) -> tuple[int, RationalMatrix, RationalMatrix]:
+    """The index k, A^D and A^o of A, verified once and kept with A per bound.
 
-    Factor A = B1 C1, then C1 B1 = B2 C2, ... until the product Cj Bj is
-    invertible (or zero, in which case A is nilpotent and A^D = 0); then
-    A^D = B1..Bj (Cj Bj)^-(j+1) Cj..C1.
+    With F the pivot columns of A^k, A^o = F (F* A F)^-1 F*, the exact twin of
+    U1 T^-1 U1* (core-EP decomposition, Wang, LAA 508, 2016): A maps col(A^k)
+    onto itself, so A F = F M with M invertible and F* A F = F* F M is too.
+    Then A^D = (A^o)^{k+1} A^k; both are zero if A^k is.  The identities
+    checked below determine A^o and A^D uniquely.
     """
+    if a._towers is None:
+        a._towers = {}
+    if max_bits in a._towers:
+        return a._towers[max_bits]
     if not a.is_square():
         raise ValueError("Drazin inverse requires a square matrix")
     _guard(a, max_bits)
-    n = a.rows
-    left: list[RationalMatrix] = []
-    right: list[RationalMatrix] = []
-    m = a
-    while True:
-        if m.is_zero():
-            d = RationalMatrix.zeros(n, n)
-            break
-        if rank(m) == m.rows:
-            core = inverse(m, max_bits).power(len(left) + 1)
-            for b in reversed(left):
-                core = b @ core
-            for c in right:
-                core = core @ c
-            d = _guard(core, max_bits)
-            break
-        f, g = full_rank_factorization(m, max_bits)
-        left.append(f)
-        right.insert(0, g)
-        m = _guard(g @ f, max_bits)
     k = exact_index(a)
+    ak = a.power(k)
+    if ak.is_zero():
+        cep = RationalMatrix.zeros(a.rows, a.rows)
+    else:
+        f = full_rank_factorization(ak, max_bits)[0]
+        fs = f.conj_transpose()
+        core = inverse(_guard(fs @ a @ f, max_bits), max_bits)
+        cep = _guard(f @ core @ fs, max_bits)
+    _require_exact(a @ cep @ cep == cep, "A X^2 = X")
+    _require_exact((a @ cep).conj_transpose() == a @ cep, "(A X)* = A X")
+    _require_exact(a @ cep @ ak == ak, "A X A^k = A^k")
+    d = _guard(cep.power(k + 1) @ ak, max_bits)
     _require_exact(a @ d == d @ a, "A X = X A")
     _require_exact(d @ a @ d == d, "X A X = X")
-    _require_exact(a.power(k + 1) @ d == a.power(k), "A^(k+1) X = A^k")
-    return k, d
+    _require_exact(a.power(k + 1) @ d == ak, "A^(k+1) X = A^k")
+    a._towers[max_bits] = (k, d, cep)
+    return k, d, cep
 
 
 def exact_drazin(a: RationalMatrix, max_bits: int = MAX_HEIGHT_BITS) -> RationalMatrix:
-    """Exact Drazin inverse by the iterated full-rank factorization chain."""
-    return _drazin_and_index(a, max_bits)[1]
-
-
-def _core_ep(a: RationalMatrix, k: int, d: RationalMatrix, max_bits: int) -> RationalMatrix:
-    """A^D A^k (A^k)^+ from the index k and Drazin inverse d of A, verified."""
-    ak = a.power(k)
-    x = _guard(d @ ak @ exact_mp(ak, max_bits), max_bits)
-    _require_exact(a @ x @ x == x, "A X^2 = X")
-    _require_exact((a @ x).conj_transpose() == a @ x, "(A X)* = A X")
-    _require_exact(a @ x @ ak == ak, "A X A^k = A^k")
-    return x
+    """Exact Drazin inverse (A^o)^{k+1} A^k, from the tower of A; verified once, kept with A."""
+    return _tower(a, max_bits)[1]
 
 
 def exact_core_ep(a: RationalMatrix, max_bits: int = MAX_HEIGHT_BITS) -> RationalMatrix:
-    """Exact core-EP inverse A^D A^k (A^k)^+ with exact verification."""
+    """Exact core-EP inverse F (F* A F)^-1 F* (F spans col(A^k)); verified once, kept with A."""
     if not a.is_square():
         raise ValueError("core-EP inverse requires a square matrix")
-    return _core_ep(a, *_drazin_and_index(a, max_bits), max_bits)
-
-
-def _tower(a: RationalMatrix, max_bits: int) -> tuple[int, RationalMatrix, RationalMatrix]:
-    """The index k, A^D and A^o of A, each verified."""
-    k, d = _drazin_and_index(a, max_bits)
-    return k, d, _core_ep(a, k, d, max_bits)
+    return _tower(a, max_bits)[2]
 
 
 def _mwgi_of(a: RationalMatrix, m: int, d: RationalMatrix, cep: RationalMatrix, max_bits: int):
@@ -627,10 +630,8 @@ def _mwgi_of(a: RationalMatrix, m: int, d: RationalMatrix, cep: RationalMatrix, 
     return _guard(d.power(m + 1) @ a @ cep @ a.power(m), max_bits)
 
 
-def _verified_mwgi(
-    a: RationalMatrix, m: int, tower: tuple[int, RationalMatrix, RationalMatrix], max_bits: int
-) -> RationalMatrix:
-    k, d, cep = tower
+def _verified_mwgi(a: RationalMatrix, m: int, max_bits: int) -> RationalMatrix:
+    k, d, cep = _tower(a, max_bits)
     z = _mwgi_of(a, m, d, cep, max_bits)
     qs = (a @ d).conj_transpose()
     aks = a.power(k).conj_transpose()
@@ -653,7 +654,7 @@ def exact_mwgi(a: RationalMatrix, m: int, max_bits: int = MAX_HEIGHT_BITS) -> Ra
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
-    return _verified_mwgi(a, m, _tower(a, max_bits), max_bits)
+    return _verified_mwgi(a, m, max_bits)
 
 
 def _diff_residual(left: RationalMatrix, right: RationalMatrix) -> float:
@@ -707,8 +708,7 @@ def certify(
     if m < 1:
         raise ValueError("m must be a positive integer")
     n = a.rows
-    tower = _tower(a, max_bits)
-    k, d, cep = tower
+    k, d, cep = _tower(a, max_bits)
     z_computed = _mwgi_of(a, m, d, cep, max_bits)
     if z is None:
         z = z_computed
@@ -726,14 +726,13 @@ def certify(
     )
     checks["second_form"] = _exact_check((d @ a @ cep).power(m + 1) @ am, z)
 
-    # A^m has a tower of its own, unless m = 1
-    w = _verified_mwgi(am, 1, tower if m == 1 else _tower(am, max_bits), max_bits)
+    w = _verified_mwgi(am, 1, max_bits)
     checks["power"] = _merge(
         _exact_check(a.power(m - 1) @ w, z_computed),
         _exact_check(w, z_computed.power(m)),
     )
     checks["step"] = _exact_check(
-        _verified_mwgi(a, m + 1, tower, max_bits), z_computed @ z_computed @ a
+        _verified_mwgi(a, m + 1, max_bits), z_computed @ z_computed @ a
     )
     checks["fixed_point"] = _exact_check(z @ a @ z, z)
     checks["idem"] = _merge(

@@ -247,22 +247,55 @@ class TestExactRank:
 
 class TestOneExactTowerPerCall:
     def test_certify_index_and_drazin_counts(self, monkeypatch):
-        # certify builds the exact parts of A once and those of A^m once
-        counts = {"index": 0, "chain": 0}
-        exact_index, drazin_and_index = o.exact_index, o._drazin_and_index
+        # the tower of A and that of A^2 are built once each, then kept with
+        # the matrix: later exact calls on the same object rebuild nothing
+        calls = []
+        exact_index = o.exact_index
 
         def counting_index(a):
-            counts["index"] += 1
+            calls.append(a)
             return exact_index(a)
 
-        def counting_chain(a, max_bits):
-            counts["chain"] += 1
-            return drazin_and_index(a, max_bits)
-
         monkeypatch.setattr(o, "exact_index", counting_index)
-        monkeypatch.setattr(o, "_drazin_and_index", counting_chain)
-        assert o.certify(BLOCK3, 2).overall
-        assert counts == {"index": 2, "chain": 2}
+        a = RM.from_json(BLOCK3.to_json())  # no tower kept yet
+        assert o.certify(a, 2).overall
+        o.exact_mwgi(a, 2)
+        d, cep = o.exact_drazin(a), o.exact_core_ep(a)
+        assert len(calls) == 2
+        assert calls[0] is a and calls[1] is a.power(2)
+        assert d is o.exact_drazin(a) and cep is o.exact_core_ep(a)
+
+    def test_tower_kept_per_height_bound(self):
+        a = RM.from_rows([[GR(Fraction(2**40, 3), 0), 1], [1, GR(Fraction(1, 2**40), 0)]])
+        o.exact_drazin(a)
+        with pytest.raises(o.HeightOverflow):
+            o.exact_drazin(a, max_bits=32)
+
+
+class TestTowerIdentitiesLive:
+    def test_corrupted_inverse_raises(self, monkeypatch):
+        # a wrong nonsingular (F* A F)^-1 must fail a core-EP identity
+        a = rational_with_index(np.random.default_rng(3), 4, 2)
+        assert o.exact_index(a) == 2
+        inverse = o.inverse
+
+        def wrong_inverse(m, max_bits=o.MAX_HEIGHT_BITS):
+            return inverse(m, max_bits) * 2
+
+        monkeypatch.setattr(o, "inverse", wrong_inverse)
+        with pytest.raises(ArithmeticError, match=r"A X\^2 = X|\(A X\)\* = A X|A X A\^k = A\^k"):
+            o.exact_core_ep(a)
+        assert a._towers == {}  # nothing kept from a failed build
+
+
+class TestLargerMatrices:
+    def test_certify_n8(self):
+        rng = np.random.default_rng(8)
+        for k in range(4):
+            for m in (1, 2, 3):
+                a = rational_with_index(rng, 8, k)
+                report = o.certify(a, m)
+                assert report.overall, (k, m, report.to_dict())
 
 
 class TestPowersOncePerCall:
@@ -389,10 +422,7 @@ class TestEquivalence:
     @given(rational_rows(), SCALARS)
     def test_scalar_multiple(self, x, c):
         want = as_entries([[u * c for u in r] for r in x])
-        products = [RM.from_rows(x) * c]
-        if not isinstance(c, GR):  # GaussianRational * RationalMatrix is not defined
-            products.append(c * RM.from_rows(x))
-        for got in products:
+        for got in (RM.from_rows(x) * c, c * RM.from_rows(x)):
             assert got.entries == want
             assert_canonical(got)
 
