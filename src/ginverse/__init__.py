@@ -27,6 +27,7 @@ from .matcore import (
     approx_equal,
     as_matrix,
     col_space_contains,
+    col_space_equal,
     conj_transpose,
     frobenius,
     matrix_from_json,

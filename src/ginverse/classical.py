@@ -95,19 +95,26 @@ def _power_rank(power: np.ndarray, tol: TolerancePolicy) -> int:
     return numerical_rank(power, tol)
 
 
-def index(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> IndexResult:
-    """Smallest k >= 0 with rank(A^k) = rank(A^{k+1}), found by rank stabilization."""
-    a = as_square_matrix(a)
+def _index_and_power(a: np.ndarray, tol: TolerancePolicy) -> tuple[IndexResult, np.ndarray]:
+    """The index of a square A with its rank chain, and A^k.
+
+    Forms A^{j+1} = A^j A once each and keeps at most two powers alive.
+    """
     n = a.shape[0]
     chain = [n]  # rank of A^0
-    power = np.eye(n, dtype=np.complex128)
+    prev, power = np.eye(n, dtype=np.complex128), a
     while True:
-        power = power @ a
         chain.append(_power_rank(power, tol))
         if chain[-1] == chain[-2]:
-            return IndexResult(k=len(chain) - 2, rank_chain=tuple(chain))
+            return IndexResult(k=len(chain) - 2, rank_chain=tuple(chain)), prev
         if len(chain) > n + 1:  # ranks strictly decrease, so this cannot happen
             raise ArithmeticError("rank chain failed to stabilize")
+        prev, power = power, power @ a
+
+
+def index(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> IndexResult:
+    """Smallest k >= 0 with rank(A^k) = rank(A^{k+1}), found by rank stabilization."""
+    return _index_and_power(as_square_matrix(a), tol)[0]
 
 
 def tower(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> Tower:
@@ -116,13 +123,16 @@ def tower(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> Tower:
     Core-EP decomposition A = U [[T, S], [0, N]] U* (Wang, LAA 508, 2016): U1,
     the first rank(A^k) left singular vectors of A^k, spans col(A^k), and
     T = U1* A U1 is invertible.  For nilpotent A, U1 is empty and A^o is zero.
+    The index loop hands over A^k, so the tower forms no power of A itself.
     """
     a = as_square_matrix(a)
-    idx = index(a, tol)
-    ak = np.linalg.matrix_power(a, idx.k)
-    u1 = np.linalg.svd(ak)[0][:, : idx.rank_chain[idx.k]]
-    u1h = u1.conj().T
-    o = u1 @ np.linalg.inv(u1h @ a @ u1) @ u1h
+    idx, ak = _index_and_power(a, tol)
+    if idx.k == 0:
+        o = np.linalg.inv(a)  # A^0 = I, so U1 = I and T = A
+    else:
+        u1 = np.linalg.svd(ak)[0][:, : idx.rank_chain[idx.k]]
+        u1h = u1.conj().T
+        o = u1 @ np.linalg.inv(u1h @ a @ u1) @ u1h
     d = np.linalg.matrix_power(o, idx.k + 1) @ ak
     return Tower(index=idx, ak=readonly(ak), d=readonly(d), o=readonly(o))
 

@@ -300,7 +300,7 @@ def _cmd_certify(config: RunConfig) -> int:
     results = []
     all_ok = True
     for trial in range(config.trials):
-        n = 2 + trial % min(3, max(1, config.dim - 1))
+        n = 2 + trial % max(1, config.dim - 1)
         k = min(trial % (config.index + 1), n - 1)
         m = m_values[trial % len(m_values)]
         a = generators.rational_with_index(rng, n, k)

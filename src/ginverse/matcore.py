@@ -25,6 +25,7 @@ __all__ = [
     "approx_equal",
     "numerical_rank",
     "col_space_contains",
+    "col_space_equal",
     "matrix_to_json",
     "matrix_from_json",
 ]
@@ -90,7 +91,7 @@ def as_square_matrix(values) -> np.ndarray:
 
 def conj_transpose(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose; applying it twice returns the input bit-exactly."""
-    return np.conj(a).T.copy()
+    return np.conj(a).T
 
 
 def frobenius(a: np.ndarray) -> float:
@@ -131,6 +132,16 @@ def col_space_contains(u: np.ndarray, v: np.ndarray, tol: TolerancePolicy = DEFA
     if u.shape[0] != v.shape[0]:
         raise ValueError(f"row count mismatch: {u.shape[0]} vs {v.shape[0]}")
     return numerical_rank(np.hstack([u, v]), tol) == numerical_rank(u, tol)
+
+
+def col_space_equal(u: np.ndarray, v: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
+    """True iff col(U) = col(V), tested as rank([U | V]) = rank(U) = rank(V)."""
+    u = np.asarray(u)
+    v = np.asarray(v)
+    if u.shape[0] != v.shape[0]:
+        raise ValueError(f"row count mismatch: {u.shape[0]} vs {v.shape[0]}")
+    joint = numerical_rank(np.hstack([u, v]), tol)
+    return joint == numerical_rank(u, tol) and joint == numerical_rank(v, tol)
 
 
 def matrix_to_json(a: np.ndarray) -> dict:

@@ -34,6 +34,7 @@ from .matcore import (
     as_matrix,
     as_square_matrix,
     col_space_contains,
+    col_space_equal,
     conj_transpose,
     frobenius,
     numerical_rank,
@@ -164,22 +165,33 @@ class PolarData:
         checks["ap_nilpotent"] = _nil_check(_pow(a @ self.p, n), tol)
         checks["corner_right"] = _eq_check(corner @ self.corner_inverse, one_minus_p, tol)
         checks["corner_left"] = _eq_check(self.corner_inverse @ corner, one_minus_p, tol)
-        checks["range_eq"] = _bool_check(
-            col_space_contains(one_minus_p, a @ one_minus_p, tol)
-            and col_space_contains(a @ one_minus_p, one_minus_p, tol)
-        )
+        checks["range_eq"] = _bool_check(col_space_equal(one_minus_p, a @ one_minus_p, tol))
         checks["plus_p_invertible"] = _bool_check(numerical_rank(a + self.p, tol) == n)
         return VerificationReport(checks=checks)
 
 
-def _defining_checks(a, z, t: Tower, am, am1, tol: TolerancePolicy) -> dict[str, Check]:
-    """ax2: Z = A Z^2; wgm_k: Z A^{k+1} = A^k and (A^k)* A^{m+1} Z = (A^k)* A^m."""
+def _ladder(a: np.ndarray, t: Tower, top: int) -> dict[int, np.ndarray]:
+    """{j: A^j} for j = 1..top, each formed once as A^{j-1} A, with A^k from the tower."""
+    powers = {1: a}
+    for j in range(2, top + 1):
+        powers[j] = t.ak if j == t.index.k else powers[j - 1] @ a
+    return powers
+
+
+def _defining_checks(
+    z, t: Tower, powers, m: int, az, am1z, tol: TolerancePolicy
+) -> dict[str, Check]:
+    """ax2: Z = A Z^2; wgm_k: Z A^{k+1} = A^k and (A^k)* A^{m+1} Z = (A^k)* A^m.
+
+    ``powers`` is the ladder A^1 .. A^j (j >= k + 1 and j >= m), and ``az``
+    and ``am1z`` are the products A Z and A^{m+1} Z, formed once by the caller.
+    """
     ak_star = conj_transpose(t.ak)
     return {
-        "ax2": _eq_check(z, a @ z @ z, tol),
+        "ax2": _eq_check(z, az @ z, tol),
         "wgm_k": _merge(
-            _eq_check(z @ _pow(a, t.index.k + 1), t.ak, tol),
-            _eq_check(ak_star @ am1 @ z, ak_star @ am, tol),
+            _eq_check(z @ powers[t.index.k + 1], t.ak, tol),
+            _eq_check(ak_star @ am1z, ak_star @ powers[m], tol),
         ),
     }
 
@@ -193,9 +205,11 @@ def mwgi(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> MwgiResult:
     """
     a = as_square_matrix(a)
     _check_m(m)
-    t, am = tower(a, tol), _pow(a, m)
-    z = _pow(t.o, m + 1) @ am
-    for name, check in _defining_checks(a, z, t, am, a @ am, tol).items():
+    t = tower(a, tol)
+    powers = _ladder(a, t, max(m, t.index.k) + 1)
+    z = _pow(t.o, m + 1) @ powers[m]
+    checks = _defining_checks(z, t, powers, m, a @ z, powers[m + 1] @ z, tol)
+    for name, check in checks.items():
         if not check.passed:
             raise RepresentationMismatch(
                 f"Z fails its defining equations ({name}): residual {check.residual:.3e}"
@@ -337,18 +351,21 @@ def verify_definition(a, z, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> Verif
     if z.shape != a.shape:
         raise ValueError(f"candidate shape {z.shape} does not match {a.shape}")
     _check_m(m)
-    t, am, am1 = tower(a, tol), _pow(a, m), _pow(a, m + 1)
+    t = tower(a, tol)
+    powers = _ladder(a, t, max(m + 1, t.index.k + 1, 3))
+    am, am1z, az = powers[m], powers[m + 1] @ z, a @ z
     q_star = conj_transpose(a @ t.d)
-    defining = _defining_checks(a, z, t, am, am1, tol)
+    defining = _defining_checks(z, t, powers, m, az, am1z, tol)
     checks: dict[str, Check] = {"ax2": defining["ax2"]}
-    checks["def11"] = _eq_check(q_star @ am1 @ z, q_star @ am, tol)
+    checks["def11"] = _eq_check(q_star @ am1z, q_star @ am, tol)
     checks["wgm_k"] = defining["wgm_k"]
-    weighted = conj_transpose(am) @ am1 @ z
+    weighted = conj_transpose(am) @ am1z
     checks["hermitian31"] = _eq_check(weighted, conj_transpose(weighted), tol)
-    checks["coreEP48"] = _eq_check(am1 @ z, a @ t.o @ am, tol)
-    checks["limit"] = _eq_check(t.ak, a @ z @ t.ak, tol)
+    checks["coreEP48"] = _eq_check(am1z, a @ t.o @ am, tol)
+    checks["limit"] = _eq_check(t.ak, az @ t.ak, tol)
+    z2 = z @ z
     checks["idem34"] = _merge(
-        *(_eq_check(a @ z, _pow(a, n) @ _pow(z, n), tol) for n in (2, 3))
+        _eq_check(az, powers[2] @ z2, tol), _eq_check(az, powers[3] @ (z2 @ z), tol)
     )
     return VerificationReport(checks=checks)
 
@@ -391,9 +408,7 @@ def b_characterization(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> Verific
     checks["a2b2"] = _eq_check(a2b @ b, ab, tol)
     weighted = conj_transpose(_pow(a, m)) @ _pow(a, m + 1) @ b
     checks["herm"] = _eq_check(weighted, conj_transpose(weighted), tol)
-    checks["range"] = _bool_check(
-        col_space_contains(ab, a2b, tol) and col_space_contains(a2b, ab, tol)
-    )
+    checks["range"] = _bool_check(col_space_equal(ab, a2b, tol))
     checks["qnil"] = _nil_check(_pow(a - a2b, n), tol)
     return VerificationReport(checks=checks)
 
@@ -432,14 +447,9 @@ def outer_inverse_subspaces(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> Ve
     kernel_target = t.o @ am
     checks: dict[str, Check] = {}
     checks["outer"] = _eq_check(z @ a @ z, z, tol)
-    checks["range_eq"] = _bool_check(
-        col_space_contains(range_target, z, tol)
-        and col_space_contains(z, range_target, tol)
-    )
-    zs = conj_transpose(z)
-    ks = conj_transpose(kernel_target)
+    checks["range_eq"] = _bool_check(col_space_equal(range_target, z, tol))
     checks["kernel_eq"] = _bool_check(
-        col_space_contains(ks, zs, tol) and col_space_contains(zs, ks, tol)
+        col_space_equal(conj_transpose(kernel_target), conj_transpose(z), tol)
     )
     return VerificationReport(checks=checks)
 

@@ -245,3 +245,10 @@ class TestCertify:
         code, out, _ = run_cli(capsys, "certify", "--trials", "3", "--seed", "2")
         assert code == 0
         assert json.loads(out)["overall"] is True
+
+    def test_dim_reaches_n(self, capsys):
+        code, out, _ = run_cli(capsys, "certify", "--trials", "5", "--dim", "6", "--seed", "2")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["overall"] is True
+        assert [r["n"] for r in payload["results"]] == [2, 3, 4, 5, 6]

@@ -11,6 +11,7 @@ from ginverse.matcore import (
     approx_equal,
     as_matrix,
     col_space_contains,
+    col_space_equal,
     conj_transpose,
     frobenius,
     matrix_from_json,
@@ -114,6 +115,30 @@ class TestColSpaceContains:
     def test_row_mismatch(self):
         with pytest.raises(ValueError):
             col_space_contains(np.eye(2), np.eye(3))
+
+
+class TestColSpaceEqual:
+    def test_different_spanning_sets(self, rng):
+        u = rng.standard_normal((4, 2))
+        mix = rng.standard_normal((2, 3))
+        assert col_space_equal(u, u @ mix)
+        assert col_space_equal(u @ mix, u)
+
+    def test_strict_containment_either_way(self):
+        plane = as_matrix([[1, 0], [0, 1], [0, 0]])
+        line = as_matrix([[1], [1], [0]])
+        assert not col_space_equal(plane, line)
+        assert not col_space_equal(line, plane)
+
+    def test_same_rank_different_spaces(self):
+        assert not col_space_equal(as_matrix([[1], [0]]), as_matrix([[0], [1]]))
+
+    def test_zero_matrices(self):
+        assert col_space_equal(np.zeros((3, 1)), np.zeros((3, 2)))
+
+    def test_row_mismatch(self):
+        with pytest.raises(ValueError):
+            col_space_equal(np.eye(2), np.eye(3))
 
 
 @settings(max_examples=40, deadline=None)

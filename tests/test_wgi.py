@@ -4,7 +4,7 @@ import pytest
 from ginverse import oracle, wgi
 from ginverse.classical import Tower, drazin, core_ep, group_inverse, index, moore_penrose, tower
 from ginverse.generators import orthogonal_pair, with_index
-from ginverse.matcore import DEFAULT_TOL, approx_equal, frobenius
+from ginverse.matcore import DEFAULT_TOL, approx_equal, frobenius, rel_residual
 
 J2 = np.array([[0, 1], [0, 0]], dtype=complex)
 IDEMPOTENT = np.array([[1, 1], [0, 0]], dtype=complex)
@@ -395,6 +395,100 @@ class TestOneTowerPerMatrix:
         calls.clear()
         drazin(a)
         assert len(calls) == 5
+
+    def test_invertible_tower_skips_svd(self, monkeypatch):
+        # k = 0: A^0 = I, so U1 = I and A^o is inv(A); only the rank of A is an SVD
+        a = with_index(np.random.default_rng(6), 6, 0)
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        t = tower(a)
+        assert t.index.k == 0
+        assert len(calls) == 1
+        assert np.array_equal(t.o, np.linalg.inv(a))
+
+
+def _reference_checks(a, z, m):
+    """verify_definition's seven checks, each evaluated from its formula with
+    matrix_power and no shared products."""
+    power = np.linalg.matrix_power
+
+    def eq(x, y):
+        return rel_residual(x, y) <= DEFAULT_TOL.eq_rtol
+
+    k = index(a).k
+    am, am1, ak = power(a, m), power(a, m + 1), power(a, k)
+    q_star = (a @ drazin(a)).conj().T
+    ak_star = ak.conj().T
+    weighted = am.conj().T @ am1 @ z
+    return {
+        "ax2": eq(z, a @ z @ z),
+        "def11": eq(q_star @ am1 @ z, q_star @ am),
+        "wgm_k": eq(z @ power(a, k + 1), ak) and eq(ak_star @ am1 @ z, ak_star @ am),
+        "hermitian31": eq(weighted, weighted.conj().T),
+        "coreEP48": eq(am1 @ z, a @ core_ep(a) @ am),
+        "limit": eq(ak, a @ z @ ak),
+        "idem34": all(eq(a @ z, power(a, n) @ power(z, n)) for n in (2, 3)),
+    }
+
+
+class TestProductsFormedOnce:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_z_bits_match_closed_form(self, k, m):
+        a = with_index(np.random.default_rng(70 + k), 6, k)
+        power = np.linalg.matrix_power
+        expected = power(core_ep(a), m + 1) @ power(a, m)
+        assert np.array_equal(wgi.mwgi(a, m).Z, expected)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_verdicts_match_reference(self, k, m):
+        rng = np.random.default_rng(80 + 3 * k + m)
+        a = with_index(rng, 6, k)
+        n = a.shape[0]
+        z = wgi.mwgi(a, m).Z
+        noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        # projectors onto null(A^{m+1}) and onto the orthogonal complement of col(A^k)
+        am1, ak = np.linalg.matrix_power(a, m + 1), np.linalg.matrix_power(a, k)
+        null_am1 = np.eye(n) - moore_penrose(am1) @ am1
+        off_ak = np.eye(n) - ak @ moore_penrose(ak)
+        candidates = [
+            z,
+            2 * z,
+            z + 1e-3 * noise,
+            z + 1e-3 * null_am1 @ noise,
+            z + 1e-3 * noise @ off_ak,
+        ]
+        expected = [_reference_checks(a, candidate, m) for candidate in candidates]
+        for i, candidate in enumerate(candidates):
+            report = wgi.verify_definition(a, candidate, m)
+            assert {name: check.passed for name, check in report.checks.items()} == expected[i], i
+        assert all(expected[0].values())
+        # every check is failed by at least one corrupted Z
+        failed = {name for verdicts in expected for name, passed in verdicts.items() if not passed}
+        assert failed == set(expected[0])
+
+    def test_matrix_power_never_raises_a(self, monkeypatch):
+        a = with_index(np.random.default_rng(9), 6, 3)
+        bases = []
+        matrix_power = np.linalg.matrix_power
+
+        def recording_power(base, exponent):
+            bases.append(np.array(base))
+            return matrix_power(base, exponent)
+
+        monkeypatch.setattr(np.linalg, "matrix_power", recording_power)
+        for m in (1, 2, 3):
+            z = wgi.mwgi(a, m).Z
+            wgi.verify_definition(a, z, m)
+        assert bases
+        assert not any(np.array_equal(base, a) for base in bases)
 
 
 class TestDefiningSelfCheck:
