@@ -9,7 +9,9 @@ rank(A^j) = rank(A^{j+1})):
 * core inverse        A^#o = A^# A A^+, defined only when k <= 1
 
 The core-EP inverse X is the unique solution of AX^2 = X, (AX)* = AX and
-A^n = A X A^n for all n >= k.  ``tower`` computes k, A^k, A^D and A^o once.
+A^n = A X A^n for all n >= k.  ``tower`` computes k, A^k, A^D and A^o once
+and keeps the last tower it built, keyed on the exact bits of A and the
+tolerance policy, so every later call on the same A reads the same tower.
 """
 
 from __future__ import annotations
@@ -117,6 +119,16 @@ def index(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> IndexResult:
     return _index_and_power(as_square_matrix(a), tol)[0]
 
 
+def _words(a: np.ndarray) -> np.ndarray:
+    """The raw 64-bit words of a contiguous matrix, in memory order (a view)."""
+    return a.ravel(order="K").view(np.int64)
+
+
+# (A, tol, tower) of the last tower built, replaced as one tuple: a thread
+# that races a rebuild reads the old entry, the new one or None, never a mix.
+_last: tuple[np.ndarray, TolerancePolicy, Tower] | None = None
+
+
 def tower(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> Tower:
     """The spectral tower of A: its index, A^k, A^D and A^o, each computed once.
 
@@ -124,8 +136,24 @@ def tower(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> Tower:
     the first rank(A^k) left singular vectors of A^k, spans col(A^k), and
     T = U1* A U1 is invertible.  For nilpotent A, U1 is empty and A^o is zero.
     The index loop hands over A^k, so the tower forms no power of A itself.
+
+    The last tower built is kept with the private copy of A and with ``tol``.
+    A call whose A has the same shape, memory layout and bit-identical entries
+    (a signed zero or a one-ulp change is a miss) under an equal policy
+    returns that tower; any other call drops it before building, so at most
+    one tower is alive, and a build that raises keeps nothing.
     """
+    global _last
     a = as_square_matrix(a)
+    last = _last
+    if (
+        last is not None
+        and last[1] == tol
+        and last[0].strides == a.strides
+        and np.array_equal(_words(last[0]), _words(a))
+    ):
+        return last[2]
+    _last = None
     idx, ak = _index_and_power(a, tol)
     if idx.k == 0:
         o = np.linalg.inv(a)  # A^0 = I, so U1 = I and T = A
@@ -134,7 +162,9 @@ def tower(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> Tower:
         u1h = u1.conj().T
         o = u1 @ np.linalg.inv(u1h @ a @ u1) @ u1h
     d = np.linalg.matrix_power(o, idx.k + 1) @ ak
-    return Tower(index=idx, ak=readonly(ak), d=readonly(d), o=readonly(o))
+    t = Tower(index=idx, ak=readonly(ak), d=readonly(d), o=readonly(o))
+    _last = (a, tol, t)
+    return t
 
 
 def drazin(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:

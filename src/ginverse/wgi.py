@@ -160,7 +160,8 @@ class PolarData:
         corner = one_minus_p @ a @ one_minus_p
         checks: dict[str, Check] = {}
         checks["idempotent"] = _eq_check(self.p @ self.p, self.p, tol)
-        weighted = conj_transpose(_pow(a, m)) @ _pow(a, m) @ self.p
+        am = _pow(a, m)
+        weighted = conj_transpose(am) @ am @ self.p
         checks["hermitian"] = _eq_check(weighted, conj_transpose(weighted), tol)
         checks["ap_nilpotent"] = _nil_check(_pow(a @ self.p, n), tol)
         checks["corner_right"] = _eq_check(corner @ self.corner_inverse, one_minus_p, tol)
@@ -406,7 +407,8 @@ def b_characterization(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> Verific
     checks: dict[str, Check] = {}
     checks["bab"] = _eq_check(b @ a @ b, b, tol)
     checks["a2b2"] = _eq_check(a2b @ b, ab, tol)
-    weighted = conj_transpose(_pow(a, m)) @ _pow(a, m + 1) @ b
+    am = _pow(a, m)
+    weighted = conj_transpose(am) @ (am @ ab)  # (A^m)* A^{m+1} b, as A^m (A b)
     checks["herm"] = _eq_check(weighted, conj_transpose(weighted), tol)
     checks["range"] = _bool_check(col_space_equal(ab, a2b, tol))
     checks["qnil"] = _nil_check(_pow(a - a2b, n), tol)

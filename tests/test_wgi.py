@@ -1,10 +1,13 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from ginverse import oracle, wgi
+from ginverse import classical, oracle, wgi
 from ginverse.classical import Tower, drazin, core_ep, group_inverse, index, moore_penrose, tower
 from ginverse.generators import orthogonal_pair, with_index
-from ginverse.matcore import DEFAULT_TOL, approx_equal, frobenius, rel_residual
+from ginverse.matcore import DEFAULT_TOL, TolerancePolicy, approx_equal, frobenius, rel_residual
 
 J2 = np.array([[0, 1], [0, 0]], dtype=complex)
 IDEMPOTENT = np.array([[1, 1], [0, 0]], dtype=complex)
@@ -377,24 +380,37 @@ class TestDegenerateInputs:
         assert wgi.b_characterization(a, 2).overall
 
 
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """A list that grows by one per np.linalg.svd call, with no tower kept."""
+    monkeypatch.setattr(classical, "_last", None)
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
+
+
 class TestOneTowerPerMatrix:
-    def test_mwgi_svd_count(self, monkeypatch):
-        # index chain A, A^2, A^3, A^4, then one SVD of A^3: k + 2 SVDs
+    def test_mwgi_svd_count(self, svd_calls):
+        # index chain A, A^2, A^3, A^4, then one SVD of A^3: k + 2 SVDs for a
+        # fresh matrix, and none when the same matrix comes back
         a = with_index(np.random.default_rng(5), 8, 3)
-        calls = []
-        svd = np.linalg.svd
-
-        def counting_svd(*args, **kwargs):
-            calls.append(1)
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        fresh = with_index(np.random.default_rng(7), 8, 3)
+        svd_calls.clear()
         result = wgi.mwgi(a, 2)
         assert result.k == 3
-        assert len(calls) == 5
-        calls.clear()
+        assert len(svd_calls) == 5
+        svd_calls.clear()
         drazin(a)
-        assert len(calls) == 5
+        assert len(svd_calls) == 0
+        drazin(fresh)
+        assert len(svd_calls) == 5
+        assert tower(fresh).index.k == 3
 
     def test_invertible_tower_skips_svd(self, monkeypatch):
         # k = 0: A^0 = I, so U1 = I and A^o is inv(A); only the rank of A is an SVD
@@ -411,6 +427,106 @@ class TestOneTowerPerMatrix:
         assert t.index.k == 0
         assert len(calls) == 1
         assert np.array_equal(t.o, np.linalg.inv(a))
+
+
+class TestTowerMemo:
+    # k = 3, so a build is k + 2 = 5 SVDs and a reused tower is none
+    A = with_index(np.random.default_rng(41), 6, 3)
+
+    def test_verify_reuses_mwgi_tower(self, svd_calls):
+        z = wgi.mwgi(self.A, 2).Z
+        assert wgi.verify_definition(self.A, z, 2).overall
+        assert len(svd_calls) == 5
+
+    def test_equal_policy_hits(self, svd_calls):
+        t = tower(self.A)
+        assert tower(self.A.copy(), TolerancePolicy()) is t
+        assert len(svd_calls) == 5
+
+    @pytest.mark.parametrize("change", ["ulp", "signed_zero", "policy"])
+    def test_changed_key_misses(self, svd_calls, change):
+        # diag(2) + J3 has exact zeros to flip and index 3
+        a = np.zeros((4, 4), dtype=np.complex128)
+        a[0, 0], a[1, 2], a[2, 3] = 2, 1, 1
+        t = tower(a)
+        b, tol = a.copy(), DEFAULT_TOL
+        if change == "ulp":
+            b[0, 0] = np.nextafter(2.0, 3.0)
+        elif change == "signed_zero":
+            b[3, 0] = complex(-0.0, 0.0)
+        else:
+            tol = TolerancePolicy(rank_rtol=1e-9)
+        rebuilt = tower(b, tol)
+        assert rebuilt is not t
+        assert rebuilt.index.k == 3
+        assert len(svd_calls) == 10
+        assert tower(b, tol) is rebuilt
+
+    def test_transpose_misses(self, svd_calls):
+        # A.T arrives in column-major order with the same memory words as A
+        t = tower(self.A)
+        transposed = tower(self.A.T)
+        assert transposed is not t
+        assert len(svd_calls) == 10
+        assert approx_equal(transposed.o, core_ep(np.ascontiguousarray(self.A.T)))
+
+    def test_key_is_private_copy(self, svd_calls):
+        a = np.array(self.A)
+        t = tower(a)
+        assert classical._last[0] is not a
+        a[0, 0] += 1.0
+        changed = tower(a)
+        assert changed is not t
+        assert len(svd_calls) > 5
+        assert np.array_equal(changed.o, tower(a.copy()).o)
+
+    def test_failed_build_keeps_nothing(self, svd_calls, monkeypatch):
+        tower(np.eye(3))
+        inv = np.linalg.inv
+
+        def failing_inv(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular core")
+
+        monkeypatch.setattr(np.linalg, "inv", failing_inv)
+        with pytest.raises(np.linalg.LinAlgError):
+            tower(self.A)
+        assert classical._last is None
+        monkeypatch.setattr(np.linalg, "inv", inv)
+        svd_calls.clear()
+        assert tower(self.A).index.k == 3
+        assert len(svd_calls) == 5
+
+    def test_corrupted_z_still_fails(self, svd_calls):
+        z = wgi.mwgi(self.A, 2).Z
+        svd_calls.clear()
+        report = wgi.verify_definition(self.A, z * (1 + 1e-6), 2)
+        assert not report.overall
+        assert not report.checks["ax2"].passed
+        assert len(svd_calls) == 0
+
+    def test_threads_get_their_own_matrix_tower(self):
+        mats = [with_index(np.random.default_rng(50 + i), 4, i % 3 + 1) for i in range(3)]
+        expected = [tower(a).o for a in mats]
+        wrong = []
+
+        def work(offset):
+            for step in range(150):
+                j = (offset + step) % len(mats)
+                if not np.array_equal(tower(mats[j]).o, expected[j]):
+                    wrong.append(j)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
 
 def _reference_checks(a, z, m):
