@@ -9,9 +9,9 @@ rank(A^j) = rank(A^{j+1})):
 * core inverse        A^#o = A^# A A^+, defined only when k <= 1
 
 The core-EP inverse X is the unique solution of AX^2 = X, (AX)* = AX and
-A^n = A X A^n for all n >= k.  ``tower`` computes k, A^k, A^D and A^o once
-and keeps the last tower it built, keyed on the exact bits of A and the
-tolerance policy, so every later call on the same A reads the same tower.
+A^n = A X A^n for all n >= k.  ``tower`` computes k, A^k, A^D and A^o once,
+from one staircase reduction of A, and keeps the last tower it built, keyed
+on the exact bits of A and the tolerance policy, for later calls on that A.
 """
 
 from __future__ import annotations
@@ -20,14 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import (
-    DEFAULT_TOL,
-    TolerancePolicy,
-    as_matrix,
-    as_square_matrix,
-    numerical_rank,
-    readonly,
-)
+from .matcore import DEFAULT_TOL, TolerancePolicy, as_matrix, as_square_matrix, readonly
 
 __all__ = [
     "NoGroupInverse",
@@ -56,8 +49,9 @@ class NoCoreInverse(ArithmeticError):
 class IndexResult:
     """Drazin index k plus the witnessing rank chain.
 
-    ``rank_chain[j]`` is the numerical rank of A^j for j = 0..k+1; the chain
-    decreases strictly up to position k and then repeats once.
+    ``rank_chain[j]`` is rank(A^j) for j = 0..k+1, counted on the j-th block
+    of the staircase, so no power of A is formed; the chain decreases
+    strictly up to position k and then repeats once.
     """
 
     k: int
@@ -89,34 +83,38 @@ def moore_penrose(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarr
     return (vh.conj().T * inv_s) @ u.conj().T
 
 
-def _power_rank(power: np.ndarray, tol: TolerancePolicy) -> int:
-    # a power of a nilpotent matrix is exactly zero in theory but carries
-    # roundoff from the products; nil_atol decides when it counts as zero
-    if float(np.linalg.norm(power, "fro")) <= tol.nil_atol:
-        return 0
-    return numerical_rank(power, tol)
+def _staircase(
+    a: np.ndarray, tol: TolerancePolicy
+) -> tuple[IndexResult, np.ndarray | None, np.ndarray]:
+    """The index of a square A with its rank chain, U1 and T, by range deflation.
 
+    Staircase reduction (Beelen & Van Dooren, LAA 105, 1988): B_1 = A, and
+    while rank(B_j) < rank(B_{j-1}), W holds the first r_j left singular
+    vectors of B_j and B_{j+1} = W* B_j W.  Each r_j is counted against one
+    cut, rank_rtol * sigma_max(A) * n, on a unitary compression of A, and
+    equals rank(A^j) in exact arithmetic.  U1 is the product of the W factors
+    (None when A is nonsingular, where U1 = I) and T the last, nonsingular B.
 
-def _index_and_power(a: np.ndarray, tol: TolerancePolicy) -> tuple[IndexResult, np.ndarray]:
-    """The index of a square A with its rank chain, and A^k.
-
-    Forms A^{j+1} = A^j A once each and keeps at most two powers alive.
+    An A with ||A||_F <= nil_atol (roundoff, as A^m of a nilpotent A on a
+    route) is read as zero; above that floor, scaling A changes nothing.
     """
     n = a.shape[0]
-    chain = [n]  # rank of A^0
-    prev, power = np.eye(n, dtype=np.complex128), a
+    chain, u1, b = [n], None, a
+    u, s, _ = np.linalg.svd(a)
+    zero = float(np.linalg.norm(s)) <= tol.nil_atol
+    cut = np.inf if zero else tol.rank_rtol * float(s[0]) * n
     while True:
-        chain.append(_power_rank(power, tol))
+        chain.append(int(np.count_nonzero(s > cut)))
         if chain[-1] == chain[-2]:
-            return IndexResult(k=len(chain) - 2, rank_chain=tuple(chain)), prev
-        if len(chain) > n + 1:  # ranks strictly decrease, so this cannot happen
-            raise ArithmeticError("rank chain failed to stabilize")
-        prev, power = power, power @ a
+            return IndexResult(k=len(chain) - 2, rank_chain=tuple(chain)), u1, b
+        w = u[:, : chain[-1]]
+        u1, b = (w if u1 is None else u1 @ w), w.conj().T @ b @ w
+        u, s, _ = np.linalg.svd(b)
 
 
 def index(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> IndexResult:
-    """Smallest k >= 0 with rank(A^k) = rank(A^{k+1}), found by rank stabilization."""
-    return _index_and_power(as_square_matrix(a), tol)[0]
+    """Smallest k >= 0 with rank(A^k) = rank(A^{k+1}), by the staircase (no power of A)."""
+    return _staircase(as_square_matrix(a), tol)[0]
 
 
 def _words(a: np.ndarray) -> np.ndarray:
@@ -132,10 +130,10 @@ _last: tuple[np.ndarray, TolerancePolicy, Tower] | None = None
 def tower(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> Tower:
     """The spectral tower of A: its index, A^k, A^D and A^o, each computed once.
 
-    Core-EP decomposition A = U [[T, S], [0, N]] U* (Wang, LAA 508, 2016): U1,
-    the first rank(A^k) left singular vectors of A^k, spans col(A^k), and
-    T = U1* A U1 is invertible.  For nilpotent A, U1 is empty and A^o is zero.
-    The index loop hands over A^k, so the tower forms no power of A itself.
+    Core-EP decomposition A = U [[T, S], [0, N]] U* (Wang, LAA 508, 2016):
+    the staircase gives U1, an orthonormal basis of col(A^k), and the
+    invertible T = U1* A U1 in k + 1 SVDs of shrinking size; A^o = U1 T^-1 U1*,
+    A^k = A^{k-1} A and A^D = (A^o)^{k+1} A^k.  For nilpotent A, A^o is zero.
 
     The last tower built is kept with the private copy of A and with ``tol``.
     A call whose A has the same shape, memory layout and bit-identical entries
@@ -154,13 +152,14 @@ def tower(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> Tower:
     ):
         return last[2]
     _last = None
-    idx, ak = _index_and_power(a, tol)
+    idx, u1, core = _staircase(a, tol)
     if idx.k == 0:
-        o = np.linalg.inv(a)  # A^0 = I, so U1 = I and T = A
+        ak, o = np.eye(a.shape[0], dtype=np.complex128), np.linalg.inv(a)  # U1 = I, T = A
     else:
-        u1 = np.linalg.svd(ak)[0][:, : idx.rank_chain[idx.k]]
-        u1h = u1.conj().T
-        o = u1 @ np.linalg.inv(u1h @ a @ u1) @ u1h
+        ak = a
+        for _ in range(idx.k - 1):
+            ak = ak @ a
+        o = u1 @ np.linalg.inv(core) @ u1.conj().T
     d = np.linalg.matrix_power(o, idx.k + 1) @ ak
     t = Tower(index=idx, ak=readonly(ak), d=readonly(d), o=readonly(o))
     _last = (a, tol, t)

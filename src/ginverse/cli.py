@@ -201,16 +201,13 @@ def _fuzz_trial(rng: np.random.Generator, config: RunConfig, n: int, k: int, m: 
     a = generators.with_index(rng, n, k)
     z = wgi.mwgi(a, m, tol).Z
     residuals: dict[str, float] = {}
-    residuals["route_power"] = rel_residual(z, wgi.mwgi_via_power(a, m, tol))
-    residuals["route_normal"] = rel_residual(z, wgi.mwgi_normal_equation(a, m, tol))
-    residuals["route_drazin_solve"] = rel_residual(z, wgi.mwgi_drazin_solve(a, m, tol))
-    residuals["route_core_of_drazin"] = rel_residual(z, wgi.mwgi_core_of_drazin(a, m, tol))
-    residuals["route_core_chain"] = rel_residual(z, wgi.mwgi_core_chain(a, m, tol))
-    if m >= 2:
-        residuals["route_regular_lift"] = rel_residual(z, wgi.mwgi_regular_lift(a, m - 1, tol))
-        residuals["route_recursive"] = rel_residual(
-            z, wgi.mwgi_step(a, wgi.mwgi(a, m - 1, tol).Z, tol)
-        )
+    for route in wgi.Route:
+        if route is wgi.Route.CORE_EP or (
+            m < 2 and route in (wgi.Route.RECURSIVE, wgi.Route.REGULAR_LIFT)
+        ):
+            continue
+        key = "route_" + route.value.replace("-", "_")
+        residuals[key] = rel_residual(z, wgi.mwgi_by_route(a, m, route, tol))
     failures = [name for name, value in residuals.items() if value > tol.eq_rtol]
 
     reports = {

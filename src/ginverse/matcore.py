@@ -42,7 +42,7 @@ class TolerancePolicy:
     rank_rtol: relative cut for singular values (scaled by the largest
         singular value and the larger matrix dimension) when counting rank.
     eq_rtol: relative Frobenius threshold for declaring two matrices equal.
-    nil_atol: absolute threshold for declaring a matrix power zero.
+    nil_atol: absolute threshold on ||M||_F for declaring a matrix (power) zero.
 
     The defaults leave headroom above double-precision roundoff for
     products of roughly ten well-conditioned matrices.

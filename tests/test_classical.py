@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ginverse import oracle
+from ginverse import classical, oracle, wgi
 from ginverse.classical import (
     NoCoreInverse,
     NoGroupInverse,
@@ -17,6 +17,7 @@ from ginverse.generators import haar_unitary, rational_with_index, with_index
 from ginverse.matcore import DEFAULT_TOL, approx_equal, frobenius, rel_residual
 
 J2 = np.array([[0, 1], [0, 0]], dtype=complex)
+J3 = np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=complex)
 IDEMPOTENT = np.array([[1, 1], [0, 0]], dtype=complex)
 
 
@@ -193,9 +194,16 @@ class TestTower:
         t = tower(a)
         assert t.index == index(a)
         ak = np.linalg.matrix_power(a, k)
-        u1 = np.linalg.svd(ak)[0][:, : t.index.rank_chain[k]]
-        u1h = u1.conj().T
-        o = u1 @ np.linalg.inv(u1h @ a @ u1) @ u1h
+        if k == 0:
+            o = np.linalg.inv(a)
+        else:
+            # the staircase's U1 is an orthonormal basis of col(A^k) and T = U1* A U1
+            _, u1, core = classical._staircase(a, DEFAULT_TOL)
+            u1h = u1.conj().T
+            assert approx_equal(u1h @ u1, np.eye(t.index.rank_chain[k]))
+            assert approx_equal(u1 @ u1h, ak @ moore_penrose(ak))
+            assert approx_equal(core, u1h @ a @ u1)
+            o = u1 @ np.linalg.inv(core) @ u1h
         d = np.linalg.matrix_power(o, k + 1) @ ak
         assert np.array_equal(t.ak, ak)
         assert np.array_equal(t.o, o)
@@ -216,3 +224,39 @@ class TestTower:
         t = tower(IDEMPOTENT)
         with pytest.raises(ValueError):
             t.d[0, 0] = 2
+
+
+class TestStaircase:
+    # core singular values log-uniform in each range (the ROADMAP sweep): k
+    # comes out right on the wide rows only if rank(A^j) is judged at the
+    # conditioning of the core, not at that of its j-th power
+    SIGMA_ROWS = [(0.1, 10), (0.03, 30), (0.01, 100), (0.003, 300), (0.001, 1000)]
+
+    @pytest.mark.parametrize("sigma", SIGMA_ROWS)
+    def test_sweep(self, sigma):
+        # mwgi and verify_definition read the same tower as index, so a
+        # silent wrong answer needs a wrong k: 0 wrong k rules them all out
+        rng = np.random.default_rng(12)
+        wrong_k = []
+        for i in range(120):
+            k = 1 + i % 3
+            if index(with_index(rng, 12, k, core_sigma=sigma)).k != k:
+                wrong_k.append(i)
+        assert wrong_k == []
+
+    @pytest.mark.parametrize("c", [1e-9, 1e-6, 1e6])
+    def test_scale_invariant(self, corpus, c):
+        # every scaled matrix here stays above the nil_atol = 1e-10 floor
+        for a, _, _ in corpus:
+            assert index(c * a) == index(a)
+        assert index(c * J3) == index(J3) == classical.IndexResult(k=3, rank_chain=(3, 2, 1, 0, 0))
+        assert index(c * np.eye(3)).rank_chain == (3, 3)
+
+    def test_roundoff_reads_as_zero(self):
+        # A^4 of a nilpotent A of index 4 is ~1e-16 of roundoff; ranked against
+        # its own sigma_max it would look nonsingular
+        a = with_index(np.random.default_rng(0), 4, 4)
+        zero = classical.IndexResult(k=1, rank_chain=(4, 0, 0))
+        assert index(np.linalg.matrix_power(a, 4)) == zero
+        assert index(1e-12 * np.eye(4)) == zero
+        assert frobenius(tower(np.linalg.matrix_power(a, 4)).o) == 0.0
