@@ -9,14 +9,15 @@ rank(A^j) = rank(A^{j+1})):
 * core inverse        A^#o = A^# A A^+, defined only when k <= 1
 
 The core-EP inverse X is the unique solution of AX^2 = X, (AX)* = AX and
-A^n = A X A^n for all n >= k.  ``tower`` computes k, A^k, A^D and A^o once,
-from one staircase reduction of A, and keeps the last tower it built, keyed
-on the exact bits of A and the tolerance policy, for later calls on that A.
+A^n = A X A^n for all n >= k.  ``tower`` computes k, U1 and T^-1 once, from
+one staircase reduction of A, and keeps the last tower it built, keyed on the
+exact bits of A and the tolerance policy, for later calls on that A.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -60,12 +61,43 @@ class IndexResult:
 
 @dataclass(frozen=True)
 class Tower:
-    """A matrix's index (with rank chain), A^k, A^D and A^o; arrays are read-only."""
+    """A, its index (with rank chain) and the factors U1, T^-1 of A^o; arrays are read-only.
+
+    ``u1`` is C-contiguous, or None when k = 0 (U1 = I).  A power of A is
+    formed once, when first asked for, and A^o and A^D when first read.
+    """
 
     index: IndexResult
-    ak: np.ndarray
-    d: np.ndarray
-    o: np.ndarray
+    a: np.ndarray
+    u1: np.ndarray | None
+    tinv: np.ndarray
+    _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def power(self, j: int) -> np.ndarray:
+        """A^j; A^0 = I is formed on each read."""
+        if j < 2:
+            return self.a if j == 1 else readonly(np.eye(len(self.a), dtype=np.complex128))
+        if j not in self._powers:  # of two threads racing here, the first to store wins
+            self._powers.setdefault(j, readonly(self.power(j - 1) @ self.a))
+        return self._powers[j]
+
+    @property
+    def ak(self) -> np.ndarray:
+        return self.power(self.index.k)
+
+    def coords(self, x: np.ndarray) -> np.ndarray:
+        """U1* X (X itself when k = 0)."""
+        return x if self.u1 is None else self.u1.conj().T @ x
+
+    @cached_property
+    def o(self) -> np.ndarray:
+        """A^o = U1 T^-1 U1*."""
+        return self.tinv if self.u1 is None else readonly(self.u1 @ self.tinv @ self.u1.conj().T)
+
+    @cached_property
+    def d(self) -> np.ndarray:
+        """A^D = (A^o)^{k+1} A^k."""
+        return readonly(np.linalg.matrix_power(self.o, self.index.k + 1) @ self.ak)
 
 
 def moore_penrose(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -90,26 +122,28 @@ def _staircase(
 
     Staircase reduction (Beelen & Van Dooren, LAA 105, 1988): B_1 = A, and
     while rank(B_j) < rank(B_{j-1}), W holds the first r_j left singular
-    vectors of B_j and B_{j+1} = W* B_j W.  Each r_j is counted against one
-    cut, rank_rtol * sigma_max(A) * n, on a unitary compression of A, and
-    equals rank(A^j) in exact arithmetic.  U1 is the product of the W factors
-    (None when A is nonsingular, where U1 = I) and T the last, nonsingular B.
+    vectors of B_j = U diag(s) Vh and B_{j+1} = W* B_j W = diag(s_r) Vh_r W.
+    Each r_j is counted against one cut, rank_rtol * sigma_max(A) * n, on a
+    unitary compression of A, and equals rank(A^j) in exact arithmetic.  U1 is
+    the product of the W factors (None when A is nonsingular, where U1 = I)
+    and T the last, nonsingular B.
 
     An A with ||A||_F <= nil_atol (roundoff, as A^m of a nilpotent A on a
     route) is read as zero; above that floor, scaling A changes nothing.
     """
     n = a.shape[0]
     chain, u1, b = [n], None, a
-    u, s, _ = np.linalg.svd(a)
+    u, s, vh = np.linalg.svd(a)
     zero = float(np.linalg.norm(s)) <= tol.nil_atol
     cut = np.inf if zero else tol.rank_rtol * float(s[0]) * n
     while True:
-        chain.append(int(np.count_nonzero(s > cut)))
-        if chain[-1] == chain[-2]:
+        chain.append(r := int(np.count_nonzero(s > cut)))
+        if r == chain[-2]:
+            u1 = None if u1 is None else readonly(np.ascontiguousarray(u1))
             return IndexResult(k=len(chain) - 2, rank_chain=tuple(chain)), u1, b
-        w = u[:, : chain[-1]]
-        u1, b = (w if u1 is None else u1 @ w), w.conj().T @ b @ w
-        u, s, _ = np.linalg.svd(b)
+        w = u[:, :r]
+        u1, b = (w if u1 is None else u1 @ w), (s[:r, None] * vh[:r]) @ w
+        u, s, vh = np.linalg.svd(b)
 
 
 def index(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> IndexResult:
@@ -128,12 +162,13 @@ _last: tuple[np.ndarray, TolerancePolicy, Tower] | None = None
 
 
 def tower(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> Tower:
-    """The spectral tower of A: its index, A^k, A^D and A^o, each computed once.
+    """The spectral tower of A: its index, U1 and T^-1, each computed once.
 
     Core-EP decomposition A = U [[T, S], [0, N]] U* (Wang, LAA 508, 2016):
     the staircase gives U1, an orthonormal basis of col(A^k), and the
-    invertible T = U1* A U1 in k + 1 SVDs of shrinking size; A^o = U1 T^-1 U1*,
-    A^k = A^{k-1} A and A^D = (A^o)^{k+1} A^k.  For nilpotent A, A^o is zero.
+    invertible T = U1* A U1 in k + 1 SVDs of shrinking size.  The powers of A,
+    A^o = U1 T^-1 U1* and A^D = (A^o)^{k+1} A^k are formed only when first
+    read.  For nilpotent A, U1 has no columns and A^o is zero.
 
     The last tower built is kept with the private copy of A and with ``tol``.
     A call whose A has the same shape, memory layout and bit-identical entries
@@ -153,15 +188,7 @@ def tower(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> Tower:
         return last[2]
     _last = None
     idx, u1, core = _staircase(a, tol)
-    if idx.k == 0:
-        ak, o = np.eye(a.shape[0], dtype=np.complex128), np.linalg.inv(a)  # U1 = I, T = A
-    else:
-        ak = a
-        for _ in range(idx.k - 1):
-            ak = ak @ a
-        o = u1 @ np.linalg.inv(core) @ u1.conj().T
-    d = np.linalg.matrix_power(o, idx.k + 1) @ ak
-    t = Tower(index=idx, ak=readonly(ak), d=readonly(d), o=readonly(o))
+    t = Tower(index=idx, a=a, u1=u1, tinv=readonly(np.linalg.inv(core)))
     _last = (a, tol, t)
     return t
 

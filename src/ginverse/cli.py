@@ -139,6 +139,14 @@ def _cmd_compute(config: RunConfig) -> int:
     if config.inverse == "mwgi":
         route = _ROUTE_BY_FLAG[config.route]
         z = wgi.mwgi_by_route(a, config.m, route, config.tol)
+        if route is not wgi.Route.CORE_EP:  # mwgi has checked the core-ep Z already
+            checks = wgi.verify_definition(a, z, config.m, config.tol).checks
+            for name in ("ax2", "wgm_k"):
+                if not checks[name].passed:
+                    raise wgi.RepresentationMismatch(
+                        f"the {config.route} route's Z fails its defining equations "
+                        f"({name}): residual {checks[name].residual:.3e}"
+                    )
     else:
         z = _INVERSES[config.inverse](a, config.m, config.tol)
     _emit(config, matrix_to_json(z))

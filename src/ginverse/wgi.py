@@ -171,28 +171,19 @@ class PolarData:
         return VerificationReport(checks=checks)
 
 
-def _ladder(a: np.ndarray, t: Tower, top: int) -> dict[int, np.ndarray]:
-    """{j: A^j} for j = 1..top, each formed once as A^{j-1} A, with A^k from the tower."""
-    powers = {1: a}
-    for j in range(2, top + 1):
-        powers[j] = t.ak if j == t.index.k else powers[j - 1] @ a
-    return powers
-
-
-def _defining_checks(
-    z, t: Tower, powers, m: int, az, am1z, tol: TolerancePolicy
-) -> dict[str, Check]:
+def _defining_checks(z, t: Tower, m: int, az2, am1z, tol: TolerancePolicy) -> dict[str, Check]:
     """ax2: Z = A Z^2; wgm_k: Z A^{k+1} = A^k and (A^k)* A^{m+1} Z = (A^k)* A^m.
 
-    ``powers`` is the ladder A^1 .. A^j (j >= k + 1 and j >= m), and ``az``
-    and ``am1z`` are the products A Z and A^{m+1} Z, formed once by the caller.
+    ``az2`` and ``am1z`` are A Z^2 = (A Z) Z and A^{m+1} Z = A^m (A Z), formed
+    once by the caller; the powers of A come from the tower.
     """
-    ak_star = conj_transpose(t.ak)
+    ak = t.ak
+    ak_star = conj_transpose(ak)
     return {
-        "ax2": _eq_check(z, az @ z, tol),
+        "ax2": _eq_check(z, az2, tol),
         "wgm_k": _merge(
-            _eq_check(z @ powers[t.index.k + 1], t.ak, tol),
-            _eq_check(ak_star @ am1z, ak_star @ powers[m], tol),
+            _eq_check(z @ t.power(t.index.k + 1), ak, tol),
+            _eq_check(ak_star @ am1z, ak_star @ t.power(m), tol),
         ),
     }
 
@@ -200,16 +191,19 @@ def _defining_checks(
 def mwgi(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> MwgiResult:
     """m-weak group inverse by the canonical route Z = (A^o)^{m+1} A^m.
 
-    Z is checked against its defining equations (ax2 and wgm_k of
+    As A^o = U1 T^-1 U1* and U1* U1 = I, Z is formed as U1 T^-(m+1) U1* A^m,
+    without A^o.  Z is checked against its defining equations (ax2 and wgm_k of
     ``verify_definition``); a failure beyond tolerance raises
     RepresentationMismatch naming the failed check.
     """
     a = as_square_matrix(a)
     _check_m(m)
     t = tower(a, tol)
-    powers = _ladder(a, t, max(m, t.index.k) + 1)
-    z = _pow(t.o, m + 1) @ powers[m]
-    checks = _defining_checks(z, t, powers, m, a @ z, powers[m + 1] @ z, tol)
+    am = t.power(m)
+    z = _pow(t.tinv, m + 1) @ t.coords(am)
+    z = z if t.u1 is None else t.u1 @ z
+    az = a @ z
+    checks = _defining_checks(z, t, m, az @ z, am @ az, tol)
     for name, check in checks.items():
         if not check.passed:
             raise RepresentationMismatch(
@@ -353,21 +347,24 @@ def verify_definition(a, z, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> Verif
         raise ValueError(f"candidate shape {z.shape} does not match {a.shape}")
     _check_m(m)
     t = tower(a, tol)
-    powers = _ladder(a, t, max(m + 1, t.index.k + 1, 3))
-    am, am1z, az = powers[m], powers[m + 1] @ z, a @ z
-    q_star = conj_transpose(a @ t.d)
-    defining = _defining_checks(z, t, powers, m, az, am1z, tol)
-    checks: dict[str, Check] = {"ax2": defining["ax2"]}
-    checks["def11"] = _eq_check(q_star @ am1z, q_star @ am, tol)
-    checks["wgm_k"] = defining["wgm_k"]
+    am, az = t.power(m), a @ z
+    az2, am1z = az @ z, am @ az
+    defining = _defining_checks(z, t, m, az2, am1z, tol)
+    ak, a2z2 = t.ak, a @ az2
+    limit = _eq_check(ak, az @ ak, tol)
+    idem34 = _merge(_eq_check(az, a2z2, tol), _eq_check(az, a @ (a2z2 @ z), tol))
+    del az, az2, a2z2  # the checks left need A^{m+1} Z only; freeing these bounds peak memory
+    # A A^o A^m = (A U1) T^-1 U1* A^m and A A^D = (A U1) G with G = T^-(k+1) U1* A^k;
+    # A U1 is formed rather than taken as U1 T, which is what these checks test
+    au1 = a if t.u1 is None else a @ t.u1
+    core_ep48 = _eq_check(am1z, au1 @ (t.tinv @ t.coords(am)), tol)
+    au1_star = conj_transpose(au1)
+    g_star = conj_transpose(_pow(t.tinv, t.index.k + 1) @ t.coords(ak))
+    def11 = _eq_check(g_star @ (au1_star @ am1z), g_star @ (au1_star @ am), tol)
     weighted = conj_transpose(am) @ am1z
+    checks = dict(ax2=defining["ax2"], def11=def11, wgm_k=defining["wgm_k"])
     checks["hermitian31"] = _eq_check(weighted, conj_transpose(weighted), tol)
-    checks["coreEP48"] = _eq_check(am1z, a @ t.o @ am, tol)
-    checks["limit"] = _eq_check(t.ak, az @ t.ak, tol)
-    z2 = z @ z
-    checks["idem34"] = _merge(
-        _eq_check(az, powers[2] @ z2, tol), _eq_check(az, powers[3] @ (z2 @ z), tol)
-    )
+    checks.update(coreEP48=core_ep48, limit=limit, idem34=idem34)
     return VerificationReport(checks=checks)
 
 

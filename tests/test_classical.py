@@ -193,12 +193,17 @@ class TestTower:
         a = with_index(np.random.default_rng(40 + k), 6, k)
         t = tower(a)
         assert t.index == index(a)
+        # the tower keeps U1 and T^-1; A^o and A^D are formed when first read
+        assert "o" not in vars(t) and "d" not in vars(t)
         ak = np.linalg.matrix_power(a, k)
+        _, u1, core = classical._staircase(a, DEFAULT_TOL)
+        assert np.array_equal(t.tinv, np.linalg.inv(core))
         if k == 0:
+            assert t.u1 is None
             o = np.linalg.inv(a)
         else:
             # the staircase's U1 is an orthonormal basis of col(A^k) and T = U1* A U1
-            _, u1, core = classical._staircase(a, DEFAULT_TOL)
+            assert np.array_equal(t.u1, u1) and t.u1.flags.c_contiguous
             u1h = u1.conj().T
             assert approx_equal(u1h @ u1, np.eye(t.index.rank_chain[k]))
             assert approx_equal(u1 @ u1h, ak @ moore_penrose(ak))
@@ -260,3 +265,23 @@ class TestStaircase:
         assert index(np.linalg.matrix_power(a, 4)) == zero
         assert index(1e-12 * np.eye(4)) == zero
         assert frobenius(tower(np.linalg.matrix_power(a, 4)).o) == 0.0
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_deflation_is_one_product(self, monkeypatch, k):
+        # B_{j+1} is formed as diag(s_r) Vh_r W, which equals W* B_j W
+        a = with_index(np.random.default_rng(60 + k), 8, k)
+        steps, svd = [], np.linalg.svd
+
+        def recording_svd(b, *args, **kwargs):
+            out = svd(b, *args, **kwargs)
+            steps.append((np.array(b), out))
+            return out
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        chain = index(a).rank_chain
+        assert len(steps) == k + 1
+        for j, ((b, (u, s, vh)), (b_next, _)) in enumerate(zip(steps, steps[1:]), start=1):
+            r = chain[j]
+            w = u[:, :r]
+            assert np.array_equal(b_next, (s[:r, None] * vh[:r]) @ w)
+            assert approx_equal(b_next, w.conj().T @ b @ w)

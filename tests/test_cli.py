@@ -5,6 +5,7 @@ import pytest
 
 from ginverse import oracle, wgi
 from ginverse.cli import main
+from ginverse.generators import with_index
 from ginverse.matcore import approx_equal, matrix_from_json, matrix_to_json
 
 
@@ -78,6 +79,36 @@ class TestCompute:
         assert code == 1
         assert out == ""
         assert err.splitlines() == ["error: Singular matrix"]
+
+    def test_wrong_route_answer_exits_1(self, capsys, tmp_path):
+        # the power route returns max|Z| ~ 5e14 here, where the true Z is 0
+        a = 30 * with_index(np.random.default_rng(0), 4, 4)
+        path = write_matrix(tmp_path / "a.json", a)
+        code, out, err = run_cli(
+            capsys, "compute", "--input", path, "--route", "power", "--m", "4"
+        )
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: the power route's Z fails its defining equations (ax2)")
+        code, out, _ = run_cli(
+            capsys, "compute", "--input", path, "--route", "core-ep", "--m", "4"
+        )
+        assert code == 0
+        assert np.abs(matrix_from_json(json.loads(out))).max() < 1e-10
+
+    @pytest.mark.parametrize(
+        "route",
+        ["core-ep", "power", "normal", "drazin-solve"]
+        + ["core-of-drazin", "core-chain", "regular-lift"],
+    )
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_every_route_passes_its_check(self, capsys, tmp_path, route, k):
+        a = with_index(np.random.default_rng(20 + k), 6, k)
+        path = write_matrix(tmp_path / "a.json", a)
+        code, out, err = run_cli(capsys, "compute", "--input", path, "--route", route, "--m", "2")
+        assert (code, err) == (0, "")
+        assert approx_equal(matrix_from_json(json.loads(out)), wgi.mwgi(a, 2).Z)
 
     def test_output_file(self, capsys, tmp_path, identity3):
         target = tmp_path / "out.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from ginverse import classical, oracle, wgi
-from ginverse.classical import Tower, drazin, core_ep, group_inverse, index, moore_penrose, tower
+from ginverse.classical import drazin, core_ep, group_inverse, index, moore_penrose, tower
 from ginverse.generators import orthogonal_pair, with_index
 from ginverse.matcore import DEFAULT_TOL, TolerancePolicy, approx_equal, frobenius, rel_residual
 
@@ -571,10 +572,15 @@ class TestProductsFormedOnce:
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_z_bits_match_closed_form(self, k, m):
+        # Z = U1 (T^-(m+1) (U1* A^m)) from the tower's factors, bit for bit;
+        # the closed form (A^o)^{m+1} A^m it replaces agrees to tolerance
         a = with_index(np.random.default_rng(70 + k), 6, k)
         power = np.linalg.matrix_power
-        expected = power(core_ep(a), m + 1) @ power(a, m)
-        assert np.array_equal(wgi.mwgi(a, m).Z, expected)
+        z = wgi.mwgi(a, m).Z
+        t = tower(a)
+        expected = t.u1 @ (power(t.tinv, m + 1) @ (t.u1.conj().T @ power(a, m)))
+        assert np.array_equal(z, expected)
+        assert approx_equal(z, power(core_ep(a), m + 1) @ power(a, m))
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -652,7 +658,69 @@ class TestDefiningSelfCheck:
     def test_perturbed_core_ep_raises(self, monkeypatch):
         a = with_index(np.random.default_rng(3), 6, 2)
         t = tower(a)
-        bad = Tower(index=t.index, ak=t.ak, d=t.d, o=t.o * (1 + 1e-6))
+        bad = dataclasses.replace(t, tinv=t.tinv * (1 + 1e-6))
         monkeypatch.setattr(wgi, "tower", lambda *args, **kwargs: bad)
         with pytest.raises(wgi.RepresentationMismatch, match="ax2"):
             wgi.mwgi(a, 2)
+
+
+def _closed_form_residuals(a, z, m):
+    """verify_definition's residuals by the closed forms the factored tower
+    replaces: A^o and A^D as n x n matrices, and A^{m+1} Z and A^n Z^n with
+    the powers formed first."""
+    power = np.linalg.matrix_power
+    t = tower(a)
+    k = t.index.k
+    am, am1z, ak, az = power(a, m), power(a, m + 1) @ z, power(a, k), a @ z
+    q_star = (a @ t.d).conj().T
+    ak_star, weighted, z2 = ak.conj().T, am.conj().T @ am1z, z @ z
+    return {
+        "ax2": rel_residual(z, az @ z),
+        "def11": rel_residual(q_star @ am1z, q_star @ am),
+        "wgm_k": max(
+            rel_residual(z @ power(a, k + 1), ak), rel_residual(ak_star @ am1z, ak_star @ am)
+        ),
+        "hermitian31": rel_residual(weighted, weighted.conj().T),
+        "coreEP48": rel_residual(am1z, a @ t.o @ am),
+        "limit": rel_residual(ak, az @ ak),
+        "idem34": max(
+            rel_residual(az, power(a, 2) @ z2), rel_residual(az, power(a, 3) @ (z2 @ z))
+        ),
+    }
+
+
+class TestFactoredTower:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_dense_path_never_forms_core_ep_or_drazin(self, monkeypatch, k):
+        def formed(self):
+            raise AssertionError("A^o or A^D formed")
+
+        a = with_index(np.random.default_rng(90 + k), 8, k)
+        monkeypatch.setattr(classical, "_last", None)
+        monkeypatch.setattr(classical.Tower, "o", property(formed))
+        monkeypatch.setattr(classical.Tower, "d", property(formed))
+        for m in (1, 2, 3):
+            z = wgi.mwgi(a, m).Z
+            assert wgi.verify_definition(a, z, m).overall
+
+    @pytest.mark.parametrize(
+        "n,k,seed,r",
+        [(6, 1, 70, None), (6, 2, 71, None), (6, 3, 72, None)]
+        + [(200, 2, 34, 13), (200, 3, 15, 184)],
+    )
+    def test_matches_closed_forms(self, n, k, seed, r):
+        # Z and every residual of the factored path stay within eq_rtol of the
+        # closed forms, at small n and for a thin and a wide core at n = 200
+        a = with_index(np.random.default_rng(seed), n, k)
+        t = tower(a)
+        assert t.index.k == k and (r is None or t.index.rank_chain[k] == r)
+        for m in (1, 2) if n > 6 else (1, 2, 3):
+            z = wgi.mwgi(a, m).Z
+            z_closed = np.linalg.matrix_power(t.o, m + 1) @ np.linalg.matrix_power(a, m)
+            assert rel_residual(z, z_closed) <= DEFAULT_TOL.eq_rtol
+            report = wgi.verify_definition(a, z, m)
+            reference = _closed_form_residuals(a, z, m)
+            assert list(report.checks) == list(reference)
+            for name, check in report.checks.items():
+                assert abs(check.residual - reference[name]) <= DEFAULT_TOL.eq_rtol, name
+                assert check.passed == (reference[name] <= DEFAULT_TOL.eq_rtol), name
