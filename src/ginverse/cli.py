@@ -21,7 +21,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,7 +35,7 @@ from .matcore import (
     rel_residual,
 )
 
-__all__ = ["RunConfig", "run", "main"]
+__all__ = ["run", "main"]
 
 _INVERSES = {
     "mp": lambda a, m, tol: moore_penrose(a, tol),
@@ -47,28 +46,6 @@ _INVERSES = {
 }
 
 _ROUTE_BY_FLAG = {route.value: route for route in wgi.Route if route is not wgi.Route.RECURSIVE}
-
-
-@dataclass
-class RunConfig:
-    """Everything one invocation needs; assembled from parsed arguments."""
-
-    command: str
-    m: int = 1
-    input: str | None = None
-    candidate: str | None = None
-    b: str | None = None
-    y: str | None = None
-    inverse: str = "mwgi"
-    route: str = "core-ep"
-    window: int = 8
-    dim: int = 6
-    index: int = 3
-    trials: int = 100
-    seed: int = 0
-    output: str | None = None
-    pretty: bool = False
-    tol: TolerancePolicy = field(default_factory=TolerancePolicy)
 
 
 class InputError(Exception):
@@ -99,14 +76,14 @@ def _load_rational(path: str) -> oracle.RationalMatrix:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _emit(config: RunConfig, payload: dict, table: str | None = None) -> None:
+def _emit(args: argparse.Namespace, payload: dict, table: str | None = None) -> None:
     text = json.dumps(payload, sort_keys=True, ensure_ascii=False)
-    if config.output:
-        with open(config.output, "w") as handle:
+    if args.output:
+        with open(args.output, "w") as handle:
             handle.write(text + "\n")
-        if config.pretty and table:
+        if args.pretty and table:
             print(table)
-    elif config.pretty and table:
+    elif args.pretty and table:
         print(table)
     else:
         print(text)
@@ -134,78 +111,77 @@ def _tolerance(args: argparse.Namespace) -> TolerancePolicy:
     )
 
 
-def _cmd_compute(config: RunConfig) -> int:
-    a = _load_matrix(config.input)
-    if config.inverse == "mwgi":
-        route = _ROUTE_BY_FLAG[config.route]
-        z = wgi.mwgi_by_route(a, config.m, route, config.tol)
+def _cmd_compute(args: argparse.Namespace) -> int:
+    a = _load_matrix(args.input)
+    if args.inverse == "mwgi":
+        route = _ROUTE_BY_FLAG[args.route]
+        z = wgi.mwgi_by_route(a, args.m, route, args.tol)
         if route is not wgi.Route.CORE_EP:  # mwgi has checked the core-ep Z already
-            checks = wgi.verify_definition(a, z, config.m, config.tol).checks
+            checks = wgi.verify_definition(a, z, args.m, args.tol).checks
             for name in ("ax2", "wgm_k"):
                 if not checks[name].passed:
                     raise wgi.RepresentationMismatch(
-                        f"the {config.route} route's Z fails its defining equations "
+                        f"the {args.route} route's Z fails its defining equations "
                         f"({name}): residual {checks[name].residual:.3e}"
                     )
     else:
-        z = _INVERSES[config.inverse](a, config.m, config.tol)
-    _emit(config, matrix_to_json(z))
+        z = _INVERSES[args.inverse](a, args.m, args.tol)
+    _emit(args, matrix_to_json(z))
     return 0
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    a = _load_matrix(config.input)
-    z = _load_matrix(config.candidate)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    a = _load_matrix(args.input)
+    z = _load_matrix(args.candidate)
     if z.shape != a.shape:
         raise InputError(f"candidate shape {z.shape} does not match input {a.shape}")
-    report = wgi.verify_definition(a, z, config.m, config.tol)
-    _emit(config, report.to_dict(), _report_table(report, f"verify (m={config.m})"))
+    report = wgi.verify_definition(a, z, args.m, args.tol)
+    _emit(args, report.to_dict(), _report_table(report, f"verify (m={args.m})"))
     return 0 if report.overall else 1
 
 
-def _cmd_decompose(config: RunConfig) -> int:
-    a = _load_matrix(config.input)
-    decomp = wgi.group_decomposition(a, config.m, config.tol)
-    report = decomp.verify(a, config.m, config.tol)
+def _cmd_decompose(args: argparse.Namespace) -> int:
+    a = _load_matrix(args.input)
+    decomp = wgi.group_decomposition(a, args.m, args.tol)
+    report = decomp.verify(a, args.m, args.tol)
     payload = {
         "x": matrix_to_json(decomp.X),
         "y": matrix_to_json(decomp.Y),
         "report": report.to_dict(),
     }
-    _emit(config, payload, _report_table(report, f"decomposition (m={config.m})"))
+    _emit(args, payload, _report_table(report, f"decomposition (m={args.m})"))
     return 0 if report.overall else 1
 
 
-def _cmd_solve(config: RunConfig) -> int:
-    a = _load_matrix(config.input)
-    b = _load_matrix(config.b)
-    y = _load_matrix(config.y) if config.y else None
-    solution = eqsolve.solve_general(a, b, config.m, y, config.tol)
-    value = eqsolve.residual(a, b, config.m, solution.X, config.tol)
+def _cmd_solve(args: argparse.Namespace) -> int:
+    a = _load_matrix(args.input)
+    b = _load_matrix(args.b)
+    y = _load_matrix(args.y) if args.y else None
+    solution = eqsolve.solve_general(a, b, args.m, y, args.tol)
+    value = eqsolve.residual(a, b, args.m, solution.X, args.tol)
     payload = {
         "x": matrix_to_json(solution.X),
         "residual": value,
-        "pass": value <= config.tol.eq_rtol,
+        "pass": value <= args.tol.eq_rtol,
         "free_part_used": solution.free_part_used,
     }
-    table = f"solve (m={config.m}): residual {value:.5e} " + (
+    table = f"solve (m={args.m}): residual {value:.5e} " + (
         "PASS" if payload["pass"] else "FAIL"
     )
-    _emit(config, payload, table)
+    _emit(args, payload, table)
     return 0 if payload["pass"] else 1
 
 
-def _cmd_shift(config: RunConfig) -> int:
-    report = shiftlab.verify_shift_identities(config.m, config.window)
-    word = str(shiftlab.mwgi_shift(config.m))
+def _cmd_shift(args: argparse.Namespace) -> int:
+    report = shiftlab.verify_shift_identities(args.m, args.window)
+    word = str(shiftlab.mwgi_shift(args.m))
     payload = {"word": word, "report": report.to_dict()}
-    table = _report_table(report, f"Z = {word} (m={config.m}, window={config.window})")
-    _emit(config, payload, table)
+    table = _report_table(report, f"Z = {word} (m={args.m}, window={args.window})")
+    _emit(args, payload, table)
     return 0 if report.overall else 1
 
 
-def _fuzz_trial(rng: np.random.Generator, config: RunConfig, n: int, k: int, m: int) -> dict:
-    tol = config.tol
+def _fuzz_trial(rng: np.random.Generator, tol: TolerancePolicy, n: int, k: int, m: int) -> dict:
     a = generators.with_index(rng, n, k)
     z = wgi.mwgi(a, m, tol).Z
     residuals: dict[str, float] = {}
@@ -241,38 +217,44 @@ def _fuzz_trial(rng: np.random.Generator, config: RunConfig, n: int, k: int, m: 
     return {"n": n, "k": k, "m": m, "failures": sorted(failures), "residuals": residuals}
 
 
-def _cmd_fuzz(config: RunConfig) -> int:
-    rng = np.random.default_rng(config.seed)
-    m_values = [config.m] if config.m else [1, 2, 3]
-    trials = []
+def _m_values(args: argparse.Namespace) -> list[int]:
+    return [args.m] if args.m else [1, 2, 3]
+
+
+def _trials(args: argparse.Namespace):
+    """(trial, n, k, m) of each generated trial of fuzz and certify: n cycles
+    through 2..dim, k through 0..index (at most n - 1), m through 1..3 unless --m fixes it."""
+    m_values = _m_values(args)
+    for trial in range(args.trials):
+        n = 2 + trial % max(1, args.dim - 1)
+        yield trial, n, min(trial % (args.index + 1), n - 1), m_values[trial % len(m_values)]
+
+
+def _cmd_fuzz(args: argparse.Namespace) -> int:
+    rng = np.random.default_rng(args.seed)
     worst: dict[str, float] = {}
     failures = []
-    for trial in range(config.trials):
-        n = 2 + trial % max(1, config.dim - 1)
-        k = trial % (config.index + 1)
-        k = min(k, n - 1)
-        m = m_values[trial % len(m_values)]
-        outcome = _fuzz_trial(rng, config, n, k, m)
+    for trial, n, k, m in _trials(args):
+        outcome = _fuzz_trial(rng, args.tol, n, k, m)
         for name, value in outcome["residuals"].items():
             worst[name] = max(worst.get(name, 0.0), value)
         if outcome["failures"]:
             failures.append(
                 {"trial": trial, "n": n, "k": k, "m": m, "failures": outcome["failures"]}
             )
-        trials.append(outcome)
     payload = {
-        "trials": config.trials,
-        "seed": config.seed,
-        "m_values": m_values,
+        "trials": args.trials,
+        "seed": args.seed,
+        "m_values": _m_values(args),
         "max_residuals": worst,
         "failures": failures,
         "overall": not failures,
     }
-    lines = [f"fuzz: {config.trials} trials, seed {config.seed}"]
+    lines = [f"fuzz: {args.trials} trials, seed {args.seed}"]
     for name in sorted(worst):
         lines.append(f"{name:<22} max residual {worst[name]:12.5e}")
     lines.append(f"overall: {'PASS' if not failures else 'FAIL'}")
-    _emit(config, payload, "\n".join(lines))
+    _emit(args, payload, "\n".join(lines))
     return 0 if not failures else 1
 
 
@@ -293,33 +275,29 @@ def _certify_one(
     return payload, report.overall and float_ok, report
 
 
-def _cmd_certify(config: RunConfig) -> int:
-    if config.input:
-        m = config.m if config.m >= 1 else 1
-        a = _load_rational(config.input)
-        payload, ok, report = _certify_one(a, m, config.tol)
-        _emit(config, payload, _report_table(report, f"certify (m={m})"))
+def _cmd_certify(args: argparse.Namespace) -> int:
+    if args.input:
+        m = args.m if args.m >= 1 else 1
+        a = _load_rational(args.input)
+        payload, ok, report = _certify_one(a, m, args.tol)
+        _emit(args, payload, _report_table(report, f"certify (m={m})"))
         return 0 if ok else 1
-    rng = np.random.default_rng(config.seed)
-    m_values = [config.m] if config.m else [1, 2, 3]
+    rng = np.random.default_rng(args.seed)
     results = []
     all_ok = True
-    for trial in range(config.trials):
-        n = 2 + trial % max(1, config.dim - 1)
-        k = min(trial % (config.index + 1), n - 1)
-        m = m_values[trial % len(m_values)]
+    for trial, n, k, m in _trials(args):
         a = generators.rational_with_index(rng, n, k)
-        payload, ok, _ = _certify_one(a, m, config.tol)
+        payload, ok, _ = _certify_one(a, m, args.tol)
         results.append({"trial": trial, "n": n, "k": k, "m": m, "pass": ok})
         all_ok = all_ok and ok
     payload = {
-        "trials": config.trials,
-        "seed": config.seed,
+        "trials": args.trials,
+        "seed": args.seed,
         "results": results,
         "overall": all_ok,
     }
-    table = f"certify: {config.trials} trials, overall {'PASS' if all_ok else 'FAIL'}"
-    _emit(config, payload, table)
+    table = f"certify: {args.trials} trials, overall {'PASS' if all_ok else 'FAIL'}"
+    _emit(args, payload, table)
     return 0 if all_ok else 1
 
 
@@ -334,10 +312,10 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Execute one command; returns the process exit code."""
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command, with ``args.tol`` its tolerance policy; returns the exit code."""
     try:
-        return _COMMANDS[config.command](config)
+        return _COMMANDS[args.command](args)
     except (ArithmeticError, np.linalg.LinAlgError, wgi.OrthogonalityViolation) as exc:
         # no such inverse, a failed self-check, a singular core block, or
         # exact-arithmetic overflow
@@ -411,36 +389,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command, tol=_tolerance(args))
-    for name in (
-        "m",
-        "input",
-        "candidate",
-        "b",
-        "y",
-        "inverse",
-        "route",
-        "window",
-        "dim",
-        "index",
-        "trials",
-        "seed",
-        "output",
-        "pretty",
-    ):
-        if hasattr(args, name):
-            setattr(config, name, getattr(args, name))
-    return config
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if getattr(args, "m", 1) < 0 or (args.command not in ("fuzz", "certify") and args.m < 1):
+    if args.m < 0 or (args.command not in ("fuzz", "certify") and args.m < 1):
         print("error: --m must be a positive integer", file=sys.stderr)
         return 2
-    config = _config_from_args(args)
-    return run(config)
+    args.tol = _tolerance(args)
+    return run(args)
 
 
 if __name__ == "__main__":

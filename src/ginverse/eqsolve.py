@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import drazin
+from .classical import tower
 from .matcore import (
     DEFAULT_TOL,
     TolerancePolicy,
@@ -22,7 +22,7 @@ from .matcore import (
     conj_transpose,
     frobenius,
 )
-from .wgi import mwgi
+from .wgi import _check_m, mwgi
 
 __all__ = ["EquationSolution", "residual", "solve_general", "solve_in_range"]
 
@@ -55,9 +55,11 @@ def residual(a, b, m: int, x, tol: TolerancePolicy = DEFAULT_TOL) -> float:
     x = _conformable(a, x, "X")
     if x.shape[1] != b.shape[1]:
         raise ValueError(f"X has {x.shape[1]} columns but B has {b.shape[1]}")
-    q_star = conj_transpose(a @ drazin(a, tol))
-    left = q_star @ np.linalg.matrix_power(a, m + 1) @ x
-    right = q_star @ np.linalg.matrix_power(a, m) @ b
+    _check_m(m)  # the tower's A^j is I for every j < 1
+    t = tower(a, tol)
+    q_star = conj_transpose(a @ t.d)
+    left = q_star @ t.power(m + 1) @ x
+    right = q_star @ t.power(m) @ b
     return frobenius(left - right) / max(1.0, frobenius(right))
 
 

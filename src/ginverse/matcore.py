@@ -175,11 +175,15 @@ def matrix_from_json(obj) -> np.ndarray:
     for pos, pair in enumerate(entries):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise MatrixFormatError(f"entry {pos} is not an [re, im] pair: {pair!r}")
-        re, im = pair
-        for part in (re, im):
+        parts = []
+        for part in pair:
             if isinstance(part, bool) or not isinstance(part, (int, float)):
                 raise MatrixFormatError(f"entry {pos} holds a non-numeric value: {part!r}")
-            if not np.isfinite(part):
+            try:
+                parts.append(float(part))  # an int beyond the float range overflows here
+            except OverflowError:
+                raise MatrixFormatError(f"entry {pos} is too large for a float") from None
+            if not np.isfinite(parts[-1]):
                 raise MatrixFormatError(f"entry {pos} is not finite: {pair!r}")
-        flat[pos] = complex(re, im)
+        flat[pos] = complex(*parts)
     return readonly(flat.reshape(rows, cols))

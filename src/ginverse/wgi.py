@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import Tower, core_inverse, drazin, moore_penrose, tower
+from .classical import Tower, core_inverse, moore_penrose, tower
 from .matcore import (
     DEFAULT_TOL,
     TolerancePolicy,
@@ -121,25 +121,25 @@ class GroupDecomposition:
     def verify(self, a: np.ndarray, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> VerificationReport:
         """Check the side conditions: X* A^{m-1} Y = 0, Y X = 0, Y nilpotent,
         X of index <= 1 (nonzero unless A is nilpotent), and that the group
-        inverse of X is the m-weak group inverse of A."""
+        inverse of X is Z, the m-weak group inverse from A's tower, by the
+        group-inverse equations: x_index is X Z X = X with X Z = Z X (such a
+        Z exists iff X has index <= 1) and group_matches is Z X Z = Z."""
         a = as_square_matrix(a)
         n = a.shape[0]
-        z = mwgi(a, m, tol).Z
+        t = tower(a, tol)
+        z, x, y = _z(t, m), self.X, self.Y
         checks: dict[str, Check] = {}
-        checks["sum"] = _eq_check(a, self.X + self.Y, tol)
+        checks["sum"] = _eq_check(a, x + y, tol)
         checks["orth_left"] = _eq_check(
-            conj_transpose(self.X) @ _pow(a, m - 1) @ self.Y, np.zeros((n, n)), tol
+            conj_transpose(x) @ t.power(m - 1) @ y, np.zeros((n, n)), tol
         )
-        checks["orth_right"] = _eq_check(self.Y @ self.X, np.zeros((n, n)), tol)
-        checks["y_nilpotent"] = _nil_check(_pow(self.Y, n), tol)
-        x = tower(self.X, tol)
-        checks["x_index"] = _bool_check(x.index.k <= 1)
+        checks["orth_right"] = _eq_check(y @ x, np.zeros((n, n)), tol)
+        checks["y_nilpotent"] = _nil_check(_pow(y, n), tol)
+        checks["x_index"] = _merge(_eq_check(x @ z @ x, x, tol), _eq_check(x @ z, z @ x, tol))
+        # A^n from A itself: the one nilpotency witness that is not read off the staircase
         a_nilpotent = frobenius(_pow(a, n)) <= tol.nil_atol
-        checks["x_nonzero"] = _bool_check(a_nilpotent or frobenius(self.X) > tol.nil_atol)
-        # X^D is the group inverse of X exactly when X has index <= 1
-        checks["group_matches"] = (
-            _eq_check(x.d, z, tol) if x.index.k <= 1 else _bool_check(False)
-        )
+        checks["x_nonzero"] = _bool_check(a_nilpotent or frobenius(x) > tol.nil_atol)
+        checks["group_matches"] = _eq_check(z @ x @ z, z, tol)
         return VerificationReport(checks=checks)
 
 
@@ -188,20 +188,23 @@ def _defining_checks(z, t: Tower, m: int, az2, am1z, tol: TolerancePolicy) -> di
     }
 
 
+def _z(t: Tower, m: int) -> np.ndarray:
+    """Z = (A^o)^{m+1} A^m, formed as U1 (T^-(m+1) (U1* A^m)) since U1* U1 = I."""
+    _check_m(m)
+    z = _pow(t.tinv, m + 1) @ t.coords(t.power(m))
+    return z if t.u1 is None else t.u1 @ z
+
+
 def mwgi(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> MwgiResult:
     """m-weak group inverse by the canonical route Z = (A^o)^{m+1} A^m.
 
-    As A^o = U1 T^-1 U1* and U1* U1 = I, Z is formed as U1 T^-(m+1) U1* A^m,
-    without A^o.  Z is checked against its defining equations (ax2 and wgm_k of
-    ``verify_definition``); a failure beyond tolerance raises
-    RepresentationMismatch naming the failed check.
+    Z is formed from the tower's factors of A^o (see ``_z``) and checked against
+    its defining equations (ax2 and wgm_k of ``verify_definition``); a failure
+    beyond tolerance raises RepresentationMismatch naming the failed check.
     """
     a = as_square_matrix(a)
-    _check_m(m)
     t = tower(a, tol)
-    am = t.power(m)
-    z = _pow(t.tinv, m + 1) @ t.coords(am)
-    z = z if t.u1 is None else t.u1 @ z
+    z, am = _z(t, m), t.power(m)
     az = a @ z
     checks = _defining_checks(z, t, m, az @ z, am @ az, tol)
     for name, check in checks.items():
@@ -228,19 +231,18 @@ def mwgi_normal_equation(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.nd
     """
     a = as_square_matrix(a)
     _check_m(m)
-    d = drazin(a, tol)
-    q = a @ d
-    x = moore_penrose(q, tol) @ _pow(a, m)
-    return _pow(d, m + 1) @ x
+    t = tower(a, tol)
+    x = moore_penrose(a @ t.d, tol) @ t.power(m)
+    return _pow(t.d, m + 1) @ x
 
 
 def mwgi_drazin_solve(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Drazin-weighted route: (A^D)^{m+2} x with x solving (A^D)* A^D x = (A^D)* A^m."""
     a = as_square_matrix(a)
     _check_m(m)
-    d = drazin(a, tol)
-    x = moore_penrose(d, tol) @ _pow(a, m)
-    return _pow(d, m + 2) @ x
+    t = tower(a, tol)
+    x = moore_penrose(t.d, tol) @ t.power(m)
+    return _pow(t.d, m + 2) @ x
 
 
 def mwgi_step(a, zm, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -261,8 +263,8 @@ def mwgi_core_of_drazin(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.nda
     """
     a = as_square_matrix(a)
     _check_m(m)
-    d = drazin(a, tol)
-    return _pow(d, m + 2) @ core_inverse(d, tol) @ _pow(a, m)
+    t = tower(a, tol)
+    return _pow(t.d, m + 2) @ core_inverse(t.d, tol) @ t.power(m)
 
 
 def mwgi_core_chain(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -273,15 +275,15 @@ def mwgi_core_chain(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray
     """
     a = as_square_matrix(a)
     _check_m(m)
-    t, am = tower(a, tol), _pow(a, m)
-    b = _pow(a, m + 1) @ t.o
+    t = tower(a, tol)
+    b = t.power(m + 1) @ t.o
     c = core_inverse(b, tol)  # NoCoreInverse propagates if B misbehaves
     if not approx_equal(c, _pow(t.o, m), tol):
         raise RepresentationMismatch(
             f"core inverse of A^({m + 1}) A^o is not (A^o)^{m}: "
             f"residual {rel_residual(c, _pow(t.o, m)):.3e}"
         )
-    return _pow(t.d @ am @ c, m + 1) @ am
+    return _pow(t.d @ t.power(m) @ c, m + 1) @ t.power(m)
 
 
 def mwgi_regular_lift(a, m: int, tol: TolerancePolicy = DEFAULT_TOL, inner=None) -> np.ndarray:
@@ -390,21 +392,20 @@ def polar_idempotent(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> PolarData
 
 
 def b_characterization(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> VerificationReport:
-    """Check the fixed-point characterization with b = mwgi(A, m).
+    """Check the fixed-point characterization with b = Z from A's tower.
 
     Named checks: bab (b A b = b), a2b2 (A^2 b^2 = A b), herm ((A^m)* A^{m+1} b
     Hermitian), range (col(A b) = col(A^2 b)), qnil ((A - A^2 b)^n vanishes).
     """
     a = as_square_matrix(a)
-    _check_m(m)
     n = a.shape[0]
-    b = mwgi(a, m, tol).Z
+    t = tower(a, tol)
+    b, am = _z(t, m), t.power(m)
     ab = a @ b
     a2b = a @ ab
     checks: dict[str, Check] = {}
     checks["bab"] = _eq_check(b @ a @ b, b, tol)
     checks["a2b2"] = _eq_check(a2b @ b, ab, tol)
-    am = _pow(a, m)
     weighted = conj_transpose(am) @ (am @ ab)  # (A^m)* A^{m+1} b, as A^m (A b)
     checks["herm"] = _eq_check(weighted, conj_transpose(weighted), tol)
     checks["range"] = _bool_check(col_space_equal(ab, a2b, tol))
@@ -420,9 +421,8 @@ def bc_inverse_check(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> Verificat
     col(Z) in col(b0) and the row-space inclusion row(Z) in row(c0).
     """
     a = as_square_matrix(a)
-    _check_m(m)
-    t, am = tower(a, tol), _pow(a, m)
-    z = _pow(t.o, m + 1) @ am
+    t = tower(a, tol)
+    z, am = _z(t, m), t.power(m)
     b0 = _pow(t.d, m + 1) @ am
     c0 = t.d @ a @ t.o @ am
     checks: dict[str, Check] = {}
@@ -439,9 +439,8 @@ def outer_inverse_subspaces(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> Ve
     """Check that Z is the outer inverse with range col((A^D)^{m+1} A^m) and
     kernel equal to that of A^o A^m (tested as row-space equality)."""
     a = as_square_matrix(a)
-    _check_m(m)
-    t, am = tower(a, tol), _pow(a, m)
-    z = _pow(t.o, m + 1) @ am
+    t = tower(a, tol)
+    z, am = _z(t, m), t.power(m)
     range_target = _pow(t.d, m + 1) @ am
     kernel_target = t.o @ am
     checks: dict[str, Check] = {}

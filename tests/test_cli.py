@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -181,11 +182,53 @@ class TestInputErrors:
         code, _, _ = run_cli(capsys, "compute", "--input", str(path))
         assert code == 2
 
+    def test_int_beyond_float_range(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"rows": 1, "cols": 1, "entries": [[1' + "0" * 400 + ", 0]]}")
+        code, _, err = run_cli(capsys, "compute", "--input", str(path))
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
     def test_non_square_for_square_only_inverse(self, capsys, tmp_path):
         path = write_matrix(tmp_path / "rect.json", np.ones((2, 3)))
         code, _, err = run_cli(capsys, "compute", "--inverse", "drazin", "--input", path)
         assert code == 2
         assert "square" in err
+
+
+class TestDecompose:
+    @pytest.fixture
+    def index2(self, tmp_path):
+        return write_matrix(tmp_path / "a.json", with_index(np.random.default_rng(3), 6, 2))
+
+    @pytest.mark.parametrize("m", ["1", "2"])
+    def test_passes(self, capsys, index2, m):
+        code, out, _ = run_cli(capsys, "decompose", "--input", index2, "--m", m)
+        assert code == 0
+        payload = json.loads(out)
+        assert set(payload) == {"x", "y", "report"}
+        assert payload["report"]["overall"] is True
+        with open(index2) as handle:
+            a = matrix_from_json(json.load(handle))
+        x, y = matrix_from_json(payload["x"]), matrix_from_json(payload["y"])
+        assert approx_equal(x + y, a)
+
+    def test_pretty_table(self, capsys, index2):
+        code, out, _ = run_cli(capsys, "decompose", "--input", index2, "--m", "2", "--pretty")
+        assert code == 0
+        assert out.rstrip().endswith("overall: PASS")
+
+    def test_corrupted_z_exits_1(self, capsys, monkeypatch, index2):
+        mwgi = wgi.mwgi
+
+        def corrupted(*args):
+            result = mwgi(*args)
+            return dataclasses.replace(result, Z=result.Z * (1 + 1e-6))
+
+        monkeypatch.setattr(wgi, "mwgi", corrupted)
+        code, out, _ = run_cli(capsys, "decompose", "--input", index2, "--m", "2")
+        assert code == 1
+        assert json.loads(out)["report"]["overall"] is False
 
 
 class TestSolve:

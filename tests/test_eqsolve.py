@@ -26,6 +26,11 @@ class TestResidual:
         with pytest.raises(ValueError):
             eqsolve.residual(np.eye(2), np.eye(3), 1, np.eye(2))
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_bad_m(self, m):
+        with pytest.raises(ValueError):
+            eqsolve.residual(J2, np.eye(2), m, np.eye(2))
+
 
 class TestSolveGeneral:
     def test_identity_gives_b(self, rng):

@@ -197,6 +197,11 @@ class TestMatrixJson:
         with pytest.raises(MatrixFormatError):
             matrix_from_json({"rows": 1, "cols": 1, "entries": [[float("inf"), 0]]})
 
+    def test_int_beyond_float_range(self):
+        # json.loads keeps 1 followed by 400 zeros as an exact int, which no float holds
+        with pytest.raises(MatrixFormatError):
+            matrix_from_json({"rows": 1, "cols": 1, "entries": [[0, 10**400]]})
+
     def test_bad_pair(self):
         with pytest.raises(MatrixFormatError):
             matrix_from_json({"rows": 1, "cols": 1, "entries": [[1, 2, 3]]})

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from ginverse import classical, oracle, wgi
+from ginverse import classical, eqsolve, oracle, wgi
 from ginverse.classical import drazin, core_ep, group_inverse, index, moore_penrose, tower
 from ginverse.generators import orthogonal_pair, with_index
 from ginverse.matcore import DEFAULT_TOL, TolerancePolicy, approx_equal, frobenius, rel_residual
@@ -724,3 +724,101 @@ class TestFactoredTower:
             for name, check in report.checks.items():
                 assert abs(check.residual - reference[name]) <= DEFAULT_TOL.eq_rtol, name
                 assert check.passed == (reference[name] <= DEFAULT_TOL.eq_rtol), name
+
+
+def _power_caller(frame) -> str:
+    """The function that asked for a matrix power, looking through ``_pow``."""
+    while frame.f_code.co_name == "_pow":
+        frame = frame.f_back
+    owner = frame.f_locals.get("self")
+    name = frame.f_code.co_name
+    return name if owner is None else f"{type(owner).__name__}.{name}"
+
+
+class TestCheckersJudgeOneZ:
+    # index 2, so X = A^2 Z differs from A and Y is a nonzero nilpotent
+    A = with_index(np.random.default_rng(43), 6, 2)
+
+    @staticmethod
+    def corrupt_z(monkeypatch):
+        """Make the one Z formula return Z (1 + 1e-6)."""
+        z = wgi._z
+        monkeypatch.setattr(wgi, "_z", lambda t, m: z(t, m) * (1 + 1e-6))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_decomposition_catches_corrupted_z(self, monkeypatch, m):
+        decomp = wgi.group_decomposition(self.A, m)
+        assert decomp.verify(self.A, m).overall
+        self.corrupt_z(monkeypatch)
+        report = decomp.verify(self.A, m)
+        assert {name for name, check in report.checks.items() if not check.passed} == {
+            "x_index",
+            "group_matches",
+        }
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "checker", [wgi.b_characterization, wgi.bc_inverse_check, wgi.outer_inverse_subspaces]
+    )
+    def test_checker_catches_corrupted_z(self, monkeypatch, checker, m):
+        assert checker(self.A, m).overall
+        self.corrupt_z(monkeypatch)
+        assert not checker(self.A, m).overall
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_polar_catches_corrupted_z(self, monkeypatch, m):
+        mwgi = wgi.mwgi
+
+        def corrupted(*args):
+            result = mwgi(*args)
+            return dataclasses.replace(result, Z=result.Z * (1 + 1e-6))
+
+        monkeypatch.setattr(wgi, "mwgi", corrupted)
+        report = wgi.polar_idempotent(self.A, m).verify(self.A, m)
+        assert not report.checks["idempotent"].passed
+
+    def test_decomposition_verify_builds_no_tower(self, svd_calls):
+        decomp = wgi.group_decomposition(self.A, 2)
+        t = tower(self.A)
+        svd_calls.clear()
+        assert decomp.verify(self.A, 2).overall
+        assert len(svd_calls) == 0
+        assert tower(self.A) is t  # A's tower is still the kept one
+
+    def test_matrix_power_of_a_only_without_a_tower(self, monkeypatch):
+        # every route, report and the equation, as one fuzz trial runs them;
+        # only functions that hold no tower of A raise A itself to a power
+        a = with_index(np.random.default_rng(44), 6, 3)
+        n = a.shape[0]
+        rng = np.random.default_rng(45)
+        b, y = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in "by")
+        callers = set()
+        matrix_power = np.linalg.matrix_power
+
+        def recording_power(base, exponent):
+            if np.array_equal(base, a):
+                callers.add(_power_caller(sys._getframe(1)))
+            return matrix_power(base, exponent)
+
+        monkeypatch.setattr(np.linalg, "matrix_power", recording_power)
+        for m in (1, 2, 3):
+            z = wgi.mwgi(a, m).Z
+            for route in wgi.Route:
+                if m >= 2 or route not in (wgi.Route.RECURSIVE, wgi.Route.REGULAR_LIFT):
+                    assert approx_equal(wgi.mwgi_by_route(a, m, route), z), route
+            assert wgi.verify_definition(a, z, m).overall
+            assert wgi.group_decomposition(a, m).verify(a, m).overall
+            assert wgi.polar_idempotent(a, m).verify(a, m).overall
+            assert wgi.b_characterization(a, m).overall
+            assert wgi.bc_inverse_check(a, m).overall
+            assert wgi.outer_inverse_subspaces(a, m).overall
+            x = eqsolve.solve_general(a, b, m, y).X
+            assert eqsolve.residual(a, b, m, x) <= DEFAULT_TOL.eq_rtol
+        # PolarData.verify forms A^m itself: it holds no tower of A either
+        assert callers <= {
+            "mwgi_via_power",
+            "mwgi_regular_lift",
+            "GroupDecomposition.verify",
+            "PolarData.verify",
+        }
+        assert "GroupDecomposition.verify" in callers  # x_nonzero's A^n
