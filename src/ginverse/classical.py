@@ -6,7 +6,7 @@ rank(A^j) = rank(A^{j+1})):
 * core-EP inverse     A^o  = U1 T^-1 U1*, always defined (see ``tower``)
 * Drazin inverse      A^D  = (A^o)^{k+1} A^k
 * group inverse       A^#  = A^D, defined only when k <= 1
-* core inverse        A^#o = A^# A A^+, defined only when k <= 1
+* core inverse        A^#o = A^# A A^+, defined only when k <= 1, where it is A^o
 
 The core-EP inverse X is the unique solution of AX^2 = X, (AX)* = AX and
 A^n = A X A^n for all n >= k.  ``tower`` computes k, U1 and T^-1 once, from
@@ -212,9 +212,8 @@ def group_inverse(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarr
 
 
 def core_inverse(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    """Core inverse A^# A A^+; requires index <= 1."""
-    a = as_square_matrix(a)
-    return _index_at_most_one(a, tol, NoCoreInverse).d @ a @ moore_penrose(a, tol)
+    """Core inverse A^# A A^+, which is A^o at index <= 1 (Prasad & Mohana, LMA 62, 2014)."""
+    return _index_at_most_one(a, tol, NoCoreInverse).o
 
 
 def core_ep(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:

@@ -62,17 +62,10 @@ def _load_json(path: str):
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 
 
-def _load_matrix(path: str) -> np.ndarray:
+def _load_matrix(path: str, parse=matrix_from_json):
     try:
-        return matrix_from_json(_load_json(path))
+        return parse(_load_json(path))
     except MatrixFormatError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-
-
-def _load_rational(path: str) -> oracle.RationalMatrix:
-    try:
-        return oracle.RationalMatrix.from_json(_load_json(path))
-    except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
@@ -103,7 +96,10 @@ def _tolerance(args: argparse.Namespace) -> TolerancePolicy:
     eq = args.tol_eq
     if eq is None:
         env = os.environ.get("GINV_TOL_EQ")
-        eq = float(env) if env else DEFAULT_TOL.eq_rtol
+        try:
+            eq = float(env) if env else DEFAULT_TOL.eq_rtol
+        except ValueError:
+            raise InputError(f"GINV_TOL_EQ must be a number, got {env!r}") from None
     return TolerancePolicy(
         rank_rtol=args.tol_rank if args.tol_rank is not None else DEFAULT_TOL.rank_rtol,
         eq_rtol=eq,
@@ -133,8 +129,6 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     a = _load_matrix(args.input)
     z = _load_matrix(args.candidate)
-    if z.shape != a.shape:
-        raise InputError(f"candidate shape {z.shape} does not match input {a.shape}")
     report = wgi.verify_definition(a, z, args.m, args.tol)
     _emit(args, report.to_dict(), _report_table(report, f"verify (m={args.m})"))
     return 0 if report.overall else 1
@@ -278,7 +272,7 @@ def _certify_one(
 def _cmd_certify(args: argparse.Namespace) -> int:
     if args.input:
         m = args.m if args.m >= 1 else 1
-        a = _load_rational(args.input)
+        a = _load_matrix(args.input, oracle.RationalMatrix.from_json)
         payload, ok, report = _certify_one(a, m, args.tol)
         _emit(args, payload, _report_table(report, f"certify (m={m})"))
         return 0 if ok else 1
@@ -313,8 +307,13 @@ _COMMANDS = {
 
 
 def run(args: argparse.Namespace) -> int:
-    """Execute one parsed command, with ``args.tol`` its tolerance policy; returns the exit code."""
+    """Check --m and --index, set ``args.tol`` and run one parsed command; returns the exit code."""
     try:
+        if args.m < 0 or (args.command not in ("fuzz", "certify") and args.m < 1):
+            raise InputError("--m must be a positive integer")
+        if getattr(args, "index", 0) < 0:
+            raise InputError("--index must be a non-negative integer")
+        args.tol = _tolerance(args)
         return _COMMANDS[args.command](args)
     except (ArithmeticError, np.linalg.LinAlgError, wgi.OrthogonalityViolation) as exc:
         # no such inverse, a failed self-check, a singular core block, or
@@ -390,12 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.m < 0 or (args.command not in ("fuzz", "certify") and args.m < 1):
-        print("error: --m must be a positive integer", file=sys.stderr)
-        return 2
-    args.tol = _tolerance(args)
-    return run(args)
+    return run(_build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -17,12 +17,13 @@ from .classical import tower
 from .matcore import (
     DEFAULT_TOL,
     TolerancePolicy,
+    _check_m,
     as_matrix,
     as_square_matrix,
     conj_transpose,
     frobenius,
 )
-from .wgi import _check_m, mwgi
+from .wgi import mwgi
 
 __all__ = ["EquationSolution", "residual", "solve_general", "solve_in_range"]
 

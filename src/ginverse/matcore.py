@@ -89,6 +89,12 @@ def as_square_matrix(values) -> np.ndarray:
     return a
 
 
+def _check_m(m: int) -> None:
+    """The weight m of an m-weak group inverse: a positive int, not a bool."""
+    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+        raise ValueError(f"m must be a positive integer, got {m!r}")
+
+
 def conj_transpose(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose; applying it twice returns the input bit-exactly."""
     return np.conj(a).T
@@ -151,19 +157,15 @@ def matrix_to_json(a: np.ndarray) -> dict:
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "entries": entries}
 
 
-def _json_dim(obj: dict, key: str) -> int:
-    value = obj.get(key)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise MatrixFormatError(f"'{key}' must be a positive integer, got {value!r}")
-    return value
-
-
-def matrix_from_json(obj) -> np.ndarray:
-    """Parse the matrix JSON format, rejecting wrong-length arrays and non-finite numbers."""
+def _json_envelope(obj) -> tuple[int, int, list]:
+    """(rows, cols, entries) of matrix JSON, with rows*cols [re, im] pairs left to parse."""
     if not isinstance(obj, dict):
         raise MatrixFormatError(f"expected a JSON object, got {type(obj).__name__}")
-    rows = _json_dim(obj, "rows")
-    cols = _json_dim(obj, "cols")
+    for key in ("rows", "cols"):
+        value = obj.get(key)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise MatrixFormatError(f"'{key}' must be a positive integer, got {value!r}")
+    rows, cols = obj["rows"], obj["cols"]
     entries = obj.get("entries")
     if not isinstance(entries, list):
         raise MatrixFormatError("'entries' must be an array of [re, im] pairs")
@@ -171,10 +173,17 @@ def matrix_from_json(obj) -> np.ndarray:
         raise MatrixFormatError(
             f"'entries' has length {len(entries)}, expected rows*cols = {rows * cols}"
         )
-    flat = np.empty(rows * cols, dtype=np.complex128)
     for pos, pair in enumerate(entries):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise MatrixFormatError(f"entry {pos} is not an [re, im] pair: {pair!r}")
+    return rows, cols, entries
+
+
+def matrix_from_json(obj) -> np.ndarray:
+    """Parse the matrix JSON format, rejecting wrong-length arrays and non-finite numbers."""
+    rows, cols, entries = _json_envelope(obj)
+    flat = np.empty(rows * cols, dtype=np.complex128)
+    for pos, pair in enumerate(entries):
         parts = []
         for part in pair:
             if isinstance(part, bool) or not isinstance(part, (int, float)):

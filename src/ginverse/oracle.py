@@ -35,6 +35,7 @@ from operator import mul
 
 import numpy as np
 
+from .matcore import MatrixFormatError, _check_m, _json_envelope
 from .report import Check, VerificationReport, _merge
 
 __all__ = [
@@ -386,22 +387,14 @@ class RationalMatrix:
 
     @classmethod
     def from_json(cls, obj) -> "RationalMatrix":
-        if not isinstance(obj, dict):
-            raise ValueError("expected a JSON object")
-        rows, cols = obj.get("rows"), obj.get("cols")
-        entries = obj.get("entries")
-        if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
-            raise ValueError("'rows' and 'cols' must be positive integers")
-        if not isinstance(entries, list) or len(entries) != rows * cols:
-            raise ValueError(f"'entries' must hold exactly rows*cols = {rows * cols} pairs")
+        rows, cols, entries = _json_envelope(obj)
         values = []
         for pos, pair in enumerate(entries):
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise ValueError(f"entry {pos} is not a [re, im] string pair")
             try:
                 values.append(GaussianRational.parse(str(pair[0]), str(pair[1])))
             except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"entry {pos} is not a valid rational pair: {exc}") from exc
+                msg = f"entry {pos} is not a valid rational pair: {exc}"
+                raise MatrixFormatError(msg) from exc
         return cls.from_rows(
             [values[i * cols : (i + 1) * cols] for i in range(rows)]
         )
@@ -630,31 +623,41 @@ def _mwgi_of(a: RationalMatrix, m: int, d: RationalMatrix, cep: RationalMatrix, 
     return _guard(d.power(m + 1) @ a @ cep @ a.power(m), max_bits)
 
 
-def _verified_mwgi(a: RationalMatrix, m: int, max_bits: int) -> RationalMatrix:
+def _identities(a: RationalMatrix, m: int, z: RationalMatrix, max_bits: int) -> dict[str, Check]:
+    """The exact identities that pin down the m-weak group inverse Z, read from A's tower.
+
+    ax2 is Z = A Z^2, def11 the projector-weighted defining equation
+    (A A^D)* A^{m+1} Z = (A A^D)* A^m, wgm_k the stabilized equations
+    Z A^{k+1} = A^k and (A^k)* A^{m+1} Z = (A^k)* A^m, and second_form the
+    product form (A^D A A^o)^{m+1} A^m = Z.
+    """
     k, d, cep = _tower(a, max_bits)
-    z = _mwgi_of(a, m, d, cep, max_bits)
     qs = (a @ d).conj_transpose()
-    aks = a.power(k).conj_transpose()
     am, am1 = a.power(m), a.power(m + 1)
-    _require_exact(a @ z @ z == z, "A Z^2 = Z")
-    _require_exact(qs @ am1 @ z == qs @ am, "(A A^D)* A^(m+1) Z = (A A^D)* A^m")
-    _require_exact(z @ a.power(k + 1) == a.power(k), "Z A^(k+1) = A^k")
-    _require_exact(aks @ am1 @ z == aks @ am, "(A^k)* A^(m+1) Z = (A^k)* A^m")
-    _require_exact((d @ a @ cep).power(m + 1) @ am == z, "product form agreement")
-    return z
+    aks = a.power(k).conj_transpose()
+    return {
+        "ax2": _exact_check(a @ z @ z, z),
+        "def11": _exact_check(qs @ am1 @ z, qs @ am),
+        "wgm_k": _merge(
+            _exact_check(z @ a.power(k + 1), a.power(k)),
+            _exact_check(aks @ am1 @ z, aks @ am),
+        ),
+        "second_form": _exact_check((d @ a @ cep).power(m + 1) @ am, z),
+    }
 
 
 def exact_mwgi(a: RationalMatrix, m: int, max_bits: int = MAX_HEIGHT_BITS) -> RationalMatrix:
     """Exact m-weak group inverse (A^D)^{m+1} A A^o A^m, fully verified.
 
-    Verifies, with zero tolerance: Z = A Z^2, the projector-weighted defining
-    equation (A A^D)* A^{m+1} Z = (A A^D)* A^m, the stabilized equations
-    Z A^{k+1} = A^k and (A^k)* A^{m+1} Z = (A^k)* A^m, and agreement with
-    the product form (A^D A A^o)^{m+1} A^m.
+    Requires, with zero tolerance, every identity of ``_identities``; a
+    failure raises ArithmeticError naming its key.
     """
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    return _verified_mwgi(a, m, max_bits)
+    _check_m(m)
+    _, d, cep = _tower(a, max_bits)
+    z = _mwgi_of(a, m, d, cep, max_bits)
+    for label, check in _identities(a, m, z, max_bits).items():
+        _require_exact(check.passed, label)
+    return z
 
 
 def _diff_residual(left: RationalMatrix, right: RationalMatrix) -> float:
@@ -705,35 +708,23 @@ def certify(
     """
     if not a.is_square():
         raise ValueError("certify requires a square matrix")
-    if m < 1:
-        raise ValueError("m must be a positive integer")
+    _check_m(m)
     n = a.rows
-    k, d, cep = _tower(a, max_bits)
+    _, d, cep = _tower(a, max_bits)
     z_computed = _mwgi_of(a, m, d, cep, max_bits)
     if z is None:
         z = z_computed
     qs = (a @ d).conj_transpose()
     am, am1 = a.power(m), a.power(m + 1)
-    aks = a.power(k).conj_transpose()
     zero = RationalMatrix.zeros(n, n)
 
-    checks: dict[str, Check] = {}
-    checks["ax2"] = _exact_check(a @ z @ z, z)
-    checks["def11"] = _exact_check(qs @ am1 @ z, qs @ am)
-    checks["wgm_k"] = _merge(
-        _exact_check(z @ a.power(k + 1), a.power(k)),
-        _exact_check(aks @ am1 @ z, aks @ am),
-    )
-    checks["second_form"] = _exact_check((d @ a @ cep).power(m + 1) @ am, z)
-
-    w = _verified_mwgi(am, 1, max_bits)
+    checks = _identities(a, m, z, max_bits)
+    w = exact_mwgi(am, 1, max_bits)
     checks["power"] = _merge(
         _exact_check(a.power(m - 1) @ w, z_computed),
         _exact_check(w, z_computed.power(m)),
     )
-    checks["step"] = _exact_check(
-        _verified_mwgi(a, m + 1, max_bits), z_computed @ z_computed @ a
-    )
+    checks["step"] = _exact_check(exact_mwgi(a, m + 1, max_bits), z_computed @ z_computed @ a)
     checks["fixed_point"] = _exact_check(z @ a @ z, z)
     checks["idem"] = _merge(
         *(_exact_check(a @ z, a.power(p) @ z.power(p)) for p in (2, 3))

@@ -30,6 +30,7 @@ from .classical import Tower, core_inverse, moore_penrose, tower
 from .matcore import (
     DEFAULT_TOL,
     TolerancePolicy,
+    _check_m,
     approx_equal,
     as_matrix,
     as_square_matrix,
@@ -94,11 +95,6 @@ class Route(enum.Enum):
 
 def _pow(a: np.ndarray, e: int) -> np.ndarray:
     return np.linalg.matrix_power(a, e)
-
-
-def _check_m(m: int) -> None:
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
 
 
 @dataclass(frozen=True)

@@ -285,3 +285,22 @@ class TestStaircase:
             w = u[:, :r]
             assert np.array_equal(b_next, (s[:r, None] * vh[:r]) @ w)
             assert approx_equal(b_next, w.conj().T @ b @ w)
+
+
+class TestCoreInverseFromTower:
+    """At index <= 1 the core inverse is A^o; A^# A A^+ stays the reference."""
+
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_matches_group_times_a_times_mp(self, k, n):
+        a = with_index(np.random.default_rng(10 * n + k), n, k)
+        reference = group_inverse(a) @ a @ moore_penrose(a)
+        assert rel_residual(core_inverse(a), reference) <= 1e-10
+
+    def test_calls_no_moore_penrose(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("core_inverse called moore_penrose")
+
+        a = with_index(np.random.default_rng(4), 5, 1)
+        monkeypatch.setattr(classical, "moore_penrose", forbidden)
+        assert approx_equal(core_inverse(a), tower(a).o)

@@ -326,3 +326,34 @@ class TestCertify:
         payload = json.loads(out)
         assert payload["overall"] is True
         assert [r["n"] for r in payload["results"]] == [2, 3, 4, 5, 6]
+
+
+class TestUnusableOptions:
+    """An unusable tolerance or index exits 2 with exactly one ``error:`` line."""
+
+    @pytest.mark.parametrize(
+        "flags", [("--tol-eq", "-1"), ("--tol-rank", "0"), ("--tol-nil", "1.5")]
+    )
+    def test_tolerance_flag(self, capsys, identity3, flags):
+        code, _, err = run_cli(capsys, "compute", "--input", identity3, *flags)
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+    def test_tolerance_env(self, capsys, identity3, monkeypatch):
+        monkeypatch.setenv("GINV_TOL_EQ", "abc")
+        code, _, err = run_cli(capsys, "compute", "--input", identity3)
+        assert code == 2
+        assert err.splitlines() == ["error: GINV_TOL_EQ must be a number, got 'abc'"]
+
+    @pytest.mark.parametrize("command", ["fuzz", "certify"])
+    @pytest.mark.parametrize("value", ["-1", "-2"])
+    def test_negative_index(self, capsys, command, value):
+        code, out, err = run_cli(capsys, command, "--trials", "3", "--index", value)
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["error: --index must be a non-negative integer"]
+
+    def test_verify_shape_mismatch(self, capsys, tmp_path, identity3):
+        z = write_matrix(tmp_path / "z.json", np.eye(2))
+        code, _, err = run_cli(capsys, "verify", "--input", identity3, "--candidate", z)
+        assert code == 2
+        assert err.splitlines() == ["error: candidate shape (2, 2) does not match (3, 3)"]

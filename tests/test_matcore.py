@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ginverse import eqsolve, oracle, shiftlab, wgi
+from ginverse.generators import with_index
 from ginverse.matcore import (
     DEFAULT_TOL,
     MatrixFormatError,
@@ -213,3 +215,53 @@ class TestMatrixJson:
     def test_non_numeric_entry(self):
         with pytest.raises(MatrixFormatError):
             matrix_from_json({"rows": 1, "cols": 1, "entries": [["1", 0]]})
+
+
+MALFORMED_ENVELOPES = [
+    [[1, 0]],
+    {"rows": True, "cols": 1, "entries": [[1, 0]]},
+    {"rows": 1, "cols": 0, "entries": []},
+    {"rows": "1", "cols": 1, "entries": [[1, 0]]},
+    {"rows": 1, "cols": 1, "entries": {"0": [1, 0]}},
+    {"rows": 2, "cols": 2, "entries": [[1, 0]]},
+    {"rows": 1, "cols": 1, "entries": [[1, 2, 3]]},
+]
+
+
+class TestOneEnvelope:
+    """The float and the rational parser share one envelope check."""
+
+    @pytest.mark.parametrize("obj", MALFORMED_ENVELOPES)
+    def test_both_parsers_agree(self, obj):
+        with pytest.raises(MatrixFormatError) as as_float:
+            matrix_from_json(obj)
+        with pytest.raises(MatrixFormatError) as as_rational:
+            oracle.RationalMatrix.from_json(obj)
+        assert str(as_float.value) == str(as_rational.value)
+
+    def test_rational_bad_number(self):
+        with pytest.raises(MatrixFormatError, match="entry 0"):
+            oracle.RationalMatrix.from_json({"rows": 1, "cols": 1, "entries": [["1/0", "0"]]})
+
+
+A3 = with_index(np.random.default_rng(0), 3, 1)
+RA3 = oracle.RationalMatrix.from_rows([[1, 1, 0], [0, 0, 1], [0, 0, 0]])
+M_ENTRY_POINTS = {
+    "wgi.mwgi": lambda m: wgi.mwgi(A3, m),
+    "wgi.verify_definition": lambda m: wgi.verify_definition(A3, A3, m),
+    "eqsolve.residual": lambda m: eqsolve.residual(A3, A3, m, A3),
+    "oracle.exact_mwgi": lambda m: oracle.exact_mwgi(RA3, m),
+    "oracle.certify": lambda m: oracle.certify(RA3, m),
+    "shiftlab.mwgi_shift": shiftlab.mwgi_shift,
+    "shiftlab.verify_shift_identities": lambda m: shiftlab.verify_shift_identities(m, 8),
+}
+
+
+class TestOneMRule:
+    """Every m-weak group inverse entry point rejects m the same way."""
+
+    @pytest.mark.parametrize("m", [0, -1, True, 1.5], ids=repr)
+    @pytest.mark.parametrize("name", sorted(M_ENTRY_POINTS))
+    def test_rejected(self, name, m):
+        with pytest.raises(ValueError, match="m must be a positive integer"):
+            M_ENTRY_POINTS[name](m)

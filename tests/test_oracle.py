@@ -508,3 +508,42 @@ class TestExactDivision:
         assert o._exact_quotient(-12, 4) == -3
         with pytest.raises(ArithmeticError):
             o._exact_quotient(7, 2)
+
+
+class TestOneIdentityList:
+    """exact_mwgi requires, and certify reports, the identities of one function."""
+
+    @staticmethod
+    def corrupted(m):
+        # a kept tower whose A^D is doubled: Z = (A^D)^{m+1} A A^o A^m grows by 2^{m+1}
+        a = rational_with_index(np.random.default_rng(5), 4, 2)
+        k, d, cep = o._tower(a, o.MAX_HEIGHT_BITS)
+        a._towers[o.MAX_HEIGHT_BITS] = (k, d * 2, cep)
+        return a, o._mwgi_of(a, m, d * 2, cep, o.MAX_HEIGHT_BITS)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_exact_mwgi_names_the_failed_key(self, m):
+        a, _ = self.corrupted(m)
+        with pytest.raises(ArithmeticError, match="'ax2'"):
+            o.exact_mwgi(a, m)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_identity_list_reports_ax2(self, m):
+        a, z = self.corrupted(m)
+        checks = o._identities(a, m, z, o.MAX_HEIGHT_BITS)
+        assert list(checks) == ["ax2", "def11", "wgm_k", "second_form"]
+        assert not checks["ax2"].passed and checks["ax2"].residual > 0.0
+        # certify's step check is exact_mwgi(A, m + 1), which reads the same tower
+        with pytest.raises(ArithmeticError, match="'ax2'"):
+            o.certify(a, m)
+
+    def test_certify_reports_the_list(self):
+        z = o.exact_mwgi(BLOCK3, 2)
+        rows = [list(r) for r in z.entries]
+        rows[1][2] = rows[1][2] + GR(1)
+        bad = RM.from_rows(rows)
+        report = o.certify(BLOCK3, 2, z=bad)
+        expected = o._identities(BLOCK3, 2, bad, o.MAX_HEIGHT_BITS)
+        assert list(report.checks)[:4] == list(expected)
+        assert {name: report.checks[name] for name in expected} == expected
+        assert not all(check.passed for check in expected.values())
