@@ -65,6 +65,8 @@ class Tower:
 
     ``u1`` is C-contiguous, or None when k = 0 (U1 = I).  A power of A is
     formed once, when first asked for, and A^o and A^D when first read.
+    ``_checked`` holds, per weight m, the Z and products that ``wgi.mwgi``
+    formed and checked, for one later ``wgi.verify_definition`` of that Z.
     """
 
     index: IndexResult
@@ -72,6 +74,7 @@ class Tower:
     u1: np.ndarray | None
     tinv: np.ndarray
     _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _checked: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def power(self, j: int) -> np.ndarray:
         """A^j; A^0 = I is formed on each read."""
@@ -156,6 +159,12 @@ def _words(a: np.ndarray) -> np.ndarray:
     return a.ravel(order="K").view(np.int64)
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Same shape, memory layout and bit-identical entries (so a signed zero
+    or a one-ulp change differs)."""
+    return a.shape == b.shape and a.strides == b.strides and np.array_equal(_words(a), _words(b))
+
+
 # (A, tol, tower) of the last tower built, replaced as one tuple: a thread
 # that races a rebuild reads the old entry, the new one or None, never a mix.
 _last: tuple[np.ndarray, TolerancePolicy, Tower] | None = None
@@ -179,12 +188,7 @@ def tower(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> Tower:
     global _last
     a = as_square_matrix(a)
     last = _last
-    if (
-        last is not None
-        and last[1] == tol
-        and last[0].strides == a.strides
-        and np.array_equal(_words(last[0]), _words(a))
-    ):
+    if last is not None and last[1] == tol and _same_bits(last[0], a):
         return last[2]
     _last = None
     idx, u1, core = _staircase(a, tol)

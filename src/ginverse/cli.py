@@ -25,24 +25,56 @@ import sys
 import numpy as np
 
 from . import eqsolve, generators, oracle, shiftlab, wgi
-from .classical import core_ep, core_inverse, drazin, group_inverse, moore_penrose
+from .classical import core_ep, core_inverse, drazin, group_inverse, moore_penrose, tower
 from .matcore import (
     DEFAULT_TOL,
     MatrixFormatError,
     TolerancePolicy,
+    conj_transpose,
     matrix_from_json,
     matrix_to_json,
     rel_residual,
 )
+from .report import Check, _eq_check
 
 __all__ = ["run", "main"]
 
+
+def _drazin_equations(a: np.ndarray, x: np.ndarray, tol: TolerancePolicy) -> dict:
+    t = tower(a, tol)
+    return {
+        "A X = X A": (a @ x, x @ a),
+        "X A X = X": (x @ a @ x, x),
+        "A^(k+1) X = A^k": (t.power(t.index.k + 1) @ x, t.ak),
+    }
+
+
+def _core_ep_equations(a: np.ndarray, x: np.ndarray, tol: TolerancePolicy) -> dict:
+    t, ax = tower(a, tol), a @ x
+    return {
+        "A X^2 = X": (ax @ x, x),
+        "(A X)* = A X": (conj_transpose(ax), ax),
+        "A X A^k = A^k": (ax @ t.ak, t.ak),
+    }
+
+
+def _penrose_equations(a: np.ndarray, x: np.ndarray, tol: TolerancePolicy) -> dict:
+    ax, xa = a @ x, x @ a
+    return {
+        "A X A = A": (ax @ a, a),
+        "X A X = X": (xa @ x, x),
+        "(A X)* = A X": (conj_transpose(ax), ax),
+        "(X A)* = X A": (conj_transpose(xa), xa),
+    }
+
+
+# each inverse with the defining equations its result is checked against
 _INVERSES = {
-    "mp": lambda a, m, tol: moore_penrose(a, tol),
-    "group": lambda a, m, tol: group_inverse(a, tol),
-    "drazin": lambda a, m, tol: drazin(a, tol),
-    "core": lambda a, m, tol: core_inverse(a, tol),
-    "core-ep": lambda a, m, tol: core_ep(a, tol),
+    "mp": (moore_penrose, _penrose_equations),
+    "group": (group_inverse, _drazin_equations),
+    "drazin": (drazin, _drazin_equations),
+    "core": (core_inverse, _core_ep_equations),
+    "core-ep": (core_ep, _core_ep_equations),
 }
 
 _ROUTE_BY_FLAG = {route.value: route for route in wgi.Route if route is not wgi.Route.RECURSIVE}
@@ -107,6 +139,15 @@ def _tolerance(args: argparse.Namespace) -> TolerancePolicy:
     )
 
 
+def _require(checks: dict[str, Check], what: str) -> None:
+    """Raise RepresentationMismatch (exit 1) naming the first failed check."""
+    for name, check in checks.items():
+        if not check.passed:
+            raise wgi.RepresentationMismatch(
+                f"{what} fails its defining equations ({name}): residual {check.residual:.3e}"
+            )
+
+
 def _cmd_compute(args: argparse.Namespace) -> int:
     a = _load_matrix(args.input)
     if args.inverse == "mwgi":
@@ -114,14 +155,16 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         z = wgi.mwgi_by_route(a, args.m, route, args.tol)
         if route is not wgi.Route.CORE_EP:  # mwgi has checked the core-ep Z already
             checks = wgi.verify_definition(a, z, args.m, args.tol).checks
-            for name in ("ax2", "wgm_k"):
-                if not checks[name].passed:
-                    raise wgi.RepresentationMismatch(
-                        f"the {args.route} route's Z fails its defining equations "
-                        f"({name}): residual {checks[name].residual:.3e}"
-                    )
+            defining = {name: checks[name] for name in ("ax2", "wgm_k")}
+            _require(defining, f"the {args.route} route's Z")
     else:
-        z = _INVERSES[args.inverse](a, args.m, args.tol)
+        inverse, equations = _INVERSES[args.inverse]
+        z = inverse(a, args.tol)
+        pairs = equations(a, z, args.tol)
+        _require(
+            {name: _eq_check(left, right, args.tol) for name, (left, right) in pairs.items()},
+            f"the {args.inverse} inverse",
+        )
     _emit(args, matrix_to_json(z))
     return 0
 
@@ -307,12 +350,17 @@ _COMMANDS = {
 
 
 def run(args: argparse.Namespace) -> int:
-    """Check --m and --index, set ``args.tol`` and run one parsed command; returns the exit code."""
+    """Check --m, --index, --trials and --dim, set ``args.tol`` and run one parsed command;
+    returns the exit code."""
     try:
         if args.m < 0 or (args.command not in ("fuzz", "certify") and args.m < 1):
             raise InputError("--m must be a positive integer")
         if getattr(args, "index", 0) < 0:
             raise InputError("--index must be a non-negative integer")
+        if getattr(args, "trials", 1) < 1:
+            raise InputError("--trials must be a positive integer")
+        if getattr(args, "dim", 2) < 2:
+            raise InputError("--dim must be an integer >= 2")
         args.tol = _tolerance(args)
         return _COMMANDS[args.command](args)
     except (ArithmeticError, np.linalg.LinAlgError, wgi.OrthogonalityViolation) as exc:

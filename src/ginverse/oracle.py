@@ -623,16 +623,20 @@ def _mwgi_of(a: RationalMatrix, m: int, d: RationalMatrix, cep: RationalMatrix, 
     return _guard(d.power(m + 1) @ a @ cep @ a.power(m), max_bits)
 
 
-def _identities(a: RationalMatrix, m: int, z: RationalMatrix, max_bits: int) -> dict[str, Check]:
+def _identities(
+    a: RationalMatrix, m: int, z: RationalMatrix, max_bits: int, qs: RationalMatrix | None = None
+) -> dict[str, Check]:
     """The exact identities that pin down the m-weak group inverse Z, read from A's tower.
 
     ax2 is Z = A Z^2, def11 the projector-weighted defining equation
     (A A^D)* A^{m+1} Z = (A A^D)* A^m, wgm_k the stabilized equations
     Z A^{k+1} = A^k and (A^k)* A^{m+1} Z = (A^k)* A^m, and second_form the
-    product form (A^D A A^o)^{m+1} A^m = Z.
+    product form (A^D A A^o)^{m+1} A^m = Z.  ``qs`` is (A A^D)*, formed here
+    unless the caller has it.
     """
     k, d, cep = _tower(a, max_bits)
-    qs = (a @ d).conj_transpose()
+    if qs is None:
+        qs = (a @ d).conj_transpose()
     am, am1 = a.power(m), a.power(m + 1)
     aks = a.power(k).conj_transpose()
     return {
@@ -718,7 +722,7 @@ def certify(
     am, am1 = a.power(m), a.power(m + 1)
     zero = RationalMatrix.zeros(n, n)
 
-    checks = _identities(a, m, z, max_bits)
+    checks = _identities(a, m, z, max_bits, qs)
     w = exact_mwgi(am, 1, max_bits)
     checks["power"] = _merge(
         _exact_check(a.power(m - 1) @ w, z_computed),

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import Tower, core_inverse, moore_penrose, tower
+from .classical import Tower, _same_bits, core_inverse, moore_penrose, tower
 from .matcore import (
     DEFAULT_TOL,
     TolerancePolicy,
@@ -167,21 +167,33 @@ class PolarData:
         return VerificationReport(checks=checks)
 
 
-def _defining_checks(z, t: Tower, m: int, az2, am1z, tol: TolerancePolicy) -> dict[str, Check]:
-    """ax2: Z = A Z^2; wgm_k: Z A^{k+1} = A^k and (A^k)* A^{m+1} Z = (A^k)* A^m.
+@dataclass(frozen=True)
+class _Checked:
+    """A candidate Z, the products A Z, A Z^2 = (A Z) Z and A^{m+1} Z = A^m (A Z),
+    and the checks ax2: Z = A Z^2 and wgm_k: Z A^{k+1} = A^k and
+    (A^k)* A^{m+1} Z = (A^k)* A^m, read from A's tower."""
 
-    ``az2`` and ``am1z`` are A Z^2 = (A Z) Z and A^{m+1} Z = A^m (A Z), formed
-    once by the caller; the powers of A come from the tower.
-    """
+    z: np.ndarray
+    az: np.ndarray
+    az2: np.ndarray
+    am1z: np.ndarray
+    checks: dict[str, Check]
+
+
+def _check_z(t: Tower, z: np.ndarray, m: int, tol: TolerancePolicy) -> _Checked:
+    """Form Z's products with A once and evaluate ax2 and wgm_k on them."""
+    az = t.a @ z
+    az2, am1z = az @ z, t.power(m) @ az
     ak = t.ak
     ak_star = conj_transpose(ak)
-    return {
+    checks = {
         "ax2": _eq_check(z, az2, tol),
         "wgm_k": _merge(
             _eq_check(z @ t.power(t.index.k + 1), ak, tol),
             _eq_check(ak_star @ am1z, ak_star @ t.power(m), tol),
         ),
     }
+    return _Checked(z=z, az=az, az2=az2, am1z=am1z, checks=checks)
 
 
 def _z(t: Tower, m: int) -> np.ndarray:
@@ -197,18 +209,22 @@ def mwgi(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> MwgiResult:
     Z is formed from the tower's factors of A^o (see ``_z``) and checked against
     its defining equations (ax2 and wgm_k of ``verify_definition``); a failure
     beyond tolerance raises RepresentationMismatch naming the failed check.
+    A Z that passes is kept with its products in A's tower, so a repeat call
+    returns it unchanged and ``verify_definition`` of it forms them no more.
     """
     a = as_square_matrix(a)
+    _check_m(m)  # before the lookup, where m = True would find the entry of m = 1
     t = tower(a, tol)
-    z, am = _z(t, m), t.power(m)
-    az = a @ z
-    checks = _defining_checks(z, t, m, az @ z, am @ az, tol)
-    for name, check in checks.items():
-        if not check.passed:
-            raise RepresentationMismatch(
-                f"Z fails its defining equations ({name}): residual {check.residual:.3e}"
-            )
-    return MwgiResult(Z=readonly(z), m=m, k=t.index.k, route=Route.CORE_EP)
+    checked = t._checked.get(m)
+    if checked is None:
+        checked = _check_z(t, readonly(_z(t, m)), m, tol)
+        for name, check in checked.checks.items():
+            if not check.passed:
+                raise RepresentationMismatch(
+                    f"Z fails its defining equations ({name}): residual {check.residual:.3e}"
+                )
+        t._checked.setdefault(m, checked)
+    return MwgiResult(Z=checked.z, m=m, k=t.index.k, route=Route.CORE_EP)
 
 
 def mwgi_via_power(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -345,13 +361,17 @@ def verify_definition(a, z, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> Verif
         raise ValueError(f"candidate shape {z.shape} does not match {a.shape}")
     _check_m(m)
     t = tower(a, tol)
-    am, az = t.power(m), a @ z
-    az2, am1z = az @ z, am @ az
-    defining = _defining_checks(z, t, m, az2, am1z, tol)
+    # what mwgi formed for this m is used once, and only for a Z of the same bits
+    kept = t._checked.pop(m, None)
+    checked = kept if kept is not None and _same_bits(kept.z, z) else _check_z(t, z, m, tol)
+    del kept
+    am, az, az2, am1z = t.power(m), checked.az, checked.az2, checked.am1z
     ak, a2z2 = t.ak, a @ az2
     limit = _eq_check(ak, az @ ak, tol)
     idem34 = _merge(_eq_check(az, a2z2, tol), _eq_check(az, a @ (a2z2 @ z), tol))
-    del az, az2, a2z2  # the checks left need A^{m+1} Z only; freeing these bounds peak memory
+    defining = checked.checks
+    # the checks left need A^{m+1} Z only; freeing these bounds peak memory
+    del az, az2, a2z2, checked
     # A A^o A^m = (A U1) T^-1 U1* A^m and A A^D = (A U1) G with G = T^-(k+1) U1* A^k;
     # A U1 is formed rather than taken as U1 T, which is what these checks test
     au1 = a if t.u1 is None else a @ t.u1

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from ginverse import oracle, wgi
+from ginverse import cli, oracle, wgi
 from ginverse.cli import main
 from ginverse.generators import with_index
 from ginverse.matcore import approx_equal, matrix_from_json, matrix_to_json
@@ -357,3 +357,61 @@ class TestUnusableOptions:
         code, _, err = run_cli(capsys, "verify", "--input", identity3, "--candidate", z)
         assert code == 2
         assert err.splitlines() == ["error: candidate shape (2, 2) does not match (3, 3)"]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("fuzz", "--trials", "-3"),
+            ("fuzz", "--trials", "0"),
+            ("certify", "--trials", "0"),
+        ],
+    )
+    def test_trials_below_one(self, capsys, flags):
+        code, out, err = run_cli(capsys, *flags)
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["error: --trials must be a positive integer"]
+
+    @pytest.mark.parametrize("command", ["fuzz", "certify"])
+    @pytest.mark.parametrize("value", ["1", "0", "-1"])
+    def test_dim_below_two(self, capsys, command, value):
+        code, out, err = run_cli(capsys, command, "--trials", "2", "--dim", value)
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["error: --dim must be an integer >= 2"]
+
+
+class TestComputeChecksItsResult:
+    """``compute --inverse`` checks its result against the inverse's defining equations."""
+
+    # index 1 for the group and core inverses, index 2 for the rest
+    @pytest.mark.parametrize(
+        "inverse, k", [("mp", 2), ("group", 1), ("drazin", 2), ("core", 1), ("core-ep", 2)]
+    )
+    def test_each_inverse_passes(self, capsys, tmp_path, inverse, k):
+        a = with_index(np.random.default_rng(40 + k), 6, k)
+        path = write_matrix(tmp_path / "a.json", a)
+        code, out, err = run_cli(capsys, "compute", "--inverse", inverse, "--input", path)
+        assert code == 0 and err == ""
+        assert matrix_from_json(json.loads(out)).shape == (6, 6)
+
+    @pytest.mark.parametrize(
+        "inverse, name",
+        [
+            ("mp", "A X A = A"),
+            ("group", "A X = X A"),
+            ("drazin", "A X = X A"),
+            ("core", "A X^2 = X"),
+            ("core-ep", "A X^2 = X"),
+        ],
+    )
+    def test_wrong_result_exits_1(self, capsys, monkeypatch, tmp_path, inverse, name):
+        a = with_index(np.random.default_rng(41), 6, 1)
+        path = write_matrix(tmp_path / "a.json", a)
+        compute, equations = cli._INVERSES[inverse]
+        # a transposed result: right for none of these inverses of this A
+        monkeypatch.setitem(
+            cli._INVERSES, inverse, (lambda a, tol: compute(a, tol).T.copy(), equations)
+        )
+        code, out, err = run_cli(capsys, "compute", "--inverse", inverse, "--input", path)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: the {inverse} inverse fails its defining equations ({name})")

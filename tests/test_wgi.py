@@ -822,3 +822,128 @@ class TestCheckersJudgeOneZ:
             "PolarData.verify",
         }
         assert "GroupDecomposition.verify" in callers  # x_nonzero's A^n
+
+
+@pytest.fixture
+def z_checks(monkeypatch):
+    """A list that grows by one per Z whose products with A are formed, with no tower kept."""
+    monkeypatch.setattr(classical, "_last", None)
+    calls = []
+    check_z = wgi._check_z
+
+    def counting(*args):
+        calls.append(1)
+        return check_z(*args)
+
+    monkeypatch.setattr(wgi, "_check_z", counting)
+    return calls
+
+
+def _cold_report(monkeypatch, a, z, m):
+    """verify_definition of Z from a tower built afresh, with nothing left by mwgi."""
+    monkeypatch.setattr(classical, "_last", None)
+    return wgi.verify_definition(a, z, m)
+
+
+def _same_report(got, expected):
+    """Same checks and verdicts; each residual within 1e-12 of the other, relatively."""
+    assert list(got.checks) == list(expected.checks)
+    for name, check in got.checks.items():
+        ref = expected.checks[name]
+        assert check.passed == ref.passed, name
+        assert abs(check.residual - ref.residual) <= 1e-12 * max(check.residual, ref.residual), name
+
+
+class TestMwgiHandsOffProducts:
+    """mwgi keeps Z and its checked products with A's tower for one verify_definition of that Z."""
+
+    @pytest.mark.parametrize(
+        "n, k, m", [(200, 3, 2), (2, 1, 1), (3, 2, 1), (4, 0, 2), (5, 3, 3), (6, 2, 2), (6, 3, 1)]
+    )
+    def test_same_report_as_a_cold_tower(self, monkeypatch, z_checks, n, k, m):
+        a = with_index(np.random.default_rng(100 + n + k), n, k)
+        z = wgi.mwgi(a, m).Z
+        warm = wgi.verify_definition(a, z, m)
+        assert len(z_checks) == 1  # verify_definition formed no product mwgi had formed
+        cold = _cold_report(monkeypatch, a, z, m)
+        assert len(z_checks) == 2
+        assert warm.overall
+        _same_report(warm, cold)
+
+    def test_repeat_mwgi_reads_the_kept_z(self, z_checks):
+        a = with_index(np.random.default_rng(7), 6, 2)
+        z = wgi.mwgi(a, 2).Z
+        assert wgi.mwgi(a, 2).Z is z
+        assert len(z_checks) == 1
+
+    @pytest.mark.parametrize(
+        "moved",
+        [
+            lambda x: x + 1e-6,
+            lambda x: np.nextafter(x.real, np.inf) + 1j * x.imag,  # one ulp
+        ],
+    )
+    def test_moved_entry_is_judged_afresh(self, monkeypatch, z_checks, moved):
+        a = with_index(np.random.default_rng(8), 6, 2)
+        z = wgi.mwgi(a, 2).Z
+        bad = z.copy()
+        bad[1, 2] = moved(bad[1, 2])
+        report = wgi.verify_definition(a, bad, 2)
+        assert len(z_checks) == 2
+        _same_report(report, _cold_report(monkeypatch, a, bad, 2))
+
+    def test_moved_entry_fails_ax2(self):
+        a = with_index(np.random.default_rng(8), 6, 2)
+        z = wgi.mwgi(a, 2).Z
+        bad = z.copy()
+        bad[1, 2] += 1e-6
+        assert not wgi.verify_definition(a, bad, 2).checks["ax2"].passed
+        assert wgi.verify_definition(a, z, 2).overall
+
+    def test_signed_zero_is_judged_afresh(self, z_checks):
+        a = np.array([[1, 0, 0], [0, 0, 1], [0, 0, 0]], dtype=complex)
+        z = wgi.mwgi(a, 1).Z
+        assert z[2, 2] == 0
+        flipped = z.copy()
+        flipped[2, 2] = -flipped[2, 2]  # a signed zero: equal values, other bits
+        assert not np.array_equal(flipped.view(np.int64), z.view(np.int64))
+        assert wgi.verify_definition(a, flipped, 1).overall
+        assert len(z_checks) == 2
+
+    def test_next_weight_is_never_served_this_ones_products(self, monkeypatch, z_checks):
+        a = with_index(np.random.default_rng(9), 6, 3)
+        z1 = wgi.mwgi(a, 1).Z
+        # the same Z bits under m + 1: A^{m+1} Z and wgm_k must be formed for m + 1
+        wrong = wgi.verify_definition(a, z1, 2)
+        assert len(z_checks) == 2
+        assert not wrong.checks["wgm_k"].passed
+        z2 = wgi.mwgi(a, 2).Z
+        assert len(z_checks) == 3
+        assert not approx_equal(z1, z2)
+        assert wgi.verify_definition(a, z2, 2).overall
+        _same_report(wrong, _cold_report(monkeypatch, a, z1, 2))
+
+    def test_second_verify_recomputes_the_same_report(self, z_checks):
+        a = with_index(np.random.default_rng(10), 6, 2)
+        z = wgi.mwgi(a, 2).Z
+        first = wgi.verify_definition(a, z, 2)
+        second = wgi.verify_definition(a, z, 2)
+        assert len(z_checks) == 2
+        _same_report(second, first)
+
+    def test_racing_verifies_agree(self, monkeypatch):
+        a = with_index(np.random.default_rng(11), 40, 2)
+        z = wgi.mwgi(a, 2).Z
+        reports = [None] * 4
+
+        def run(i):
+            reports[i] = wgi.verify_definition(a, z, 2)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(reports))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        cold = _cold_report(monkeypatch, a, z, 2)
+        for report in reports:
+            _same_report(report, cold)
