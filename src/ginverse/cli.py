@@ -35,46 +35,18 @@ from .matcore import (
     matrix_to_json,
     rel_residual,
 )
-from .report import Check, _eq_check
+from .report import _core_ep_identities, _drazin_identities, _eq_check, _penrose_identities
 
 __all__ = ["run", "main"]
 
 
-def _drazin_equations(a: np.ndarray, x: np.ndarray, tol: TolerancePolicy) -> dict:
-    t = tower(a, tol)
-    return {
-        "A X = X A": (a @ x, x @ a),
-        "X A X = X": (x @ a @ x, x),
-        "A^(k+1) X = A^k": (t.power(t.index.k + 1) @ x, t.ak),
-    }
-
-
-def _core_ep_equations(a: np.ndarray, x: np.ndarray, tol: TolerancePolicy) -> dict:
-    t, ax = tower(a, tol), a @ x
-    return {
-        "A X^2 = X": (ax @ x, x),
-        "(A X)* = A X": (conj_transpose(ax), ax),
-        "A X A^k = A^k": (ax @ t.ak, t.ak),
-    }
-
-
-def _penrose_equations(a: np.ndarray, x: np.ndarray, tol: TolerancePolicy) -> dict:
-    ax, xa = a @ x, x @ a
-    return {
-        "A X A = A": (ax @ a, a),
-        "X A X = X": (xa @ x, x),
-        "(A X)* = A X": (conj_transpose(ax), ax),
-        "(X A)* = X A": (conj_transpose(xa), xa),
-    }
-
-
 # each inverse with the defining equations its result is checked against
 _INVERSES = {
-    "mp": (moore_penrose, _penrose_equations),
-    "group": (group_inverse, _drazin_equations),
-    "drazin": (drazin, _drazin_equations),
-    "core": (core_inverse, _core_ep_equations),
-    "core-ep": (core_ep, _core_ep_equations),
+    "mp": (moore_penrose, _penrose_identities),
+    "group": (group_inverse, _drazin_identities),
+    "drazin": (drazin, _drazin_identities),
+    "core": (core_inverse, _core_ep_identities),
+    "core-ep": (core_ep, _core_ep_identities),
 }
 
 _ROUTE_BY_FLAG = {route.value: route for route in wgi.Route if route is not wgi.Route.RECURSIVE}
@@ -139,32 +111,22 @@ def _tolerance(args: argparse.Namespace) -> TolerancePolicy:
     )
 
 
-def _require(checks: dict[str, Check], what: str) -> None:
-    """Raise RepresentationMismatch (exit 1) naming the first failed check."""
-    for name, check in checks.items():
-        if not check.passed:
-            raise wgi.RepresentationMismatch(
-                f"{what} fails its defining equations ({name}): residual {check.residual:.3e}"
-            )
-
-
 def _cmd_compute(args: argparse.Namespace) -> int:
     a = _load_matrix(args.input)
     if args.inverse == "mwgi":
         route = _ROUTE_BY_FLAG[args.route]
         z = wgi.mwgi_by_route(a, args.m, route, args.tol)
         if route is not wgi.Route.CORE_EP:  # mwgi has checked the core-ep Z already
-            checks = wgi.verify_definition(a, z, args.m, args.tol).checks
-            defining = {name: checks[name] for name in ("ax2", "wgm_k")}
-            _require(defining, f"the {args.route} route's Z")
+            checked = wgi._check_z(tower(a, args.tol), z, args.m, args.tol)
+            wgi._require(checked.checks, f"the {args.route} route's Z")
     else:
-        inverse, equations = _INVERSES[args.inverse]
+        inverse, identities = _INVERSES[args.inverse]
         z = inverse(a, args.tol)
-        pairs = equations(a, z, args.tol)
-        _require(
-            {name: _eq_check(left, right, args.tol) for name, (left, right) in pairs.items()},
-            f"the {args.inverse} inverse",
-        )
+        # the Penrose list reads neither k nor power, and A^+ needs no tower (nor a square A)
+        t = None if args.inverse == "mp" else tower(a, args.tol)
+        pairs = identities(a, z, t and t.index.k, t and t.power, conj_transpose)
+        checks = {name: _eq_check(*pair, args.tol) for name, pair in pairs.items()}
+        wgi._require(checks, f"the {args.inverse} inverse")
     _emit(args, matrix_to_json(z))
     return 0
 

@@ -37,6 +37,7 @@ import numpy as np
 
 from .matcore import MatrixFormatError, _check_m, _json_envelope
 from .report import Check, VerificationReport, _merge
+from .report import _core_ep_identities, _drazin_identities, _penrose_identities
 
 __all__ = [
     "MAX_HEIGHT_BITS",
@@ -535,9 +536,16 @@ def full_rank_factorization(
     return _guard(f, max_bits), _guard(g, max_bits)
 
 
-def _require_exact(condition: bool, label: str) -> None:
-    if not condition:
-        raise ArithmeticError(f"exact identity '{label}' failed; this is a bug")
+def _require_exact(checks: dict[str, Check]) -> None:
+    for label, check in checks.items():
+        if not check.passed:
+            raise ArithmeticError(f"exact identity '{label}' failed; this is a bug")
+
+
+def _require_identities(identities, a: RationalMatrix, x: RationalMatrix, k: int) -> None:
+    """Require each identity of a ``report`` list of X and A with zero tolerance."""
+    pairs = identities(a, x, k, a.power, RationalMatrix.conj_transpose)
+    _require_exact({label: _exact_check(*pair) for label, pair in pairs.items()})
 
 
 def exact_mp(a: RationalMatrix, max_bits: int = MAX_HEIGHT_BITS) -> RationalMatrix:
@@ -549,10 +557,7 @@ def exact_mp(a: RationalMatrix, max_bits: int = MAX_HEIGHT_BITS) -> RationalMatr
     fs, gs = f.conj_transpose(), g.conj_transpose()
     mp = gs @ inverse(g @ gs, max_bits) @ inverse(fs @ f, max_bits) @ fs
     _guard(mp, max_bits)
-    _require_exact(a @ mp @ a == a, "A X A = A")
-    _require_exact(mp @ a @ mp == mp, "X A X = X")
-    _require_exact((a @ mp).conj_transpose() == a @ mp, "(A X)* = A X")
-    _require_exact((mp @ a).conj_transpose() == mp @ a, "(X A)* = X A")
+    _require_identities(_penrose_identities, a, mp, 0)
     return mp
 
 
@@ -576,8 +581,8 @@ def _tower(a: RationalMatrix, max_bits: int) -> tuple[int, RationalMatrix, Ratio
     With F the pivot columns of A^k, A^o = F (F* A F)^-1 F*, the exact twin of
     U1 T^-1 U1* (core-EP decomposition, Wang, LAA 508, 2016): A maps col(A^k)
     onto itself, so A F = F M with M invertible and F* A F = F* F M is too.
-    Then A^D = (A^o)^{k+1} A^k; both are zero if A^k is.  The identities
-    checked below determine A^o and A^D uniquely.
+    Then A^D = (A^o)^{k+1} A^k; both are zero if A^k is.  The core-EP and
+    Drazin lists of ``report``, required below, determine them uniquely.
     """
     if a._towers is None:
         a._towers = {}
@@ -595,13 +600,9 @@ def _tower(a: RationalMatrix, max_bits: int) -> tuple[int, RationalMatrix, Ratio
         fs = f.conj_transpose()
         core = inverse(_guard(fs @ a @ f, max_bits), max_bits)
         cep = _guard(f @ core @ fs, max_bits)
-    _require_exact(a @ cep @ cep == cep, "A X^2 = X")
-    _require_exact((a @ cep).conj_transpose() == a @ cep, "(A X)* = A X")
-    _require_exact(a @ cep @ ak == ak, "A X A^k = A^k")
+    _require_identities(_core_ep_identities, a, cep, k)
     d = _guard(cep.power(k + 1) @ ak, max_bits)
-    _require_exact(a @ d == d @ a, "A X = X A")
-    _require_exact(d @ a @ d == d, "X A X = X")
-    _require_exact(a.power(k + 1) @ d == ak, "A^(k+1) X = A^k")
+    _require_identities(_drazin_identities, a, d, k)
     a._towers[max_bits] = (k, d, cep)
     return k, d, cep
 
@@ -659,8 +660,7 @@ def exact_mwgi(a: RationalMatrix, m: int, max_bits: int = MAX_HEIGHT_BITS) -> Ra
     _check_m(m)
     _, d, cep = _tower(a, max_bits)
     z = _mwgi_of(a, m, d, cep, max_bits)
-    for label, check in _identities(a, m, z, max_bits).items():
-        _require_exact(check.passed, label)
+    _require_exact(_identities(a, m, z, max_bits))
     return z
 
 
@@ -729,32 +729,33 @@ def certify(
         _exact_check(w, z_computed.power(m)),
     )
     checks["step"] = _exact_check(exact_mwgi(a, m + 1, max_bits), z_computed @ z_computed @ a)
-    checks["fixed_point"] = _exact_check(z @ a @ z, z)
-    checks["idem"] = _merge(
-        *(_exact_check(a @ z, a.power(p) @ z.power(p)) for p in (2, 3))
-    )
+    az, za = a @ z, z @ a
+    zaz = za @ z
+    checks["fixed_point"] = _exact_check(zaz, z)
+    checks["idem"] = _merge(*(_exact_check(az, a.power(p) @ z.power(p)) for p in (2, 3)))
 
     x_part = a.power(2) @ z
     y_part = a - x_part
+    xz, zx = x_part @ z, z @ x_part
     checks["decomp"] = _merge(
         _exact_check(x_part.conj_transpose() @ a.power(m - 1) @ y_part, zero),
         _exact_check(y_part @ x_part, zero),
         _exact_check(y_part.power(n), zero),
-        _exact_check(x_part @ z @ x_part, x_part),
-        _exact_check(z @ x_part @ z, z),
-        _exact_check(x_part @ z, z @ x_part),
+        _exact_check(xz @ x_part, x_part),
+        _exact_check(zx @ z, z),
+        _exact_check(xz, zx),
     )
 
     herm = am.conj_transpose() @ am1 @ z
     checks["b_char"] = _merge(
-        _exact_check(z @ a @ z, z),
-        _exact_check(x_part @ z, a @ z),
+        _exact_check(zaz, z),
+        _exact_check(xz, az),
         _exact_check(herm.conj_transpose(), herm),
         _exact_check(y_part.power(n), zero),
     )
 
     b_mat, y_mat = _test_matrices(n)
-    x_sol = z @ b_mat + (RationalMatrix.identity(n) - z @ a) @ y_mat
+    x_sol = z @ b_mat + (RationalMatrix.identity(n) - za) @ y_mat
     checks["solution"] = _exact_check(qs @ am1 @ x_sol, qs @ am @ b_mat)
 
     return VerificationReport(checks=checks)

@@ -1,4 +1,4 @@
-"""Verification reports, shared by the float, exact and shift-operator checkers."""
+"""Verification reports and the classical inverses' identity lists, shared by every checker."""
 
 from __future__ import annotations
 
@@ -47,6 +47,37 @@ class VerificationReport:
 def _eq_check(left: np.ndarray, right: np.ndarray, tol: TolerancePolicy) -> Check:
     residual = rel_residual(left, right)
     return Check(residual=residual, passed=residual <= tol.eq_rtol)
+
+
+# Defining identities {label: (left, right)} of the Drazin (group at k <= 1), core-EP
+# (core at k <= 1) and Moore-Penrose inverses X of A of index k; power(j) is A^j and
+# star the conjugate transpose.  Floats read them with _eq_check, the oracle exactly.
+def _drazin_identities(a, x, k: int, power, star) -> dict:
+    xa = x @ a
+    return {
+        "A X = X A": (a @ x, xa),
+        "X A X = X": (xa @ x, x),
+        "A^(k+1) X = A^k": (power(k + 1) @ x, power(k)),
+    }
+
+
+def _core_ep_identities(a, x, k: int, power, star) -> dict:
+    ax = a @ x
+    return {
+        "A X^2 = X": (ax @ x, x),
+        "(A X)* = A X": (star(ax), ax),
+        "A X A^k = A^k": (ax @ power(k), power(k)),
+    }
+
+
+def _penrose_identities(a, x, k: int, power, star) -> dict:
+    ax, xa = a @ x, x @ a  # A may be rectangular here
+    return {
+        "A X A = A": (ax @ a, a),
+        "X A X = X": (xa @ x, x),
+        "(A X)* = A X": (star(ax), ax),
+        "(X A)* = X A": (star(xa), xa),
+    }
 
 
 def _nil_check(power: np.ndarray, tol: TolerancePolicy) -> Check:

@@ -196,6 +196,15 @@ def _check_z(t: Tower, z: np.ndarray, m: int, tol: TolerancePolicy) -> _Checked:
     return _Checked(z=z, az=az, az2=az2, am1z=am1z, checks=checks)
 
 
+def _require(checks: dict[str, Check], what: str) -> None:
+    """Raise RepresentationMismatch naming the first failed check (CLI exit 1)."""
+    for name, check in checks.items():
+        if not check.passed:
+            raise RepresentationMismatch(
+                f"{what} fails its defining equations ({name}): residual {check.residual:.3e}"
+            )
+
+
 def _z(t: Tower, m: int) -> np.ndarray:
     """Z = (A^o)^{m+1} A^m, formed as U1 (T^-(m+1) (U1* A^m)) since U1* U1 = I."""
     _check_m(m)
@@ -218,11 +227,7 @@ def mwgi(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> MwgiResult:
     checked = t._checked.get(m)
     if checked is None:
         checked = _check_z(t, readonly(_z(t, m)), m, tol)
-        for name, check in checked.checks.items():
-            if not check.passed:
-                raise RepresentationMismatch(
-                    f"Z fails its defining equations ({name}): residual {check.residual:.3e}"
-                )
+        _require(checked.checks, "Z")
         t._checked.setdefault(m, checked)
     return MwgiResult(Z=checked.z, m=m, k=t.index.k, route=Route.CORE_EP)
 

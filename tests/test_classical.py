@@ -239,8 +239,11 @@ class TestStaircase:
 
     @pytest.mark.parametrize("sigma", SIGMA_ROWS)
     def test_sweep(self, sigma):
-        # mwgi and verify_definition read the same tower as index, so a
-        # silent wrong answer needs a wrong k: 0 wrong k rules them all out
+        # mwgi and verify_definition read the same tower as index, so they
+        # cannot see a wrong k: 0 wrong k rules that cause out.  It does not
+        # rule out every silent wrong answer: in the ROADMAP Baseline referee
+        # probe, 8 of 300 dyadic inputs pass every check with the right rank
+        # chain and a forward error up to 8.6e-4
         rng = np.random.default_rng(12)
         wrong_k = []
         for i in range(120):

@@ -6,7 +6,7 @@ import pytest
 
 from ginverse import cli, oracle, wgi
 from ginverse.cli import main
-from ginverse.generators import with_index
+from ginverse.generators import rational_with_index, with_index
 from ginverse.matcore import approx_equal, matrix_from_json, matrix_to_json
 
 
@@ -415,3 +415,83 @@ class TestComputeChecksItsResult:
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: the {inverse} inverse fails its defining equations ({name})")
+
+
+class TestOneIdentityListPerInverse:
+    """``compute --inverse`` and the exact oracle evaluate one identity list per inverse."""
+
+    DRAZIN = ["A X = X A", "X A X = X", "A^(k+1) X = A^k"]
+    CORE_EP = ["A X^2 = X", "(A X)* = A X", "A X A^k = A^k"]
+    PENROSE = ["A X A = A", "X A X = X", "(A X)* = A X", "(X A)* = X A"]
+
+    # the exact tower requires the core-EP list of A^o, then the Drazin list of A^D
+    @pytest.mark.parametrize(
+        "inverse, k, labels, exact_lists",
+        [
+            ("mp", 2, PENROSE, [PENROSE]),
+            ("group", 1, DRAZIN, [CORE_EP, DRAZIN]),
+            ("drazin", 2, DRAZIN, [CORE_EP, DRAZIN]),
+            ("core", 1, CORE_EP, [CORE_EP, DRAZIN]),
+            ("core-ep", 2, CORE_EP, [CORE_EP, DRAZIN]),
+        ],
+    )
+    def test_float_and_exact_labels_agree(
+        self, capsys, monkeypatch, tmp_path, inverse, k, labels, exact_lists
+    ):
+        exact_a = rational_with_index(np.random.default_rng(11), 4, k)
+        path = write_matrix(tmp_path / "a.json", exact_a.to_complex())
+        float_seen, exact_seen = [], []
+        require, require_exact = wgi._require, oracle._require_exact
+
+        def recording_require(checks, what):
+            float_seen.append(list(checks))
+            require(checks, what)
+
+        def recording_require_exact(checks):
+            exact_seen.append(list(checks))
+            require_exact(checks)
+
+        monkeypatch.setattr(wgi, "_require", recording_require)
+        monkeypatch.setattr(oracle, "_require_exact", recording_require_exact)
+        code, _, err = run_cli(capsys, "compute", "--inverse", inverse, "--input", path)
+        assert code == 0 and err == ""
+        assert float_seen == [labels]
+        if inverse == "mp":
+            oracle.exact_mp(exact_a)
+        else:
+            oracle.exact_drazin(exact_a)  # builds, and verifies, the exact tower
+        assert exact_seen == exact_lists
+        assert labels in exact_seen
+
+    def test_mp_of_a_non_square_matrix(self, capsys, tmp_path):
+        # A^+ exists for every shape, and its list reads no power of A (a tower needs a square A)
+        a = np.arange(1, 7, dtype=complex).reshape(2, 3)
+        path = write_matrix(tmp_path / "rect.json", a)
+        code, out, err = run_cli(capsys, "compute", "--inverse", "mp", "--input", path)
+        assert code == 0 and err == ""
+        assert approx_equal(matrix_from_json(json.loads(out)), np.linalg.pinv(a))
+
+    def test_mp_builds_no_tower(self, capsys, monkeypatch, tmp_path):
+        def fail(*args, **kwargs):
+            raise AssertionError("a tower was built")
+
+        monkeypatch.setattr(cli, "tower", fail)
+        path = write_matrix(tmp_path / "a.json", with_index(np.random.default_rng(42), 6, 2))
+        code, _, err = run_cli(capsys, "compute", "--inverse", "mp", "--input", path)
+        assert code == 0 and err == ""
+
+
+class TestRouteCheckFormsOnlyItsChecks:
+    """``compute --route`` judges a non-canonical Z on ax2 and wgm_k alone."""
+
+    def test_route_does_not_run_verify_definition(self, capsys, monkeypatch, tmp_path):
+        def fail(*args, **kwargs):
+            raise AssertionError("verify_definition was called")
+
+        monkeypatch.setattr(wgi, "verify_definition", fail)
+        a = with_index(np.random.default_rng(5), 5, 2)
+        path = write_matrix(tmp_path / "a.json", a)
+        code, out, err = run_cli(capsys, "compute", "--input", path, "--route", "normal")
+        assert code == 0 and err == ""
+        expected = wgi.mwgi(a, 1).Z
+        assert approx_equal(matrix_from_json(json.loads(out)), expected)

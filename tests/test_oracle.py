@@ -547,3 +547,54 @@ class TestOneIdentityList:
         assert list(report.checks)[:4] == list(expected)
         assert {name: report.checks[name] for name in expected} == expected
         assert not all(check.passed for check in expected.values())
+
+
+class TestPenroseIdentitiesLive:
+    def test_corrupted_inverse_raises(self, monkeypatch):
+        # a doubled (G G*)^-1 and (F* F)^-1 make X four times A^+, so A X A = 4 A
+        a = rational_with_index(np.random.default_rng(3), 4, 2)
+        inverse = o.inverse
+
+        def wrong_inverse(m, max_bits=o.MAX_HEIGHT_BITS):
+            return inverse(m, max_bits) * 2
+
+        monkeypatch.setattr(o, "inverse", wrong_inverse)
+        with pytest.raises(ArithmeticError, match=r"exact identity 'A X A = A' failed"):
+            o.exact_mp(a)
+
+
+class TestProductsOncePerCall:
+    # index 3 and m = 1 keep Z, A^D, A^o and their products with A distinct values
+    @staticmethod
+    def matrix():
+        return rational_with_index(np.random.default_rng(3), 5, 3)
+
+    @staticmethod
+    def counting(monkeypatch, pairs):
+        """Count, per (left, right) in ``pairs``, the products of operands equal to them."""
+        counts = [0] * len(pairs)
+        matmul = RM.__matmul__
+
+        def counting_matmul(left, right):
+            for i, (x, y) in enumerate(pairs):
+                if left == x and right == y:
+                    counts[i] += 1
+            return matmul(left, right)
+
+        monkeypatch.setattr(RM, "__matmul__", counting_matmul)
+        return counts
+
+    def test_tower_forms_a_cep_and_d_a_once(self, monkeypatch):
+        a = self.matrix()
+        d, cep = o.exact_drazin(a), o.exact_core_ep(a)
+        fresh = RM.from_json(a.to_json())  # same value, no tower kept yet
+        counts = self.counting(monkeypatch, [(a, cep), (d, a)])
+        assert o.exact_drazin(fresh) == d
+        assert counts == [1, 1]
+
+    def test_certify_forms_z_a_z_once(self, monkeypatch):
+        a = self.matrix()
+        z = o.exact_mwgi(a, 1)
+        counts = self.counting(monkeypatch, [(z @ a, z), (z, a)])
+        assert o.certify(a, 1).overall
+        assert counts == [1, 1]
