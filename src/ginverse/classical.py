@@ -11,7 +11,8 @@ rank(A^j) = rank(A^{j+1})):
 The core-EP inverse X is the unique solution of AX^2 = X, (AX)* = AX and
 A^n = A X A^n for all n >= k.  ``tower`` computes k, U1 and T^-1 once, from
 one staircase reduction of A, and keeps the last tower it built, keyed on the
-exact bits of A and the tolerance policy, for later calls on that A.
+exact bits of A and the tolerance policy, for later calls on that A.  The
+Drazin, group, core and core-EP inverses take A's Tower in place of A.
 """
 
 from __future__ import annotations
@@ -61,7 +62,8 @@ class IndexResult:
 
 @dataclass(frozen=True)
 class Tower:
-    """A, its index (with rank chain) and the factors U1, T^-1 of A^o; arrays are read-only.
+    """A, its index (with rank chain), the factors U1, T^-1 of A^o and the policy
+    ``tol`` it was built under; arrays are read-only.
 
     ``u1`` is C-contiguous, or None when k = 0 (U1 = I).  A power of A is
     formed once, when first asked for, and A^o and A^D when first read.
@@ -73,6 +75,7 @@ class Tower:
     a: np.ndarray
     u1: np.ndarray | None
     tinv: np.ndarray
+    tol: TolerancePolicy
     _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _checked: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -170,7 +173,14 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 _last: tuple[np.ndarray, TolerancePolicy, Tower] | None = None
 
 
-def tower(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> Tower:
+def _build(a: np.ndarray, tol: TolerancePolicy) -> Tower:
+    """The tower of a validated square A, built afresh and kept nowhere: the routes build
+    their operands' towers (A^m, A^D, ...) with it, so A's kept tower stays."""
+    idx, u1, core = _staircase(a, tol)
+    return Tower(index=idx, a=a, u1=u1, tinv=readonly(np.linalg.inv(core)), tol=tol)
+
+
+def tower(a, tol: TolerancePolicy = DEFAULT_TOL) -> Tower:
     """The spectral tower of A: its index, U1 and T^-1, each computed once.
 
     Core-EP decomposition A = U [[T, S], [0, N]] U* (Wang, LAA 508, 2016):
@@ -183,16 +193,20 @@ def tower(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> Tower:
     A call whose A has the same shape, memory layout and bit-identical entries
     (a signed zero or a one-ulp change is a miss) under an equal policy
     returns that tower; any other call drops it before building, so at most
-    one tower is alive, and a build that raises keeps nothing.
+    one tower is alive, and a build that raises keeps nothing.  A Tower passed
+    as A comes back as it is if built under ``tol``, else raises ValueError.
     """
     global _last
-    a = as_square_matrix(a)
+    if isinstance(a, Tower):
+        if a.tol != tol:
+            raise ValueError(f"the tower was built under {a.tol}, not under {tol}")
+        return a
+    a = as_square_matrix(a)  # the one validation; the lookup copies nothing
     last = _last
     if last is not None and last[1] == tol and _same_bits(last[0], a):
         return last[2]
     _last = None
-    idx, u1, core = _staircase(a, tol)
-    t = Tower(index=idx, a=a, u1=u1, tinv=readonly(np.linalg.inv(core)))
+    t = _build(a, tol)
     _last = (a, tol, t)
     return t
 
@@ -202,8 +216,7 @@ def drazin(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     return tower(a, tol).d
 
 
-def _index_at_most_one(a: np.ndarray, tol: TolerancePolicy, error: type) -> Tower:
-    t = tower(a, tol)
+def _index_at_most_one(t: Tower, error: type) -> Tower:
     if t.index.k > 1:
         chain = t.index.rank_chain
         raise error(f"rank(A) = {chain[1]} differs from rank(A^2) = {chain[2]}")
@@ -212,12 +225,12 @@ def _index_at_most_one(a: np.ndarray, tol: TolerancePolicy, error: type) -> Towe
 
 def group_inverse(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Group inverse A^#; requires rank(A) = rank(A^2)."""
-    return _index_at_most_one(a, tol, NoGroupInverse).d
+    return _index_at_most_one(tower(a, tol), NoGroupInverse).d
 
 
 def core_inverse(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Core inverse A^# A A^+, which is A^o at index <= 1 (Prasad & Mohana, LMA 62, 2014)."""
-    return _index_at_most_one(a, tol, NoCoreInverse).o
+    return _index_at_most_one(tower(a, tol), NoCoreInverse).o
 
 
 def core_ep(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:

@@ -78,11 +78,9 @@ def _emit(args: argparse.Namespace, payload: dict, table: str | None = None) -> 
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(text + "\n")
-        if args.pretty and table:
-            print(table)
-    elif args.pretty and table:
+    if args.pretty and table:
         print(table)
-    else:
+    elif not args.output:
         print(text)
 
 
@@ -113,17 +111,16 @@ def _tolerance(args: argparse.Namespace) -> TolerancePolicy:
 
 def _cmd_compute(args: argparse.Namespace) -> int:
     a = _load_matrix(args.input)
+    # the Penrose list reads neither k nor power, and A^+ needs no tower (nor a square A)
+    t = None if args.inverse == "mp" else tower(a, args.tol)
     if args.inverse == "mwgi":
         route = _ROUTE_BY_FLAG[args.route]
-        z = wgi.mwgi_by_route(a, args.m, route, args.tol)
+        z = wgi.mwgi_by_route(t, args.m, route, args.tol)
         if route is not wgi.Route.CORE_EP:  # mwgi has checked the core-ep Z already
-            checked = wgi._check_z(tower(a, args.tol), z, args.m, args.tol)
-            wgi._require(checked.checks, f"the {args.route} route's Z")
+            wgi._require(wgi._check_z(t, z, args.m).checks, f"the {args.route} route's Z")
     else:
         inverse, identities = _INVERSES[args.inverse]
-        z = inverse(a, args.tol)
-        # the Penrose list reads neither k nor power, and A^+ needs no tower (nor a square A)
-        t = None if args.inverse == "mp" else tower(a, args.tol)
+        z = inverse(t or a, args.tol)
         pairs = identities(a, z, t and t.index.k, t and t.power, conj_transpose)
         checks = {name: _eq_check(*pair, args.tol) for name, pair in pairs.items()}
         wgi._require(checks, f"the {args.inverse} inverse")
@@ -140,9 +137,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    a = _load_matrix(args.input)
-    decomp = wgi.group_decomposition(a, args.m, args.tol)
-    report = decomp.verify(a, args.m, args.tol)
+    t = tower(_load_matrix(args.input), args.tol)
+    z = wgi.mwgi(t, args.m, args.tol).Z
+    decomp = wgi.group_decomposition(t, args.m, args.tol, z)
+    report = decomp.verify(t, args.m, args.tol, z)
     payload = {
         "x": matrix_to_json(decomp.X),
         "y": matrix_to_json(decomp.Y),
@@ -156,8 +154,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     a = _load_matrix(args.input)
     b = _load_matrix(args.b)
     y = _load_matrix(args.y) if args.y else None
-    solution = eqsolve.solve_general(a, b, args.m, y, args.tol)
-    value = eqsolve.residual(a, b, args.m, solution.X, args.tol)
+    t = tower(a, args.tol)
+    solution = eqsolve.solve_general(t, b, args.m, y, args.tol)
+    value = eqsolve.residual(t, b, args.m, solution.X, args.tol)
     payload = {
         "x": matrix_to_json(solution.X),
         "residual": value,
@@ -181,8 +180,8 @@ def _cmd_shift(args: argparse.Namespace) -> int:
 
 
 def _fuzz_trial(rng: np.random.Generator, tol: TolerancePolicy, n: int, k: int, m: int) -> dict:
-    a = generators.with_index(rng, n, k)
-    z = wgi.mwgi(a, m, tol).Z
+    t = tower(generators.with_index(rng, n, k), tol)  # A's one tower, kept in the memo
+    z = wgi.mwgi(t, m, tol).Z
     residuals: dict[str, float] = {}
     for route in wgi.Route:
         if route is wgi.Route.CORE_EP or (
@@ -190,16 +189,16 @@ def _fuzz_trial(rng: np.random.Generator, tol: TolerancePolicy, n: int, k: int, 
         ):
             continue
         key = "route_" + route.value.replace("-", "_")
-        residuals[key] = rel_residual(z, wgi.mwgi_by_route(a, m, route, tol))
+        residuals[key] = rel_residual(z, wgi.mwgi_by_route(t, m, route, tol))
     failures = [name for name, value in residuals.items() if value > tol.eq_rtol]
 
     reports = {
-        "definition": wgi.verify_definition(a, z, m, tol),
-        "decomposition": wgi.group_decomposition(a, m, tol).verify(a, m, tol),
-        "polar": wgi.polar_idempotent(a, m, tol).verify(a, m, tol),
-        "b_characterization": wgi.b_characterization(a, m, tol),
-        "bc_inverse": wgi.bc_inverse_check(a, m, tol),
-        "outer_inverse": wgi.outer_inverse_subspaces(a, m, tol),
+        "definition": wgi.verify_definition(t, z, m, tol),
+        "decomposition": wgi.group_decomposition(t, m, tol, z).verify(t, m, tol, z),
+        "polar": wgi.polar_idempotent(t, m, tol, z).verify(t, m, tol),
+        "b_characterization": wgi.b_characterization(t, m, tol, z),
+        "bc_inverse": wgi.bc_inverse_check(t, m, tol, z),
+        "outer_inverse": wgi.outer_inverse_subspaces(t, m, tol, z),
     }
     for name, report in reports.items():
         if not report.overall:
@@ -208,8 +207,8 @@ def _fuzz_trial(rng: np.random.Generator, tol: TolerancePolicy, n: int, k: int, 
 
     b = generators.conditioned_matrix(rng, n)
     y = generators.conditioned_matrix(rng, n)
-    solved = eqsolve.solve_general(a, b, m, y, tol)
-    residuals["equation"] = eqsolve.residual(a, b, m, solved.X, tol)
+    solved = eqsolve.solve_general(t, b, m, y, tol, z)
+    residuals["equation"] = eqsolve.residual(t, b, m, solved.X, tol)
     if residuals["equation"] > tol.eq_rtol:
         failures.append("equation")
 

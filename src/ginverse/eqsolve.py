@@ -4,7 +4,7 @@
 
 With Z the m-weak group inverse of A, the general solution is
 X = Z B + (I - Z A) Y for arbitrary Y, and X = Z B is the unique solution
-whose columns lie in col(Z).
+whose columns lie in col(Z).  Each function takes A or its Tower.
 """
 
 from __future__ import annotations
@@ -14,16 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import tower
-from .matcore import (
-    DEFAULT_TOL,
-    TolerancePolicy,
-    _check_m,
-    as_matrix,
-    as_square_matrix,
-    conj_transpose,
-    frobenius,
-)
-from .wgi import mwgi
+from .matcore import DEFAULT_TOL, TolerancePolicy, _check_m, as_matrix, conj_transpose, frobenius
+from .wgi import _candidate, mwgi
 
 __all__ = ["EquationSolution", "residual", "solve_general", "solve_in_range"]
 
@@ -51,24 +43,24 @@ def residual(a, b, m: int, x, tol: TolerancePolicy = DEFAULT_TOL) -> float:
     Computed as ||L - R|| / max(1, ||R||) with L = (A A^D)* A^{m+1} X and
     R = (A A^D)* A^m B, so a candidate of twice the right size reads as 1.
     """
-    a = as_square_matrix(a)
-    b = _conformable(a, b, "B")
-    x = _conformable(a, x, "X")
+    t = tower(a, tol)
+    b, x = _conformable(t.a, b, "B"), _conformable(t.a, x, "X")
     if x.shape[1] != b.shape[1]:
         raise ValueError(f"X has {x.shape[1]} columns but B has {b.shape[1]}")
     _check_m(m)  # the tower's A^j is I for every j < 1
-    t = tower(a, tol)
-    q_star = conj_transpose(a @ t.d)
+    q_star = conj_transpose(t.a @ t.d)
     left = q_star @ t.power(m + 1) @ x
     right = q_star @ t.power(m) @ b
     return frobenius(left - right) / max(1.0, frobenius(right))
 
 
-def solve_general(a, b, m: int, y=None, tol: TolerancePolicy = DEFAULT_TOL) -> EquationSolution:
-    """General solution X = Z B + (I - Z A) Y; Y defaults to zero."""
-    a = as_square_matrix(a)
-    b = _conformable(a, b, "B")
-    z = mwgi(a, m, tol).Z
+def solve_general(
+    a, b, m: int, y=None, tol: TolerancePolicy = DEFAULT_TOL, z=None
+) -> EquationSolution:
+    """General solution X = Z B + (I - Z A) Y; Y defaults to zero, Z to mwgi(A, m)."""
+    t = tower(a, tol)
+    a, b = t.a, _conformable(t.a, b, "B")
+    z = mwgi(t, m, tol).Z if z is None else _candidate(t, z, m)
     x = z @ b
     free_part_used = False
     if y is not None:

@@ -76,7 +76,7 @@ def as_matrix(values) -> np.ndarray:
     rows, cols = a.shape
     if rows < 1 or cols < 1:
         raise ValueError(f"matrix dimensions must be positive, got {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():  # false when either part is NaN or infinite
         raise ValueError("matrix entries must be finite (no NaN or Inf)")
     return readonly(a)
 

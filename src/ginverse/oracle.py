@@ -206,7 +206,7 @@ class RationalMatrix:
         self._re, self._im, self._den = re, im, den
         self._entries = None
         self._powers = None
-        self._towers = None  # max_bits -> (k, A^D, A^o), see _tower
+        self._towers = None  # max_bits -> (k, A^D, A^o) (_tower), (max_bits, m) -> Z (certify)
 
     @classmethod
     def _of(cls, nrows: int, ncols: int, re, im, den: int) -> "RationalMatrix":
@@ -655,10 +655,13 @@ def exact_mwgi(a: RationalMatrix, m: int, max_bits: int = MAX_HEIGHT_BITS) -> Ra
     """Exact m-weak group inverse (A^D)^{m+1} A A^o A^m, fully verified.
 
     Requires, with zero tolerance, every identity of ``_identities``; a
-    failure raises ArithmeticError naming its key.
+    failure raises ArithmeticError naming its key.  A Z that ``certify`` has
+    verified for this m and bound is returned as it is, formed no more.
     """
     _check_m(m)
     _, d, cep = _tower(a, max_bits)
+    if (max_bits, m) in a._towers:
+        return a._towers[(max_bits, m)]
     z = _mwgi_of(a, m, d, cep, max_bits)
     _require_exact(_identities(a, m, z, max_bits))
     return z
@@ -708,7 +711,8 @@ def certify(
 
     Every check's residual is exactly zero or the exact size of the violation.
     ``z`` overrides the computed m-weak group inverse, which lets a harness
-    confirm that a corrupted candidate is caught.
+    confirm that a corrupted candidate is caught.  The computed Z is kept with A's
+    tower for ``exact_mwgi`` once its ``_identities`` hold; a ``z`` passed in never is.
     """
     if not a.is_square():
         raise ValueError("certify requires a square matrix")
@@ -723,6 +727,8 @@ def certify(
     zero = RationalMatrix.zeros(n, n)
 
     checks = _identities(a, m, z, max_bits, qs)
+    if z is z_computed and all(c.passed for c in checks.values()):
+        a._towers[(max_bits, m)] = z
     w = exact_mwgi(am, 1, max_bits)
     checks["power"] = _merge(
         _exact_check(a.power(m - 1) @ w, z_computed),

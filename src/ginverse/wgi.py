@@ -16,7 +16,8 @@ with prescribed range and kernel.
 All one-sided ("right") notions coincide with their two-sided counterparts
 for square complex matrices: the algebra is Dedekind-finite, so one-sided
 invertibility is invertibility, and quasinilpotent means nilpotent.  The
-right-invertibility checks below are therefore full-rank tests.
+right-invertibility checks below are therefore full-rank tests.  Every
+function that takes A takes its Tower instead, and every checker the Z to judge.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import Tower, _same_bits, core_inverse, moore_penrose, tower
+from .classical import Tower, _build, _same_bits, core_inverse, moore_penrose, tower
 from .matcore import (
     DEFAULT_TOL,
     TolerancePolicy,
@@ -114,16 +115,15 @@ class GroupDecomposition:
     X: np.ndarray
     Y: np.ndarray
 
-    def verify(self, a: np.ndarray, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> VerificationReport:
+    def verify(self, a, m: int, tol: TolerancePolicy = DEFAULT_TOL, z=None) -> VerificationReport:
         """Check the side conditions: X* A^{m-1} Y = 0, Y X = 0, Y nilpotent,
         X of index <= 1 (nonzero unless A is nilpotent), and that the group
-        inverse of X is Z, the m-weak group inverse from A's tower, by the
-        group-inverse equations: x_index is X Z X = X with X Z = Z X (such a
-        Z exists iff X has index <= 1) and group_matches is Z X Z = Z."""
-        a = as_square_matrix(a)
-        n = a.shape[0]
+        inverse of X is Z, by default from A's tower, by the group-inverse
+        equations: x_index is X Z X = X with X Z = Z X (such a Z exists iff
+        X has index <= 1) and group_matches is Z X Z = Z."""
         t = tower(a, tol)
-        z, x, y = _z(t, m), self.X, self.Y
+        a, n = t.a, t.a.shape[0]
+        z, x, y = _candidate(t, z, m, _z), self.X, self.Y
         checks: dict[str, Check] = {}
         checks["sum"] = _eq_check(a, x + y, tol)
         checks["orth_left"] = _eq_check(
@@ -146,11 +146,11 @@ class PolarData:
     p: np.ndarray
     corner_inverse: np.ndarray
 
-    def verify(self, a: np.ndarray, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> VerificationReport:
+    def verify(self, a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> VerificationReport:
         """Check p^2 = p, the Hermitian weighting (A^m)* A^m p, nilpotency of
         A p, invertibility of (I-p)A(I-p) inside the corner, the range identity
         col(I-p) = col(A(I-p)), and invertibility of A + p (full-rank test)."""
-        a = as_square_matrix(a)
+        a = _matrix(a, tol)
         n = a.shape[0]
         one_minus_p = np.eye(n, dtype=np.complex128) - self.p
         corner = one_minus_p @ a @ one_minus_p
@@ -180,12 +180,10 @@ class _Checked:
     checks: dict[str, Check]
 
 
-def _check_z(t: Tower, z: np.ndarray, m: int, tol: TolerancePolicy) -> _Checked:
+def _check_z(t: Tower, z: np.ndarray, m: int) -> _Checked:
     """Form Z's products with A once and evaluate ax2 and wgm_k on them."""
-    az = t.a @ z
-    az2, am1z = az @ z, t.power(m) @ az
-    ak = t.ak
-    ak_star = conj_transpose(ak)
+    tol, az, ak = t.tol, t.a @ z, t.ak
+    az2, am1z, ak_star = az @ z, t.power(m) @ az, conj_transpose(ak)
     checks = {
         "ax2": _eq_check(z, az2, tol),
         "wgm_k": _merge(
@@ -212,6 +210,22 @@ def _z(t: Tower, m: int) -> np.ndarray:
     return z if t.u1 is None else t.u1 @ z
 
 
+def _candidate(t: Tower, z, m: int, default=None) -> np.ndarray:
+    """Candidate z for weight m, validated and of A's shape; default(t, m) if z is None."""
+    _check_m(m)
+    if z is None and default is not None:
+        return default(t, m)
+    z = as_matrix(z)
+    if z.shape != t.a.shape:
+        raise ValueError(f"candidate shape {z.shape} does not match {t.a.shape}")
+    return z
+
+
+def _matrix(a, tol: TolerancePolicy) -> np.ndarray:
+    """A from its Tower, or A validated, for a function that needs no tower."""
+    return tower(a, tol).a if isinstance(a, Tower) else as_square_matrix(a)
+
+
 def mwgi(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> MwgiResult:
     """m-weak group inverse by the canonical route Z = (A^o)^{m+1} A^m.
 
@@ -221,23 +235,23 @@ def mwgi(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> MwgiResult:
     A Z that passes is kept with its products in A's tower, so a repeat call
     returns it unchanged and ``verify_definition`` of it forms them no more.
     """
-    a = as_square_matrix(a)
     _check_m(m)  # before the lookup, where m = True would find the entry of m = 1
     t = tower(a, tol)
     checked = t._checked.get(m)
     if checked is None:
-        checked = _check_z(t, readonly(_z(t, m)), m, tol)
+        checked = _check_z(t, readonly(_z(t, m)), m)
         _require(checked.checks, "Z")
         t._checked.setdefault(m, checked)
     return MwgiResult(Z=checked.z, m=m, k=t.index.k, route=Route.CORE_EP)
 
 
 def mwgi_via_power(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    """Power-reduction route: A^{m-1} W with W the 1-weak group inverse of A^m."""
-    a = as_square_matrix(a)
+    """Power-reduction route: A^{m-1} W with W the 1-weak group inverse of A^m (A's Z at m = 1)."""
     _check_m(m)
-    w = mwgi(_pow(a, m), 1, tol).Z
-    return _pow(a, m - 1) @ w
+    if m == 1:
+        return mwgi(a, 1, tol).Z.copy()
+    a = _matrix(a, tol)
+    return _pow(a, m - 1) @ mwgi(_build(as_square_matrix(_pow(a, m)), tol), 1, tol).Z
 
 
 def mwgi_normal_equation(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -246,16 +260,14 @@ def mwgi_normal_equation(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.nd
     x = Q^+ A^m works because Q Q^+ is the orthogonal projector onto col(Q);
     the remaining null(Q) freedom in x is annihilated by the (A^D)^{m+1} factor.
     """
-    a = as_square_matrix(a)
     _check_m(m)
     t = tower(a, tol)
-    x = moore_penrose(a @ t.d, tol) @ t.power(m)
+    x = moore_penrose(t.a @ t.d, tol) @ t.power(m)
     return _pow(t.d, m + 1) @ x
 
 
 def mwgi_drazin_solve(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Drazin-weighted route: (A^D)^{m+2} x with x solving (A^D)* A^D x = (A^D)* A^m."""
-    a = as_square_matrix(a)
     _check_m(m)
     t = tower(a, tol)
     x = moore_penrose(t.d, tol) @ t.power(m)
@@ -268,7 +280,7 @@ def mwgi_step(a, zm, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     The caller owns the precondition that zm is the m-weak group inverse of a
     for some m; no validation is attempted.
     """
-    a = as_square_matrix(a)
+    a = _matrix(a, tol)
     zm = as_matrix(zm)
     return zm @ zm @ a
 
@@ -278,10 +290,9 @@ def mwgi_core_of_drazin(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.nda
 
     A^D always has index <= 1, so its core inverse exists unconditionally.
     """
-    a = as_square_matrix(a)
     _check_m(m)
     t = tower(a, tol)
-    return _pow(t.d, m + 2) @ core_inverse(t.d, tol) @ t.power(m)
+    return _pow(t.d, m + 2) @ core_inverse(_build(as_square_matrix(t.d), tol), tol) @ t.power(m)
 
 
 def mwgi_core_chain(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -290,11 +301,10 @@ def mwgi_core_chain(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray
     B = A^{m+1} A^o always has index <= 1 (its core inverse is (A^o)^m, which
     is verified here), even when A itself has no core inverse.
     """
-    a = as_square_matrix(a)
     _check_m(m)
     t = tower(a, tol)
     b = t.power(m + 1) @ t.o
-    c = core_inverse(b, tol)  # NoCoreInverse propagates if B misbehaves
+    c = core_inverse(_build(as_square_matrix(b), tol), tol)  # NoCoreInverse if B misbehaves
     if not approx_equal(c, _pow(t.o, m), tol):
         raise RepresentationMismatch(
             f"core inverse of A^({m + 1}) A^o is not (A^o)^{m}: "
@@ -309,13 +319,10 @@ def mwgi_regular_lift(a, m: int, tol: TolerancePolicy = DEFAULT_TOL, inner=None)
     Returns the (m+1)-weak group inverse of A.  The inner inverse A^- defaults
     to the Moore-Penrose inverse; any matrix with A A^- A = A may be supplied.
     """
-    a = as_square_matrix(a)
     _check_m(m)
-    if inner is None:
-        inner = moore_penrose(a, tol)
-    else:
-        inner = as_matrix(inner)
-    w = mwgi(a @ a @ inner, m, tol).Z
+    a = _matrix(a, tol)
+    inner = moore_penrose(a, tol) if inner is None else as_matrix(inner)
+    w = mwgi(_build(as_square_matrix(a @ a @ inner), tol), m, tol).Z
     return w @ w @ a
 
 
@@ -326,6 +333,8 @@ _ROUTES = {
     Route.DRAZIN_SOLVE: mwgi_drazin_solve,
     Route.CORE_OF_DRAZIN: mwgi_core_of_drazin,
     Route.CORE_CHAIN: mwgi_core_chain,
+    Route.RECURSIVE: lambda a, m, tol: mwgi_step(a, mwgi(a, m - 1, tol).Z, tol),
+    Route.REGULAR_LIFT: lambda a, m, tol: mwgi_regular_lift(a, m - 1, tol),
 }
 
 
@@ -335,17 +344,11 @@ def mwgi_by_route(a, m: int, route: Route, tol: TolerancePolicy = DEFAULT_TOL) -
     The recursive route steps from mwgi(a, m-1) and the lift route goes
     through A^2 A^+, so both require m >= 2.
     """
-    if route in _ROUTES:
-        return _ROUTES[route](a, m, tol)
-    if route is Route.RECURSIVE:
-        if m < 2:
-            raise ValueError("the recursive route needs m >= 2")
-        return mwgi_step(a, mwgi(a, m - 1, tol).Z, tol)
-    if route is Route.REGULAR_LIFT:
-        if m < 2:
-            raise ValueError("the regular-lift route needs m >= 2")
-        return mwgi_regular_lift(a, m - 1, tol)
-    raise ValueError(f"unknown route {route!r}")
+    if route not in _ROUTES:
+        raise ValueError(f"unknown route {route!r}")
+    if route in (Route.RECURSIVE, Route.REGULAR_LIFT) and m < 2:
+        raise ValueError(f"the {route.value} route needs m >= 2")
+    return _ROUTES[route](a, m, tol)
 
 
 def verify_definition(a, z, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> VerificationReport:
@@ -360,15 +363,11 @@ def verify_definition(a, z, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> Verif
       limit        A^k = A Z A^k (the eventual identity, at n = k)
       idem34       A Z = A^n Z^n for n = 2, 3
     """
-    a = as_square_matrix(a)
-    z = as_matrix(z)
-    if z.shape != a.shape:
-        raise ValueError(f"candidate shape {z.shape} does not match {a.shape}")
-    _check_m(m)
     t = tower(a, tol)
+    a, z = t.a, _candidate(t, z, m)
     # what mwgi formed for this m is used once, and only for a Z of the same bits
     kept = t._checked.pop(m, None)
-    checked = kept if kept is not None and _same_bits(kept.z, z) else _check_z(t, z, m, tol)
+    checked = kept if kept is not None and _same_bits(kept.z, z) else _check_z(t, z, m)
     del kept
     am, az, az2, am1z = t.power(m), checked.az, checked.az2, checked.am1z
     ak, a2z2 = t.ak, a @ az2
@@ -391,37 +390,34 @@ def verify_definition(a, z, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> Verif
     return VerificationReport(checks=checks)
 
 
-def group_decomposition(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> GroupDecomposition:
-    """Split A = X + Y along Z = mwgi(A, m): X = A^2 Z carries the group part."""
-    a = as_square_matrix(a)
-    _check_m(m)
-    z = mwgi(a, m, tol).Z
+def group_decomposition(a, m: int, tol: TolerancePolicy = DEFAULT_TOL, z=None) -> GroupDecomposition:
+    """Split A = X + Y along Z (by default mwgi(A, m)): X = A^2 Z carries the group part."""
+    t = tower(a, tol)
+    a, z = t.a, mwgi(t, m, tol).Z if z is None else _candidate(t, z, m)
     x = a @ a @ z
     return GroupDecomposition(X=readonly(x), Y=readonly(a - x))
 
 
-def polar_idempotent(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> PolarData:
-    """Polar-like data: p = I - A Z and the corner witness (I-p) Z (I-p)."""
-    a = as_square_matrix(a)
-    _check_m(m)
-    n = a.shape[0]
-    z = mwgi(a, m, tol).Z
+def polar_idempotent(a, m: int, tol: TolerancePolicy = DEFAULT_TOL, z=None) -> PolarData:
+    """Polar-like data p = I - A Z and corner witness (I-p) Z (I-p); Z defaults to mwgi(A, m)."""
+    t = tower(a, tol)
+    a, n = t.a, t.a.shape[0]
+    z = mwgi(t, m, tol).Z if z is None else _candidate(t, z, m)
     p = np.eye(n, dtype=np.complex128) - a @ z
     one_minus_p = np.eye(n, dtype=np.complex128) - p
     corner_inverse = one_minus_p @ z @ one_minus_p
     return PolarData(p=readonly(p), corner_inverse=readonly(corner_inverse))
 
 
-def b_characterization(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> VerificationReport:
-    """Check the fixed-point characterization with b = Z from A's tower.
+def b_characterization(a, m: int, tol: TolerancePolicy = DEFAULT_TOL, z=None) -> VerificationReport:
+    """Check the fixed-point characterization with b = Z (by default from A's tower).
 
     Named checks: bab (b A b = b), a2b2 (A^2 b^2 = A b), herm ((A^m)* A^{m+1} b
     Hermitian), range (col(A b) = col(A^2 b)), qnil ((A - A^2 b)^n vanishes).
     """
-    a = as_square_matrix(a)
-    n = a.shape[0]
     t = tower(a, tol)
-    b, am = _z(t, m), t.power(m)
+    a, n = t.a, t.a.shape[0]
+    b, am = _candidate(t, z, m, _z), t.power(m)
     ab = a @ b
     a2b = a @ ab
     checks: dict[str, Check] = {}
@@ -434,16 +430,15 @@ def b_characterization(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> Verific
     return VerificationReport(checks=checks)
 
 
-def bc_inverse_check(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> VerificationReport:
-    """Check that Z is the (b0, c0)-inverse of A for the canonical pair
-    b0 = (A^D)^{m+1} A^m and c0 = A^D A A^o A^m.
+def bc_inverse_check(a, m: int, tol: TolerancePolicy = DEFAULT_TOL, z=None) -> VerificationReport:
+    """Check that Z (by default from A's tower) is the (b0, c0)-inverse of A
+    for the canonical pair b0 = (A^D)^{m+1} A^m and c0 = A^D A A^o A^m.
 
     Membership x in b0*R*x and x*R*c0 is realized as the column-space inclusion
     col(Z) in col(b0) and the row-space inclusion row(Z) in row(c0).
     """
-    a = as_square_matrix(a)
     t = tower(a, tol)
-    z, am = _z(t, m), t.power(m)
+    a, z, am = t.a, _candidate(t, z, m, _z), t.power(m)
     b0 = _pow(t.d, m + 1) @ am
     c0 = t.d @ a @ t.o @ am
     checks: dict[str, Check] = {}
@@ -456,12 +451,13 @@ def bc_inverse_check(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> Verificat
     return VerificationReport(checks=checks)
 
 
-def outer_inverse_subspaces(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> VerificationReport:
-    """Check that Z is the outer inverse with range col((A^D)^{m+1} A^m) and
-    kernel equal to that of A^o A^m (tested as row-space equality)."""
-    a = as_square_matrix(a)
+def outer_inverse_subspaces(
+    a, m: int, tol: TolerancePolicy = DEFAULT_TOL, z=None
+) -> VerificationReport:
+    """Check that Z (by default from A's tower) is the outer inverse with range
+    col((A^D)^{m+1} A^m) and kernel that of A^o A^m (tested as row-space equality)."""
     t = tower(a, tol)
-    z, am = _z(t, m), t.power(m)
+    a, z, am = t.a, _candidate(t, z, m, _z), t.power(m)
     range_target = _pow(t.d, m + 1) @ am
     kernel_target = t.o @ am
     checks: dict[str, Check] = {}
@@ -475,19 +471,13 @@ def outer_inverse_subspaces(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> Ve
 
 def additive_mwgi(a, b, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Sum rule: when AB = BA = A*B = 0, the inverse of A + B splits blockwise."""
-    a = as_square_matrix(a)
-    b = as_square_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    ma, mb = _matrix(a, tol), _matrix(b, tol)
+    if ma.shape != mb.shape:
+        raise ValueError(f"shape mismatch: {ma.shape} vs {mb.shape}")
     _check_m(m)
-    zero = np.zeros(a.shape)
-    for label, product in (
-        ("A B", a @ b),
-        ("B A", b @ a),
-        ("A* B", conj_transpose(a) @ b),
-    ):
-        if not approx_equal(product, zero, tol):
-            raise OrthogonalityViolation(
-                f"{label} is not zero (residual {rel_residual(product, zero):.3e})"
-            )
+    zero = np.zeros(ma.shape)
+    for label, product in (("A B", ma @ mb), ("B A", mb @ ma), ("A* B", conj_transpose(ma) @ mb)):
+        residual = rel_residual(product, zero)
+        if not residual <= tol.eq_rtol:
+            raise OrthogonalityViolation(f"{label} is not zero (residual {residual:.3e})")
     return mwgi(a, m, tol).Z + mwgi(b, m, tol).Z

@@ -4,10 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from ginverse import cli, oracle, wgi
+from ginverse import classical, cli, generators, oracle, wgi
 from ginverse.cli import main
 from ginverse.generators import rational_with_index, with_index
-from ginverse.matcore import approx_equal, matrix_from_json, matrix_to_json
+from ginverse.matcore import DEFAULT_TOL, approx_equal, matrix_from_json, matrix_to_json
 
 
 def write_matrix(path, values):
@@ -495,3 +495,34 @@ class TestRouteCheckFormsOnlyItsChecks:
         assert code == 0 and err == ""
         expected = wgi.mwgi(a, 1).Z
         assert approx_equal(matrix_from_json(json.loads(out)), expected)
+
+
+class TestOneTowerPerTrial:
+    """A fuzz trial builds A's tower once and passes it on; the towers of the
+    operands the routes form from A are built outside the memo, so A's stays kept."""
+
+    def test_staircase_of_a_runs_once(self, monkeypatch):
+        staircase, make = classical._staircase, generators.with_index
+        built, made = [], []
+
+        def counting(a, tol):
+            built.append(a)
+            return staircase(a, tol)
+
+        def recording(*args, **kwargs):
+            made.append(make(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(classical, "_staircase", counting)
+        monkeypatch.setattr(generators, "with_index", recording)
+        for seed in (0, 1):
+            rng = np.random.default_rng(seed)
+            for n in range(2, 7):
+                for k in range(min(n, 4)):
+                    for m in (1, 2, 3):
+                        built.clear()
+                        cli._fuzz_trial(rng, DEFAULT_TOL, n, k, m)
+                        a = made[-1]
+                        builds = [b for b in built if classical._same_bits(b, a)]
+                        assert len(builds) == 1, (seed, n, k, m)
+                        assert classical._same_bits(classical._last[2].a, a)

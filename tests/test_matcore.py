@@ -156,13 +156,12 @@ def test_proper_involution_witness(a):
 
 
 class TestAsMatrix:
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            as_matrix([[np.nan, 0], [0, 1]])
-
-    def test_rejects_inf_imag(self):
-        with pytest.raises(ValueError):
-            as_matrix([[complex(0, np.inf)]])
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, part, value):
+        entry = complex(value, 0.0) if part == "real" else complex(0.0, value)
+        with pytest.raises(ValueError, match="finite"):
+            as_matrix([[1, entry], [0, 1]])
 
     def test_rejects_vector(self):
         with pytest.raises(ValueError):

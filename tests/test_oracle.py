@@ -598,3 +598,62 @@ class TestProductsOncePerCall:
         counts = self.counting(monkeypatch, [(z @ a, z), (z, a)])
         assert o.certify(a, 1).overall
         assert counts == [1, 1]
+
+
+class TestExactTwin:
+    """certify keeps the Z it has verified with A's exact tower, for exact_mwgi to return."""
+
+    @staticmethod
+    def matrix():
+        return rational_with_index(np.random.default_rng(3), 5, 3)
+
+    @staticmethod
+    def counting_matmul(monkeypatch):
+        calls = []
+        matmul = RM.__matmul__
+
+        def counting(left, right):
+            calls.append(1)
+            return matmul(left, right)
+
+        monkeypatch.setattr(RM, "__matmul__", counting)
+        return calls
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_exact_mwgi_after_certify_forms_nothing(self, monkeypatch, m):
+        a = self.matrix()
+        expected = o.exact_mwgi(RM.from_json(a.to_json()), m)  # on a copy with its own tower
+        assert o.certify(a, m).overall
+        calls = self.counting_matmul(monkeypatch)
+        assert o.exact_mwgi(a, m) == expected
+        assert calls == []
+
+    def test_kept_per_bound_and_m(self, monkeypatch):
+        a = self.matrix()
+        assert o.certify(a, 2).overall
+        calls = self.counting_matmul(monkeypatch)
+        o.exact_mwgi(a, 3)
+        assert calls
+        calls.clear()
+        o.exact_mwgi(a, 2, max_bits=o.MAX_HEIGHT_BITS + 1)
+        assert calls
+
+    @pytest.mark.parametrize("scale", [1, 2])
+    def test_passed_z_is_never_kept(self, scale):
+        a = self.matrix()
+        z = o.exact_mwgi(RM.from_json(a.to_json()), 2) * scale
+        assert o.certify(a, 2, z=z).overall == (scale == 1)
+        assert (o.MAX_HEIGHT_BITS, 2) not in a._towers
+        assert o.exact_mwgi(a, 2) == o.exact_mwgi(RM.from_json(a.to_json()), 2)
+
+    def test_failed_identities_keep_nothing(self, monkeypatch):
+        a = self.matrix()
+        mwgi_of = o._mwgi_of
+        # only Z of weight 2 is corrupted, so certify's own calls at weights 1 and 3 pass
+        monkeypatch.setattr(
+            o, "_mwgi_of", lambda b, m, *rest: mwgi_of(b, m, *rest) * (2 if m == 2 else 1)
+        )
+        assert not o.certify(a, 2).overall
+        assert (o.MAX_HEIGHT_BITS, 2) not in a._towers
+        with pytest.raises(ArithmeticError, match="ax2"):
+            o.exact_mwgi(a, 2)

@@ -947,3 +947,147 @@ class TestMwgiHandsOffProducts:
         cold = _cold_report(monkeypatch, a, z, 2)
         for report in reports:
             _same_report(report, cold)
+
+
+def _bits(value):
+    """A result as comparable raw bits: arrays by dtype, shape and bytes, floats by hex,
+    dataclasses and dicts entry by entry."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return value.hex()
+    if dataclasses.is_dataclass(value):
+        return tuple((f.name, _bits(getattr(value, f.name))) for f in dataclasses.fields(value))
+    if isinstance(value, dict):
+        return tuple((key, _bits(item)) for key, item in value.items())
+    return value
+
+
+def _outcome(call, a, tol=DEFAULT_TOL):
+    """The bits of call(a, tol), or the type and message of what it raised."""
+    try:
+        return _bits(call(a, tol))
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_B = np.random.default_rng(60).standard_normal((6, 6)) + 0j
+_Y = np.random.default_rng(61).standard_normal((6, 6)) + 0j
+
+# every public function that takes A or its Tower, as call(a, tol) on a 6 x 6 A
+_TOWER_CALLS = {
+    "mwgi": lambda a, tol: wgi.mwgi(a, 2, tol),
+    "mwgi_via_power[m=1]": lambda a, tol: wgi.mwgi_via_power(a, 1, tol),
+    "mwgi_via_power[m=3]": lambda a, tol: wgi.mwgi_via_power(a, 3, tol),
+    "mwgi_normal_equation": lambda a, tol: wgi.mwgi_normal_equation(a, 2, tol),
+    "mwgi_drazin_solve": lambda a, tol: wgi.mwgi_drazin_solve(a, 2, tol),
+    "mwgi_step": lambda a, tol: wgi.mwgi_step(a, _B, tol),
+    "mwgi_core_of_drazin": lambda a, tol: wgi.mwgi_core_of_drazin(a, 2, tol),
+    "mwgi_core_chain": lambda a, tol: wgi.mwgi_core_chain(a, 2, tol),
+    "mwgi_regular_lift": lambda a, tol: wgi.mwgi_regular_lift(a, 2, tol),
+    **{
+        f"mwgi_by_route[{route.value}]": lambda a, tol, route=route: wgi.mwgi_by_route(
+            a, 3, route, tol
+        )
+        for route in wgi.Route
+    },
+    "verify_definition": lambda a, tol: wgi.verify_definition(a, _B, 2, tol),
+    "verify_definition[mwgi Z]": lambda a, tol: wgi.verify_definition(
+        a, wgi.mwgi(a, 2, tol).Z, 2, tol
+    ),
+    "group_decomposition": lambda a, tol: wgi.group_decomposition(a, 2, tol),
+    "GroupDecomposition.verify": lambda a, tol: wgi.GroupDecomposition(_B, _Y).verify(a, 2, tol),
+    "polar_idempotent": lambda a, tol: wgi.polar_idempotent(a, 2, tol),
+    "PolarData.verify": lambda a, tol: wgi.PolarData(_B, _Y).verify(a, 2, tol),
+    "b_characterization": lambda a, tol: wgi.b_characterization(a, 2, tol),
+    "bc_inverse_check": lambda a, tol: wgi.bc_inverse_check(a, 2, tol),
+    "outer_inverse_subspaces": lambda a, tol: wgi.outer_inverse_subspaces(a, 2, tol),
+    "eqsolve.residual": lambda a, tol: eqsolve.residual(a, _B, 2, _Y, tol),
+    "eqsolve.solve_general": lambda a, tol: eqsolve.solve_general(a, _B, 2, _Y, tol),
+    "eqsolve.solve_in_range": lambda a, tol: eqsolve.solve_in_range(a, _B, 2, tol),
+    "drazin": drazin,
+    "group_inverse": group_inverse,
+    "core_inverse": classical.core_inverse,
+    "core_ep": core_ep,
+}
+
+
+class TestTowerParity:
+    """Passing A's Tower gives the bits that passing A gives."""
+
+    # index 1 (group and core inverses exist) and index 3 (they raise)
+    MATRICES = {k: with_index(np.random.default_rng(61 + k), 6, k) for k in (1, 3)}
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("name", list(_TOWER_CALLS))
+    def test_tower_gives_same_bits(self, name, k):
+        a, call = self.MATRICES[k], _TOWER_CALLS[name]
+        expected = _outcome(call, a)
+        assert _outcome(call, classical._build(np.array(a), DEFAULT_TOL)) == expected
+        assert _outcome(call, tower(a)) == expected
+
+    @pytest.mark.parametrize("name", list(_TOWER_CALLS))
+    def test_tower_under_another_policy_raises(self, name):
+        t = tower(self.MATRICES[1])
+        with pytest.raises(ValueError, match="built under"):
+            _TOWER_CALLS[name](t, TolerancePolicy(rank_rtol=1e-9))
+
+    def test_additive_takes_towers(self):
+        a, b = orthogonal_pair(np.random.default_rng(64), 3, 3, 2, 1)
+        expected = _bits(wgi.additive_mwgi(a, b, 2))
+        b_tower = classical._build(np.array(b), DEFAULT_TOL)
+        assert _bits(wgi.additive_mwgi(tower(a), b_tower, 2)) == expected
+        with pytest.raises(ValueError, match="built under"):
+            wgi.additive_mwgi(a, tower(b), 2, TolerancePolicy(rank_rtol=1e-9))
+
+    def test_tower_keeps_its_policy(self):
+        tol = TolerancePolicy(eq_rtol=1e-7)
+        t = tower(self.MATRICES[3], tol)
+        assert t.tol == tol
+        assert tower(t, tol) is t
+
+    def test_given_tower_is_used_as_it_is(self):
+        # a corrupted tower that the memo never saw: mwgi checks the Z it gives
+        t = tower(self.MATRICES[3])
+        bad = dataclasses.replace(t, tinv=t.tinv * (1 + 1e-6))
+        with pytest.raises(wgi.RepresentationMismatch, match="ax2"):
+            wgi.mwgi(bad, 2)
+        assert classical._last[2] is t
+
+
+class TestCheckersTakeZ:
+    """Each checker judges the candidate Z it is given; left out, Z comes from A's tower."""
+
+    A = with_index(np.random.default_rng(43), 6, 2)
+    CHECKERS = {
+        "decomposition": lambda a, m, z: wgi.group_decomposition(a, m, z=z).verify(a, m, z=z),
+        "b_characterization": lambda a, m, z: wgi.b_characterization(a, m, z=z),
+        "bc_inverse": lambda a, m, z: wgi.bc_inverse_check(a, m, z=z),
+        "outer_inverse": lambda a, m, z: wgi.outer_inverse_subspaces(a, m, z=z),
+        "polar": lambda a, m, z: wgi.polar_idempotent(a, m, z=z).verify(a, m),
+    }
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("name", list(CHECKERS))
+    def test_given_z_matches_default(self, name, m):
+        check = self.CHECKERS[name]
+        z = wgi.mwgi(self.A, m).Z
+        assert _bits(check(self.A, m, z)) == _bits(check(self.A, m, None))
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("name", list(CHECKERS))
+    def test_given_corrupted_z_fails(self, name, m):
+        z = wgi.mwgi(self.A, m).Z * (1 + 1e-6)
+        assert not self.CHECKERS[name](self.A, m, z).overall
+
+    def test_solve_general_uses_given_z(self):
+        z = wgi.mwgi(self.A, 2).Z
+        given = eqsolve.solve_general(self.A, _B, 2, _Y, z=z)
+        assert _bits(given) == _bits(eqsolve.solve_general(self.A, _B, 2, _Y))
+        bad = eqsolve.solve_general(self.A, _B, 2, z=z * (1 + 1e-6))
+        assert eqsolve.residual(self.A, _B, 2, bad.X) > DEFAULT_TOL.eq_rtol
+
+    @pytest.mark.parametrize("z", [np.eye(5), np.full((6, 6), np.nan)])
+    def test_unusable_candidate_raises(self, z):
+        with pytest.raises(ValueError):
+            wgi.b_characterization(self.A, 2, z=z)
