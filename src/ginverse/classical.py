@@ -67,8 +67,9 @@ class Tower:
 
     ``u1`` is C-contiguous, or None when k = 0 (U1 = I).  A power of A is
     formed once, when first asked for, and A^o and A^D when first read.
-    ``_checked`` holds, per weight m, the Z and products that ``wgi.mwgi``
-    formed and checked, for one later ``wgi.verify_definition`` of that Z.
+    ``_checked`` holds, per weight m, the Z that ``wgi.mwgi`` formed and
+    checked, with its checks, and until one ``wgi.verify_definition`` of that Z
+    the products they were read from.
     """
 
     index: IndexResult
@@ -157,15 +158,10 @@ def index(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> IndexResult:
     return _staircase(as_square_matrix(a), tol)[0]
 
 
-def _words(a: np.ndarray) -> np.ndarray:
-    """The raw 64-bit words of a contiguous matrix, in memory order (a view)."""
-    return a.ravel(order="K").view(np.int64)
-
-
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Same shape, memory layout and bit-identical entries (so a signed zero
-    or a one-ulp change differs)."""
-    return a.shape == b.shape and a.strides == b.strides and np.array_equal(_words(a), _words(b))
+    or a one-ulp change differs), compared as raw bytes in memory order."""
+    return a.shape == b.shape and a.strides == b.strides and a.tobytes("A") == b.tobytes("A")
 
 
 # (A, tol, tower) of the last tower built, replaced as one tuple: a thread
@@ -201,9 +197,13 @@ def tower(a, tol: TolerancePolicy = DEFAULT_TOL) -> Tower:
         if a.tol != tol:
             raise ValueError(f"the tower was built under {a.tol}, not under {tol}")
         return a
-    a = as_square_matrix(a)  # the one validation; the lookup copies nothing
     last = _last
-    if last is not None and last[1] == tol and _same_bits(last[0], a):
+    kept = last is not None and last[1] == tol
+    # the kept A is validated, so a caller's array of its bits needs no copy and no check
+    if kept and isinstance(a, np.ndarray) and a.dtype == np.complex128 and _same_bits(last[0], a):
+        return last[2]
+    a = as_square_matrix(a)
+    if kept and _same_bits(last[0], a):  # e.g. a float64 array of A's values
         return last[2]
     _last = None
     t = _build(a, tol)

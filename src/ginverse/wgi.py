@@ -169,29 +169,33 @@ class PolarData:
 
 @dataclass(frozen=True)
 class _Checked:
-    """A candidate Z, the products A Z, A Z^2 = (A Z) Z and A^{m+1} Z = A^m (A Z),
-    and the checks ax2: Z = A Z^2 and wgm_k: Z A^{k+1} = A^k and
-    (A^k)* A^{m+1} Z = (A^k)* A^m, read from A's tower."""
+    """A candidate Z with the checks ax2: Z = A Z^2 and wgm_k: Z A^{k+1} = A^k and
+    (A^k)* A^{m+1} Z = (A^k)* A^m, read from A's tower, and the products A Z,
+    A Z^2 = (A Z) Z and A^{m+1} Z = A^m (A Z) they were read from (None once dropped)."""
 
     z: np.ndarray
-    az: np.ndarray
-    az2: np.ndarray
-    am1z: np.ndarray
     checks: dict[str, Check]
+    az: np.ndarray | None = None
+    az2: np.ndarray | None = None
+    am1z: np.ndarray | None = None
 
 
 def _check_z(t: Tower, z: np.ndarray, m: int) -> _Checked:
-    """Form Z's products with A once and evaluate ax2 and wgm_k on them."""
-    tol, az, ak = t.tol, t.a @ z, t.ak
-    az2, am1z, ak_star = az @ z, t.power(m) @ az, conj_transpose(ak)
-    checks = {
-        "ax2": _eq_check(z, az2, tol),
-        "wgm_k": _merge(
-            _eq_check(z @ t.power(t.index.k + 1), ak, tol),
-            _eq_check(ak_star @ am1z, ak_star @ t.power(m), tol),
-        ),
-    }
-    return _Checked(z=z, az=az, az2=az2, am1z=am1z, checks=checks)
+    """Form Z's products with A once and evaluate ax2 and wgm_k on them.
+
+    At k = 0, A^k = I, so wgm_k compares A^{m+1} Z with A^m as they are."""
+    tol, k, am, ak = t.tol, t.index.k, t.power(m), t.ak
+    az = t.a @ z
+    az2, am1z = az @ z, am @ az
+    ax2 = _eq_check(z, az2, tol)
+    first = _eq_check(z @ t.power(k + 1), ak, tol)
+    if k == 0:
+        second = _eq_check(am1z, am, tol)
+    else:
+        ak_star = conj_transpose(ak)
+        second = _eq_check(ak_star @ am1z, ak_star @ am, tol)
+    checks = {"ax2": ax2, "wgm_k": _merge(first, second)}
+    return _Checked(z=z, checks=checks, az=az, az2=az2, am1z=am1z)
 
 
 def _require(checks: dict[str, Check], what: str) -> None:
@@ -204,8 +208,12 @@ def _require(checks: dict[str, Check], what: str) -> None:
 
 
 def _z(t: Tower, m: int) -> np.ndarray:
-    """Z = (A^o)^{m+1} A^m, formed as U1 (T^-(m+1) (U1* A^m)) since U1* U1 = I."""
+    """Z = (A^o)^{m+1} A^m: the Z that ``mwgi`` checked and kept in A's tower for
+    this m, or else formed as U1 (T^-(m+1) (U1* A^m)) since U1* U1 = I."""
     _check_m(m)
+    checked = t._checked.get(m)
+    if checked is not None:
+        return checked.z
     z = _pow(t.tinv, m + 1) @ t.coords(t.power(m))
     return z if t.u1 is None else t.u1 @ z
 
@@ -232,8 +240,9 @@ def mwgi(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> MwgiResult:
     Z is formed from the tower's factors of A^o (see ``_z``) and checked against
     its defining equations (ax2 and wgm_k of ``verify_definition``); a failure
     beyond tolerance raises RepresentationMismatch naming the failed check.
-    A Z that passes is kept with its products in A's tower, so a repeat call
-    returns it unchanged and ``verify_definition`` of it forms them no more.
+    A Z that passes is kept with its checks in A's tower for as long as the
+    tower lives, so a repeat call and the checkers' default Z read it unchanged;
+    its products are kept too, until one ``verify_definition`` of that Z uses them.
     """
     _check_m(m)  # before the lookup, where m = True would find the entry of m = 1
     t = tower(a, tol)
@@ -364,24 +373,30 @@ def verify_definition(a, z, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> Verif
       idem34       A Z = A^n Z^n for n = 2, 3
     """
     t = tower(a, tol)
-    a, z = t.a, _candidate(t, z, m)
-    # what mwgi formed for this m is used once, and only for a Z of the same bits
-    kept = t._checked.pop(m, None)
-    checked = kept if kept is not None and _same_bits(kept.z, z) else _check_z(t, z, m)
+    a, z, k = t.a, _candidate(t, z, m), t.index.k
+    # the products mwgi formed for this m serve one call, and only a Z of the same
+    # bits; the tower drops them here to bound peak memory, and keeps Z
+    kept = t._checked.get(m)
+    if kept is not None and kept.az is not None and _same_bits(kept.z, z):
+        checked = kept
+        t._checked[m] = _Checked(z=kept.z, checks=kept.checks)
+    else:
+        checked = _check_z(t, z, m)
     del kept
     am, az, az2, am1z = t.power(m), checked.az, checked.az2, checked.am1z
     ak, a2z2 = t.ak, a @ az2
-    limit = _eq_check(ak, az @ ak, tol)
+    limit = _eq_check(ak, az if k == 0 else az @ ak, tol)  # A^0 = I
     idem34 = _merge(_eq_check(az, a2z2, tol), _eq_check(az, a @ (a2z2 @ z), tol))
     defining = checked.checks
     # the checks left need A^{m+1} Z only; freeing these bounds peak memory
     del az, az2, a2z2, checked
-    # A A^o A^m = (A U1) T^-1 U1* A^m and A A^D = (A U1) G with G = T^-(k+1) U1* A^k;
-    # A U1 is formed rather than taken as U1 T, which is what these checks test
+    # A A^o A^m = (A U1) T^-1 U1* A^m and A A^D = (A U1) G with G = T^-(k+1) U1* A^k
+    # (T^-1 at k = 0, where U1* A^0 = I); A U1 is formed rather than taken as U1 T,
+    # which is what these checks test
     au1 = a if t.u1 is None else a @ t.u1
     core_ep48 = _eq_check(am1z, au1 @ (t.tinv @ t.coords(am)), tol)
     au1_star = conj_transpose(au1)
-    g_star = conj_transpose(_pow(t.tinv, t.index.k + 1) @ t.coords(ak))
+    g_star = conj_transpose(t.tinv if k == 0 else _pow(t.tinv, k + 1) @ t.coords(ak))
     def11 = _eq_check(g_star @ (au1_star @ am1z), g_star @ (au1_star @ am), tol)
     weighted = conj_transpose(am) @ am1z
     checks = dict(ax2=defining["ax2"], def11=def11, wgm_k=defining["wgm_k"])

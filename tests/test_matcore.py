@@ -19,6 +19,7 @@ from ginverse.matcore import (
     matrix_from_json,
     matrix_to_json,
     numerical_rank,
+    rel_residual,
 )
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -101,6 +102,67 @@ class TestApproxEqual:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             approx_equal(np.eye(2), np.eye(3))
+
+
+def _norm_residual(a, b):
+    """rel_residual's formula with np.linalg.norm, the reference for its bits."""
+    a, b = np.asarray(a), np.asarray(b)
+    norm = lambda x: float(np.linalg.norm(x, "fro"))  # noqa: E731
+    return norm(a - b) / max(1.0, norm(a), norm(b))
+
+
+_KERNEL_RNG = np.random.default_rng(33)
+_C = _KERNEL_RNG.standard_normal((4, 5)) + 1j * _KERNEL_RNG.standard_normal((4, 5))
+_R = _KERNEL_RNG.standard_normal((5, 4))
+
+_KERNEL_INPUTS = {
+    "complex C-order": _C,
+    "complex F-order": np.asfortranarray(_C),
+    "conj-transposed view": np.conj(_C).T,
+    "float64": _R,
+    "float64 transposed view": _R.T,
+    "int": np.arange(-6, 6).reshape(3, 4),
+    "bool": np.eye(3, dtype=bool),
+    "1x1": np.array([[3 - 4j]]),
+    "zero": np.zeros((3, 3), dtype=complex),
+    "near 1e154": 1e154 / 8 * _C,
+    "one entry near 1e154": np.diag([1.0, 1.3e154]).astype(complex),
+}
+
+
+def _moved(x):
+    """x with its first entry moved, in x's dtype and memory layout."""
+    y = x.copy(order="K")
+    y.flat[0] = y.flat[0] + 1 if x.dtype.kind in "iu" else 1.5 * y.flat[0] + 0.5
+    return y
+
+
+class TestFrobeniusKernel:
+    """frobenius and rel_residual keep the bits of np.linalg.norm(X, "fro")."""
+
+    @pytest.mark.parametrize("name", list(_KERNEL_INPUTS))
+    def test_frobenius_bits(self, name):
+        x = _KERNEL_INPUTS[name]
+        assert frobenius(x).hex() == float(np.linalg.norm(x, "fro")).hex()
+
+    # numpy subtracts no bools, so rel_residual takes none
+    @pytest.mark.parametrize("name", [name for name in _KERNEL_INPUTS if name != "bool"])
+    def test_rel_residual_bits(self, name):
+        x = _KERNEL_INPUTS[name]
+        y = _moved(x)
+        for left, right in ((x, y), (y, x), (x, x), (x, np.zeros(x.shape))):
+            assert rel_residual(left, right).hex() == _norm_residual(left, right).hex()
+
+    def test_single_precision_as_norm(self):
+        x = np.full((2, 3), 0.1, dtype=np.float32)
+        assert frobenius(x).hex() == float(np.linalg.norm(x, "fro")).hex()
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2)])
+    def test_non_matrix_raises_as_norm_does(self, shape):
+        with pytest.raises(ValueError):
+            np.linalg.norm(np.ones(shape), "fro")
+        with pytest.raises(ValueError):
+            frobenius(np.ones(shape))
 
 
 class TestColSpaceContains:

@@ -544,6 +544,72 @@ class TestTowerMemo:
         assert wrong == []
 
 
+class TestCopyFreeHits:
+    """A caller's complex128 array with the kept A's bits hits with no copy and no
+    check; every other input is validated first and hits or misses as before."""
+
+    # diag(2) + J3: real, so a float64 copy holds A's values; exact zeros to flip
+    A = np.zeros((4, 4), dtype=np.complex128)
+    A[0, 0], A[1, 2], A[2, 3] = 2, 1, 1
+
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        """A list that grows by one per as_square_matrix call in ``tower``."""
+        calls = []
+        validate = classical.as_square_matrix
+
+        def counting(values):
+            calls.append(1)
+            return validate(values)
+
+        monkeypatch.setattr(classical, "as_square_matrix", counting)
+        return calls
+
+    def test_writable_array_hits_unvalidated(self, svd_calls, validations):
+        t = tower(self.A)
+        caller = self.A.copy()
+        assert caller.flags.writeable
+        assert tower(caller) is t
+        assert len(validations) == 1  # the build's, none for the hit
+        assert len(svd_calls) == 4
+        caller[0, 0] = 3.0  # the tower kept its own copy
+        assert tower(caller) is not t
+
+    @pytest.mark.parametrize(
+        "change, hits",
+        [
+            ("ulp", False),
+            ("signed_zero", False),
+            ("fortran", False),
+            ("float64", True),
+            ("nested_list", True),
+        ],
+    )
+    def test_other_inputs_validate_then_compare(self, svd_calls, validations, change, hits):
+        t = tower(self.A)
+        b = self.A.copy()
+        if change == "ulp":
+            b[0, 0] = np.nextafter(2.0, 3.0)
+        elif change == "signed_zero":
+            b[3, 0] = complex(-0.0, 0.0)
+        elif change == "fortran":
+            b = np.asfortranarray(b)
+        elif change == "float64":
+            b = b.real.copy()
+        else:
+            b = b.tolist()
+        assert (tower(b) is t) == hits
+        assert len(validations) == 2
+        assert len(svd_calls) == (4 if hits else 8)
+
+    def test_nan_still_raises(self):
+        tower(self.A)
+        b = self.A.copy()
+        b[1, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            tower(b)
+
+
 def _reference_checks(a, z, m):
     """verify_definition's seven checks, each evaluated from its formula with
     matrix_power and no shared products."""
@@ -947,6 +1013,46 @@ class TestMwgiHandsOffProducts:
         cold = _cold_report(monkeypatch, a, z, 2)
         for report in reports:
             _same_report(report, cold)
+
+
+class TestOneCheckedZ:
+    """The tower keeps each Z that mwgi checked for the tower's life; verify_definition
+    drops only the products, and every later default Z reads the kept one."""
+
+    def test_one_check_per_tower_and_m(self, z_checks):
+        a = with_index(np.random.default_rng(12), 6, 2)
+        z = wgi.mwgi(a, 2).Z
+        assert wgi.verify_definition(a, z, 2).overall
+        kept = tower(a)._checked[2]
+        assert kept.z is z
+        assert (kept.az, kept.az2, kept.am1z) == (None, None, None)
+        assert wgi.group_decomposition(a, 2).verify(a, 2).overall
+        assert wgi.b_characterization(a, 2).overall
+        assert wgi.bc_inverse_check(a, 2).overall
+        assert wgi.outer_inverse_subspaces(a, 2).overall
+        assert wgi.mwgi(a, 2).Z is z
+        assert len(z_checks) == 1
+        fresh = wgi._z(classical._build(np.array(a), DEFAULT_TOL), 2)
+        assert _bits(fresh) == _bits(z)
+
+    def test_k0_residuals_match_identity_products(self):
+        # at k = 0, A^0 = I: leaving out the products with I moves no residual bit
+        a = with_index(np.random.default_rng(13), 6, 0)
+        t = tower(a)
+        assert t.index.k == 0
+        z = wgi.mwgi(a, 2).Z
+        report = wgi.verify_definition(a, z, 2)
+        eye = np.eye(6, dtype=np.complex128)
+        az, am = a @ z, a @ a
+        am1z = am @ az
+        g_star = (np.linalg.matrix_power(t.tinv, 1) @ eye).conj().T
+        expected = {
+            "wgm_k": max(rel_residual(z @ a, eye), rel_residual(eye @ am1z, eye @ am)),
+            "limit": rel_residual(eye, az @ eye),
+            "def11": rel_residual(g_star @ (a.conj().T @ am1z), g_star @ (a.conj().T @ am)),
+        }
+        for name, residual in expected.items():
+            assert report.checks[name].residual.hex() == residual.hex(), name
 
 
 def _bits(value):
