@@ -17,6 +17,7 @@ Drazin, group, core and core-EP inverses take A's Tower in place of A.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -65,8 +66,18 @@ class Tower:
     """A, its index (with rank chain), the factors U1, T^-1 of A^o and the policy
     ``tol`` it was built under; arrays are read-only.
 
-    ``u1`` is C-contiguous, or None when k = 0 (U1 = I).  A power of A is
-    formed once, when first asked for, and A^o and A^D when first read.
+    ``u1`` is C-contiguous, or None when k = 0 (U1 = I).  The tower forms each
+    of these once, when first read, and keeps it for as long as it lives:
+
+    * ``power(j)``, A^j for j >= 2, as A^{j-1} A;
+    * ``o`` = A^o, ``d`` = A^D and ``ad`` = A A^D;
+    * ``matrix_power(name, e)``, the e-th power of ``o``, ``d`` or ``tinv`` by
+      the np.linalg.matrix_power call that forms it afresh (from e = 4 up, a
+      chain of products differs from its binary decomposition in the last
+      bits); at k = 0, where A^o is T^-1, the two share their powers;
+    * through ``keep``, a product named by its caller, such as the b0 of
+      ``wgi.bc_inverse_check``.
+
     ``_checked`` holds, per weight m, the Z that ``wgi.mwgi`` formed and
     checked, with its checks, and until one ``wgi.verify_definition`` of that Z
     the products they were read from.
@@ -78,6 +89,7 @@ class Tower:
     tinv: np.ndarray
     tol: TolerancePolicy
     _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _checked: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def power(self, j: int) -> np.ndarray:
@@ -87,6 +99,20 @@ class Tower:
         if j not in self._powers:  # of two threads racing here, the first to store wins
             self._powers.setdefault(j, readonly(self.power(j - 1) @ self.a))
         return self._powers[j]
+
+    def keep(self, key, make) -> np.ndarray:
+        """The matrix make() returns, made at the first read of ``key`` and kept."""
+        if key not in self._kept:  # as in ``power``, the first to store wins
+            self._kept.setdefault(key, readonly(make()))
+        return self._kept[key]
+
+    def matrix_power(self, name: str, e: int) -> np.ndarray:
+        """np.linalg.matrix_power(X, e) for X the tower's ``o``, ``d`` or ``tinv``."""
+        if name == "o" and self.u1 is None:  # A^o is T^-1 itself
+            name = "tinv"
+        if e == 1:  # the very array np.linalg.matrix_power returns
+            return getattr(self, name)
+        return self.keep((name, e), lambda: np.linalg.matrix_power(getattr(self, name), e))
 
     @property
     def ak(self) -> np.ndarray:
@@ -104,7 +130,12 @@ class Tower:
     @cached_property
     def d(self) -> np.ndarray:
         """A^D = (A^o)^{k+1} A^k."""
-        return readonly(np.linalg.matrix_power(self.o, self.index.k + 1) @ self.ak)
+        return readonly(self.matrix_power("o", self.index.k + 1) @ self.ak)
+
+    @cached_property
+    def ad(self) -> np.ndarray:
+        """A A^D."""
+        return readonly(self.a @ self.d)
 
 
 def moore_penrose(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -113,7 +144,11 @@ def moore_penrose(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarr
     Singular values at or below rank_rtol * sigma_max * max(rows, cols) are
     treated as zero, matching the package's rank convention.
     """
-    a = as_matrix(a)
+    return _pinv(as_matrix(a), tol)
+
+
+def _pinv(a: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
+    """``moore_penrose`` of a matrix already checked as ``as_matrix`` checks one."""
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((a.shape[1], a.shape[0]), dtype=np.complex128)
@@ -141,7 +176,7 @@ def _staircase(
     n = a.shape[0]
     chain, u1, b = [n], None, a
     u, s, vh = np.linalg.svd(a)
-    zero = float(np.linalg.norm(s)) <= tol.nil_atol
+    zero = math.sqrt(s.dot(s)) <= tol.nil_atol  # np.linalg.norm(s), without its wrapper
     cut = np.inf if zero else tol.rank_rtol * float(s[0]) * n
     while True:
         chain.append(r := int(np.count_nonzero(s > cut)))
@@ -167,6 +202,21 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 # (A, tol, tower) of the last tower built, replaced as one tuple: a thread
 # that races a rebuild reads the old entry, the new one or None, never a mix.
 _last: tuple[np.ndarray, TolerancePolicy, Tower] | None = None
+
+
+def _kept_tower(a, tol: TolerancePolicy) -> Tower | None:
+    """The kept tower if A is a complex128 array of the kept A's bits and layout
+    under ``tol``: the kept A is validated, so A needs no copy and no check."""
+    last = _last
+    if (
+        last is not None
+        and last[1] == tol
+        and isinstance(a, np.ndarray)
+        and a.dtype == np.complex128
+        and _same_bits(last[0], a)
+    ):
+        return last[2]
+    return None
 
 
 def _build(a: np.ndarray, tol: TolerancePolicy) -> Tower:
@@ -197,13 +247,12 @@ def tower(a, tol: TolerancePolicy = DEFAULT_TOL) -> Tower:
         if a.tol != tol:
             raise ValueError(f"the tower was built under {a.tol}, not under {tol}")
         return a
-    last = _last
-    kept = last is not None and last[1] == tol
-    # the kept A is validated, so a caller's array of its bits needs no copy and no check
-    if kept and isinstance(a, np.ndarray) and a.dtype == np.complex128 and _same_bits(last[0], a):
-        return last[2]
+    t = _kept_tower(a, tol)
+    if t is not None:
+        return t
     a = as_square_matrix(a)
-    if kept and _same_bits(last[0], a):  # e.g. a float64 array of A's values
+    last = _last
+    if last is not None and last[1] == tol and _same_bits(last[0], a):  # e.g. float64 values
         return last[2]
     _last = None
     t = _build(a, tol)

@@ -48,7 +48,7 @@ def residual(a, b, m: int, x, tol: TolerancePolicy = DEFAULT_TOL) -> float:
     if x.shape[1] != b.shape[1]:
         raise ValueError(f"X has {x.shape[1]} columns but B has {b.shape[1]}")
     _check_m(m)  # the tower's A^j is I for every j < 1
-    q_star = conj_transpose(t.a @ t.d)
+    q_star = conj_transpose(t.ad)
     left = q_star @ t.power(m + 1) @ x
     right = q_star @ t.power(m) @ b
     return frobenius(left - right) / max(1.0, frobenius(right))

@@ -22,6 +22,7 @@ __all__ = [
     "with_index",
     "orthogonal_pair",
     "rational_with_index",
+    "dyadic_with_index",
 ]
 
 # Core singular values within [1/2, 2] keep condition numbers of ninth powers
@@ -202,3 +203,49 @@ def rational_with_index(
     raise RuntimeError(
         f"no matrix with entry height <= {max_entry} found in {max_attempts} attempts"
     )
+
+
+def _shears(rng: np.random.Generator, n: int) -> RationalMatrix:
+    """A unimodular integer matrix of 1..n shears (the identity when n = 1)."""
+    return _unimodular(rng, n, shears=int(rng.integers(1, n + 1)) if n > 1 else 0)
+
+
+def dyadic_with_index(
+    rng: np.random.Generator, n: int, k: int, e_max: int, max_attempts: int = 1000
+) -> RationalMatrix:
+    """Real dyadic matrix S diag(C, N) S^{-1} of exact index k whose float image is exact.
+
+    S is unimodular, made of 1..n integer shears, and N is ``nilpotent_jordan``
+    of index k.  The core C = G diag(2^-e_1, ..., 2^-e_r) H has unimodular G
+    and H and each e_i uniform in 0..e_max, so its singular values spread over
+    about 2^e_max; the core size r is uniform in 1..n - k (n at k = 0, none at
+    k = n).  Every entry is an integer over a power of two, and a draw is
+    rejected until ``to_complex`` holds each one exactly.
+    """
+    if k < 0 or k > n:
+        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    if e_max < 0:
+        raise ValueError(f"need e_max >= 0, got {e_max}")
+    for _ in range(max_attempts):
+        core_size = n if k == 0 else 0 if k == n else int(rng.integers(1, n - k + 1))
+        rows = [[GaussianRational() for _ in range(n)] for _ in range(n)]
+        if core_size:
+            g, h = _shears(rng, core_size), _shears(rng, core_size)
+            scale = [[GaussianRational() for _ in range(core_size)] for _ in range(core_size)]
+            for i, e in enumerate(rng.integers(0, e_max + 1, size=core_size)):
+                scale[i][i] = GaussianRational(Fraction(1, 2 ** int(e)))
+            core = g @ RationalMatrix.from_rows(scale) @ h
+            for i in range(core_size):
+                rows[i][:core_size] = core.entries[i]
+        if core_size < n:
+            nil = nilpotent_jordan(rng, n - core_size, k)
+            for i in range(n - core_size):
+                for j in range(n - core_size):
+                    rows[core_size + i][core_size + j] = GaussianRational(int(nil[i, j].real))
+        s = _shears(rng, n)
+        a = s @ RationalMatrix.from_rows(rows) @ exact_inverse(s)
+        image = a.to_complex().ravel().tolist()
+        exact = (GaussianRational(Fraction(z.real), Fraction(z.imag)) for z in image)
+        if all(x == y for x, y in zip(exact, (x for row in a.entries for x in row))):
+            return a
+    raise RuntimeError(f"no exactly representable draw found in {max_attempts} attempts")

@@ -25,6 +25,7 @@ __all__ = [
     "rel_residual",
     "approx_equal",
     "numerical_rank",
+    "numerical_ranks",
     "col_space_contains",
     "col_space_equal",
     "matrix_to_json",
@@ -77,6 +78,12 @@ def as_matrix(values) -> np.ndarray:
     rows, cols = a.shape
     if rows < 1 or cols < 1:
         raise ValueError(f"matrix dimensions must be positive, got {a.shape}")
+    return _finite(a)
+
+
+def _finite(a: np.ndarray) -> np.ndarray:
+    """A complex128 matrix checked finite, as ``as_matrix`` checks it, and marked
+    read-only in place: for matrices the package formed itself, which need no copy."""
     if not np.isfinite(a).all():  # false when either part is NaN or infinite
         raise ValueError("matrix entries must be finite (no NaN or Inf)")
     return readonly(a)
@@ -107,11 +114,17 @@ def _sumsq(x: np.ndarray):
     then dot products over the memory-order ravel."""
     if x.dtype.kind in "biu":
         x = x.astype(np.float64)
-    x = x.ravel(order="K")
     if x.dtype.kind == "c":
-        re, im = x.real, x.imag
-        return re.dot(re) + im.dot(im)
+        return _sumsq_complex(x)
+    x = x.ravel(order="K")
     return x.dot(x)
+
+
+def _sumsq_complex(x: np.ndarray):
+    """``_sumsq`` of a complex X: re.re + im.im over its memory-order ravel."""
+    x = x.ravel(order="K")
+    re, im = x.real, x.imag
+    return re.dot(re) + im.dot(im)
 
 
 # dtype codes whose sum of squares norm forms in float64, so math.sqrt gives its root
@@ -135,6 +148,10 @@ def rel_residual(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    if a.ndim == 2 and a.dtype == b.dtype == np.complex128:
+        # the steps frobenius takes on these, without its dispatch on each norm
+        gap = math.sqrt(_sumsq_complex(a - b))
+        return gap / max(1.0, math.sqrt(_sumsq_complex(a)), math.sqrt(_sumsq_complex(b)))
     return frobenius(a - b) / max(1.0, frobenius(a), frobenius(b))
 
 
@@ -145,31 +162,53 @@ def approx_equal(a: np.ndarray, b: np.ndarray, tol: TolerancePolicy = DEFAULT_TO
 
 def numerical_rank(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> int:
     """Count of singular values above rank_rtol * sigma_max * max(rows, cols)."""
-    a = np.asarray(a, dtype=np.complex128)
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    cutoff = tol.rank_rtol * float(s[0]) * max(a.shape)
-    return int(np.count_nonzero(s > cutoff))
+    return numerical_ranks([a], tol)[0]
+
+
+def numerical_ranks(mats, tol: TolerancePolicy = DEFAULT_TOL) -> list[int]:
+    """``numerical_rank`` of each matrix, from one s-only SVD per shape.
+
+    The matrices of one shape go to np.linalg.svd as one stack, which gives each
+    the singular values, bit for bit, that a call of its own gives."""
+    mats = [np.asarray(a, dtype=np.complex128) for a in mats]
+    groups: dict[tuple, list[int]] = {}
+    for i, a in enumerate(mats):
+        groups.setdefault(a.shape, []).append(i)
+    ranks = [0] * len(mats)
+    for shape, members in groups.items():
+        if len(shape) != 2:
+            raise np.linalg.LinAlgError(f"expected a 2-D matrix, got shape {shape}")
+        stack = np.linalg.svd(np.array([mats[i] for i in members]), compute_uv=False)
+        for i, s in zip(members, stack.tolist()):  # Python floats hold the same doubles
+            if s and s[0] != 0.0:
+                cutoff = tol.rank_rtol * s[0] * max(shape)
+                ranks[i] = sum(value > cutoff for value in s)
+    return ranks
+
+
+def _span_matrices(u, v, equal: bool) -> list[np.ndarray]:
+    """[U | V] and U, and V too when ``equal``: col(V) lies in col(U) iff the first
+    two have one rank, and col(U) = col(V) iff all three have (see ``_one_rank``)."""
+    u = np.asarray(u)
+    v = np.asarray(v)
+    if u.shape[0] != v.shape[0]:
+        raise ValueError(f"row count mismatch: {u.shape[0]} vs {v.shape[0]}")
+    joint = np.concatenate((u, v), axis=1)
+    return [joint, u, v] if equal else [joint, u]
+
+
+def _one_rank(ranks) -> bool:
+    return all(r == ranks[0] for r in ranks)
 
 
 def col_space_contains(u: np.ndarray, v: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     """True iff col(V) is contained in col(U), tested as rank([U | V]) = rank(U)."""
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if u.shape[0] != v.shape[0]:
-        raise ValueError(f"row count mismatch: {u.shape[0]} vs {v.shape[0]}")
-    return numerical_rank(np.hstack([u, v]), tol) == numerical_rank(u, tol)
+    return _one_rank(numerical_ranks(_span_matrices(u, v, False), tol))
 
 
 def col_space_equal(u: np.ndarray, v: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     """True iff col(U) = col(V), tested as rank([U | V]) = rank(U) = rank(V)."""
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if u.shape[0] != v.shape[0]:
-        raise ValueError(f"row count mismatch: {u.shape[0]} vs {v.shape[0]}")
-    joint = numerical_rank(np.hstack([u, v]), tol)
-    return joint == numerical_rank(u, tol) and joint == numerical_rank(v, tol)
+    return _one_rank(numerical_ranks(_span_matrices(u, v, True), tol))
 
 
 def matrix_to_json(a: np.ndarray) -> dict:

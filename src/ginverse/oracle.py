@@ -681,8 +681,10 @@ def _exact_check(left: RationalMatrix, right: RationalMatrix) -> Check:
     return Check(residual=residual, passed=residual == 0.0)
 
 
+@functools.cache
 def _test_matrices(n: int) -> tuple[RationalMatrix, RationalMatrix]:
-    """Deterministic rational right-hand side and free term for solution checks."""
+    """Deterministic rational right-hand side and free term for solution checks,
+    built once per n (the entries of a RationalMatrix never change)."""
     b = RationalMatrix.from_rows(
         [
             [GaussianRational((i + 2 * j) % 5 - 2, (i * j) % 3 - 1) for j in range(n)]

@@ -27,19 +27,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import Tower, _build, _same_bits, core_inverse, moore_penrose, tower
+from .classical import Tower, _build, _kept_tower, _pinv, _same_bits, core_inverse, tower
 from .matcore import (
     DEFAULT_TOL,
     TolerancePolicy,
     _check_m,
+    _finite,
+    _one_rank,
+    _span_matrices,
     approx_equal,
     as_matrix,
     as_square_matrix,
-    col_space_contains,
     col_space_equal,
     conj_transpose,
     frobenius,
-    numerical_rank,
+    numerical_ranks,
     readonly,
     rel_residual,
 )
@@ -95,7 +97,8 @@ class Route(enum.Enum):
 
 
 def _pow(a: np.ndarray, e: int) -> np.ndarray:
-    return np.linalg.matrix_power(a, e)
+    """np.linalg.matrix_power(A, e), which returns A itself at e = 1."""
+    return a if e == 1 else np.linalg.matrix_power(a, e)
 
 
 @dataclass(frozen=True)
@@ -126,10 +129,9 @@ class GroupDecomposition:
         z, x, y = _candidate(t, z, m, _z), self.X, self.Y
         checks: dict[str, Check] = {}
         checks["sum"] = _eq_check(a, x + y, tol)
-        checks["orth_left"] = _eq_check(
-            conj_transpose(x) @ t.power(m - 1) @ y, np.zeros((n, n)), tol
-        )
-        checks["orth_right"] = _eq_check(y @ x, np.zeros((n, n)), tol)
+        zero = np.zeros((n, n), dtype=np.complex128)
+        checks["orth_left"] = _eq_check(conj_transpose(x) @ t.power(m - 1) @ y, zero, tol)
+        checks["orth_right"] = _eq_check(y @ x, zero, tol)
         checks["y_nilpotent"] = _nil_check(_pow(y, n), tol)
         checks["x_index"] = _merge(_eq_check(x @ z @ x, x, tol), _eq_check(x @ z, z @ x, tol))
         # A^n from A itself: the one nilpotency witness that is not read off the staircase
@@ -162,8 +164,10 @@ class PolarData:
         checks["ap_nilpotent"] = _nil_check(_pow(a @ self.p, n), tol)
         checks["corner_right"] = _eq_check(corner @ self.corner_inverse, one_minus_p, tol)
         checks["corner_left"] = _eq_check(self.corner_inverse @ corner, one_minus_p, tol)
-        checks["range_eq"] = _bool_check(col_space_equal(one_minus_p, a @ one_minus_p, tol))
-        checks["plus_p_invertible"] = _bool_check(numerical_rank(a + self.p, tol) == n)
+        spans = _span_matrices(one_minus_p, a @ one_minus_p, True)
+        *span_ranks, plus_p_rank = numerical_ranks([*spans, a + self.p], tol)
+        checks["range_eq"] = _bool_check(_one_rank(span_ranks))
+        checks["plus_p_invertible"] = _bool_check(plus_p_rank == n)
         return VerificationReport(checks=checks)
 
 
@@ -214,7 +218,7 @@ def _z(t: Tower, m: int) -> np.ndarray:
     checked = t._checked.get(m)
     if checked is not None:
         return checked.z
-    z = _pow(t.tinv, m + 1) @ t.coords(t.power(m))
+    z = t.matrix_power("tinv", m + 1) @ t.coords(t.power(m))
     return z if t.u1 is None else t.u1 @ z
 
 
@@ -223,6 +227,9 @@ def _candidate(t: Tower, z, m: int, default=None) -> np.ndarray:
     _check_m(m)
     if z is None and default is not None:
         return default(t, m)
+    checked = t._checked.get(m)
+    if checked is not None and z is checked.z:  # the Z mwgi checked, validated already
+        return z
     z = as_matrix(z)
     if z.shape != t.a.shape:
         raise ValueError(f"candidate shape {z.shape} does not match {t.a.shape}")
@@ -230,8 +237,9 @@ def _candidate(t: Tower, z, m: int, default=None) -> np.ndarray:
 
 
 def _matrix(a, tol: TolerancePolicy) -> np.ndarray:
-    """A from its Tower, or A validated, for a function that needs no tower."""
-    return tower(a, tol).a if isinstance(a, Tower) else as_square_matrix(a)
+    """A from its Tower or the kept one, or A validated, for a function that needs no tower."""
+    t = tower(a, tol) if isinstance(a, Tower) else _kept_tower(a, tol)
+    return as_square_matrix(a) if t is None else t.a
 
 
 def mwgi(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> MwgiResult:
@@ -260,7 +268,7 @@ def mwgi_via_power(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     if m == 1:
         return mwgi(a, 1, tol).Z.copy()
     a = _matrix(a, tol)
-    return _pow(a, m - 1) @ mwgi(_build(as_square_matrix(_pow(a, m)), tol), 1, tol).Z
+    return _pow(a, m - 1) @ mwgi(_build(_finite(_pow(a, m)), tol), 1, tol).Z
 
 
 def mwgi_normal_equation(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -271,16 +279,16 @@ def mwgi_normal_equation(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.nd
     """
     _check_m(m)
     t = tower(a, tol)
-    x = moore_penrose(t.a @ t.d, tol) @ t.power(m)
-    return _pow(t.d, m + 1) @ x
+    x = _pinv(_finite(t.ad), tol) @ t.power(m)
+    return t.matrix_power("d", m + 1) @ x
 
 
 def mwgi_drazin_solve(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Drazin-weighted route: (A^D)^{m+2} x with x solving (A^D)* A^D x = (A^D)* A^m."""
     _check_m(m)
     t = tower(a, tol)
-    x = moore_penrose(t.d, tol) @ t.power(m)
-    return _pow(t.d, m + 2) @ x
+    x = _pinv(_finite(t.d), tol) @ t.power(m)
+    return t.matrix_power("d", m + 2) @ x
 
 
 def mwgi_step(a, zm, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -301,7 +309,7 @@ def mwgi_core_of_drazin(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.nda
     """
     _check_m(m)
     t = tower(a, tol)
-    return _pow(t.d, m + 2) @ core_inverse(_build(as_square_matrix(t.d), tol), tol) @ t.power(m)
+    return t.matrix_power("d", m + 2) @ core_inverse(_build(_finite(t.d), tol), tol) @ t.power(m)
 
 
 def mwgi_core_chain(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -313,11 +321,12 @@ def mwgi_core_chain(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray
     _check_m(m)
     t = tower(a, tol)
     b = t.power(m + 1) @ t.o
-    c = core_inverse(_build(as_square_matrix(b), tol), tol)  # NoCoreInverse if B misbehaves
-    if not approx_equal(c, _pow(t.o, m), tol):
+    c = core_inverse(_build(_finite(b), tol), tol)  # NoCoreInverse if B misbehaves
+    om = t.matrix_power("o", m)
+    if not approx_equal(c, om, tol):
         raise RepresentationMismatch(
             f"core inverse of A^({m + 1}) A^o is not (A^o)^{m}: "
-            f"residual {rel_residual(c, _pow(t.o, m)):.3e}"
+            f"residual {rel_residual(c, om):.3e}"
         )
     return _pow(t.d @ t.power(m) @ c, m + 1) @ t.power(m)
 
@@ -330,8 +339,8 @@ def mwgi_regular_lift(a, m: int, tol: TolerancePolicy = DEFAULT_TOL, inner=None)
     """
     _check_m(m)
     a = _matrix(a, tol)
-    inner = moore_penrose(a, tol) if inner is None else as_matrix(inner)
-    w = mwgi(_build(as_square_matrix(a @ a @ inner), tol), m, tol).Z
+    inner = _pinv(a, tol) if inner is None else as_matrix(inner)
+    w = mwgi(_build(_finite(a @ a @ inner), tol), m, tol).Z
     return w @ w @ a
 
 
@@ -396,7 +405,8 @@ def verify_definition(a, z, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> Verif
     au1 = a if t.u1 is None else a @ t.u1
     core_ep48 = _eq_check(am1z, au1 @ (t.tinv @ t.coords(am)), tol)
     au1_star = conj_transpose(au1)
-    g_star = conj_transpose(t.tinv if k == 0 else _pow(t.tinv, k + 1) @ t.coords(ak))
+    g = t.tinv if k == 0 else t.matrix_power("tinv", k + 1) @ t.coords(ak)
+    g_star = conj_transpose(g)
     def11 = _eq_check(g_star @ (au1_star @ am1z), g_star @ (au1_star @ am), tol)
     weighted = conj_transpose(am) @ am1z
     checks = dict(ax2=defining["ax2"], def11=def11, wgm_k=defining["wgm_k"])
@@ -445,6 +455,11 @@ def b_characterization(a, m: int, tol: TolerancePolicy = DEFAULT_TOL, z=None) ->
     return VerificationReport(checks=checks)
 
 
+def _b0(t: Tower, m: int) -> np.ndarray:
+    """b0 = (A^D)^{m+1} A^m, the range of Z, formed once per tower and m."""
+    return t.keep(("b0", m), lambda: t.matrix_power("d", m + 1) @ t.power(m))
+
+
 def bc_inverse_check(a, m: int, tol: TolerancePolicy = DEFAULT_TOL, z=None) -> VerificationReport:
     """Check that Z (by default from A's tower) is the (b0, c0)-inverse of A
     for the canonical pair b0 = (A^D)^{m+1} A^m and c0 = A^D A A^o A^m.
@@ -454,15 +469,16 @@ def bc_inverse_check(a, m: int, tol: TolerancePolicy = DEFAULT_TOL, z=None) -> V
     """
     t = tower(a, tol)
     a, z, am = t.a, _candidate(t, z, m, _z), t.power(m)
-    b0 = _pow(t.d, m + 1) @ am
+    b0 = _b0(t, m)
     c0 = t.d @ a @ t.o @ am
     checks: dict[str, Check] = {}
     checks["xab"] = _eq_check(z @ a @ b0, b0, tol)
     checks["cax"] = _eq_check(c0 @ a @ z, c0, tol)
-    checks["memb_col"] = _bool_check(col_space_contains(b0, z, tol))
-    checks["memb_row"] = _bool_check(
-        col_space_contains(conj_transpose(c0), conj_transpose(z), tol)
-    )
+    # col(Z) in col(b0) and row(Z) in row(c0), ranked together
+    row = _span_matrices(conj_transpose(c0), conj_transpose(z), False)
+    ranks = numerical_ranks([*_span_matrices(b0, z, False), *row], tol)
+    checks["memb_col"] = _bool_check(_one_rank(ranks[:2]))
+    checks["memb_row"] = _bool_check(_one_rank(ranks[2:]))
     return VerificationReport(checks=checks)
 
 
@@ -473,14 +489,14 @@ def outer_inverse_subspaces(
     col((A^D)^{m+1} A^m) and kernel that of A^o A^m (tested as row-space equality)."""
     t = tower(a, tol)
     a, z, am = t.a, _candidate(t, z, m, _z), t.power(m)
-    range_target = _pow(t.d, m + 1) @ am
     kernel_target = t.o @ am
     checks: dict[str, Check] = {}
     checks["outer"] = _eq_check(z @ a @ z, z, tol)
-    checks["range_eq"] = _bool_check(col_space_equal(range_target, z, tol))
-    checks["kernel_eq"] = _bool_check(
-        col_space_equal(conj_transpose(kernel_target), conj_transpose(z), tol)
-    )
+    # col(Z) = col(b0) and row(Z) = row(A^o A^m), ranked together
+    kernel = _span_matrices(conj_transpose(kernel_target), conj_transpose(z), True)
+    ranks = numerical_ranks([*_span_matrices(_b0(t, m), z, True), *kernel], tol)
+    checks["range_eq"] = _bool_check(_one_rank(ranks[:3]))
+    checks["kernel_eq"] = _bool_check(_one_rank(ranks[3:]))
     return VerificationReport(checks=checks)
 
 

@@ -307,3 +307,47 @@ class TestCoreInverseFromTower:
         a = with_index(np.random.default_rng(4), 5, 1)
         monkeypatch.setattr(classical, "moore_penrose", forbidden)
         assert approx_equal(core_inverse(a), tower(a).o)
+
+
+class TestKeptPowers:
+    """The tower keeps the powers of A^o, A^D and T^-1 with the bits of
+    np.linalg.matrix_power, forms each once, and forms A A^D once."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_bits_of_matrix_power(self, k):
+        t = tower(with_index(np.random.default_rng(60 + k), 6, k))
+        for name in ("o", "d", "tinv"):
+            base = getattr(t, name)
+            for e in range(1, 6):
+                kept = t.matrix_power(name, e)
+                assert classical._same_bits(kept, np.linalg.matrix_power(base, e)), (name, e)
+                assert not kept.flags.writeable
+                assert t.matrix_power(name, e) is kept
+
+    def test_each_power_formed_once(self, monkeypatch):
+        t = tower(with_index(np.random.default_rng(64), 5, 2))
+        calls = []
+        matrix_power = np.linalg.matrix_power
+
+        def counting(base, e):
+            calls.append(e)
+            return matrix_power(base, e)
+
+        monkeypatch.setattr(np.linalg, "matrix_power", counting)
+        assert t.d is t.d and calls == [3]  # A^D = (A^o)^{k+1} A^k
+        for _ in range(2):
+            for name in ("o", "d", "tinv"):
+                t.matrix_power(name, 3)
+                t.matrix_power(name, 4)
+        assert calls == [3, 4, 3, 4, 3, 4]  # (A^o)^3 was kept with A^D
+
+    def test_index_zero_shares_the_powers_of_t_inverse(self):
+        t = tower(with_index(np.random.default_rng(65), 4, 0))
+        assert t.o is t.tinv
+        assert t.matrix_power("o", 3) is t.matrix_power("tinv", 3)
+
+    def test_ad_formed_once(self):
+        t = tower(with_index(np.random.default_rng(66), 5, 2))
+        assert t.ad is t.ad
+        assert classical._same_bits(t.ad, t.a @ t.d)
+        assert not t.ad.flags.writeable

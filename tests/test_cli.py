@@ -541,3 +541,32 @@ class TestOneTowerPerTrial:
                         builds = [b for b in built if classical._same_bits(b, a)]
                         assert len(builds) == 1, (seed, n, k, m)
                         assert classical._same_bits(classical._last[2].a, a)
+
+
+class TestFuzzTrialFormsPowersOnce:
+    """Over one (n, k, m) cycle of ``ginv fuzz``, a trial makes at most 14
+    np.linalg.matrix_power calls on average and forms b0 once."""
+
+    def test_counts(self, monkeypatch):
+        matrix_power, keep = np.linalg.matrix_power, classical.Tower.keep
+        powers, b0s = [], []
+
+        def counting_power(base, e):
+            powers.append(e)
+            return matrix_power(base, e)
+
+        def counting_keep(self, key, make):
+            if key not in self._kept and key[0] == "b0":
+                b0s.append(key)
+            return keep(self, key, make)
+
+        monkeypatch.setattr(np.linalg, "matrix_power", counting_power)
+        monkeypatch.setattr(classical.Tower, "keep", counting_keep)
+        args = cli._build_parser().parse_args(["fuzz", "--trials", "60"])
+        rng = np.random.default_rng(1)
+        for _, n, k, m in cli._trials(args):
+            b0s.clear()
+            outcome = cli._fuzz_trial(rng, DEFAULT_TOL, n, k, m)
+            assert not outcome["failures"], (n, k, m)
+            assert b0s == [("b0", m)], (n, k, m)
+        assert len(powers) <= 14 * 60

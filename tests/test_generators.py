@@ -1,4 +1,7 @@
+from fractions import Fraction
+
 import numpy as np
+import pytest
 
 from ginverse import oracle
 from ginverse.classical import index
@@ -57,3 +60,38 @@ def test_rational_with_index(rng):
             for x in row
         )
         assert height <= 10
+
+
+def test_dyadic_with_index_round_trips_and_has_index():
+    from ginverse.generators import dyadic_with_index
+
+    rng = np.random.default_rng(5)
+    for e_max in (0, 4, 8, 16):
+        for trial in range(8):
+            n = 2 + trial % 7
+            k = min(trial % 4, n)
+            a = dyadic_with_index(rng, n, k, e_max)
+            image = a.to_complex()
+            back = oracle.RationalMatrix.from_rows(
+                [[oracle.GaussianRational(Fraction(z.real), Fraction(z.imag)) for z in row]
+                 for row in image.tolist()]
+            )
+            assert back == a, (e_max, n, k)
+            assert oracle.exact_index(a) == k, (e_max, n, k)
+            # every entry is an integer over a power of two
+            assert all(
+                x.re.denominator & (x.re.denominator - 1) == 0 and x.im == 0
+                for row in a.entries
+                for x in row
+            )
+
+
+def test_dyadic_with_index_edges():
+    from ginverse.generators import dyadic_with_index
+
+    rng = np.random.default_rng(6)
+    assert oracle.exact_index(dyadic_with_index(rng, 1, 0, 3)) == 0
+    assert oracle.exact_index(dyadic_with_index(rng, 3, 3, 3)) == 3
+    for bad in ((3, 4, 2), (3, -1, 2), (3, 1, -1)):
+        with pytest.raises(ValueError):
+            dyadic_with_index(rng, *bad)

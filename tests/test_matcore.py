@@ -326,3 +326,82 @@ class TestOneMRule:
     def test_rejected(self, name, m):
         with pytest.raises(ValueError, match="m must be a positive integer"):
             M_ENTRY_POINTS[name](m)
+
+
+def _rank_one_at_a_time(x):
+    """numerical_rank's rule, from one s-only SVD of x alone."""
+    x = np.asarray(x, dtype=np.complex128)
+    s = np.linalg.svd(x, compute_uv=False)
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(s > DEFAULT_TOL.rank_rtol * float(s[0]) * max(x.shape)))
+
+
+def _deficient(rng, rows, cols, rank, scale):
+    left = rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))
+    right = rng.standard_normal((rank, cols)) + 1j * rng.standard_normal((rank, cols))
+    return scale * (left @ right)
+
+
+class TestBatchedRanks:
+    """numerical_ranks ranks the matrices of one shape with one s-only SVD of their
+    stack, which gives the bits and ranks of one SVD per matrix."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_stacked_singular_values_keep_their_bits(self, n):
+        rng = np.random.default_rng(70 + n)
+        for cols in (n, 2 * n):
+            mats = [
+                _deficient(rng, n, cols, rank, scale)
+                for rank in range(n + 1)
+                for scale in (1e-8, 1.0, 1e6)
+            ]
+            stacked = np.linalg.svd(np.array(mats), compute_uv=False)
+            for x, s in zip(mats, stacked):
+                assert s.tobytes() == np.linalg.svd(x, compute_uv=False).tobytes()
+
+    def test_ranks_match_one_at_a_time(self, monkeypatch):
+        from ginverse import matcore
+
+        rng = np.random.default_rng(75)
+        mats = [
+            _deficient(rng, 4, cols, rank, 1.0) for cols in (4, 8, 4, 8, 4) for rank in (0, 2, 4)
+        ]
+        mats.append(np.eye(4))  # a float64 matrix joins the complex stack of its shape
+        expected = [_rank_one_at_a_time(x) for x in mats]
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("compute_uv", True))
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        assert matcore.numerical_ranks(mats) == expected
+        assert calls == [False, False]  # one s-only call per shape
+        assert numerical_rank(mats[4]) == expected[4]
+
+    def test_col_space_tests_one_svd_per_shape(self, monkeypatch):
+        rng = np.random.default_rng(76)
+        u = _deficient(rng, 4, 4, 2, 1.0)
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        assert col_space_equal(u, u @ u.conj().T)  # [U | V] (4 x 8), then U and V (4 x 4)
+        assert len(calls) == 2
+        assert col_space_contains(u, 2 * u)
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2)])
+    def test_non_matrix_raises(self, shape):
+        from ginverse import matcore
+
+        with pytest.raises(ValueError):
+            matcore.numerical_ranks([np.ones(shape)])
+        with pytest.raises(ValueError):
+            numerical_rank(np.ones(shape))

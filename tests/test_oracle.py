@@ -657,3 +657,30 @@ class TestExactTwin:
         assert (o.MAX_HEIGHT_BITS, 2) not in a._towers
         with pytest.raises(ArithmeticError, match="ax2"):
             o.exact_mwgi(a, 2)
+
+
+class TestTestMatricesOncePerN:
+    """certify builds its solution-check B and Y once per n, with the same residuals."""
+
+    def test_built_once(self):
+        o._test_matrices.cache_clear()
+        assert o._test_matrices(3) is o._test_matrices(3)
+        assert o._test_matrices(3) == o._test_matrices.__wrapped__(3)
+
+    def test_solution_residuals_unchanged(self):
+        a = BLOCK3
+        z = o.exact_mwgi(a, 1)
+        rows = [list(r) for r in z.entries]
+        rows[0][0] = rows[0][0] + GR(1)
+        bad = RM.from_rows(rows)
+        # the solution check, evaluated on a fresh B and Y
+        b, y = o._test_matrices.__wrapped__(3)
+        qs = (a @ o.exact_drazin(a)).conj_transpose()
+        x = bad @ b + (RM.identity(3) - bad @ a) @ y
+        fresh = o._diff_residual(qs @ a.power(2) @ x, qs @ a @ b)
+        assert fresh > 0.0
+        o._test_matrices.cache_clear()
+        for _ in range(2):  # a fresh build, then the kept one
+            for candidate, residual in ((bad, fresh), (None, 0.0)):
+                check = o.certify(a, 1, z=candidate).checks["solution"]
+                assert check.residual.hex() == residual.hex()

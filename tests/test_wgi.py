@@ -1197,3 +1197,88 @@ class TestCheckersTakeZ:
     def test_unusable_candidate_raises(self, z):
         with pytest.raises(ValueError):
             wgi.b_characterization(self.A, 2, z=z)
+
+
+class TestFormedOperandsNotCopied:
+    """The routes check the operands they form from A (A^m, A^D, A A^D,
+    A^{m+1} A^o, A^2 A^+) for finiteness in place, with no copy."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_routes_do_not_copy(self, monkeypatch, m):
+        t = tower(with_index(np.random.default_rng(80 + m), 5, 2))
+        z = wgi.mwgi(t, m).Z
+
+        def copying(values):
+            raise AssertionError("a formed operand was copied")
+
+        for module in (wgi, classical):
+            monkeypatch.setattr(module, "as_matrix", copying)
+            monkeypatch.setattr(module, "as_square_matrix", copying)
+        for route in (
+            wgi.Route.POWER_REDUCTION,
+            wgi.Route.NORMAL_EQUATION,
+            wgi.Route.DRAZIN_SOLVE,
+            wgi.Route.CORE_OF_DRAZIN,
+            wgi.Route.CORE_CHAIN,
+            wgi.Route.REGULAR_LIFT,
+        ):
+            if m >= 2 or route is not wgi.Route.REGULAR_LIFT:
+                assert approx_equal(wgi.mwgi_by_route(t, m, route), z), route
+
+    def test_overflowing_power_raises_value_error(self):
+        a = 1e200 * with_index(np.random.default_rng(84), 4, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for route in (wgi.mwgi_via_power, wgi.mwgi_regular_lift):
+                with pytest.raises(ValueError, match="finite"):
+                    route(a, 2)
+
+
+class TestB0FormedOnce:
+    """b0 = (A^D)^{m+1} A^m is formed once per tower and m, from the (A^D)^{m+1}
+    that the normal route reads, and bc_inverse_check and outer_inverse_subspaces
+    share it."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_shared(self, monkeypatch, m):
+        t = tower(with_index(np.random.default_rng(85 + m), 5, 2))
+        z, d = wgi.mwgi(t, m).Z, t.d
+        d_powers = []
+        matrix_power = np.linalg.matrix_power
+
+        def recording(base, e):
+            if classical._same_bits(base, d):
+                d_powers.append(e)
+            return matrix_power(base, e)
+
+        monkeypatch.setattr(np.linalg, "matrix_power", recording)
+        wgi.mwgi_normal_equation(t, m)
+        assert wgi.bc_inverse_check(t, m, z=z).overall
+        assert wgi.outer_inverse_subspaces(t, m, z=z).overall
+        assert d_powers == [m + 1]
+        b0 = t._kept[("b0", m)]
+        assert classical._same_bits(b0, matrix_power(t.d, m + 1) @ t.power(m))
+
+
+class TestCheckersRankInBatches:
+    """Each checker with rank tests makes one s-only SVD per shape of matrix it ranks."""
+
+    def test_s_only_calls(self, monkeypatch):
+        a = with_index(np.random.default_rng(89), 5, 2)
+        t = tower(a)
+        z = wgi.mwgi(t, 2).Z
+        polar = wgi.polar_idempotent(t, 2, z=z)
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(x, *args, **kwargs):
+            if kwargs.get("compute_uv", True) is False:
+                calls.append(1 if np.ndim(x) == 2 else len(x))
+            return svd(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        assert polar.verify(t, 2).overall
+        assert wgi.b_characterization(t, 2, z=z).overall
+        assert wgi.bc_inverse_check(t, 2, z=z).overall
+        assert wgi.outer_inverse_subspaces(t, 2, z=z).overall
+        # the 17 matrices the four checkers rank, in 8 calls (one per checker and shape)
+        assert len(calls) == 8 and sum(calls) == 17
