@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -66,21 +65,11 @@ class Tower:
     """A, its index (with rank chain), the factors U1, T^-1 of A^o and the policy
     ``tol`` it was built under; arrays are read-only.
 
-    ``u1`` is C-contiguous, or None when k = 0 (U1 = I).  The tower forms each
-    of these once, when first read, and keeps it for as long as it lives:
-
-    * ``power(j)``, A^j for j >= 2, as A^{j-1} A;
-    * ``o`` = A^o, ``d`` = A^D and ``ad`` = A A^D;
-    * ``matrix_power(name, e)``, the e-th power of ``o``, ``d`` or ``tinv`` by
-      the np.linalg.matrix_power call that forms it afresh (from e = 4 up, a
-      chain of products differs from its binary decomposition in the last
-      bits); at k = 0, where A^o is T^-1, the two share their powers;
-    * through ``keep``, a product named by its caller, such as the b0 of
-      ``wgi.bc_inverse_check``.
-
-    ``_checked`` holds, per weight m, the Z that ``wgi.mwgi`` formed and
-    checked, with its checks, and until one ``wgi.verify_definition`` of that Z
-    the products they were read from.
+    ``u1`` is C-contiguous, or None when k = 0 (U1 = I).  Everything else the
+    tower forms when first read and keeps, through ``keep``, for as long as it
+    lives: ``o`` = A^o, ``d`` = A^D, ``ad`` = A A^D, the powers ``pow(name, e)``
+    of A, A^o, A^D and T^-1, and the products its callers name, such as the b0
+    of ``wgi.bc_inverse_check`` and the Z that ``wgi.mwgi`` checked.
     """
 
     index: IndexResult
@@ -88,31 +77,28 @@ class Tower:
     u1: np.ndarray | None
     tinv: np.ndarray
     tol: TolerancePolicy
-    _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _checked: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def keep(self, key, make):
+        """What make() returns, made at the first read of ``key`` and kept."""
+        if key not in self._kept:  # of two threads racing here, the first to store wins
+            self._kept.setdefault(key, make())
+        return self._kept[key]
+
+    def pow(self, name: str, e: int) -> np.ndarray:
+        """X^e for e >= 1 and X the tower's ``a``, ``o``, ``d`` or ``tinv``, formed as
+        X^{e-1} X from the kept X^{e-1}: up to e = 3 these are the bits of
+        np.linalg.matrix_power(X, e).  At k = 0, A^o is T^-1 and shares its powers."""
+        if name == "o" and self.u1 is None:
+            name = "tinv"
+        x = getattr(self, name)
+        if e == 1:
+            return x
+        return self.keep((name, e), lambda: readonly(self.pow(name, e - 1) @ x))
 
     def power(self, j: int) -> np.ndarray:
         """A^j; A^0 = I is formed on each read."""
-        if j < 2:
-            return self.a if j == 1 else readonly(np.eye(len(self.a), dtype=np.complex128))
-        if j not in self._powers:  # of two threads racing here, the first to store wins
-            self._powers.setdefault(j, readonly(self.power(j - 1) @ self.a))
-        return self._powers[j]
-
-    def keep(self, key, make) -> np.ndarray:
-        """The matrix make() returns, made at the first read of ``key`` and kept."""
-        if key not in self._kept:  # as in ``power``, the first to store wins
-            self._kept.setdefault(key, readonly(make()))
-        return self._kept[key]
-
-    def matrix_power(self, name: str, e: int) -> np.ndarray:
-        """np.linalg.matrix_power(X, e) for X the tower's ``o``, ``d`` or ``tinv``."""
-        if name == "o" and self.u1 is None:  # A^o is T^-1 itself
-            name = "tinv"
-        if e == 1:  # the very array np.linalg.matrix_power returns
-            return getattr(self, name)
-        return self.keep((name, e), lambda: np.linalg.matrix_power(getattr(self, name), e))
+        return self.pow("a", j) if j else readonly(np.eye(len(self.a), dtype=np.complex128))
 
     @property
     def ak(self) -> np.ndarray:
@@ -122,20 +108,22 @@ class Tower:
         """U1* X (X itself when k = 0)."""
         return x if self.u1 is None else self.u1.conj().T @ x
 
-    @cached_property
+    @property
     def o(self) -> np.ndarray:
         """A^o = U1 T^-1 U1*."""
-        return self.tinv if self.u1 is None else readonly(self.u1 @ self.tinv @ self.u1.conj().T)
+        if self.u1 is None:
+            return self.tinv
+        return self.keep("o", lambda: readonly(self.u1 @ self.tinv @ self.u1.conj().T))
 
-    @cached_property
+    @property
     def d(self) -> np.ndarray:
         """A^D = (A^o)^{k+1} A^k."""
-        return readonly(self.matrix_power("o", self.index.k + 1) @ self.ak)
+        return self.keep("d", lambda: readonly(self.pow("o", self.index.k + 1) @ self.ak))
 
-    @cached_property
+    @property
     def ad(self) -> np.ndarray:
         """A A^D."""
-        return readonly(self.a @ self.d)
+        return self.keep("ad", lambda: readonly(self.a @ self.d))
 
 
 def moore_penrose(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:

@@ -117,7 +117,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         route = _ROUTE_BY_FLAG[args.route]
         z = wgi.mwgi_by_route(t, args.m, route, args.tol)
         if route is not wgi.Route.CORE_EP:  # mwgi has checked the core-ep Z already
-            wgi._require(wgi._check_z(t, z, args.m).checks, f"the {args.route} route's Z")
+            wgi._require(wgi._check_z(t, z, args.m)[0], f"the {args.route} route's Z")
     else:
         inverse, identities = _INVERSES[args.inverse]
         z = inverse(t or a, args.tol)

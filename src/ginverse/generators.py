@@ -186,7 +186,7 @@ def rational_with_index(
                         int(nil[i, j].real)
                     )
         blocks = RationalMatrix.from_rows(rows)
-        s = _unimodular(rng, n, shears=int(rng.integers(1, n + 1)))
+        s = _shears(rng, n)
         a = s @ blocks @ exact_inverse(s)
         height = max(
             max(

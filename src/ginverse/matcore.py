@@ -108,34 +108,21 @@ def conj_transpose(a: np.ndarray) -> np.ndarray:
     return np.conj(a).T
 
 
-def _sumsq(x: np.ndarray):
-    """The sum of squares that np.linalg.norm(X, "fro") takes the root of, by the
-    same steps without that function's wrapper: bools and integers become float64,
-    then dot products over the memory-order ravel."""
-    if x.dtype.kind in "biu":
-        x = x.astype(np.float64)
-    if x.dtype.kind == "c":
-        return _sumsq_complex(x)
-    x = x.ravel(order="K")
-    return x.dot(x)
-
-
 def _sumsq_complex(x: np.ndarray):
-    """``_sumsq`` of a complex X: re.re + im.im over its memory-order ravel."""
+    """The sum of squares that np.linalg.norm(X, "fro") takes the root of, for a
+    complex X, by the same steps without that function's wrapper: re.re + im.im
+    over the memory-order ravel."""
     x = x.ravel(order="K")
     re, im = x.real, x.imag
     return re.dot(re) + im.dot(im)
 
 
-# dtype codes whose sum of squares norm forms in float64, so math.sqrt gives its root
-_FLOAT64_SUMS = "dD?" + np.typecodes["AllInteger"]
-
-
 def frobenius(a: np.ndarray) -> float:
-    """||A||_F, with the bits of np.linalg.norm(A, "fro"), which also judges other inputs."""
+    """||A||_F, with the bits of np.linalg.norm(A, "fro"), which judges every input
+    but a complex128 matrix itself."""
     a = np.asarray(a)
-    if a.ndim == 2 and a.dtype.char in _FLOAT64_SUMS:
-        return math.sqrt(_sumsq(a))
+    if a.ndim == 2 and a.dtype == np.complex128:
+        return math.sqrt(_sumsq_complex(a))
     return float(np.linalg.norm(a, "fro"))
 
 

@@ -171,21 +171,10 @@ class PolarData:
         return VerificationReport(checks=checks)
 
 
-@dataclass(frozen=True)
-class _Checked:
-    """A candidate Z with the checks ax2: Z = A Z^2 and wgm_k: Z A^{k+1} = A^k and
-    (A^k)* A^{m+1} Z = (A^k)* A^m, read from A's tower, and the products A Z,
-    A Z^2 = (A Z) Z and A^{m+1} Z = A^m (A Z) they were read from (None once dropped)."""
-
-    z: np.ndarray
-    checks: dict[str, Check]
-    az: np.ndarray | None = None
-    az2: np.ndarray | None = None
-    am1z: np.ndarray | None = None
-
-
-def _check_z(t: Tower, z: np.ndarray, m: int) -> _Checked:
-    """Form Z's products with A once and evaluate ax2 and wgm_k on them.
+def _check_z(t: Tower, z: np.ndarray, m: int) -> tuple:
+    """The checks ax2: Z = A Z^2 and wgm_k: Z A^{k+1} = A^k and (A^k)* A^{m+1} Z =
+    (A^k)* A^m, read from A's tower, with the products A Z, A Z^2 = (A Z) Z and
+    A^{m+1} Z = A^m (A Z) they were read from: (checks, az, az2, am1z).
 
     At k = 0, A^k = I, so wgm_k compares A^{m+1} Z with A^m as they are."""
     tol, k, am, ak = t.tol, t.index.k, t.power(m), t.ak
@@ -198,8 +187,7 @@ def _check_z(t: Tower, z: np.ndarray, m: int) -> _Checked:
     else:
         ak_star = conj_transpose(ak)
         second = _eq_check(ak_star @ am1z, ak_star @ am, tol)
-    checks = {"ax2": ax2, "wgm_k": _merge(first, second)}
-    return _Checked(z=z, checks=checks, az=az, az2=az2, am1z=am1z)
+    return {"ax2": ax2, "wgm_k": _merge(first, second)}, az, az2, am1z
 
 
 def _require(checks: dict[str, Check], what: str) -> None:
@@ -211,14 +199,19 @@ def _require(checks: dict[str, Check], what: str) -> None:
             )
 
 
+def _kept_z(t: Tower, m: int) -> np.ndarray | None:
+    """The Z that ``mwgi`` checked and kept in A's tower for weight m, or None."""
+    return t._kept.get(("z", m))
+
+
 def _z(t: Tower, m: int) -> np.ndarray:
     """Z = (A^o)^{m+1} A^m: the Z that ``mwgi`` checked and kept in A's tower for
     this m, or else formed as U1 (T^-(m+1) (U1* A^m)) since U1* U1 = I."""
     _check_m(m)
-    checked = t._checked.get(m)
-    if checked is not None:
-        return checked.z
-    z = t.matrix_power("tinv", m + 1) @ t.coords(t.power(m))
+    z = _kept_z(t, m)
+    if z is not None:
+        return z
+    z = t.pow("tinv", m + 1) @ t.coords(t.power(m))
     return z if t.u1 is None else t.u1 @ z
 
 
@@ -227,8 +220,7 @@ def _candidate(t: Tower, z, m: int, default=None) -> np.ndarray:
     _check_m(m)
     if z is None and default is not None:
         return default(t, m)
-    checked = t._checked.get(m)
-    if checked is not None and z is checked.z:  # the Z mwgi checked, validated already
+    if z is not None and z is _kept_z(t, m):  # the Z mwgi checked, validated already
         return z
     z = as_matrix(z)
     if z.shape != t.a.shape:
@@ -248,18 +240,24 @@ def mwgi(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> MwgiResult:
     Z is formed from the tower's factors of A^o (see ``_z``) and checked against
     its defining equations (ax2 and wgm_k of ``verify_definition``); a failure
     beyond tolerance raises RepresentationMismatch naming the failed check.
-    A Z that passes is kept with its checks in A's tower for as long as the
-    tower lives, so a repeat call and the checkers' default Z read it unchanged;
-    its products are kept too, until one ``verify_definition`` of that Z uses them.
+    A Z that passes is kept in A's tower for as long as the tower lives, so a
+    repeat call and the checkers' default Z read it unchanged; its checks and
+    the products they were read from are kept too, until one
+    ``verify_definition`` of that Z uses them.
     """
     _check_m(m)  # before the lookup, where m = True would find the entry of m = 1
     t = tower(a, tol)
-    checked = t._checked.get(m)
-    if checked is None:
-        checked = _check_z(t, readonly(_z(t, m)), m)
-        _require(checked.checks, "Z")
-        t._checked.setdefault(m, checked)
-    return MwgiResult(Z=checked.z, m=m, k=t.index.k, route=Route.CORE_EP)
+    z = t.keep(("z", m), lambda: _checked_z(t, m))
+    return MwgiResult(Z=z, m=m, k=t.index.k, route=Route.CORE_EP)
+
+
+def _checked_z(t: Tower, m: int) -> np.ndarray:
+    """Z formed and checked, with its checks and products kept for ``verify_definition``."""
+    z = readonly(_z(t, m))
+    checked = _check_z(t, z, m)
+    _require(checked[0], "Z")
+    t.keep(("az", m), lambda: checked)
+    return z
 
 
 def mwgi_via_power(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -280,7 +278,7 @@ def mwgi_normal_equation(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.nd
     _check_m(m)
     t = tower(a, tol)
     x = _pinv(_finite(t.ad), tol) @ t.power(m)
-    return t.matrix_power("d", m + 1) @ x
+    return t.pow("d", m + 1) @ x
 
 
 def mwgi_drazin_solve(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -288,7 +286,7 @@ def mwgi_drazin_solve(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarr
     _check_m(m)
     t = tower(a, tol)
     x = _pinv(_finite(t.d), tol) @ t.power(m)
-    return t.matrix_power("d", m + 2) @ x
+    return t.pow("d", m + 2) @ x
 
 
 def mwgi_step(a, zm, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -309,7 +307,7 @@ def mwgi_core_of_drazin(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.nda
     """
     _check_m(m)
     t = tower(a, tol)
-    return t.matrix_power("d", m + 2) @ core_inverse(_build(_finite(t.d), tol), tol) @ t.power(m)
+    return t.pow("d", m + 2) @ core_inverse(_build(_finite(t.d), tol), tol) @ t.power(m)
 
 
 def mwgi_core_chain(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -322,7 +320,7 @@ def mwgi_core_chain(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray
     t = tower(a, tol)
     b = t.power(m + 1) @ t.o
     c = core_inverse(_build(_finite(b), tol), tol)  # NoCoreInverse if B misbehaves
-    om = t.matrix_power("o", m)
+    om = t.pow("o", m)
     if not approx_equal(c, om, tol):
         raise RepresentationMismatch(
             f"core inverse of A^({m + 1}) A^o is not (A^o)^{m}: "
@@ -383,29 +381,24 @@ def verify_definition(a, z, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> Verif
     """
     t = tower(a, tol)
     a, z, k = t.a, _candidate(t, z, m), t.index.k
-    # the products mwgi formed for this m serve one call, and only a Z of the same
-    # bits; the tower drops them here to bound peak memory, and keeps Z
-    kept = t._checked.get(m)
-    if kept is not None and kept.az is not None and _same_bits(kept.z, z):
-        checked = kept
-        t._checked[m] = _Checked(z=kept.z, checks=kept.checks)
-    else:
-        checked = _check_z(t, z, m)
-    del kept
-    am, az, az2, am1z = t.power(m), checked.az, checked.az2, checked.am1z
-    ak, a2z2 = t.ak, a @ az2
+    # the checks and products mwgi formed for this m serve one call, and only a Z
+    # of the same bits; the tower gives them up here to bound peak memory, and keeps Z
+    kept = _kept_z(t, m)
+    handed = t._kept.pop(("az", m), None) if kept is not None and _same_bits(kept, z) else None
+    defining, az, az2, am1z = handed or _check_z(t, z, m)
+    del handed
+    am, ak, a2z2 = t.power(m), t.ak, a @ az2
     limit = _eq_check(ak, az if k == 0 else az @ ak, tol)  # A^0 = I
     idem34 = _merge(_eq_check(az, a2z2, tol), _eq_check(az, a @ (a2z2 @ z), tol))
-    defining = checked.checks
     # the checks left need A^{m+1} Z only; freeing these bounds peak memory
-    del az, az2, a2z2, checked
+    del az, az2, a2z2
     # A A^o A^m = (A U1) T^-1 U1* A^m and A A^D = (A U1) G with G = T^-(k+1) U1* A^k
     # (T^-1 at k = 0, where U1* A^0 = I); A U1 is formed rather than taken as U1 T,
     # which is what these checks test
     au1 = a if t.u1 is None else a @ t.u1
     core_ep48 = _eq_check(am1z, au1 @ (t.tinv @ t.coords(am)), tol)
     au1_star = conj_transpose(au1)
-    g = t.tinv if k == 0 else t.matrix_power("tinv", k + 1) @ t.coords(ak)
+    g = t.tinv if k == 0 else t.pow("tinv", k + 1) @ t.coords(ak)
     g_star = conj_transpose(g)
     def11 = _eq_check(g_star @ (au1_star @ am1z), g_star @ (au1_star @ am), tol)
     weighted = conj_transpose(am) @ am1z
@@ -457,7 +450,7 @@ def b_characterization(a, m: int, tol: TolerancePolicy = DEFAULT_TOL, z=None) ->
 
 def _b0(t: Tower, m: int) -> np.ndarray:
     """b0 = (A^D)^{m+1} A^m, the range of Z, formed once per tower and m."""
-    return t.keep(("b0", m), lambda: t.matrix_power("d", m + 1) @ t.power(m))
+    return t.keep(("b0", m), lambda: readonly(t.pow("d", m + 1) @ t.power(m)))
 
 
 def bc_inverse_check(a, m: int, tol: TolerancePolicy = DEFAULT_TOL, z=None) -> VerificationReport:
@@ -506,7 +499,7 @@ def additive_mwgi(a, b, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarra
     if ma.shape != mb.shape:
         raise ValueError(f"shape mismatch: {ma.shape} vs {mb.shape}")
     _check_m(m)
-    zero = np.zeros(ma.shape)
+    zero = np.zeros(ma.shape, dtype=np.complex128)
     for label, product in (("A B", ma @ mb), ("B A", mb @ ma), ("A* B", conj_transpose(ma) @ mb)):
         residual = rel_residual(product, zero)
         if not residual <= tol.eq_rtol:

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,11 @@ from ginverse.matcore import DEFAULT_TOL, approx_equal, frobenius, rel_residual
 J2 = np.array([[0, 1], [0, 0]], dtype=complex)
 J3 = np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=complex)
 IDEMPOTENT = np.array([[1, 1], [0, 0]], dtype=complex)
+
+
+def _chain(x, e):
+    """X^e as the chain ((X X) X) ... X."""
+    return reduce(np.matmul, [x] * e)
 
 
 class TestMoorePenrose:
@@ -194,7 +201,7 @@ class TestTower:
         t = tower(a)
         assert t.index == index(a)
         # the tower keeps U1 and T^-1; A^o and A^D are formed when first read
-        assert "o" not in vars(t) and "d" not in vars(t)
+        assert "o" not in t._kept and "d" not in t._kept
         ak = np.linalg.matrix_power(a, k)
         _, u1, core = classical._staircase(a, DEFAULT_TOL)
         assert np.array_equal(t.tinv, np.linalg.inv(core))
@@ -209,7 +216,7 @@ class TestTower:
             assert approx_equal(u1 @ u1h, ak @ moore_penrose(ak))
             assert approx_equal(core, u1h @ a @ u1)
             o = u1 @ np.linalg.inv(core) @ u1h
-        d = np.linalg.matrix_power(o, k + 1) @ ak
+        d = _chain(o, k + 1) @ ak
         assert np.array_equal(t.ak, ak)
         assert np.array_equal(t.o, o)
         assert np.array_equal(t.d, d)
@@ -310,41 +317,42 @@ class TestCoreInverseFromTower:
 
 
 class TestKeptPowers:
-    """The tower keeps the powers of A^o, A^D and T^-1 with the bits of
-    np.linalg.matrix_power, forms each once, and forms A A^D once."""
+    """The tower forms each power of A, A^o, A^D and T^-1 once, as one product with
+    the power below it, and forms A A^D once."""
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
-    def test_bits_of_matrix_power(self, k):
-        t = tower(with_index(np.random.default_rng(60 + k), 6, k))
-        for name in ("o", "d", "tinv"):
+    def test_power_rule(self, k):
+        a = with_index(np.random.default_rng(60 + k), 6, k)
+        for name in ("a", "o", "d", "tinv"):
+            t = classical._build(a, DEFAULT_TOL)  # a fresh store for each base
             base = getattr(t, name)
-            for e in range(1, 6):
-                kept = t.matrix_power(name, e)
-                assert classical._same_bits(kept, np.linalg.matrix_power(base, e)), (name, e)
+            assert t.pow(name, 1) is base
+            for e in range(2, 7):
+                stored = len(t._kept)
+                kept = t.pow(name, e)
+                assert len(t._kept) == stored + 1, (name, e)  # one new product
+                assert classical._same_bits(kept, t.pow(name, e - 1) @ base), (name, e)
+                assert classical._same_bits(kept, _chain(base, e)), (name, e)
+                if e <= 3:  # numpy unrolls matrix_power up to e = 3
+                    assert classical._same_bits(kept, np.linalg.matrix_power(base, e)), (name, e)
                 assert not kept.flags.writeable
-                assert t.matrix_power(name, e) is kept
+                assert t.pow(name, e) is kept and len(t._kept) == stored + 1
 
-    def test_each_power_formed_once(self, monkeypatch):
-        t = tower(with_index(np.random.default_rng(64), 5, 2))
-        calls = []
-        matrix_power = np.linalg.matrix_power
-
-        def counting(base, e):
-            calls.append(e)
-            return matrix_power(base, e)
-
-        monkeypatch.setattr(np.linalg, "matrix_power", counting)
-        assert t.d is t.d and calls == [3]  # A^D = (A^o)^{k+1} A^k
+    def test_each_power_formed_once(self):
+        t = classical._build(with_index(np.random.default_rng(64), 5, 2), DEFAULT_TOL)
+        assert t.d is t.d  # A^D = (A^o)^{k+1} A^k keeps A^o, (A^o)^2, (A^o)^3, A^2 and A^D
+        assert len(t._kept) == 5
         for _ in range(2):
             for name in ("o", "d", "tinv"):
-                t.matrix_power(name, 3)
-                t.matrix_power(name, 4)
-        assert calls == [3, 4, 3, 4, 3, 4]  # (A^o)^3 was kept with A^D
+                t.pow(name, 3)
+                t.pow(name, 4)
+            # (A^o)^4, (A^D)^2..4 and T^-2..4 in the first round, nothing in the second
+            assert len(t._kept) == 12
 
     def test_index_zero_shares_the_powers_of_t_inverse(self):
         t = tower(with_index(np.random.default_rng(65), 4, 0))
         assert t.o is t.tinv
-        assert t.matrix_power("o", 3) is t.matrix_power("tinv", 3)
+        assert t.pow("o", 3) is t.pow("tinv", 3)
 
     def test_ad_formed_once(self):
         t = tower(with_index(np.random.default_rng(66), 5, 2))

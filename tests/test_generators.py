@@ -62,6 +62,14 @@ def test_rational_with_index(rng):
         assert height <= 10
 
 
+@pytest.mark.parametrize("k", [0, 1])
+def test_rational_with_index_one_by_one(k):
+    # S is the 1 x 1 identity: no shear has two distinct rows to draw
+    a = rational_with_index(np.random.default_rng(k), 1, k)
+    assert a.shape == (1, 1)
+    assert oracle.exact_index(a) == k
+
+
 def test_dyadic_with_index_round_trips_and_has_index():
     from ginverse.generators import dyadic_with_index
 

@@ -1,6 +1,7 @@
 import dataclasses
 import sys
 import threading
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -644,7 +645,8 @@ class TestProductsFormedOnce:
         power = np.linalg.matrix_power
         z = wgi.mwgi(a, m).Z
         t = tower(a)
-        expected = t.u1 @ (power(t.tinv, m + 1) @ (t.u1.conj().T @ power(a, m)))
+        tinv_power = reduce(np.matmul, [t.tinv] * (m + 1))  # the chain ((T^-1 T^-1) T^-1) ...
+        expected = t.u1 @ (tinv_power @ (t.u1.conj().T @ power(a, m)))
         assert np.array_equal(z, expected)
         assert approx_equal(z, power(core_ep(a), m + 1) @ power(a, m))
 
@@ -677,6 +679,8 @@ class TestProductsFormedOnce:
         assert failed == set(expected[0])
 
     def test_matrix_power_never_raises_a(self, monkeypatch):
+        # mwgi and verify_definition read every power, of A and of T^-1, from the
+        # tower, which forms each by its own product rule
         a = with_index(np.random.default_rng(9), 6, 3)
         bases = []
         matrix_power = np.linalg.matrix_power
@@ -689,8 +693,7 @@ class TestProductsFormedOnce:
         for m in (1, 2, 3):
             z = wgi.mwgi(a, m).Z
             wgi.verify_definition(a, z, m)
-        assert bases
-        assert not any(np.array_equal(base, a) for base in bases)
+        assert not bases
 
 
 class TestDefiningSelfCheck:
@@ -989,6 +992,25 @@ class TestMwgiHandsOffProducts:
         assert wgi.verify_definition(a, z2, 2).overall
         _same_report(wrong, _cold_report(monkeypatch, a, z1, 2))
 
+    @pytest.mark.parametrize("k, m", [(0, 2), (2, 1), (2, 3), (3, 2)])
+    def test_store_holds_no_product_of_z_after_verify(self, k, m):
+        t = classical._build(with_index(np.random.default_rng(20 + k + m), 6, k), DEFAULT_TOL)
+        z = wgi.mwgi(t, m).Z
+        az = t.a @ z
+        products = [_bits(p) for p in (az, az @ z, t.power(m) @ az)]
+
+        def stored():
+            values = []
+            for value in t._kept.values():  # the hand-off entry is a tuple
+                values.extend(value if isinstance(value, tuple) else (value,))
+            return [_bits(v) for v in values if isinstance(v, np.ndarray)]
+
+        assert all(p in stored() for p in products)
+        first = wgi.verify_definition(t, z, m)
+        assert not any(p in stored() for p in products)
+        assert t._kept[("z", m)] is z
+        assert _bits(wgi.verify_definition(t, z, m)) == _bits(first)
+
     def test_second_verify_recomputes_the_same_report(self, z_checks):
         a = with_index(np.random.default_rng(10), 6, 2)
         z = wgi.mwgi(a, 2).Z
@@ -1023,9 +1045,9 @@ class TestOneCheckedZ:
         a = with_index(np.random.default_rng(12), 6, 2)
         z = wgi.mwgi(a, 2).Z
         assert wgi.verify_definition(a, z, 2).overall
-        kept = tower(a)._checked[2]
-        assert kept.z is z
-        assert (kept.az, kept.az2, kept.am1z) == (None, None, None)
+        kept = tower(a)._kept
+        assert kept[("z", 2)] is z
+        assert ("az", 2) not in kept  # the checks and products went to verify_definition
         assert wgi.group_decomposition(a, 2).verify(a, 2).overall
         assert wgi.b_characterization(a, 2).overall
         assert wgi.bc_inverse_check(a, 2).overall
@@ -1240,23 +1262,25 @@ class TestB0FormedOnce:
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_shared(self, monkeypatch, m):
-        t = tower(with_index(np.random.default_rng(85 + m), 5, 2))
+        t = classical._build(with_index(np.random.default_rng(85 + m), 5, 2), DEFAULT_TOL)
         z, d = wgi.mwgi(t, m).Z, t.d
-        d_powers = []
-        matrix_power = np.linalg.matrix_power
+        formed = []
+        keep = classical.Tower.keep
 
-        def recording(base, e):
-            if classical._same_bits(base, d):
-                d_powers.append(e)
-            return matrix_power(base, e)
+        def recording(self, key, make):
+            if key not in self._kept:
+                formed.append(key)
+            return keep(self, key, make)
 
-        monkeypatch.setattr(np.linalg, "matrix_power", recording)
+        monkeypatch.setattr(classical.Tower, "keep", recording)
         wgi.mwgi_normal_equation(t, m)
         assert wgi.bc_inverse_check(t, m, z=z).overall
         assert wgi.outer_inverse_subspaces(t, m, z=z).overall
-        assert d_powers == [m + 1]
+        d_powers = sorted(key[1] for key in formed if isinstance(key, tuple) and key[0] == "d")
+        assert d_powers == list(range(2, m + 2))
+        assert formed.count(("b0", m)) == 1
         b0 = t._kept[("b0", m)]
-        assert classical._same_bits(b0, matrix_power(t.d, m + 1) @ t.power(m))
+        assert classical._same_bits(b0, reduce(np.matmul, [d] * (m + 1)) @ t.power(m))
 
 
 class TestCheckersRankInBatches:
