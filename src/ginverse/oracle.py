@@ -8,7 +8,18 @@ floating point modules are validated against these computations.
 The spectral tower of a square A (the index k by exact rank, the core-EP
 inverse A^o = F (F* A F)^-1 F* with F the pivot columns of A^k, and the
 Drazin inverse A^D = (A^o)^{k+1} A^k) is built and its identities verified
-once per matrix and height bound; it is kept with the matrix, like its powers.
+once per matrix and height bound; it is kept with the matrix, like its powers
+and its exact rank.
+
+A product is formed by numpy object-array dots over the stored Python-int
+numerators, three per product in Gauss's form, so its loops run in C on exact
+integers of any height.  The outermost public call (``certify``,
+``exact_mwgi``, ``exact_drazin``, ``exact_core_ep``, ``exact_mp``) opens one
+product store, keyed by the operands' canonical ``_key()``, and every call
+nested in it reads and fills the same store, so a product of equal operands is
+formed once per call even where the operands are distinct objects.  The store
+is dropped when that call returns or raises; it lives in a context variable,
+so threads never share one.
 
 A :class:`RationalMatrix` stores Gaussian-integer numerators (real and
 imaginary parts as Python ints) over one positive common denominator, in
@@ -29,9 +40,9 @@ from __future__ import annotations
 
 import functools
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 import numpy as np
 
@@ -60,6 +71,28 @@ MAX_HEIGHT_BITS = 4096
 
 class HeightOverflow(ArithmeticError):
     """An intermediate rational exceeded the configured bit bound."""
+
+
+# The products formed in the outermost public oracle call now running in this
+# context, keyed by the operands' canonical keys; None outside any call.
+_products: ContextVar[dict | None] = ContextVar("oracle_products", default=None)
+
+
+def _with_products(call):
+    """``call`` with one product store: the outermost call opens it and drops it
+    when it returns or raises; the calls nested in it share it."""
+
+    @functools.wraps(call)
+    def with_store(*args, **kwargs):
+        if _products.get() is not None:
+            return call(*args, **kwargs)
+        token = _products.set({})
+        try:
+            return call(*args, **kwargs)
+        finally:
+            _products.reset(token)
+
+    return with_store
 
 
 def _frac(x) -> Fraction:
@@ -181,7 +214,9 @@ class RationalMatrix:
     gives the same matrix as rows of :class:`GaussianRational`.
     """
 
-    __slots__ = ("_nrows", "_ncols", "_re", "_im", "_den", "_entries", "_powers", "_towers")
+    __slots__ = (
+        "_nrows", "_ncols", "_re", "_im", "_den", "_entries", "_powers", "_rank", "_towers"
+    )
 
     def __init__(self, entries) -> None:
         rows = tuple(tuple(_coerce(x) for x in row) for row in entries)
@@ -206,6 +241,7 @@ class RationalMatrix:
         self._re, self._im, self._den = re, im, den
         self._entries = None
         self._powers = None
+        self._rank = None
         self._towers = None  # max_bits -> (k, A^D, A^o) (_tower), (max_bits, m) -> Z (certify)
 
     @classmethod
@@ -330,19 +366,31 @@ class RationalMatrix:
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        n, c = self._ncols, other._ncols
-        a_rows = [
-            (self._re[i * n : (i + 1) * n], self._im[i * n : (i + 1) * n])
-            for i in range(self._nrows)
-        ]
-        b_cols = [(other._re[j::c], other._im[j::c]) for j in range(c)]
-        re: list[int] = []
-        im: list[int] = []
-        for ar, ai in a_rows:
-            for br, bi in b_cols:
-                re.append(sum(map(mul, ar, br)) - sum(map(mul, ai, bi)))
-                im.append(sum(map(mul, ar, bi)) + sum(map(mul, ai, br)))
-        return RationalMatrix._of(self._nrows, c, re, im, self._den * other._den)
+        store = _products.get()
+        if store is None:
+            return self._times(other)
+        key = (self._key(), other._key())
+        product = store.get(key)
+        if product is None:
+            product = store[key] = self._times(other)
+        return product
+
+    def _times(self, other: "RationalMatrix") -> "RationalMatrix":
+        """The product, formed by object-array dots of the stored integer numerators.
+
+        Gauss's form takes three dots in place of four: with A = ar + i ai and
+        B = br + i bi, re = ar br - ai bi and im = (ar + ai)(br + bi) - ar br - ai bi.
+        numpy runs each dot's loop in C on the Python ints, so it stays exact at any height.
+        """
+        r, n, c = self._nrows, self._ncols, other._ncols
+        ar = np.array(self._re, dtype=object).reshape(r, n)
+        ai = np.array(self._im, dtype=object).reshape(r, n)
+        br = np.array(other._re, dtype=object).reshape(n, c)
+        bi = np.array(other._im, dtype=object).reshape(n, c)
+        rr, ii = ar.dot(br), ai.dot(bi)
+        re = (rr - ii).ravel().tolist()
+        im = ((ar + ai).dot(br + bi) - rr - ii).ravel().tolist()
+        return RationalMatrix._of(r, c, re, im, self._den * other._den)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -490,8 +538,13 @@ def _over_pivot(
 
 
 def rank(a: RationalMatrix) -> int:
-    """Exact rank by fraction-free elimination; no tolerance enters anywhere."""
-    return len(_rref(*a._int_rows())[0])
+    """Exact rank by fraction-free elimination; no tolerance enters anywhere.
+
+    The rank is computed once per matrix object and kept with it, like its powers.
+    """
+    if a._rank is None:
+        a._rank = len(_rref(*a._int_rows())[0])
+    return a._rank
 
 
 def inverse(a: RationalMatrix, max_bits: int = MAX_HEIGHT_BITS) -> RationalMatrix:
@@ -548,6 +601,7 @@ def _require_identities(identities, a: RationalMatrix, x: RationalMatrix, k: int
     _require_exact({label: _exact_check(*pair) for label, pair in pairs.items()})
 
 
+@_with_products
 def exact_mp(a: RationalMatrix, max_bits: int = MAX_HEIGHT_BITS) -> RationalMatrix:
     """Exact Moore-Penrose inverse via A = FG and G*(GG*)^-1 (F*F)^-1 F*."""
     _guard(a, max_bits)
@@ -607,11 +661,13 @@ def _tower(a: RationalMatrix, max_bits: int) -> tuple[int, RationalMatrix, Ratio
     return k, d, cep
 
 
+@_with_products
 def exact_drazin(a: RationalMatrix, max_bits: int = MAX_HEIGHT_BITS) -> RationalMatrix:
     """Exact Drazin inverse (A^o)^{k+1} A^k, from the tower of A; verified once, kept with A."""
     return _tower(a, max_bits)[1]
 
 
+@_with_products
 def exact_core_ep(a: RationalMatrix, max_bits: int = MAX_HEIGHT_BITS) -> RationalMatrix:
     """Exact core-EP inverse F (F* A F)^-1 F* (F spans col(A^k)); verified once, kept with A."""
     if not a.is_square():
@@ -651,6 +707,7 @@ def _identities(
     }
 
 
+@_with_products
 def exact_mwgi(a: RationalMatrix, m: int, max_bits: int = MAX_HEIGHT_BITS) -> RationalMatrix:
     """Exact m-weak group inverse (A^D)^{m+1} A A^o A^m, fully verified.
 
@@ -668,17 +725,29 @@ def exact_mwgi(a: RationalMatrix, m: int, max_bits: int = MAX_HEIGHT_BITS) -> Ra
 
 
 def _diff_residual(left: RationalMatrix, right: RationalMatrix) -> float:
-    """0.0 iff the matrices are exactly equal, else the float Frobenius gap."""
+    """0.0 iff the matrices are exactly equal, else the float Frobenius gap,
+    clamped to [ulp(0.0), inf] so that an unequal pair never reads 0.0.
+
+    sqrt(total) / den is formed as 2^e sqrt(q), with q = total / (den^2 4^e)
+    between 1/2 and 8, so no step leaves the float range before the last.
+    Where sqrt(total / den^2) is a normal float, the bits are its bits.
+    """
     if left == right:
         return 0.0
     diff = left - right
     total = sum(x * x for x in diff._re + diff._im)
-    return math.sqrt(total / diff._den**2)
+    den2 = diff._den**2
+    e = total.bit_length() // 2 - diff._den.bit_length()
+    q = total / (den2 << 2 * e) if e >= 0 else (total << -2 * e) / den2
+    try:
+        return max(math.ldexp(math.sqrt(q), e), math.ulp(0.0))
+    except OverflowError:
+        return math.inf
 
 
 def _exact_check(left: RationalMatrix, right: RationalMatrix) -> Check:
     residual = _diff_residual(left, right)
-    return Check(residual=residual, passed=residual == 0.0)
+    return Check(residual=residual, passed=residual == 0.0)  # 0.0 iff left == right
 
 
 @functools.cache
@@ -703,6 +772,7 @@ def _test_matrices(n: int) -> tuple[RationalMatrix, RationalMatrix]:
     return b, y
 
 
+@_with_products
 def certify(
     a: RationalMatrix,
     m: int,

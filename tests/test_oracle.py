@@ -1,10 +1,12 @@
 import json
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from ginverse import oracle as o
@@ -329,14 +331,25 @@ SCALARS = st.one_of(st.integers(-3, 3), FRACTIONS, st.builds(GR, FRACTIONS, FRAC
 SETTINGS = settings(max_examples=60, deadline=None)
 
 
+# integers small, above 2^64, and near the 4096-bit height bound, drawn from little entropy
+HUGE = st.one_of(
+    st.integers(-40, 40),
+    st.builds(lambda hi, lo, shift: (hi << shift) + lo,
+              st.integers(-99, 99), st.integers(0, 2**16), st.sampled_from([64, 4088])),
+)
+# few distinct denominators, so the common one of a matrix stays near the bound too
+HUGE_FRACTIONS = st.builds(Fraction, HUGE, st.sampled_from([1, 3, 12, 2**65, 3 * 2**4088]))
+HUGE_ENTRIES = st.one_of(st.just(GR()), st.builds(GR, HUGE_FRACTIONS, HUGE_FRACTIONS))
+
+
 @st.composite
-def rational_rows(draw, rows=None, cols=None):
+def rational_rows(draw, rows=None, cols=None, entries=ENTRIES):
     """Rows of Gaussian rationals with mixed denominators, zero rows and zero matrices."""
     r = rows or draw(st.integers(1, 4))
     c = cols or draw(st.integers(1, 4))
     if draw(st.integers(0, 9)) == 0:
         return [[GR()] * c for _ in range(r)]
-    out = [[draw(ENTRIES) for _ in range(c)] for _ in range(r)]
+    out = [[draw(entries) for _ in range(c)] for _ in range(r)]
     for i in range(r):
         if draw(st.integers(0, 4)) == 0:
             out[i] = [GR()] * c
@@ -400,6 +413,20 @@ class TestEquivalence:
     def test_matmul(self, data):
         x = data.draw(rational_rows())
         y = data.draw(rational_rows(rows=len(x[0])))
+        got = RM.from_rows(x) @ RM.from_rows(y)
+        assert got.entries == as_entries(ref_matmul(x, y))
+        assert_canonical(got)
+
+    @pytest.mark.parametrize(
+        "r, n, c", [(1, 8, 1), (8, 1, 8), (1, 6, 8), (8, 5, 1), (3, 7, 2), (8, 8, 8)]
+    )
+    # no shrinking: a reference product of 4096-bit entries is slow, and test_matmul
+    # shrinks a kernel fault to a small example
+    @settings(max_examples=8, deadline=None, phases=[Phase.generate])
+    @given(st.data())
+    def test_matmul_wide_tall_and_high(self, r, n, c, data):
+        x = data.draw(rational_rows(r, n, HUGE_ENTRIES))
+        y = data.draw(rational_rows(n, c, HUGE_ENTRIES))
         got = RM.from_rows(x) @ RM.from_rows(y)
         assert got.entries == as_entries(ref_matmul(x, y))
         assert_canonical(got)
@@ -684,3 +711,178 @@ class TestTestMatricesOncePerN:
             for candidate, residual in ((bad, fresh), (None, 0.0)):
                 check = o.certify(a, 1, z=candidate).checks["solution"]
                 assert check.residual.hex() == residual.hex()
+
+
+class TestOneRankPerMatrix:
+    """An exact rank is computed once per matrix object and kept with it, like its powers."""
+
+    @pytest.mark.parametrize("k, m", [(0, 2), (1, 1), (1, 2), (2, 2), (2, 3), (3, 2), (3, 5)])
+    def test_certify_ranks_each_power_once(self, monkeypatch, k, m):
+        ranked = []
+        rref = o._rref
+
+        def counting_rref(re, im):
+            caller = sys._getframe(1)
+            if caller.f_code is o.rank.__code__:  # an elimination that rank runs
+                ranked.append(caller.f_locals["a"])
+            return rref(re, im)
+
+        a = rational_with_index(np.random.default_rng(5), 4, k)
+        monkeypatch.setattr(o, "_rref", counting_rref)
+        assert o.certify(a, m).overall
+        # exact_index(A) ranks A, ..., A^{k+1}; exact_index(A^m), whose index is
+        # ceil(k / m), ranks (A^m)^1, ..., the first of which is the kept A^m when m <= k + 1
+        of_am = 0 if m == 1 else (-(-k // m) + 1) - (m <= k + 1)  # A^1 is A: no second index
+        assert len(ranked) == (k + 1) + of_am
+        assert len({id(x) for x in ranked}) == len(ranked)
+        assert sum(x is a.power(m) for x in ranked) == 1
+
+
+class TestExactCheckIsExact:
+    """An exact check passes iff its sides are equal; unequal sides never read 0.0 or raise."""
+
+    @staticmethod
+    def candidate(e):
+        # A = Z = diag(1, 0); the candidate is Z plus one entry of 2^e
+        a = RM.from_rows([[1, 0], [0, 0]])
+        return a, o.exact_mwgi(a, 1) + RM.from_rows([[GR(Fraction(2) ** e), 0], [0, 0]])
+
+    @pytest.mark.parametrize("e, residual", [(-1100, math.ulp(0.0)), (1100, math.inf)])
+    def test_gap_beyond_the_float_range_fails(self, e, residual):
+        a, z = self.candidate(e)
+        assert z.max_height_bits() <= o.MAX_HEIGHT_BITS
+        report = o.certify(a, 1, z=z)
+        assert not report.overall
+        failed = [c for c in report.checks.values() if not c.passed]
+        assert failed and all(c.residual == residual for c in failed)
+        assert all(c.residual == 0.0 for c in report.checks.values() if c.passed)
+
+    @pytest.mark.parametrize("e", [-600, -1, 0, 600])
+    def test_gap_inside_the_float_range_is_exact(self, e):
+        assert o._diff_residual(RM.from_rows([[GR(Fraction(2) ** e)]]), RM.zeros(1, 1)) == 2.0**e
+
+    @SETTINGS
+    @given(st.data())
+    def test_residual_bits_of_plain_division(self, data):
+        x = data.draw(rational_rows())
+        y = data.draw(rational_rows(rows=len(x), cols=len(x[0])))
+        a, b = RM.from_rows(x), RM.from_rows(y)
+        diff = a - b
+        total = sum(v * v for v in diff._re + diff._im)
+        assert o._diff_residual(a, b) == math.sqrt(total / diff._den**2)
+        assert o._exact_check(a, b).passed == (a == b)
+
+
+class TestProductStore:
+    """The outermost public oracle call keeps each product it forms, for the calls nested in it."""
+
+    @staticmethod
+    def matrix(seed=3, n=4, k=2):
+        return rational_with_index(np.random.default_rng(seed), n, k)
+
+    def test_no_store_after_a_call_returns(self):
+        a = self.matrix()
+        calls = [
+            lambda: o.certify(a, 2),
+            lambda: o.exact_mwgi(a, 3),
+            lambda: o.exact_drazin(a),
+            lambda: o.exact_core_ep(a),
+            lambda: o.exact_mp(a),
+        ]
+        assert o._products.get() is None
+        for call in calls:
+            call()
+            assert o._products.get() is None
+
+    def test_no_store_after_height_overflow(self):
+        a = RM.from_rows([[GR(Fraction(2**40, 3), 0), 1], [1, GR(Fraction(1, 2**40), 0)]])
+        with pytest.raises(o.HeightOverflow):
+            o.certify(a, 1, max_bits=32)
+        assert o._products.get() is None
+
+    def test_no_store_after_a_corrupted_tower(self, monkeypatch):
+        inverse = o.inverse
+        monkeypatch.setattr(o, "inverse", lambda m, max_bits=o.MAX_HEIGHT_BITS: inverse(m) * 2)
+        with pytest.raises(ArithmeticError, match="exact identity"):
+            o.certify(self.matrix(), 2)
+        assert o._products.get() is None
+
+    def test_nested_calls_share_the_outer_store(self, monkeypatch):
+        stores = []
+        identities = o._identities
+
+        def recording(*args):
+            stores.append(o._products.get())
+            return identities(*args)
+
+        monkeypatch.setattr(o, "_identities", recording)
+        assert o.certify(self.matrix(), 2).overall
+        # certify's own list, then exact_mwgi(A^m, 1) and exact_mwgi(A, m + 1) nested in it
+        assert len(stores) == 3
+        assert stores[0] is not None and all(s is stores[0] for s in stores)
+
+    def test_certify_forms_each_product_once(self, monkeypatch):
+        keys = []
+        times = RM._times
+
+        def recording(left, right):
+            keys.append((left._key(), right._key()))
+            return times(left, right)
+
+        monkeypatch.setattr(RM, "_times", recording)
+        a = self.matrix(n=5, k=3)
+        assert o.certify(a, 2).overall
+        o.exact_mwgi(a, 2)
+        assert keys and len(set(keys)) == len(keys)
+
+    def test_threads_keep_their_own_stores(self, monkeypatch):
+        matrices = [self.matrix(seed, 4, seed % 4) for seed in range(6)]
+        serial = [o.certify(RM.from_json(a.to_json()), 2).to_dict() for a in matrices]
+        seen = []  # (thread, store) per product formed; keeps every store alive
+        times = RM._times
+
+        def recording(left, right):
+            seen.append((threading.get_ident(), o._products.get()))
+            return times(left, right)
+
+        monkeypatch.setattr(RM, "_times", recording)
+        results = [None] * len(matrices)
+
+        def run(i):
+            results[i] = o.certify(matrices[i], 2).to_dict()
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(matrices))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == serial
+        stores = {}
+        for ident, store in seen:
+            assert store is not None
+            assert stores.setdefault(ident, store) is store  # one store per thread's call
+        assert len({id(s) for s in stores.values()}) == len(threads)
+
+    def test_results_equal_without_the_store(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        shapes = ((3, 1), (5, 3), (8, 2))
+        cases = [(rational_with_index(rng, n, k), m) for n, k in shapes for m in (1, 3)]
+
+        def results():
+            out = []
+            for a, m in cases:
+                a = RM.from_json(a.to_json())  # a fresh object, no tower kept
+                z = o.exact_mwgi(RM.from_json(a.to_json()), m)
+                out.append((o.certify(a, m).to_dict(), o.exact_mwgi(a, m),
+                            o.certify(a, m, z=z * 2).to_dict()))
+            return out
+
+        stored = results()
+        monkeypatch.setattr(RM, "__matmul__", RM._times)  # every product formed anew
+        assert results() == stored
