@@ -8,26 +8,37 @@ floating point modules are validated against these computations.
 The spectral tower of a square A (the index k by exact rank, the core-EP
 inverse A^o = F (F* A F)^-1 F* with F the pivot columns of A^k, and the
 Drazin inverse A^D = (A^o)^{k+1} A^k) is built and its identities verified
-once per matrix and height bound; it is kept with the matrix, like its powers
-and its exact rank.
+once per matrix and height bound.  ``certify`` reads the tower of A^m from
+A's, since (A^m)^o = (A^o)^m (Wang, LAA 508, 2016); the identities that pin
+a tower down are required of that one too.
 
-A product is formed by numpy object-array dots over the stored Python-int
-numerators, three per product in Gauss's form, so its loops run in C on exact
-integers of any height.  The outermost public call (``certify``,
-``exact_mwgi``, ``exact_drazin``, ``exact_core_ep``, ``exact_mp``) opens one
-product store, keyed by the operands' canonical ``_key()``, and every call
-nested in it reads and fills the same store, so a product of equal operands is
-formed once per call even where the operands are distinct objects.  The store
-is dropped when that call returns or raises; it lives in a context variable,
-so threads never share one.
+Each matrix keeps everything derived from it in one store (``keep``): its
+powers, keyed by exponent, its one fraction-free elimination, which both its
+rank and its full-rank factorization read, its tower per height bound, and
+the Z that ``certify`` verified.  The first value stored under a key wins, so
+threads sharing a matrix read one value per key.
+
+A product A B is a single numpy object-array dot of A's left layout
+[Re A | Im A] (r x 2n) and B's right layout [[Re B, Im B], [-Im B, Re B]]
+(2n x 2c), whose loop runs in C on exact integers of any height.  The result
+[Re AB | Im AB] is AB's own left layout, kept as it is when the product is
+already in lowest terms.  Each layout is built at its first use, kept with
+its matrix and read-only.  The outermost public call (``certify``, ``exact_mwgi``,
+``exact_drazin``, ``exact_core_ep``, ``exact_mp``) opens one product store,
+keyed by the operand matrices (each hashes once; equal values are equal
+keys), and every call nested in it reads and fills the same store, so a
+product of equal operands is formed once per call even where the operands
+are distinct objects.  The store is dropped when that call returns or
+raises; it lives in a context variable, so threads never share one.
 
 A :class:`RationalMatrix` stores Gaussian-integer numerators (real and
-imaginary parts as Python ints) over one positive common denominator, in
-lowest terms, so arithmetic runs on integers and reduces once per result
-rather than once per entry.  Rank, rref and inverses use fraction-free
-Gauss-Jordan elimination over Z[i] (Bareiss, Math. Comp. 22, 1968): every
-intermediate entry is a minor of the input, each division is exact and
-checked, and the rows are divided by the last pivot only at the end.
+imaginary parts as Python ints, in the order of its left layout) over one
+positive common denominator, in lowest terms, so arithmetic runs on integers
+and reduces once per result rather than once per entry.  Rank, rref and
+inverses use fraction-free Gauss-Jordan elimination over Z[i] (Bareiss,
+Math. Comp. 22, 1968): every intermediate entry is a minor of the input,
+each division is exact and checked, and the rows are divided by the last
+pivot only at the end.
 
 Intermediate growth is bounded: any entry whose numerator or denominator,
 in lowest terms, exceeds ``MAX_HEIGHT_BITS`` bits triggers
@@ -93,6 +104,11 @@ def _with_products(call):
             _products.reset(token)
 
     return with_store
+
+
+def _readonly(x: np.ndarray) -> np.ndarray:
+    x.setflags(write=False)
+    return x
 
 
 def _frac(x) -> Fraction:
@@ -207,16 +223,16 @@ def _parts(x: GaussianRational) -> tuple[int, int, int]:
 class RationalMatrix:
     """Dense matrix of Gaussian rationals with exact arithmetic throughout.
 
-    Stored as two row-major tuples of integer numerators, real and imaginary
-    parts, over one positive common denominator, in lowest terms: the gcd of
-    the denominator and every numerator is 1.  That form is canonical, so
-    equality and hashing compare the stored integers directly.  ``entries``
-    gives the same matrix as rows of :class:`GaussianRational`.
+    Stored as one flat tuple of integer numerators over one positive common
+    denominator, in lowest terms: the gcd of the denominator and every
+    numerator is 1.  The tuple is the left layout [Re | Im] read row by row:
+    row i holds the real parts of row i, then its imaginary parts.  That form
+    is canonical, so equality and hashing compare the stored integers
+    directly.  ``entries`` gives the same matrix as rows of
+    :class:`GaussianRational`.
     """
 
-    __slots__ = (
-        "_nrows", "_ncols", "_re", "_im", "_den", "_entries", "_powers", "_rank", "_towers"
-    )
+    __slots__ = ("_nrows", "_ncols", "_num", "_den", "_entries", "_hash", "_left", "_right", "_kept")
 
     def __init__(self, entries) -> None:
         rows = tuple(tuple(_coerce(x) for x in row) for row in entries)
@@ -225,37 +241,62 @@ class RationalMatrix:
         width = len(rows[0])
         if any(len(row) != width for row in rows):
             raise ValueError("all rows must have the same length")
-        parts = [_parts(x) for row in rows for x in row]
-        den = math.lcm(*(d for _, _, d in parts))
-        self._set(
-            len(rows),
-            width,
-            tuple(r * (den // d) for r, _, d in parts),
-            tuple(i * (den // d) for _, i, d in parts),
-            den,
-        )
+        parts = [[_parts(x) for x in row] for row in rows]
+        den = math.lcm(*(d for row in parts for _, _, d in row))
+        num = []
+        for row in parts:
+            num += [r * (den // d) for r, _, d in row]
+            num += [i * (den // d) for _, i, d in row]
+        self._set(len(rows), width, tuple(num), den)
         self._entries = rows
 
-    def _set(self, nrows: int, ncols: int, re: tuple, im: tuple, den: int) -> None:
+    def _set(
+        self, nrows: int, ncols: int, num: tuple, den: int, left: np.ndarray | None = None
+    ) -> None:
         self._nrows, self._ncols = nrows, ncols
-        self._re, self._im, self._den = re, im, den
+        self._num, self._den = num, den
         self._entries = None
-        self._powers = None
-        self._rank = None
-        self._towers = None  # max_bits -> (k, A^D, A^o) (_tower), (max_bits, m) -> Z (certify)
+        self._hash = None
+        self._left, self._right = left, None  # the operand layouts, built at first use
+        self._kept = {}  # everything derived from the matrix; see keep
+
+    def keep(self, key, make):
+        """What make() returns, made at the first read of ``key`` and kept with the matrix.
+
+        The one store of everything derived from the matrix: its powers (keyed
+        by exponent), its elimination ("rref"), its tower per height bound
+        (("tower", max_bits)) and the Z that ``certify`` verified
+        (("mwgi", max_bits, m)).  Nothing is kept when make() raises.
+        """
+        kept = self._kept
+        if key not in kept:  # of two threads racing here, the first to store wins
+            kept.setdefault(key, make())
+        return kept[key]
 
     @classmethod
-    def _of(cls, nrows: int, ncols: int, re, im, den: int) -> "RationalMatrix":
-        """The matrix (re + i im) / den, brought to lowest terms; den must be positive."""
-        re, im = tuple(re), tuple(im)
-        g = math.gcd(den, *re, *im)
+    def _of(cls, nrows: int, ncols: int, num, den: int) -> "RationalMatrix":
+        """The matrix of numerators ``num`` (flat [Re | Im] rows) over den, brought to
+        lowest terms; den must be positive."""
+        num = tuple(num)
+        g = math.gcd(den, *num)
         if g != 1:
-            re = tuple(x // g for x in re)
-            im = tuple(x // g for x in im)
+            num = tuple(x // g for x in num)
             den //= g
         obj = cls.__new__(cls)
-        obj._set(nrows, ncols, re, im, den)
+        obj._set(nrows, ncols, num, den)
         return obj
+
+    @property
+    def _re(self) -> tuple:
+        """The real-part numerators, row-major."""
+        c, num = self._ncols, self._num
+        return tuple(x for i in range(0, len(num), 2 * c) for x in num[i : i + c])
+
+    @property
+    def _im(self) -> tuple:
+        """The imaginary-part numerators, row-major."""
+        c, num = self._ncols, self._num
+        return tuple(x for i in range(0, len(num), 2 * c) for x in num[i + c : i + 2 * c])
 
     @property
     def entries(self) -> tuple[tuple[GaussianRational, ...], ...]:
@@ -284,29 +325,33 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        ones = tuple(1 if i == j else 0 for i in range(n) for j in range(n))
-        return cls._of(n, n, ones, (0,) * (n * n), 1)
+        num = []
+        for i in range(n):
+            num += [int(i == j) for j in range(n)] + [0] * n
+        return cls._of(n, n, num, 1)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls._of(rows, cols, (0,) * (rows * cols), (0,) * (rows * cols), 1)
+        return cls._of(rows, cols, (0,) * (2 * rows * cols), 1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalMatrix):
             return NotImplemented
-        return self._key() == other._key()
+        return self is other or self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        if self._hash is None:
+            self._hash = hash(self._key())
+        return self._hash
 
     def __repr__(self) -> str:
         return f"RationalMatrix(entries={self.entries!r})"
 
     def _key(self) -> tuple:
-        return (self._nrows, self._ncols, self._den, self._re, self._im)
+        return (self._nrows, self._ncols, self._den, self._num)
 
     def is_zero(self) -> bool:
-        return not any(self._re) and not any(self._im)
+        return not any(self._num)
 
     def is_square(self) -> bool:
         return self._nrows == self._ncols
@@ -315,14 +360,14 @@ class RationalMatrix:
         """Largest bit length of any entry's numerator or denominator in lowest terms."""
         d = self._den
         height = 0
-        for x in self._re + self._im:
+        for x in self._num:
             g = math.gcd(x, d)
             height = max(height, (x // g).bit_length(), (d // g).bit_length())
         return height
 
     def _height_bound(self) -> int:
         """An upper bound of ``max_height_bits``, read off the stored integers."""
-        return max(self._den.bit_length(), *(x.bit_length() for x in self._re + self._im))
+        return max(self._den.bit_length(), *(x.bit_length() for x in self._num))
 
     def _plus(self, other: "RationalMatrix", sign: int) -> "RationalMatrix":
         self._same_shape(other)
@@ -331,8 +376,7 @@ class RationalMatrix:
         return RationalMatrix._of(
             self._nrows,
             self._ncols,
-            (s * x + t * y for x, y in zip(self._re, other._re)),
-            (s * x + t * y for x, y in zip(self._im, other._im)),
+            (s * x + t * y for x, y in zip(self._num, other._num)),
             den,
         )
 
@@ -343,23 +387,14 @@ class RationalMatrix:
         return self._plus(other, -1)
 
     def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix._of(
-            self._nrows,
-            self._ncols,
-            (-x for x in self._re),
-            (-y for y in self._im),
-            self._den,
-        )
+        return RationalMatrix._of(self._nrows, self._ncols, (-x for x in self._num), self._den)
 
     def __mul__(self, scalar) -> "RationalMatrix":
         cr, ci, cd = _parts(_coerce(scalar))
-        return RationalMatrix._of(
-            self._nrows,
-            self._ncols,
-            (x * cr - y * ci for x, y in zip(self._re, self._im)),
-            (x * ci + y * cr for x, y in zip(self._re, self._im)),
-            self._den * cd,
-        )
+        c, left = self._ncols, self._left_layout()
+        re, im = left[:, :c], left[:, c:]
+        scaled = np.concatenate((re * cr - im * ci, re * ci + im * cr), axis=1)
+        return RationalMatrix._of(self._nrows, c, scaled.ravel().tolist(), self._den * cd)
 
     __rmul__ = __mul__
 
@@ -369,35 +404,55 @@ class RationalMatrix:
         store = _products.get()
         if store is None:
             return self._times(other)
-        key = (self._key(), other._key())
+        key = (self, other)  # each matrix hashes once; equal values are equal keys
         product = store.get(key)
         if product is None:
             product = store[key] = self._times(other)
         return product
 
     def _times(self, other: "RationalMatrix") -> "RationalMatrix":
-        """The product, formed by object-array dots of the stored integer numerators.
+        """The product, one object-array dot of the operands' layouts.
 
-        Gauss's form takes three dots in place of four: with A = ar + i ai and
-        B = br + i bi, re = ar br - ai bi and im = (ar + ai)(br + bi) - ar br - ai bi.
-        numpy runs each dot's loop in C on the Python ints, so it stays exact at any height.
+        [Re A | Im A] [[Re B, Im B], [-Im B, Re B]] = [Re AB | Im AB]: AB's own
+        left layout and, read row by row, its numerators, kept as they are
+        when the product is already in lowest terms.  numpy runs the dot's
+        loop in C on the Python ints, so it stays exact at any height.
         """
-        r, n, c = self._nrows, self._ncols, other._ncols
-        ar = np.array(self._re, dtype=object).reshape(r, n)
-        ai = np.array(self._im, dtype=object).reshape(r, n)
-        br = np.array(other._re, dtype=object).reshape(n, c)
-        bi = np.array(other._im, dtype=object).reshape(n, c)
-        rr, ii = ar.dot(br), ai.dot(bi)
-        re = (rr - ii).ravel().tolist()
-        im = ((ar + ai).dot(br + bi) - rr - ii).ravel().tolist()
-        return RationalMatrix._of(r, c, re, im, self._den * other._den)
+        p = self._left_layout().dot(other._right_layout())
+        num = p.ravel().tolist()
+        den = self._den * other._den
+        g = math.gcd(den, *num)
+        if g != 1:
+            p //= g
+            num = p.ravel().tolist()
+            den //= g
+        product = RationalMatrix.__new__(RationalMatrix)
+        product._set(self._nrows, other._ncols, tuple(num), den, _readonly(p))
+        return product
+
+    def _left_layout(self) -> np.ndarray:
+        """[Re | Im], rows x (2 cols), as an object array of the numerators; built once,
+        read-only."""
+        if self._left is None:
+            left = np.array(self._num, dtype=object).reshape(self._nrows, 2 * self._ncols)
+            self._left = _readonly(left)
+        return self._left
+
+    def _right_layout(self) -> np.ndarray:
+        """[[Re, Im], [-Im, Re]], (2 rows) x (2 cols), as an object array of the
+        numerators; built once, read-only."""
+        if self._right is None:
+            c, left = self._ncols, self._left_layout()
+            below = np.concatenate((-left[:, c:], left[:, :c]), axis=1)
+            self._right = _readonly(np.concatenate((left, below)))
+        return self._right
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
     def power(self, e: int) -> "RationalMatrix":
-        """A^e; each power of a matrix is formed once and kept with it."""
+        """A^e, formed as A^{e-1} A and kept with A under its exponent."""
         if not self.is_square():
             raise ValueError("matrix power requires a square matrix")
         if e < 0:
@@ -406,22 +461,22 @@ class RationalMatrix:
             return RationalMatrix.identity(self.rows)
         if e == 1:
             return self
-        if self._powers is None:
-            self._powers = []  # A^2, A^3, ...
-        powers = self._powers
-        while len(powers) < e - 1:
-            powers.append((powers[-1] if powers else self) @ self)
-        return powers[e - 2]
+        x = self._kept.get(e)
+        if x is None:
+            x = self
+            for j in range(2, e + 1):
+                x = self.keep(j, lambda x=x: x @ self)
+        return x
 
     def conj_transpose(self) -> "RationalMatrix":
-        c = self._ncols
-        return RationalMatrix._of(
-            c,
-            self._nrows,
-            (x for j in range(c) for x in self._re[j::c]),
-            (-y for j in range(c) for y in self._im[j::c]),
-            self._den,
-        )
+        c, num = self._ncols, self._num
+        w, out = 2 * c, []
+        for j in range(c):  # column j of Re, then of -Im, is row j of the result
+            out += num[j::w]
+            out += [-y for y in num[c + j :: w]]
+        obj = RationalMatrix.__new__(RationalMatrix)
+        obj._set(c, self._nrows, tuple(out), self._den)  # in lowest terms, as self is
+        return obj
 
     def to_complex(self) -> np.ndarray:
         d = self._den
@@ -450,11 +505,9 @@ class RationalMatrix:
 
     def _int_rows(self) -> tuple[list[list[int]], list[list[int]]]:
         """Working copies of the numerator rows, real and imaginary parts."""
-        n = self._ncols
-        return (
-            [list(self._re[i * n : (i + 1) * n]) for i in range(self._nrows)],
-            [list(self._im[i * n : (i + 1) * n]) for i in range(self._nrows)],
-        )
+        c, num = self._ncols, self._num
+        starts = range(0, len(num), 2 * c)
+        return [list(num[i : i + c]) for i in starts], [list(num[i + c : i + 2 * c]) for i in starts]
 
     def _same_shape(self, other: "RationalMatrix") -> None:
         if self.shape != other.shape:
@@ -527,24 +580,28 @@ def _over_pivot(
     re: list[list[int]], im: list[list[int]], pr: int, pi: int, scale: int = 1
 ) -> RationalMatrix:
     """The matrix scale (re + i im) / (pr + i pi) from integer rows."""
-    flat = [(x, y) for xs, ys in zip(re, im) for x, y in zip(xs, ys)]
-    return RationalMatrix._of(
-        len(re),
-        len(re[0]),
-        (scale * (x * pr + y * pi) for x, y in flat),
-        (scale * (y * pr - x * pi) for x, y in flat),
-        pr * pr + pi * pi,
-    )
+    num = []
+    for xs, ys in zip(re, im):
+        num += [scale * (x * pr + y * pi) for x, y in zip(xs, ys)]
+        num += [scale * (y * pr - x * pi) for x, y in zip(xs, ys)]
+    return RationalMatrix._of(len(re), len(re[0]), num, pr * pr + pi * pi)
+
+
+def _eliminate(a: RationalMatrix) -> tuple:
+    """A's numerator rows after fraction-free elimination, its pivot columns and last pivot."""
+    re, im = a._int_rows()
+    return (re, im, *_rref(re, im))
+
+
+def _elimination(a: RationalMatrix) -> tuple:
+    """``_eliminate(a)``, run once per matrix and kept with it: rank and the
+    full-rank factorization both read it."""
+    return a.keep("rref", functools.partial(_eliminate, a))
 
 
 def rank(a: RationalMatrix) -> int:
-    """Exact rank by fraction-free elimination; no tolerance enters anywhere.
-
-    The rank is computed once per matrix object and kept with it, like its powers.
-    """
-    if a._rank is None:
-        a._rank = len(_rref(*a._int_rows())[0])
-    return a._rank
+    """Exact rank by fraction-free elimination; no tolerance enters anywhere."""
+    return len(_elimination(a)[2])
 
 
 def inverse(a: RationalMatrix, max_bits: int = MAX_HEIGHT_BITS) -> RationalMatrix:
@@ -572,18 +629,13 @@ def full_rank_factorization(
     F holds the pivot columns of A; G holds the nonzero rows of rref(A).
     The caller must ensure A is nonzero (rank 0 has no such factorization).
     """
-    re, im = a._int_rows()
-    pivots, pr, pi = _rref(re, im)
+    re, im, pivots, pr, pi = _elimination(a)
     r = len(pivots)
     if r == 0:
         raise ValueError("zero matrix has no full-rank factorization")
-    n = a.cols
+    num, taken = a._num, pivots + [a.cols + c for c in pivots]  # in Re, then in Im
     f = RationalMatrix._of(
-        a.rows,
-        r,
-        (a._re[i * n + c] for i in range(a.rows) for c in pivots),
-        (a._im[i * n + c] for i in range(a.rows) for c in pivots),
-        a._den,
+        a.rows, r, (num[i + c] for i in range(0, len(num), 2 * a.cols) for c in taken), a._den
     )
     g = _over_pivot(re[:r], im[:r], pr, pi)
     return _guard(f, max_bits), _guard(g, max_bits)
@@ -629,25 +681,34 @@ def exact_index(a: RationalMatrix) -> int:
         k += 1
 
 
-def _tower(a: RationalMatrix, max_bits: int) -> tuple[int, RationalMatrix, RationalMatrix]:
+def _tower(
+    a: RationalMatrix, max_bits: int, core_ep=None
+) -> tuple[int, RationalMatrix, RationalMatrix]:
     """The index k, A^D and A^o of A, verified once and kept with A per bound.
 
     With F the pivot columns of A^k, A^o = F (F* A F)^-1 F*, the exact twin of
     U1 T^-1 U1* (core-EP decomposition, Wang, LAA 508, 2016): A maps col(A^k)
     onto itself, so A F = F M with M invertible and F* A F = F* F M is too.
-    Then A^D = (A^o)^{k+1} A^k; both are zero if A^k is.  The core-EP and
-    Drazin lists of ``report``, required below, determine them uniquely.
+    At k = 0, F = I and A^o = A^-1.  Then A^D = (A^o)^{k+1} A^k; both are
+    zero if A^k is.  ``core_ep``, when given, makes A^o in place of F: the
+    tower of A^m is read from A's as (A^o)^m (``certify``).  The core-EP and
+    Drazin lists of ``report``, required below, determine both uniquely,
+    whichever way A^o was made.
     """
-    if a._towers is None:
-        a._towers = {}
-    if max_bits in a._towers:
-        return a._towers[max_bits]
+    return a.keep(("tower", max_bits), lambda: _build_tower(a, max_bits, core_ep))
+
+
+def _build_tower(a: RationalMatrix, max_bits: int, core_ep) -> tuple:
     if not a.is_square():
         raise ValueError("Drazin inverse requires a square matrix")
     _guard(a, max_bits)
     k = exact_index(a)
     ak = a.power(k)
-    if ak.is_zero():
+    if core_ep is not None:
+        cep = _guard(core_ep(), max_bits)
+    elif k == 0:
+        cep = inverse(a, max_bits)
+    elif ak.is_zero():
         cep = RationalMatrix.zeros(a.rows, a.rows)
     else:
         f = full_rank_factorization(ak, max_bits)[0]
@@ -657,7 +718,6 @@ def _tower(a: RationalMatrix, max_bits: int) -> tuple[int, RationalMatrix, Ratio
     _require_identities(_core_ep_identities, a, cep, k)
     d = _guard(cep.power(k + 1) @ ak, max_bits)
     _require_identities(_drazin_identities, a, d, k)
-    a._towers[max_bits] = (k, d, cep)
     return k, d, cep
 
 
@@ -717,8 +777,9 @@ def exact_mwgi(a: RationalMatrix, m: int, max_bits: int = MAX_HEIGHT_BITS) -> Ra
     """
     _check_m(m)
     _, d, cep = _tower(a, max_bits)
-    if (max_bits, m) in a._towers:
-        return a._towers[(max_bits, m)]
+    z = a._kept.get(("mwgi", max_bits, m))
+    if z is not None:
+        return z
     z = _mwgi_of(a, m, d, cep, max_bits)
     _require_exact(_identities(a, m, z, max_bits))
     return z
@@ -735,7 +796,7 @@ def _diff_residual(left: RationalMatrix, right: RationalMatrix) -> float:
     if left == right:
         return 0.0
     diff = left - right
-    total = sum(x * x for x in diff._re + diff._im)
+    total = sum(x * x for x in diff._num)
     den2 = diff._den**2
     e = total.bit_length() // 2 - diff._den.bit_length()
     q = total / (den2 << 2 * e) if e >= 0 else (total << -2 * e) / den2
@@ -800,7 +861,9 @@ def certify(
 
     checks = _identities(a, m, z, max_bits, qs)
     if z is z_computed and all(c.passed for c in checks.values()):
-        a._towers[(max_bits, m)] = z
+        a.keep(("mwgi", max_bits, m), lambda: z)
+    if m >= 2:  # (A^m)^o = (A^o)^m, so A^m's tower is read from A's
+        _tower(am, max_bits, lambda: cep.power(m))
     w = exact_mwgi(am, 1, max_bits)
     checks["power"] = _merge(
         _exact_check(a.power(m - 1) @ w, z_computed),

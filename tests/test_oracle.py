@@ -287,7 +287,7 @@ class TestTowerIdentitiesLive:
         monkeypatch.setattr(o, "inverse", wrong_inverse)
         with pytest.raises(ArithmeticError, match=r"A X\^2 = X|\(A X\)\* = A X|A X A\^k = A\^k"):
             o.exact_core_ep(a)
-        assert a._towers == {}  # nothing kept from a failed build
+        assert ("tower", o.MAX_HEIGHT_BITS) not in a._kept  # nothing kept from a failed build
 
 
 class TestLargerMatrices:
@@ -318,6 +318,65 @@ class TestPowersOncePerCall:
         monkeypatch.setattr(RM, "__matmul__", counting_matmul)
         assert o.certify(a, 3).overall
         assert formed and max(formed.values()) == 1, formed
+
+
+class TestPowersUnderThreads:
+    """Each power is kept under its exponent, so threads sharing one matrix never
+    read a power of another exponent."""
+
+    def test_two_threads_share_one_matrix(self):
+        base = random_rational(np.random.default_rng(4), 4, 4)
+        serial = RM.from_rows(base.entries)
+        want = {e: serial.power(e) for e in range(1, 10)}
+        wrong = []
+
+        def ask(a, exponents):
+            for e in exponents:
+                if a.power(e) != want[e]:
+                    wrong.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(300):
+                a = RM.from_rows(base.entries)  # no power kept yet
+                threads = [
+                    threading.Thread(target=ask, args=(a, exponents))
+                    for exponents in ((9, 5, 3), (8, 9, 4))
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
+
+
+class TestTowerOfAPower:
+    """certify reads the tower of A^m from A's: (A^m)^o = (A^o)^m (Wang, LAA 508, 2016)."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_read_from_a_equals_built_from_f(self, k, m):
+        a = rational_with_index(np.random.default_rng(20 + k), 5, k)
+        assert o.certify(a, m).overall
+        am = a.power(m)
+        kept = am._kept[("tower", o.MAX_HEIGHT_BITS)]
+        if m >= 2:
+            assert kept[2] is o.exact_core_ep(a).power(m)  # read from A's tower
+        fresh = RM.from_json(am.to_json())  # same value, no tower kept: built from F
+        assert kept == o._tower(fresh, o.MAX_HEIGHT_BITS)
+        assert kept[0] == -(-k // m)
+
+    def test_a_wrong_power_is_caught(self):
+        a = rational_with_index(np.random.default_rng(3), 4, 2)
+        am = a.power(2)
+        cep = o.exact_core_ep(a)
+        with pytest.raises(ArithmeticError, match="exact identity"):
+            o._tower(am, o.MAX_HEIGHT_BITS, lambda: cep.power(2) * 2)
+        assert ("tower", o.MAX_HEIGHT_BITS) not in am._kept
 
 
 # ------------------------------------------------------------------------------
@@ -407,6 +466,18 @@ def assert_canonical(a):
     assert math.gcd(a._den, *a._re, *a._im) == 1
 
 
+def assert_layouts(a):
+    """a's operand layouts are read-only and equal [Re | Im] and [[Re, Im], [-Im, Re]]
+    of its canonical numerators, read from its entries."""
+    re = [[int(u.re * a._den) for u in row] for row in a.entries]
+    im = [[int(u.im * a._den) for u in row] for row in a.entries]
+    left = [x + y for x, y in zip(re, im)]
+    right = left + [[-v for v in y] + x for x, y in zip(re, im)]
+    for got, want in ((a._left_layout(), left), (a._right_layout(), right)):
+        assert got.dtype == object and not got.flags.writeable
+        assert got.tolist() == want
+
+
 class TestEquivalence:
     @SETTINGS
     @given(st.data())
@@ -416,6 +487,8 @@ class TestEquivalence:
         got = RM.from_rows(x) @ RM.from_rows(y)
         assert got.entries == as_entries(ref_matmul(x, y))
         assert_canonical(got)
+        assert got._left is not None  # the dot's result, kept as the product's left layout
+        assert_layouts(got)
 
     @pytest.mark.parametrize(
         "r, n, c", [(1, 8, 1), (8, 1, 8), (1, 6, 8), (8, 5, 1), (3, 7, 2), (8, 8, 8)]
@@ -430,6 +503,22 @@ class TestEquivalence:
         got = RM.from_rows(x) @ RM.from_rows(y)
         assert got.entries == as_entries(ref_matmul(x, y))
         assert_canonical(got)
+        assert got._left is not None
+        assert_layouts(got)
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_matmul_reduced_below_the_operand_denominators(self, n):
+        # numerators over 6 times numerators over 1, whose product is even throughout
+        half_third, sixth = GR(Fraction(1, 2), Fraction(1, 3)), GR(Fraction(1, 6))
+        x = [[half_third if i == j else sixth for j in range(n)] for i in range(n)]
+        y = [[GR(6 * (i + 1), 2 * j) for j in range(n)] for i in range(n)]
+        a, b = RM.from_rows(x), RM.from_rows(y)
+        got = a @ b
+        assert a._den * b._den > got._den  # the gcd with the denominator exceeded 1
+        assert got.entries == as_entries(ref_matmul(x, y))
+        assert_canonical(got)
+        assert got._left is not None
+        assert_layouts(got)
 
     @SETTINGS
     @given(st.data())
@@ -545,7 +634,7 @@ class TestOneIdentityList:
         # a kept tower whose A^D is doubled: Z = (A^D)^{m+1} A A^o A^m grows by 2^{m+1}
         a = rational_with_index(np.random.default_rng(5), 4, 2)
         k, d, cep = o._tower(a, o.MAX_HEIGHT_BITS)
-        a._towers[o.MAX_HEIGHT_BITS] = (k, d * 2, cep)
+        a._kept[("tower", o.MAX_HEIGHT_BITS)] = (k, d * 2, cep)
         return a, o._mwgi_of(a, m, d * 2, cep, o.MAX_HEIGHT_BITS)
 
     @pytest.mark.parametrize("m", [1, 2])
@@ -670,7 +759,7 @@ class TestExactTwin:
         a = self.matrix()
         z = o.exact_mwgi(RM.from_json(a.to_json()), 2) * scale
         assert o.certify(a, 2, z=z).overall == (scale == 1)
-        assert (o.MAX_HEIGHT_BITS, 2) not in a._towers
+        assert ("mwgi", o.MAX_HEIGHT_BITS, 2) not in a._kept
         assert o.exact_mwgi(a, 2) == o.exact_mwgi(RM.from_json(a.to_json()), 2)
 
     def test_failed_identities_keep_nothing(self, monkeypatch):
@@ -681,7 +770,7 @@ class TestExactTwin:
             o, "_mwgi_of", lambda b, m, *rest: mwgi_of(b, m, *rest) * (2 if m == 2 else 1)
         )
         assert not o.certify(a, 2).overall
-        assert (o.MAX_HEIGHT_BITS, 2) not in a._towers
+        assert ("mwgi", o.MAX_HEIGHT_BITS, 2) not in a._kept
         with pytest.raises(ArithmeticError, match="ax2"):
             o.exact_mwgi(a, 2)
 
@@ -714,7 +803,8 @@ class TestTestMatricesOncePerN:
 
 
 class TestOneRankPerMatrix:
-    """An exact rank is computed once per matrix object and kept with it, like its powers."""
+    """A matrix is eliminated once, and its rank and full-rank factorization read that one
+    elimination, kept with the matrix like its powers."""
 
     @pytest.mark.parametrize("k, m", [(0, 2), (1, 1), (1, 2), (2, 2), (2, 3), (3, 2), (3, 5)])
     def test_certify_ranks_each_power_once(self, monkeypatch, k, m):
@@ -723,15 +813,16 @@ class TestOneRankPerMatrix:
 
         def counting_rref(re, im):
             caller = sys._getframe(1)
-            if caller.f_code is o.rank.__code__:  # an elimination that rank runs
+            if caller.f_code is o._eliminate.__code__:  # an elimination kept with its matrix
                 ranked.append(caller.f_locals["a"])
             return rref(re, im)
 
         a = rational_with_index(np.random.default_rng(5), 4, k)
         monkeypatch.setattr(o, "_rref", counting_rref)
         assert o.certify(a, m).overall
-        # exact_index(A) ranks A, ..., A^{k+1}; exact_index(A^m), whose index is
-        # ceil(k / m), ranks (A^m)^1, ..., the first of which is the kept A^m when m <= k + 1
+        # exact_index(A) ranks A, ..., A^{k+1}, and F reads the elimination of A^k;
+        # exact_index(A^m), whose index is ceil(k / m), ranks (A^m)^1, ..., the first of
+        # which is the kept A^m when m <= k + 1; the tower of A^m needs no F
         of_am = 0 if m == 1 else (-(-k // m) + 1) - (m <= k + 1)  # A^1 is A: no second index
         assert len(ranked) == (k + 1) + of_am
         assert len({id(x) for x in ranked}) == len(ranked)
@@ -838,17 +929,19 @@ class TestProductStore:
     def test_threads_keep_their_own_stores(self, monkeypatch):
         matrices = [self.matrix(seed, 4, seed % 4) for seed in range(6)]
         serial = [o.certify(RM.from_json(a.to_json()), 2).to_dict() for a in matrices]
-        seen = []  # (thread, store) per product formed; keeps every store alive
+        seen = []  # (call, store) per product formed; keeps every store alive
         times = RM._times
+        call = threading.local()  # a thread's ident may be reused once it exits; its call is not
 
         def recording(left, right):
-            seen.append((threading.get_ident(), o._products.get()))
+            seen.append((call.index, o._products.get()))
             return times(left, right)
 
         monkeypatch.setattr(RM, "_times", recording)
         results = [None] * len(matrices)
 
         def run(i):
+            call.index = i
             results[i] = o.certify(matrices[i], 2).to_dict()
 
         threads = [threading.Thread(target=run, args=(i,)) for i in range(len(matrices))]
@@ -864,9 +957,9 @@ class TestProductStore:
         assert not any(t.is_alive() for t in threads)
         assert results == serial
         stores = {}
-        for ident, store in seen:
+        for index, store in seen:
             assert store is not None
-            assert stores.setdefault(ident, store) is store  # one store per thread's call
+            assert stores.setdefault(index, store) is store  # one store per call
         assert len({id(s) for s in stores.values()}) == len(threads)
 
     def test_results_equal_without_the_store(self, monkeypatch):
