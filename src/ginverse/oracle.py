@@ -23,13 +23,13 @@ A product A B is a single numpy object-array dot of A's left layout
 (2n x 2c), whose loop runs in C on exact integers of any height.  The result
 [Re AB | Im AB] is AB's own left layout, kept as it is when the product is
 already in lowest terms.  Each layout is built at its first use, kept with
-its matrix and read-only.  The outermost public call (``certify``, ``exact_mwgi``,
-``exact_drazin``, ``exact_core_ep``, ``exact_mp``) opens one product store,
-keyed by the operand matrices (each hashes once; equal values are equal
-keys), and every call nested in it reads and fills the same store, so a
-product of equal operands is formed once per call even where the operands
-are distinct objects.  The store is dropped when that call returns or
-raises; it lives in a context variable, so threads never share one.
+its matrix and read-only.  The outermost public call (``certify``,
+``exact_mwgi``, ``exact_drazin``, ``exact_core_ep``, ``exact_mp``) opens one
+product store, keyed by the operand matrices (each hashes once; equal values
+are equal keys), and every call nested in it reads and fills the same store,
+so a product of equal operands is formed once per call even where the
+operands are distinct objects.  The store is dropped when that call returns
+or raises; it lives in a context variable, so threads never share one.
 
 A :class:`RationalMatrix` stores Gaussian-integer numerators (real and
 imaginary parts as Python ints, in the order of its left layout) over one
@@ -232,7 +232,9 @@ class RationalMatrix:
     :class:`GaussianRational`.
     """
 
-    __slots__ = ("_nrows", "_ncols", "_num", "_den", "_entries", "_hash", "_left", "_right", "_kept")
+    __slots__ = (
+        "_nrows", "_ncols", "_num", "_den", "_entries", "_hash", "_left", "_right", "_kept"
+    )
 
     def __init__(self, entries) -> None:
         rows = tuple(tuple(_coerce(x) for x in row) for row in entries)
@@ -459,10 +461,8 @@ class RationalMatrix:
             raise ValueError("negative powers are not supported; invert first")
         if e == 0:
             return RationalMatrix.identity(self.rows)
-        if e == 1:
-            return self
         x = self._kept.get(e)
-        if x is None:
+        if x is None:  # A^1 is A itself
             x = self
             for j in range(2, e + 1):
                 x = self.keep(j, lambda x=x: x @ self)
@@ -507,7 +507,10 @@ class RationalMatrix:
         """Working copies of the numerator rows, real and imaginary parts."""
         c, num = self._ncols, self._num
         starts = range(0, len(num), 2 * c)
-        return [list(num[i : i + c]) for i in starts], [list(num[i + c : i + 2 * c]) for i in starts]
+        return (
+            [list(num[i : i + c]) for i in starts],
+            [list(num[i + c : i + 2 * c]) for i in starts],
+        )
 
     def _same_shape(self, other: "RationalMatrix") -> None:
         if self.shape != other.shape:
