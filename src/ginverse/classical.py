@@ -68,8 +68,8 @@ class Tower:
     ``u1`` is C-contiguous, or None when k = 0 (U1 = I).  Everything else the
     tower forms when first read and keeps, through ``keep``, for as long as it
     lives: ``o`` = A^o, ``d`` = A^D, ``ad`` = A A^D, the powers ``pow(name, e)``
-    of A, A^o, A^D and T^-1, and the products its callers name, such as the b0
-    of ``wgi.bc_inverse_check`` and the Z that ``wgi.mwgi`` checked.
+    of A, A^o, A^D and T^-1, and what its callers name, such as the b0 of
+    ``wgi.bc_inverse_check``, the Z that ``wgi.mwgi`` checked and its Z A Z = Z check.
     """
 
     index: IndexResult

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import TolerancePolicy, frobenius, rel_residual
+from .matcore import TolerancePolicy, conj_transpose, frobenius, rel_residual
 
 __all__ = ["Check", "VerificationReport"]
 
@@ -78,6 +78,12 @@ def _penrose_identities(a, x, k: int, power, star) -> dict:
         "(A X)* = A X": (star(ax), ax),
         "(X A)* = X A": (star(xa), xa),
     }
+
+
+def _hermitian_check(w: np.ndarray, tol: TolerancePolicy) -> Check:
+    """``_eq_check(W, W*)`` with one norm: ||W*||_F has the bits of ||W||_F."""
+    residual = frobenius(w - conj_transpose(w)) / max(1.0, frobenius(w))
+    return Check(residual=residual, passed=residual <= tol.eq_rtol)
 
 
 def _nil_check(power: np.ndarray, tol: TolerancePolicy) -> Check:

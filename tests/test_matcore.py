@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from ginverse.matcore import (
     numerical_rank,
     rel_residual,
 )
+from ginverse.report import _eq_check, _hermitian_check
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -104,11 +107,20 @@ class TestApproxEqual:
             approx_equal(np.eye(2), np.eye(3))
 
 
+def _reference_norm(x):
+    """The bits frobenius must give: the root of one zdotc on the memory-order ravel for a
+    complex128 matrix, and np.linalg.norm(X, "fro") for every other input."""
+    x = np.asarray(x)
+    if x.ndim == 2 and x.dtype == np.complex128:
+        v = x.ravel(order="K")
+        return math.sqrt(np.vdot(v, v).real)
+    return float(np.linalg.norm(x, "fro"))
+
+
 def _norm_residual(a, b):
-    """rel_residual's formula with np.linalg.norm, the reference for its bits."""
+    """rel_residual's formula with the reference norm, the reference for its bits."""
     a, b = np.asarray(a), np.asarray(b)
-    norm = lambda x: float(np.linalg.norm(x, "fro"))  # noqa: E731
-    return norm(a - b) / max(1.0, norm(a), norm(b))
+    return _reference_norm(a - b) / max(1.0, _reference_norm(a), _reference_norm(b))
 
 
 _KERNEL_RNG = np.random.default_rng(33)
@@ -138,12 +150,16 @@ def _moved(x):
 
 
 class TestFrobeniusKernel:
-    """frobenius and rel_residual keep the bits of np.linalg.norm(X, "fro")."""
+    """frobenius and rel_residual take a complex128 matrix's norm from one zdotc on its
+    memory-order ravel, within 2 ulps of np.linalg.norm(X, "fro"), and keep the bits of
+    np.linalg.norm for every other input."""
 
     @pytest.mark.parametrize("name", list(_KERNEL_INPUTS))
     def test_frobenius_bits(self, name):
         x = _KERNEL_INPUTS[name]
-        assert frobenius(x).hex() == float(np.linalg.norm(x, "fro")).hex()
+        assert frobenius(x).hex() == _reference_norm(x).hex()
+        norm = float(np.linalg.norm(x, "fro"))
+        assert abs(frobenius(x) - norm) <= 2 * np.spacing(norm)
 
     # numpy subtracts no bools, so rel_residual takes none
     @pytest.mark.parametrize("name", [name for name in _KERNEL_INPUTS if name != "bool"])
@@ -163,6 +179,34 @@ class TestFrobeniusKernel:
             np.linalg.norm(np.ones(shape), "fro")
         with pytest.raises(ValueError):
             frobenius(np.ones(shape))
+
+
+def _hermitian_inputs():
+    rng = np.random.default_rng(34)
+    for n in (1, 2, 3, 5, 8, 12, 31, 64, 200):
+        w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        yield w
+        yield w + conj_transpose(w)  # Hermitian up to roundoff
+        yield np.asfortranarray(w)
+        yield 1e154 / (8 * n) * w
+    a = with_index(rng, 6, 2)
+    am = a @ a
+    yield conj_transpose(am) @ (am @ (a @ wgi.mwgi(a, 2).Z))  # herm's (A^m)* A^m (A Z)
+
+
+class TestHermitianCheck:
+    """_hermitian_check(W) is _eq_check(W, W*) bit for bit, with one norm for both sides."""
+
+    def test_bits_of_eq_check(self):
+        for w in _hermitian_inputs():
+            one = _hermitian_check(w, DEFAULT_TOL)
+            two = _eq_check(w, conj_transpose(w), DEFAULT_TOL)
+            assert one.residual.hex() == two.residual.hex(), w.shape
+            assert one.passed == two.passed
+
+    def test_flags_a_non_hermitian_matrix(self):
+        assert _hermitian_check(np.eye(3, dtype=complex), DEFAULT_TOL).passed
+        assert not _hermitian_check(as_matrix([[1, 1], [0, 1]]), DEFAULT_TOL).passed
 
 
 class TestColSpaceContains:

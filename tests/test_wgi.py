@@ -1283,6 +1283,34 @@ class TestB0FormedOnce:
         assert classical._same_bits(b0, reduce(np.matmul, [d] * (m + 1)) @ t.power(m))
 
 
+class TestOuterCheckShared:
+    """b_characterization's bab and outer_inverse_subspaces' outer both check Z A Z = Z:
+    once per tower and m for the Z that A's tower keeps, afresh for any other Z."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_kept_z_checked_once(self, m):
+        t = classical._build(with_index(np.random.default_rng(90 + m), 5, 2), DEFAULT_TOL)
+        z = wgi.mwgi(t, m).Z
+        bab = wgi.b_characterization(t, m).checks["bab"]
+        outer = wgi.outer_inverse_subspaces(t, m, z=z).checks["outer"]
+        assert bab is outer is t._kept[("zaz", m)]
+        assert bab.residual.hex() == rel_residual(z @ t.a @ z, z).hex()
+
+    def test_explicit_z_forms_its_own(self):
+        t = classical._build(with_index(np.random.default_rng(94), 5, 2), DEFAULT_TOL)
+        z = wgi.mwgi(t, 2).Z
+        kept = wgi.outer_inverse_subspaces(t, 2).checks["outer"]
+        for other, passes in ((z.copy(), True), (z + 1e-3, False)):
+            expected = rel_residual(other @ t.a @ other, other).hex()
+            for check in (
+                wgi.b_characterization(t, 2, z=other).checks["bab"],
+                wgi.outer_inverse_subspaces(t, 2, z=other).checks["outer"],
+            ):
+                assert check is not kept
+                assert check.residual.hex() == expected and check.passed is passes
+        assert t._kept[("zaz", 2)] is kept
+
+
 class TestCheckersRankInBatches:
     """Each checker with rank tests makes one s-only SVD per shape of matrix it ranks."""
 
