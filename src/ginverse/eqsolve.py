@@ -15,6 +15,7 @@ import numpy as np
 
 from .classical import tower
 from .matcore import DEFAULT_TOL, TolerancePolicy, _check_m, as_matrix, conj_transpose, frobenius
+from .report import _equation_identities
 from .wgi import _candidate, mwgi
 
 __all__ = ["EquationSolution", "residual", "solve_general", "solve_in_range"]
@@ -49,8 +50,8 @@ def residual(a, b, m: int, x, tol: TolerancePolicy = DEFAULT_TOL) -> float:
         raise ValueError(f"X has {x.shape[1]} columns but B has {b.shape[1]}")
     _check_m(m)  # the tower's A^j is I for every j < 1
     q_star = conj_transpose(t.ad)
-    left = q_star @ t.power(m + 1) @ x
-    right = q_star @ t.power(m) @ b
+    sides = _equation_identities(x, b, m, t.power, q_star.__matmul__)["equation"]
+    left, right = sides()
     return frobenius(left - right) / max(1.0, frobenius(right))
 
 

@@ -58,8 +58,10 @@ from fractions import Fraction
 import numpy as np
 
 from .matcore import MatrixFormatError, _check_m, _json_envelope
-from .report import Check, VerificationReport, _merge
+from .report import Check, VerificationReport, _Is, _evaluate, _merge
 from .report import _core_ep_identities, _drazin_identities, _penrose_identities
+from .report import _b_identities, _decomposition_identities, _definition_identities
+from .report import _equation_identities
 
 __all__ = [
     "MAX_HEIGHT_BITS",
@@ -743,40 +745,32 @@ def _mwgi_of(a: RationalMatrix, m: int, d: RationalMatrix, cep: RationalMatrix, 
     return _guard(d.power(m + 1) @ a @ cep @ a.power(m), max_bits)
 
 
-def _identities(
-    a: RationalMatrix, m: int, z: RationalMatrix, max_bits: int, qs: RationalMatrix | None = None
-) -> dict[str, Check]:
-    """The exact identities that pin down the m-weak group inverse Z, read from A's tower.
+# what exact_mwgi requires of its Z; certify reports these among the rest
+_REQUIRED = ("ax2", "def11", "wgm_k", "second_form")
 
-    ax2 is Z = A Z^2, def11 the projector-weighted defining equation
-    (A A^D)* A^{m+1} Z = (A A^D)* A^m, wgm_k the stabilized equations
-    Z A^{k+1} = A^k and (A^k)* A^{m+1} Z = (A^k)* A^m, and second_form the
-    product form (A^D A A^o)^{m+1} A^m = Z.  ``qs`` is (A A^D)*, formed here
-    unless the caller has it.
-    """
+
+def _mwgi_identities(a: RationalMatrix, m: int, z: RationalMatrix, max_bits: int) -> dict:
+    """The definition list of Z (``report._definition_identities``) read from A's
+    tower, and the exact-only second_form: (A^D A A^o)^{m+1} A^m = Z."""
     k, d, cep = _tower(a, max_bits)
-    if qs is None:
-        qs = (a @ d).conj_transpose()
-    am, am1 = a.power(m), a.power(m + 1)
-    aks = a.power(k).conj_transpose()
-    return {
-        "ax2": _exact_check(a @ z @ z, z),
-        "def11": _exact_check(qs @ am1 @ z, qs @ am),
-        "wgm_k": _merge(
-            _exact_check(z @ a.power(k + 1), a.power(k)),
-            _exact_check(aks @ am1 @ z, aks @ am),
-        ),
-        "second_form": _exact_check((d @ a @ cep).power(m + 1) @ am, z),
-    }
+    am, az = a.power(m), a @ z
+    qs = (a @ d).conj_transpose()
+    identities = _definition_identities(
+        a, z, k, m, a.power, RationalMatrix.conj_transpose, az, az @ z, am @ az,
+        qs.__matmul__, lambda x: a @ (cep @ x),
+    )
+    identities["second_form"] = lambda: ((d @ a @ cep).power(m + 1) @ am, z)
+    return identities
 
 
 @_with_products
 def exact_mwgi(a: RationalMatrix, m: int, max_bits: int = MAX_HEIGHT_BITS) -> RationalMatrix:
     """Exact m-weak group inverse (A^D)^{m+1} A A^o A^m, fully verified.
 
-    Requires, with zero tolerance, every identity of ``_identities``; a
-    failure raises ArithmeticError naming its key.  A Z that ``certify`` has
-    verified for this m and bound is returned as it is, formed no more.
+    Requires, with zero tolerance, the identities ``_REQUIRED`` of
+    ``_mwgi_identities``; a failure raises ArithmeticError naming its key.  A Z
+    that ``certify`` has verified for this m and bound is returned as it is,
+    formed no more.
     """
     _check_m(m)
     _, d, cep = _tower(a, max_bits)
@@ -784,7 +778,7 @@ def exact_mwgi(a: RationalMatrix, m: int, max_bits: int = MAX_HEIGHT_BITS) -> Ra
     if z is not None:
         return z
     z = _mwgi_of(a, m, d, cep, max_bits)
-    _require_exact(_identities(a, m, z, max_bits))
+    _require_exact(_evaluate(_mwgi_identities(a, m, z, max_bits), _REQUIRED, _exact_check))
     return z
 
 
@@ -809,7 +803,14 @@ def _diff_residual(left: RationalMatrix, right: RationalMatrix) -> float:
         return math.inf
 
 
-def _exact_check(left: RationalMatrix, right: RationalMatrix) -> Check:
+def _exact_check(left: RationalMatrix, right) -> Check:
+    """Left = right exactly, or the property that right names of left (``report._Is``)."""
+    if type(right) is _Is:  # a property of left
+        if right is _Is.HERMITIAN:
+            right = left.conj_transpose()
+        else:  # zero, or nilpotent: its n-th power is zero
+            left = left if right is _Is.ZERO else left.power(left.rows)
+            right = RationalMatrix.zeros(*left.shape)
     residual = _diff_residual(left, right)
     return Check(residual=residual, passed=residual == 0.0)  # 0.0 iff left == right
 
@@ -843,63 +844,50 @@ def certify(
     z: RationalMatrix | None = None,
     max_bits: int = MAX_HEIGHT_BITS,
 ) -> VerificationReport:
-    """Evaluate the whole identity battery in exact arithmetic.
+    """Evaluate every characterization's identity list in exact arithmetic.
 
-    Every check's residual is exactly zero or the exact size of the violation.
-    ``z`` overrides the computed m-weak group inverse, which lets a harness
-    confirm that a corrupted candidate is caught.  The computed Z is kept with A's
-    tower for ``exact_mwgi`` once its ``_identities`` hold; a ``z`` passed in never is.
+    The definition list and second_form (``_mwgi_identities``) are reported
+    label by label; the decomposition, b-characterization, outer-inverse and
+    equation lists of ``report`` one check each, under the names ``ginv fuzz``
+    gives their float residuals; route_power and route_recursive compare the
+    computed Z with exact_mwgi of A^m and of m + 1.  Every check's residual is
+    exactly zero or the exact size of the violation.  ``z`` overrides the
+    computed m-weak group inverse, which lets a harness confirm that a
+    corrupted candidate is caught.  The computed Z is kept with A's tower for
+    ``exact_mwgi`` once its ``_REQUIRED`` identities hold; a ``z`` passed in never is.
     """
     if not a.is_square():
         raise ValueError("certify requires a square matrix")
     _check_m(m)
-    n = a.rows
     _, d, cep = _tower(a, max_bits)
     z_computed = _mwgi_of(a, m, d, cep, max_bits)
     if z is None:
         z = z_computed
-    qs = (a @ d).conj_transpose()
-    am, am1 = a.power(m), a.power(m + 1)
-    zero = RationalMatrix.zeros(n, n)
-
-    checks = _identities(a, m, z, max_bits, qs)
-    if z is z_computed and all(c.passed for c in checks.values()):
+    identities = _mwgi_identities(a, m, z, max_bits)
+    checks = _evaluate(identities, identities, _exact_check)
+    if z is z_computed and all(checks[label].passed for label in _REQUIRED):
         a.keep(("mwgi", max_bits, m), lambda: z)
+    am = a.power(m)
     if m >= 2:  # (A^m)^o = (A^o)^m, so A^m's tower is read from A's
         _tower(am, max_bits, lambda: cep.power(m))
     w = exact_mwgi(am, 1, max_bits)
-    checks["power"] = _merge(
+    checks["route_power"] = _merge(
         _exact_check(a.power(m - 1) @ w, z_computed),
         _exact_check(w, z_computed.power(m)),
     )
-    checks["step"] = _exact_check(exact_mwgi(a, m + 1, max_bits), z_computed @ z_computed @ a)
-    az, za = a @ z, z @ a
-    zaz = za @ z
-    checks["fixed_point"] = _exact_check(zaz, z)
-    checks["idem"] = _merge(*(_exact_check(az, a.power(p) @ z.power(p)) for p in (2, 3)))
+    z_next = exact_mwgi(a, m + 1, max_bits)
+    checks["route_recursive"] = _exact_check(z_next, z_computed @ z_computed @ a)
 
-    x_part = a.power(2) @ z
-    y_part = a - x_part
-    xz, zx = x_part @ z, z @ x_part
-    checks["decomp"] = _merge(
-        _exact_check(x_part.conj_transpose() @ a.power(m - 1) @ y_part, zero),
-        _exact_check(y_part @ x_part, zero),
-        _exact_check(y_part.power(n), zero),
-        _exact_check(xz @ x_part, x_part),
-        _exact_check(zx @ z, z),
-        _exact_check(xz, zx),
-    )
-
-    herm = am.conj_transpose() @ am1 @ z
-    checks["b_char"] = _merge(
-        _exact_check(zaz, z),
-        _exact_check(xz, az),
-        _exact_check(herm.conj_transpose(), herm),
-        _exact_check(y_part.power(n), zero),
-    )
-
-    b_mat, y_mat = _test_matrices(n)
-    x_sol = z @ b_mat + (RationalMatrix.identity(n) - za) @ y_mat
-    checks["solution"] = _exact_check(qs @ am1 @ x_sol, qs @ am @ b_mat)
-
+    star, az = RationalMatrix.conj_transpose, a @ z
+    x = a @ az  # A^2 Z: X of the decomposition, and A^2 b at b = Z
+    parts = _decomposition_identities(a, x, a - x, z, m, a.power, star)
+    checks["decomposition"] = _merge(*_evaluate(parts, parts, _exact_check).values())
+    fixed_point = _b_identities(a, z, m, a.power, star, az, x)
+    fixed_point = _evaluate(fixed_point, fixed_point, _exact_check)
+    checks["b_characterization"] = _merge(*fixed_point.values())
+    checks["outer_inverse"] = fixed_point["bab"]  # Z A Z = Z
+    b, y = _test_matrices(a.rows)
+    solution = z @ (b - a @ y) + y  # Z B + (I - Z A) Y
+    equation = _equation_identities(solution, b, m, a.power, (a @ d).conj_transpose().__matmul__)
+    checks.update(_evaluate(equation, equation, _exact_check))
     return VerificationReport(checks=checks)

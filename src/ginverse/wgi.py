@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import Tower, _build, _kept_tower, _pinv, _same_bits, core_inverse, tower
+from .classical import Tower, _build, _kept_tower, _pinv, core_inverse, tower
 from .matcore import (
     DEFAULT_TOL,
     TolerancePolicy,
@@ -44,9 +44,9 @@ from .matcore import (
     readonly,
     rel_residual,
 )
-from .report import (
-    Check, VerificationReport, _bool_check, _eq_check, _hermitian_check, _merge, _nil_check
-)
+from .report import Check, VerificationReport, _bool_check, _eq_check, _evaluate
+from .report import _hermitian_check, _nil_check, _zero_check
+from .report import _b_identities, _decomposition_identities, _definition_identities
 
 __all__ = [
     "OrthogonalityViolation",
@@ -127,18 +127,14 @@ class GroupDecomposition:
         X has index <= 1) and group_matches is Z X Z = Z."""
         t = tower(a, tol)
         a, n = t.a, t.a.shape[0]
-        z, x, y = _candidate(t, z, m, _z), self.X, self.Y
-        checks: dict[str, Check] = {}
-        checks["sum"] = _eq_check(a, x + y, tol)
-        zero = np.zeros((n, n), dtype=np.complex128)
-        checks["orth_left"] = _eq_check(conj_transpose(x) @ t.power(m - 1) @ y, zero, tol)
-        checks["orth_right"] = _eq_check(y @ x, zero, tol)
-        checks["y_nilpotent"] = _nil_check(_pow(y, n), tol)
-        checks["x_index"] = _merge(_eq_check(x @ z @ x, x, tol), _eq_check(x @ z, z @ x, tol))
+        z, x = _candidate(t, z, m, _z), self.X
+        identities = _decomposition_identities(a, x, self.Y, z, m, t.power, conj_transpose)
+        labels = ("sum", "orth_left", "orth_right", "y_nilpotent", "x_index")
+        checks = _evaluate(identities, labels, _eq_check, tol)
         # A^n from A itself: the one nilpotency witness that is not read off the staircase
         a_nilpotent = frobenius(_pow(a, n)) <= tol.nil_atol
         checks["x_nonzero"] = _bool_check(a_nilpotent or frobenius(x) > tol.nil_atol)
-        checks["group_matches"] = _eq_check(z @ x @ z, z, tol)
+        checks.update(_evaluate(identities, ("group_matches",), _eq_check, tol))
         return VerificationReport(checks=checks)
 
 
@@ -173,21 +169,15 @@ class PolarData:
 
 def _check_z(t: Tower, z: np.ndarray, m: int) -> tuple:
     """The checks ax2: Z = A Z^2 and wgm_k: Z A^{k+1} = A^k and (A^k)* A^{m+1} Z =
-    (A^k)* A^m, read from A's tower, with the products A Z, A Z^2 = (A Z) Z and
-    A^{m+1} Z = A^m (A Z) they were read from: (checks, az, az2, am1z).
-
-    At k = 0, A^k = I, so wgm_k compares A^{m+1} Z with A^m as they are."""
-    tol, k, am, ak = t.tol, t.index.k, t.power(m), t.ak
+    (A^k)* A^m of the definition list, read from A's tower, with the products A Z,
+    A Z^2 = (A Z) Z and A^{m+1} Z = A^m (A Z) they were read from: (checks, az, az2, am1z)."""
     az = t.a @ z
-    az2, am1z = az @ z, am @ az
-    ax2 = _eq_check(z, az2, tol)
-    first = _eq_check(z @ t.power(k + 1), ak, tol)
-    if k == 0:
-        second = _eq_check(am1z, am, tol)
-    else:
-        ak_star = conj_transpose(ak)
-        second = _eq_check(ak_star @ am1z, ak_star @ am, tol)
-    return {"ax2": ax2, "wgm_k": _merge(first, second)}, az, az2, am1z
+    az2, am1z = az @ z, t.power(m) @ az
+    # the self-check reads neither (A A^D)* nor A A^o
+    identities = _definition_identities(
+        t.a, z, t.index.k, m, t.power, conj_transpose, az, az2, am1z, None, None
+    )
+    return _evaluate(identities, ("ax2", "wgm_k"), _eq_check, t.tol), az, az2, am1z
 
 
 def _require(checks: dict[str, Check], what: str) -> None:
@@ -380,31 +370,24 @@ def verify_definition(a, z, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> Verif
       idem34       A Z = A^n Z^n for n = 2, 3
     """
     t = tower(a, tol)
-    a, z, k = t.a, _candidate(t, z, m), t.index.k
-    # the checks and products mwgi formed for this m serve one call, and only a Z
-    # of the same bits; the tower gives them up here to bound peak memory, and keeps Z
-    kept = _kept_z(t, m)
-    handed = t._kept.pop(("az", m), None) if kept is not None and _same_bits(kept, z) else None
-    defining, az, az2, am1z = handed or _check_z(t, z, m)
-    del handed
-    am, ak, a2z2 = t.power(m), t.ak, a @ az2
-    limit = _eq_check(ak, az if k == 0 else az @ ak, tol)  # A^0 = I
-    idem34 = _merge(_eq_check(az, a2z2, tol), _eq_check(az, a @ (a2z2 @ z), tol))
-    # the checks left need A^{m+1} Z only; freeing these bounds peak memory
-    del az, az2, a2z2
-    # A A^o A^m = (A U1) T^-1 U1* A^m and A A^D = (A U1) G with G = T^-(k+1) U1* A^k
-    # (T^-1 at k = 0, where U1* A^0 = I); A U1 is formed rather than taken as U1 T,
-    # which is what these checks test
-    au1 = a if t.u1 is None else a @ t.u1
-    core_ep48 = _eq_check(am1z, au1 @ (t.tinv @ t.coords(am)), tol)
-    au1_star = conj_transpose(au1)
-    g = t.tinv if k == 0 else t.pow("tinv", k + 1) @ t.coords(ak)
-    g_star = conj_transpose(g)
-    def11 = _eq_check(g_star @ (au1_star @ am1z), g_star @ (au1_star @ am), tol)
-    checks = dict(ax2=defining["ax2"], def11=def11, wgm_k=defining["wgm_k"])
-    checks["hermitian31"] = _hermitian_check(conj_transpose(am) @ am1z, tol)
-    checks.update(coreEP48=core_ep48, limit=limit, idem34=idem34)
-    return VerificationReport(checks=checks)
+    z = _candidate(t, z, m)
+    # the checks and products mwgi formed for the Z it kept serve one call; the
+    # tower gives them up here and keeps Z
+    handed = t._kept.pop(("az", m), None) if z is _kept_z(t, m) else None
+    defining, *products = handed or _check_z(t, z, m)
+    # A A^D = (A U1) G with G = T^-(k+1) U1* A^k (T^-1 at k = 0, where U1* A^0 = I)
+    # and A A^o = (A U1) T^-1 U1*; A U1 is formed rather than taken as U1 T, which
+    # is what def11 and coreEP48 test
+    k, au1 = t.index.k, t.a if t.u1 is None else t.a @ t.u1
+    g = t.tinv if k == 0 else t.pow("tinv", k + 1) @ t.coords(t.ak)
+    g_star, au1_star = conj_transpose(g), conj_transpose(au1)
+    identities = _definition_identities(
+        t.a, z, k, m, t.power, conj_transpose, *products,
+        lambda x: g_star @ (au1_star @ x), lambda x: au1 @ (t.tinv @ t.coords(x)),
+    )
+    rest = [label for label in identities if label not in defining]
+    checks = {**defining, **_evaluate(identities, rest, _eq_check, tol)}
+    return VerificationReport(checks={label: checks[label] for label in identities})
 
 
 def group_decomposition(a, m: int, tol: TolerancePolicy = DEFAULT_TOL, z=None) -> GroupDecomposition:
@@ -433,24 +416,26 @@ def b_characterization(a, m: int, tol: TolerancePolicy = DEFAULT_TOL, z=None) ->
     Hermitian), range (col(A b) = col(A^2 b)), qnil ((A - A^2 b)^n vanishes).
     """
     t = tower(a, tol)
-    a, n = t.a, t.a.shape[0]
-    b, am = _candidate(t, z, m, _z), t.power(m)
+    a, b = t.a, _candidate(t, z, m, _z)
     ab = a @ b
     a2b = a @ ab
-    checks: dict[str, Check] = {}
-    checks["bab"] = _outer_check(t, b, m)
-    checks["a2b2"] = _eq_check(a2b @ b, ab, tol)
-    checks["herm"] = _hermitian_check(conj_transpose(am) @ (am @ ab), tol)
+    identities = _b_identities(a, b, m, t.power, conj_transpose, ab, a2b)
+    checks = {"bab": _outer_check(t, b, m)}  # the entry bab, as outer_inverse_subspaces reads it
+    checks.update(_evaluate(identities, ("a2b2", "herm"), _eq_check, tol))
     checks["range"] = _bool_check(col_space_equal(ab, a2b, tol))
-    checks["qnil"] = _nil_check(_pow(a - a2b, n), tol)
+    checks.update(_evaluate(identities, ("qnil",), _eq_check, tol))
     return VerificationReport(checks=checks)
 
 
 def _outer_check(t: Tower, z: np.ndarray, m: int) -> Check:
-    """Z A Z = Z, checked once per tower and m for the Z that A's tower keeps."""
-    if z is _kept_z(t, m):
-        return t.keep(("zaz", m), lambda: _eq_check(z @ t.a @ z, z, t.tol))
-    return _eq_check(z @ t.a @ z, z, t.tol)
+    """Z A Z = Z, bab of the b-characterization list, checked once per tower and m
+    for the Z that A's tower keeps."""
+
+    def check():  # bab reads neither A Z nor A^2 Z
+        identities = _b_identities(t.a, z, m, t.power, conj_transpose, None, None)
+        return _evaluate(identities, ("bab",), _eq_check, t.tol)["bab"]
+
+    return t.keep(("zaz", m), check) if z is _kept_z(t, m) else check()
 
 
 def _b0(t: Tower, m: int) -> np.ndarray:
@@ -504,9 +489,8 @@ def additive_mwgi(a, b, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarra
     if ma.shape != mb.shape:
         raise ValueError(f"shape mismatch: {ma.shape} vs {mb.shape}")
     _check_m(m)
-    zero = np.zeros(ma.shape, dtype=np.complex128)
     for label, product in (("A B", ma @ mb), ("B A", mb @ ma), ("A* B", conj_transpose(ma) @ mb)):
-        residual = rel_residual(product, zero)
-        if not residual <= tol.eq_rtol:
-            raise OrthogonalityViolation(f"{label} is not zero (residual {residual:.3e})")
+        check = _zero_check(product, tol)
+        if not check.passed:
+            raise OrthogonalityViolation(f"{label} is not zero (residual {check.residual:.3e})")
     return mwgi(a, m, tol).Z + mwgi(b, m, tol).Z

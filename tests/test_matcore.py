@@ -23,7 +23,7 @@ from ginverse.matcore import (
     numerical_rank,
     rel_residual,
 )
-from ginverse.report import _eq_check, _hermitian_check
+from ginverse.report import _eq_check, _hermitian_check, _zero_check
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -207,6 +207,30 @@ class TestHermitianCheck:
     def test_flags_a_non_hermitian_matrix(self):
         assert _hermitian_check(np.eye(3, dtype=complex), DEFAULT_TOL).passed
         assert not _hermitian_check(as_matrix([[1, 1], [0, 1]]), DEFAULT_TOL).passed
+
+
+class TestZeroCheck:
+    """_zero_check(P) is _eq_check(P, zeros) bit for bit for a matmul product P, with one norm."""
+
+    def test_bits_of_eq_check(self):
+        rng = np.random.default_rng(35)
+        norms = []
+        for n in (1, 2, 3, 5, 8, 17, 31, 59):
+            for scale in (1e-12, 1e-9, 1e-3, 1.0, 1e3, 1e6):
+                u = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                p = (scale / n) * u @ u
+                p[0, 0] = complex(-0.0, p[0, 0].imag)  # a signed zero
+                assert p.flags.c_contiguous
+                one = _zero_check(p, DEFAULT_TOL)
+                two = _eq_check(p, np.zeros((n, n), dtype=np.complex128), DEFAULT_TOL)
+                assert one.residual.hex() == two.residual.hex(), (n, scale)
+                assert one.passed == two.passed
+                norms.append(frobenius(p))
+        assert min(norms) < 1.0 < max(norms)
+
+    def test_flags_a_nonzero_matrix(self):
+        assert _zero_check(np.zeros((3, 3), dtype=complex), DEFAULT_TOL).passed
+        assert not _zero_check(np.eye(3, dtype=complex) * 1e-6, DEFAULT_TOL).passed
 
 
 class TestColSpaceContains:

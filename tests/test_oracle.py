@@ -9,10 +9,12 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from ginverse import eqsolve, wgi
 from ginverse import oracle as o
-from ginverse.classical import drazin
-from ginverse.generators import rational_with_index
+from ginverse.classical import drazin, tower
+from ginverse.generators import dyadic_with_index, rational_with_index
 from ginverse.matcore import DEFAULT_TOL, rel_residual
+from ginverse.report import _b_identities, _decomposition_identities, _evaluate
 
 RM = o.RationalMatrix
 GR = o.GaussianRational
@@ -21,6 +23,7 @@ J2 = RM.from_rows([[0, 1], [0, 0]])
 J3 = RM.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
 IDEMPOTENT = RM.from_rows([[1, 1], [0, 0]])
 BLOCK3 = RM.from_rows([[1, 0, 0], [0, 0, 1], [0, 0, 0]])
+DEFINITION_LABELS = ["ax2", "def11", "wgm_k", "hermitian31", "coreEP48", "limit", "idem34"]
 
 
 def random_rational(rng, rows, cols, span=4, denom=2):
@@ -646,10 +649,11 @@ class TestOneIdentityList:
     @pytest.mark.parametrize("m", [1, 2])
     def test_identity_list_reports_ax2(self, m):
         a, z = self.corrupted(m)
-        checks = o._identities(a, m, z, o.MAX_HEIGHT_BITS)
+        identities = o._mwgi_identities(a, m, z, o.MAX_HEIGHT_BITS)
+        checks = _evaluate(identities, o._REQUIRED, o._exact_check)
         assert list(checks) == ["ax2", "def11", "wgm_k", "second_form"]
         assert not checks["ax2"].passed and checks["ax2"].residual > 0.0
-        # certify's step check is exact_mwgi(A, m + 1), which reads the same tower
+        # certify's route_recursive check is exact_mwgi(A, m + 1), which reads the same tower
         with pytest.raises(ArithmeticError, match="'ax2'"):
             o.certify(a, m)
 
@@ -659,8 +663,10 @@ class TestOneIdentityList:
         rows[1][2] = rows[1][2] + GR(1)
         bad = RM.from_rows(rows)
         report = o.certify(BLOCK3, 2, z=bad)
-        expected = o._identities(BLOCK3, 2, bad, o.MAX_HEIGHT_BITS)
-        assert list(report.checks)[:4] == list(expected)
+        identities = o._mwgi_identities(BLOCK3, 2, bad, o.MAX_HEIGHT_BITS)
+        expected = _evaluate(identities, identities, o._exact_check)
+        assert list(expected) == [*DEFINITION_LABELS, "second_form"]
+        assert list(report.checks)[: len(expected)] == list(expected)
         assert {name: report.checks[name] for name in expected} == expected
         assert not all(check.passed for check in expected.values())
 
@@ -776,7 +782,7 @@ class TestExactTwin:
 
 
 class TestTestMatricesOncePerN:
-    """certify builds its solution-check B and Y once per n, with the same residuals."""
+    """certify builds the B and Y of its equation check once per n, with the same residuals."""
 
     def test_built_once(self):
         o._test_matrices.cache_clear()
@@ -798,7 +804,7 @@ class TestTestMatricesOncePerN:
         o._test_matrices.cache_clear()
         for _ in range(2):  # a fresh build, then the kept one
             for candidate, residual in ((bad, fresh), (None, 0.0)):
-                check = o.certify(a, 1, z=candidate).checks["solution"]
+                check = o.certify(a, 1, z=candidate).checks["equation"]
                 assert check.residual.hex() == residual.hex()
 
 
@@ -900,13 +906,13 @@ class TestProductStore:
 
     def test_nested_calls_share_the_outer_store(self, monkeypatch):
         stores = []
-        identities = o._identities
+        identities = o._mwgi_identities
 
         def recording(*args):
             stores.append(o._products.get())
             return identities(*args)
 
-        monkeypatch.setattr(o, "_identities", recording)
+        monkeypatch.setattr(o, "_mwgi_identities", recording)
         assert o.certify(self.matrix(), 2).overall
         # certify's own list, then exact_mwgi(A^m, 1) and exact_mwgi(A, m + 1) nested in it
         assert len(stores) == 3
@@ -979,3 +985,66 @@ class TestProductStore:
         stored = results()
         monkeypatch.setattr(RM, "__matmul__", RM._times)  # every product formed anew
         assert results() == stored
+
+
+class TestOneListTwoArithmetics:
+    """The float checkers and certify read the same lists of ``report``: on a matrix whose
+    float image is exact, both report each list's labels, and a one-entry corruption of Z
+    fails the same labels in both arithmetics."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(23)
+        for i in range(8):
+            n = 3 + i % 3
+            a = dyadic_with_index(rng, n, min(1 + i % 3, n - 1), 2)
+            z = o.exact_mwgi(RM.from_json(a.to_json()), 1 + i % 3)
+            rows = [list(r) for r in z.entries]
+            rows[i % n][(i + 1) % n] += GR(1)
+            for candidate in (z, RM.from_rows(rows)):
+                yield a, 1 + i % 3, candidate
+
+    @staticmethod
+    def exact(identities):
+        return _evaluate(identities, identities, o._exact_check)
+
+    @staticmethod
+    def failed(checks):
+        return {label for label, check in checks.items() if not check.passed}
+
+    def test_same_labels_fail(self):
+        star, tol, corrupted = RM.conj_transpose, DEFAULT_TOL, 0
+        for a, m, z in self.cases():
+            t, zf = tower(a.to_complex()), z.to_complex()
+            certified = o.certify(a, m, z=z).checks
+            az = a @ z
+            exact = {
+                "definition": {label: certified[label] for label in DEFINITION_LABELS},
+                "decomposition": self.exact(
+                    _decomposition_identities(a, a @ az, a - a @ az, z, m, a.power, star)
+                ),
+                "b_characterization": self.exact(_b_identities(a, z, m, a.power, star, az, a @ az)),
+            }
+            decomposition = wgi.group_decomposition(t, m, tol, zf).verify(t, m, tol, zf).checks
+            floats = {
+                "definition": wgi.verify_definition(t, zf, m).checks,
+                "decomposition": {k: c for k, c in decomposition.items() if k != "x_nonzero"},
+                "b_characterization": {
+                    k: c for k, c in wgi.b_characterization(t, m, tol, zf).checks.items()
+                    if k != "range"
+                },
+            }
+            for name, checks in exact.items():
+                assert list(floats[name]) == list(checks), name
+                assert self.failed(floats[name]) == self.failed(checks), (name, a, m)
+                if name != "definition":  # certify merges the list under fuzz's name
+                    assert certified[name].passed == all(c.passed for c in checks.values())
+            outer = wgi.outer_inverse_subspaces(t, m, tol, zf).checks["outer"]
+            bab = exact["b_characterization"]["bab"]
+            assert outer.passed == certified["outer_inverse"].passed == bab.passed
+            b, y = (x.to_complex() for x in o._test_matrices(a.rows))
+            solution = eqsolve.solve_general(t, b, m, y, tol, zf).X
+            float_equation = eqsolve.residual(t, b, m, solution, tol) <= tol.eq_rtol
+            assert float_equation == certified["equation"].passed
+            corrupted += not o.certify(a, m, z=z).overall
+        assert corrupted == 8
