@@ -69,7 +69,8 @@ class Tower:
     tower forms when first read and keeps, through ``keep``, for as long as it
     lives: ``o`` = A^o, ``d`` = A^D, ``ad`` = A A^D, the powers ``pow(name, e)``
     of A, A^o, A^D and T^-1, and what its callers name, such as the b0 of
-    ``wgi.bc_inverse_check``, the Z that ``wgi.mwgi`` checked and its Z A Z = Z check.
+    ``wgi.bc_inverse_check`` and the Z that ``wgi.mwgi`` checked, with that Z's
+    products and checks (``wgi._products``, ``wgi._checks``).
     """
 
     index: IndexResult

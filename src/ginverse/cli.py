@@ -35,7 +35,8 @@ from .matcore import (
     matrix_to_json,
     rel_residual,
 )
-from .report import _core_ep_identities, _drazin_identities, _eq_check, _penrose_identities
+from .report import _core_ep_identities, _drazin_identities, _eq_check, _evaluate
+from .report import _penrose_identities
 
 __all__ = ["run", "main"]
 
@@ -117,12 +118,12 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         route = _ROUTE_BY_FLAG[args.route]
         z = wgi.mwgi_by_route(t, args.m, route, args.tol)
         if route is not wgi.Route.CORE_EP:  # mwgi has checked the core-ep Z already
-            wgi._require(wgi._check_z(t, z, args.m)[0], f"the {args.route} route's Z")
+            wgi._require(wgi._check_z(t, z, args.m), f"the {args.route} route's Z")
     else:
         inverse, identities = _INVERSES[args.inverse]
         z = inverse(t or a, args.tol)
-        pairs = identities(a, z, t and t.index.k, t and t.power, conj_transpose)
-        checks = {name: _eq_check(*pair, args.tol) for name, pair in pairs.items()}
+        sides = identities(a, z, t and t.index.k, t and t.power, conj_transpose)
+        checks = _evaluate(sides, sides, _eq_check, args.tol)
         wgi._require(checks, f"the {args.inverse} inverse")
     _emit(args, matrix_to_json(z))
     return 0

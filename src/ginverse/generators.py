@@ -74,6 +74,12 @@ def nilpotent_jordan(rng: np.random.Generator, size: int, k: int) -> np.ndarray:
     return n
 
 
+def _core_size(rng: np.random.Generator, n: int, k: int) -> int:
+    """Size of the invertible core of an n x n matrix of index k: n at k = 0, none at
+    k = n, else uniform in 1..n - k."""
+    return n if k == 0 else 0 if k == n else int(rng.integers(1, n - k + 1))
+
+
 def with_index(
     rng: np.random.Generator,
     n: int,
@@ -83,12 +89,9 @@ def with_index(
     """Random n x n complex matrix whose Drazin index is exactly k."""
     if k < 0 or k > n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    if k == 0:
+    core_size = _core_size(rng, n, k)
+    if core_size == n:
         return conditioned_matrix(rng, n, core_sigma)
-    if k == n:
-        core_size = 0
-    else:
-        core_size = int(rng.integers(1, n - k + 1))
     blocks = np.zeros((n, n), dtype=np.complex128)
     if core_size:
         blocks[:core_size, :core_size] = conditioned_matrix(rng, core_size, core_sigma)
@@ -164,45 +167,32 @@ def rational_with_index(
     if k < 0 or k > n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     for _ in range(max_attempts):
-        if k == 0:
-            core_size = n
-        elif k == n:
-            core_size = 0
-        else:
-            core_size = int(rng.integers(1, n - k + 1))
-        rows = [[GaussianRational() for _ in range(n)] for _ in range(n)]
-        if core_size:
-            core = _random_gaussian_integer_matrix(rng, core_size, 2, halves)
-            if exact_rank(core) != core_size:
-                continue
-            for i in range(core_size):
-                for j in range(core_size):
-                    rows[i][j] = core.entries[i][j]
-        if core_size < n:
-            nil = nilpotent_jordan(rng, n - core_size, k)
-            for i in range(n - core_size):
-                for j in range(n - core_size):
-                    rows[core_size + i][core_size + j] = GaussianRational(
-                        int(nil[i, j].real)
-                    )
-        blocks = RationalMatrix.from_rows(rows)
-        s = _shears(rng, n)
-        a = s @ blocks @ exact_inverse(s)
-        height = max(
-            max(
-                abs(x.re.numerator),
-                x.re.denominator,
-                abs(x.im.numerator),
-                x.im.denominator,
-            )
-            for row in a.entries
-            for x in row
-        )
-        if height <= max_entry:
+        core_size = _core_size(rng, n, k)
+        core = _random_gaussian_integer_matrix(rng, core_size, 2, halves) if core_size else None
+        if core is not None and exact_rank(core) != core_size:
+            continue
+        a = _similar_blocks(rng, n, k, core)
+        parts = (part for row in a.entries for x in row for part in (x.re, x.im))
+        if max(max(abs(p.numerator), p.denominator) for p in parts) <= max_entry:
             return a
     raise RuntimeError(
         f"no matrix with entry height <= {max_entry} found in {max_attempts} attempts"
     )
+
+
+def _similar_blocks(rng: np.random.Generator, n: int, k: int, core) -> RationalMatrix:
+    """S diag(C, N) S^-1 for a core C (None for none), N = ``nilpotent_jordan`` of index k
+    on the rest (none when C fills n) and S of ``_shears``, drawn in that order."""
+    rows = [[GaussianRational() for _ in range(n)] for _ in range(n)]
+    core_size = 0 if core is None else core.rows
+    for i in range(core_size):
+        rows[i][:core_size] = core.entries[i]
+    if core_size < n:
+        nil = nilpotent_jordan(rng, n - core_size, k).real.astype(int).tolist()
+        for i, row in enumerate(nil, core_size):
+            rows[i][core_size:] = [GaussianRational(x) for x in row]
+    s = _shears(rng, n)
+    return s @ RationalMatrix.from_rows(rows) @ exact_inverse(s)
 
 
 def _shears(rng: np.random.Generator, n: int) -> RationalMatrix:
@@ -227,23 +217,14 @@ def dyadic_with_index(
     if e_max < 0:
         raise ValueError(f"need e_max >= 0, got {e_max}")
     for _ in range(max_attempts):
-        core_size = n if k == 0 else 0 if k == n else int(rng.integers(1, n - k + 1))
-        rows = [[GaussianRational() for _ in range(n)] for _ in range(n)]
+        core_size, core = _core_size(rng, n, k), None
         if core_size:
             g, h = _shears(rng, core_size), _shears(rng, core_size)
             scale = [[GaussianRational() for _ in range(core_size)] for _ in range(core_size)]
             for i, e in enumerate(rng.integers(0, e_max + 1, size=core_size)):
                 scale[i][i] = GaussianRational(Fraction(1, 2 ** int(e)))
             core = g @ RationalMatrix.from_rows(scale) @ h
-            for i in range(core_size):
-                rows[i][:core_size] = core.entries[i]
-        if core_size < n:
-            nil = nilpotent_jordan(rng, n - core_size, k)
-            for i in range(n - core_size):
-                for j in range(n - core_size):
-                    rows[core_size + i][core_size + j] = GaussianRational(int(nil[i, j].real))
-        s = _shears(rng, n)
-        a = s @ RationalMatrix.from_rows(rows) @ exact_inverse(s)
+        a = _similar_blocks(rng, n, k, core)
         image = a.to_complex().ravel().tolist()
         exact = (GaussianRational(Fraction(z.real), Fraction(z.imag)) for z in image)
         if all(x == y for x, y in zip(exact, (x for row in a.entries for x in row))):

@@ -57,7 +57,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .matcore import MatrixFormatError, _check_m, _json_envelope
+from .matcore import MatrixFormatError, _check_m, _json_envelope, readonly
 from .report import Check, VerificationReport, _Is, _evaluate, _merge
 from .report import _core_ep_identities, _drazin_identities, _penrose_identities
 from .report import _b_identities, _decomposition_identities, _definition_identities
@@ -106,11 +106,6 @@ def _with_products(call):
             _products.reset(token)
 
     return with_store
-
-
-def _readonly(x: np.ndarray) -> np.ndarray:
-    x.setflags(write=False)
-    return x
 
 
 def _frac(x) -> Fraction:
@@ -431,7 +426,7 @@ class RationalMatrix:
             num = p.ravel().tolist()
             den //= g
         product = RationalMatrix.__new__(RationalMatrix)
-        product._set(self._nrows, other._ncols, tuple(num), den, _readonly(p))
+        product._set(self._nrows, other._ncols, tuple(num), den, readonly(p))
         return product
 
     def _left_layout(self) -> np.ndarray:
@@ -439,7 +434,7 @@ class RationalMatrix:
         read-only."""
         if self._left is None:
             left = np.array(self._num, dtype=object).reshape(self._nrows, 2 * self._ncols)
-            self._left = _readonly(left)
+            self._left = readonly(left)
         return self._left
 
     def _right_layout(self) -> np.ndarray:
@@ -448,7 +443,7 @@ class RationalMatrix:
         if self._right is None:
             c, left = self._ncols, self._left_layout()
             below = np.concatenate((-left[:, c:], left[:, :c]), axis=1)
-            self._right = _readonly(np.concatenate((left, below)))
+            self._right = readonly(np.concatenate((left, below)))
         return self._right
 
     @property
@@ -654,8 +649,8 @@ def _require_exact(checks: dict[str, Check]) -> None:
 
 def _require_identities(identities, a: RationalMatrix, x: RationalMatrix, k: int) -> None:
     """Require each identity of a ``report`` list of X and A with zero tolerance."""
-    pairs = identities(a, x, k, a.power, RationalMatrix.conj_transpose)
-    _require_exact({label: _exact_check(*pair) for label, pair in pairs.items()})
+    sides = identities(a, x, k, a.power, RationalMatrix.conj_transpose)
+    _require_exact(_evaluate(sides, sides, _exact_check))
 
 
 @_with_products

@@ -57,34 +57,35 @@ def _eq_check(left: np.ndarray, right, tol: TolerancePolicy) -> Check:
     return Check(residual=residual, passed=residual <= tol.eq_rtol)
 
 
-# Defining identities {label: (left, right)} of the Drazin (group at k <= 1), core-EP
-# (core at k <= 1) and Moore-Penrose inverses X of A of index k; power(j) is A^j and
-# star the conjugate transpose.  Floats read them with _eq_check, the oracle exactly.
+# Defining identities {label: sides} of the Drazin (group at k <= 1), core-EP (core at
+# k <= 1) and Moore-Penrose inverses X of A of index k, where sides() forms the pair
+# (left, right); power(j) is A^j and star the conjugate transpose.  Floats judge them
+# with _eq_check, the oracle exactly (see _evaluate).
 def _drazin_identities(a, x, k: int, power, star) -> dict:
     xa = x @ a
     return {
-        "A X = X A": (a @ x, xa),
-        "X A X = X": (xa @ x, x),
-        "A^(k+1) X = A^k": (power(k + 1) @ x, power(k)),
+        "A X = X A": lambda: (a @ x, xa),
+        "X A X = X": lambda: (xa @ x, x),
+        "A^(k+1) X = A^k": lambda: (power(k + 1) @ x, power(k)),
     }
 
 
 def _core_ep_identities(a, x, k: int, power, star) -> dict:
     ax = a @ x
     return {
-        "A X^2 = X": (ax @ x, x),
-        "(A X)* = A X": (star(ax), ax),
-        "A X A^k = A^k": (ax @ power(k), power(k)),
+        "A X^2 = X": lambda: (ax @ x, x),
+        "(A X)* = A X": lambda: (star(ax), ax),
+        "A X A^k = A^k": lambda: (ax @ power(k), power(k)),
     }
 
 
 def _penrose_identities(a, x, k: int, power, star) -> dict:
     ax, xa = a @ x, x @ a  # A may be rectangular here
     return {
-        "A X A = A": (ax @ a, a),
-        "X A X = X": (xa @ x, x),
-        "(A X)* = A X": (star(ax), ax),
-        "(X A)* = X A": (star(xa), xa),
+        "A X A = A": lambda: (ax @ a, a),
+        "X A X = X": lambda: (xa @ x, x),
+        "(A X)* = A X": lambda: (star(ax), ax),
+        "(X A)* = X A": lambda: (star(xa), xa),
     }
 
 
@@ -96,10 +97,9 @@ class _Is(enum.Enum):
     NILPOTENT = "nilpotent"
 
 
-# The m-weak group inverse Z's characterizations, one list each: {label: sides},
-# where sides() forms the pair (left, right), right possibly an _Is, or a list of
-# pairs whose checks the label merges, so a checker forms only the entries it reads.
-# power and star are as above; floats judge a pair with _eq_check, the oracle exactly.
+# The m-weak group inverse Z's characterizations, one list each, in the form above:
+# sides() may also form a right side that is an _Is, or a list of pairs whose checks
+# the label merges, so a checker forms only the entries it reads.
 def _definition_identities(a, z, k: int, m: int, power, star, az, az2, am1z, qs, aao) -> dict:
     """The definition of Z for A of index k: ax2 and wgm_k (``mwgi``'s self-check),
     then its consequences.  The caller holds A Z, A Z^2 = (A Z) Z and

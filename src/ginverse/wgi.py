@@ -167,17 +167,41 @@ class PolarData:
         return VerificationReport(checks=checks)
 
 
-def _check_z(t: Tower, z: np.ndarray, m: int) -> tuple:
-    """The checks ax2: Z = A Z^2 and wgm_k: Z A^{k+1} = A^k and (A^k)* A^{m+1} Z =
-    (A^k)* A^m of the definition list, read from A's tower, with the products A Z,
-    A Z^2 = (A Z) Z and A^{m+1} Z = A^m (A Z) they were read from: (checks, az, az2, am1z)."""
-    az = t.a @ z
-    az2, am1z = az @ z, t.power(m) @ az
-    # the self-check reads neither (A A^D)* nor A A^o
-    identities = _definition_identities(
-        t.a, z, t.index.k, m, t.power, conj_transpose, az, az2, am1z, None, None
-    )
-    return _evaluate(identities, ("ax2", "wgm_k"), _eq_check, t.tol), az, az2, am1z
+def _products(t: Tower, z: np.ndarray, m: int) -> tuple:
+    """A Z, A Z^2 = (A Z) Z and A^{m+1} Z = A^m (A Z): for the Z that ``mwgi`` checked
+    and A's tower keeps for m, the products kept with it; any other z forms its own."""
+
+    def form():
+        az = t.a @ z
+        return az, az @ z, t.power(m) @ az
+
+    return t.keep(("products", m), form) if z is _kept_z(t, m) else form()
+
+
+def _checks(t: Tower, z: np.ndarray, m: int, identities: dict, labels) -> dict[str, Check]:
+    """{label: its check} for ``labels`` of a list of z's identities.  For the Z that
+    ``mwgi`` checked and A's tower keeps for m, each is made once and kept by label for
+    as long as the tower lives, herm as hermitian31 (both form (A^m)* (A^m (A Z)));
+    any other z, a copy, a one-ulp move or a signed zero of it, is judged afresh."""
+    made = t.keep(("checks", m), dict) if z is _kept_z(t, m) else {}
+    keys = {label: "hermitian31" if label == "herm" else label for label in labels}
+    missing = [label for label, key in keys.items() if key not in made]
+    for label, check in _evaluate(identities, missing, _eq_check, t.tol).items():
+        made.setdefault(keys[label], check)  # of two threads racing here, the first wins
+    return {label: made[key] for label, key in keys.items()}
+
+
+def _definition(t: Tower, z: np.ndarray, m: int, products: tuple, qs, aao) -> dict:
+    """The definition list of z over its products (``_products``), read from A's tower."""
+    k = t.index.k
+    return _definition_identities(t.a, z, k, m, t.power, conj_transpose, *products, qs, aao)
+
+
+def _check_z(t: Tower, z: np.ndarray, m: int) -> dict[str, Check]:
+    """``mwgi``'s self-check of any Z: ax2, Z = A Z^2, and wgm_k, Z A^{k+1} = A^k and
+    (A^k)* A^{m+1} Z = (A^k)* A^m, which read neither (A A^D)* nor A A^o."""
+    identities = _definition(t, z, m, _products(t, z, m), None, None)
+    return _checks(t, z, m, identities, ("ax2", "wgm_k"))
 
 
 def _require(checks: dict[str, Check], what: str) -> None:
@@ -230,10 +254,10 @@ def mwgi(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> MwgiResult:
     Z is formed from the tower's factors of A^o (see ``_z``) and checked against
     its defining equations (ax2 and wgm_k of ``verify_definition``); a failure
     beyond tolerance raises RepresentationMismatch naming the failed check.
-    A Z that passes is kept in A's tower for as long as the tower lives, so a
-    repeat call and the checkers' default Z read it unchanged; its checks and
-    the products they were read from are kept too, until one
-    ``verify_definition`` of that Z uses them.
+    A Z that passes is kept in A's tower for as long as the tower lives, with its
+    products A Z, A Z^2 and A^{m+1} Z and its checks, by label: a repeat call and
+    the checkers' default Z read it unchanged, and each check of that Z object in
+    the definition and fixed-point lists is made once (see ``_checks``).
     """
     _check_m(m)  # before the lookup, where m = True would find the entry of m = 1
     t = tower(a, tol)
@@ -242,11 +266,15 @@ def mwgi(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> MwgiResult:
 
 
 def _checked_z(t: Tower, m: int) -> np.ndarray:
-    """Z formed and checked, with its checks and products kept for ``verify_definition``."""
+    """Z formed and checked as ``_check_z`` checks it; if it passes, A's tower keeps
+    its products and checks (``_products``, ``_checks``), and ``mwgi`` keeps Z."""
     z = readonly(_z(t, m))
-    checked = _check_z(t, z, m)
-    _require(checked[0], "Z")
-    t.keep(("az", m), lambda: checked)
+    products = _products(t, z, m)  # formed: z is not kept yet
+    identities = _definition(t, z, m, products, None, None)
+    checks = _evaluate(identities, ("ax2", "wgm_k"), _eq_check, t.tol)
+    _require(checks, "Z")
+    t.keep(("products", m), lambda: products)
+    t.keep(("checks", m), lambda: checks)
     return z
 
 
@@ -368,26 +396,21 @@ def verify_definition(a, z, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> Verif
       coreEP48     A^{m+1} Z = A A^o A^m
       limit        A^k = A Z A^k (the eventual identity, at n = k)
       idem34       A Z = A^n Z^n for n = 2, 3
+    For the Z that ``mwgi`` kept, a check made once is read from A's tower (``_checks``).
     """
     t = tower(a, tol)
     z = _candidate(t, z, m)
-    # the checks and products mwgi formed for the Z it kept serve one call; the
-    # tower gives them up here and keeps Z
-    handed = t._kept.pop(("az", m), None) if z is _kept_z(t, m) else None
-    defining, *products = handed or _check_z(t, z, m)
     # A A^D = (A U1) G with G = T^-(k+1) U1* A^k (T^-1 at k = 0, where U1* A^0 = I)
     # and A A^o = (A U1) T^-1 U1*; A U1 is formed rather than taken as U1 T, which
     # is what def11 and coreEP48 test
     k, au1 = t.index.k, t.a if t.u1 is None else t.a @ t.u1
     g = t.tinv if k == 0 else t.pow("tinv", k + 1) @ t.coords(t.ak)
     g_star, au1_star = conj_transpose(g), conj_transpose(au1)
-    identities = _definition_identities(
-        t.a, z, k, m, t.power, conj_transpose, *products,
+    identities = _definition(
+        t, z, m, _products(t, z, m),
         lambda x: g_star @ (au1_star @ x), lambda x: au1 @ (t.tinv @ t.coords(x)),
     )
-    rest = [label for label in identities if label not in defining]
-    checks = {**defining, **_evaluate(identities, rest, _eq_check, tol)}
-    return VerificationReport(checks={label: checks[label] for label in identities})
+    return VerificationReport(checks=_checks(t, z, m, identities, identities))
 
 
 def group_decomposition(a, m: int, tol: TolerancePolicy = DEFAULT_TOL, z=None) -> GroupDecomposition:
@@ -414,28 +437,17 @@ def b_characterization(a, m: int, tol: TolerancePolicy = DEFAULT_TOL, z=None) ->
 
     Named checks: bab (b A b = b), a2b2 (A^2 b^2 = A b), herm ((A^m)* A^{m+1} b
     Hermitian), range (col(A b) = col(A^2 b)), qnil ((A - A^2 b)^n vanishes).
+    For the Z that ``mwgi`` kept, A b is its kept A Z and the checks are kept too.
     """
     t = tower(a, tol)
     a, b = t.a, _candidate(t, z, m, _z)
-    ab = a @ b
+    ab = _products(t, b, m)[0] if b is _kept_z(t, m) else a @ b
     a2b = a @ ab
     identities = _b_identities(a, b, m, t.power, conj_transpose, ab, a2b)
-    checks = {"bab": _outer_check(t, b, m)}  # the entry bab, as outer_inverse_subspaces reads it
-    checks.update(_evaluate(identities, ("a2b2", "herm"), _eq_check, tol))
+    checks = _checks(t, b, m, identities, ("bab", "a2b2", "herm"))
     checks["range"] = _bool_check(col_space_equal(ab, a2b, tol))
-    checks.update(_evaluate(identities, ("qnil",), _eq_check, tol))
+    checks.update(_checks(t, b, m, identities, ("qnil",)))
     return VerificationReport(checks=checks)
-
-
-def _outer_check(t: Tower, z: np.ndarray, m: int) -> Check:
-    """Z A Z = Z, bab of the b-characterization list, checked once per tower and m
-    for the Z that A's tower keeps."""
-
-    def check():  # bab reads neither A Z nor A^2 Z
-        identities = _b_identities(t.a, z, m, t.power, conj_transpose, None, None)
-        return _evaluate(identities, ("bab",), _eq_check, t.tol)["bab"]
-
-    return t.keep(("zaz", m), check) if z is _kept_z(t, m) else check()
 
 
 def _b0(t: Tower, m: int) -> np.ndarray:
@@ -474,7 +486,8 @@ def outer_inverse_subspaces(
     z = _candidate(t, z, m, _z)
     kernel_target = t.o @ t.power(m)
     checks: dict[str, Check] = {}
-    checks["outer"] = _outer_check(t, z, m)
+    bab = _b_identities(t.a, z, m, t.power, conj_transpose, None, None)  # reads no A Z
+    checks["outer"] = _checks(t, z, m, bab, ("bab",))["bab"]
     # col(Z) = col(b0) and row(Z) = row(A^o A^m), ranked together
     kernel = _span_matrices(conj_transpose(kernel_target), conj_transpose(z), True)
     ranks = numerical_ranks([*_span_matrices(_b0(t, m), z, True), *kernel], tol)

@@ -898,13 +898,14 @@ def z_checks(monkeypatch):
     """A list that grows by one per Z whose products with A are formed, with no tower kept."""
     monkeypatch.setattr(classical, "_last", None)
     calls = []
-    check_z = wgi._check_z
+    products = wgi._products
 
-    def counting(*args):
-        calls.append(1)
-        return check_z(*args)
+    def counting(t, z, m):
+        if z is not wgi._kept_z(t, m):  # the kept Z's products are read, not formed
+            calls.append(1)
+        return products(t, z, m)
 
-    monkeypatch.setattr(wgi, "_check_z", counting)
+    monkeypatch.setattr(wgi, "_products", counting)
     return calls
 
 
@@ -924,7 +925,8 @@ def _same_report(got, expected):
 
 
 class TestMwgiHandsOffProducts:
-    """mwgi keeps Z and its checked products with A's tower for one verify_definition of that Z."""
+    """mwgi keeps Z with its products and checks in A's tower, for every later checker of
+    that Z object; any other candidate is judged afresh."""
 
     @pytest.mark.parametrize(
         "n, k, m", [(200, 3, 2), (2, 1, 1), (3, 2, 1), (4, 0, 2), (5, 3, 3), (6, 2, 2), (6, 3, 1)]
@@ -994,30 +996,60 @@ class TestMwgiHandsOffProducts:
 
     @pytest.mark.parametrize("k, m", [(0, 2), (2, 1), (2, 3), (3, 2)])
     def test_store_holds_no_product_of_z_after_verify(self, k, m):
+        # z: a candidate other than the kept Z, here a one-ulp move of it
         t = classical._build(with_index(np.random.default_rng(20 + k + m), 6, k), DEFAULT_TOL)
-        z = wgi.mwgi(t, m).Z
+        kept = wgi.mwgi(t, m).Z
+        z = kept.copy()
+        z[0, 0] = np.nextafter(z[0, 0].real, np.inf) + 1j * z[0, 0].imag
         az = t.a @ z
         products = [_bits(p) for p in (az, az @ z, t.power(m) @ az)]
 
         def stored():
             values = []
-            for value in t._kept.values():  # the hand-off entry is a tuple
+            for value in t._kept.values():  # the kept Z's products are one tuple
                 values.extend(value if isinstance(value, tuple) else (value,))
             return [_bits(v) for v in values if isinstance(v, np.ndarray)]
 
-        assert all(p in stored() for p in products)
-        first = wgi.verify_definition(t, z, m)
-        assert not any(p in stored() for p in products)
-        assert t._kept[("z", m)] is z
-        assert _bits(wgi.verify_definition(t, z, m)) == _bits(first)
+        wgi.verify_definition(t, kept, m)  # the powers of A and T^-1 that z's checks read
+        before = len(t._kept)
+        report = wgi.verify_definition(t, z, m)
+        assert len(t._kept) == before and not any(p in stored() for p in products)
+        assert t._kept[("z", m)] is kept
+        assert _bits(wgi.verify_definition(t, z, m)) == _bits(report)
 
-    def test_second_verify_recomputes_the_same_report(self, z_checks):
+    def test_second_verify_gives_the_same_report(self, z_checks):
         a = with_index(np.random.default_rng(10), 6, 2)
         z = wgi.mwgi(a, 2).Z
         first = wgi.verify_definition(a, z, 2)
         second = wgi.verify_definition(a, z, 2)
-        assert len(z_checks) == 2
-        _same_report(second, first)
+        assert len(z_checks) == 1  # the kept Z's checks are read, not formed again
+        assert all(second.checks[name] is check for name, check in first.checks.items())
+        assert _bits(second) == _bits(first)
+
+    @pytest.mark.parametrize(
+        "a, move",
+        [
+            (with_index(np.random.default_rng(14), 6, 2), lambda x: x),  # a copy
+            (with_index(np.random.default_rng(14), 6, 2), lambda x: np.nextafter(x, np.inf)),
+            (BLOCK3, lambda x: -x),  # a signed zero: Z[2, 2] is 0
+        ],
+    )
+    def test_other_candidate_matches_a_cold_tower(self, monkeypatch, a, move):
+        def reports(z):
+            return [
+                wgi.verify_definition(a, z, 1),
+                wgi.b_characterization(a, 1, z=z),
+                wgi.outer_inverse_subspaces(a, 1, z=z),
+            ]
+
+        z = wgi.mwgi(a, 1).Z
+        kept = [c for r in reports(z) for c in r.checks.values()]  # made before other's
+        other = z.copy()
+        other[2, 2] = complex(move(other[2, 2].real), other[2, 2].imag)
+        warm = reports(other)
+        assert not any(c is k for r in warm for c in r.checks.values() for k in kept)
+        monkeypatch.setattr(classical, "_last", None)
+        assert _bits(warm) == _bits(reports(other))
 
     def test_racing_verifies_agree(self, monkeypatch):
         a = with_index(np.random.default_rng(11), 40, 2)
@@ -1038,16 +1070,25 @@ class TestMwgiHandsOffProducts:
 
 
 class TestOneCheckedZ:
-    """The tower keeps each Z that mwgi checked for the tower's life; verify_definition
-    drops only the products, and every later default Z reads the kept one."""
+    """The tower keeps each Z that mwgi checked for the tower's life, with its products
+    and checks, and every later default Z reads the kept one."""
 
-    def test_one_check_per_tower_and_m(self, z_checks):
+    def test_one_check_per_tower_and_m(self, monkeypatch, z_checks):
         a = with_index(np.random.default_rng(12), 6, 2)
         z = wgi.mwgi(a, 2).Z
-        assert wgi.verify_definition(a, z, 2).overall
-        kept = tower(a)._kept
-        assert kept[("z", 2)] is z
-        assert ("az", 2) not in kept  # the checks and products went to verify_definition
+        evaluated = []
+        evaluate = wgi._evaluate
+
+        def recording(identities, labels, *args):
+            evaluated.extend(labels)
+            return evaluate(identities, labels, *args)
+
+        monkeypatch.setattr(wgi, "_evaluate", recording)
+        report = wgi.verify_definition(a, z, 2)
+        assert evaluated == [label for label in report.checks if label not in ("ax2", "wgm_k")]
+        assert report.overall
+        assert tower(a)._kept[("z", 2)] is z
+        assert wgi.verify_definition(a, z, 2).checks["ax2"] is report.checks["ax2"]
         assert wgi.group_decomposition(a, 2).verify(a, 2).overall
         assert wgi.b_characterization(a, 2).overall
         assert wgi.bc_inverse_check(a, 2).overall
@@ -1284,17 +1325,28 @@ class TestB0FormedOnce:
 
 
 class TestOuterCheckShared:
-    """b_characterization's bab and outer_inverse_subspaces' outer both check Z A Z = Z:
-    once per tower and m for the Z that A's tower keeps, afresh for any other Z."""
+    """b_characterization's bab and outer_inverse_subspaces' outer both check Z A Z = Z,
+    and its herm and verify_definition's hermitian31 both check (A^m)* A^{m+1} Z
+    Hermitian: one check each for the Z that A's tower keeps, whichever checker runs
+    first, and afresh for any other Z."""
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_kept_z_checked_once(self, m):
-        t = classical._build(with_index(np.random.default_rng(90 + m), 5, 2), DEFAULT_TOL)
-        z = wgi.mwgi(t, m).Z
-        bab = wgi.b_characterization(t, m).checks["bab"]
-        outer = wgi.outer_inverse_subspaces(t, m, z=z).checks["outer"]
-        assert bab is outer is t._kept[("zaz", m)]
-        assert bab.residual.hex() == rel_residual(z @ t.a @ z, z).hex()
+        a = with_index(np.random.default_rng(90 + m), 5, 2)
+        for b_first in (True, False):
+            t = classical._build(a, DEFAULT_TOL)
+            z = wgi.mwgi(t, m).Z
+            if b_first:
+                b = wgi.b_characterization(t, m).checks
+            outer = wgi.outer_inverse_subspaces(t, m, z=z).checks["outer"]
+            hermitian31 = wgi.verify_definition(t, z, m).checks["hermitian31"]
+            if not b_first:
+                b = wgi.b_characterization(t, m).checks
+            assert b["bab"] is outer and b["herm"] is hermitian31
+            assert outer.residual.hex() == rel_residual(z @ t.a @ z, z).hex()
+            am = t.power(m)
+            w = am.conj().T @ (am @ (t.a @ z))
+            assert hermitian31.residual.hex() == rel_residual(w, w.conj().T).hex()
 
     def test_explicit_z_forms_its_own(self):
         t = classical._build(with_index(np.random.default_rng(94), 5, 2), DEFAULT_TOL)
@@ -1308,7 +1360,7 @@ class TestOuterCheckShared:
             ):
                 assert check is not kept
                 assert check.residual.hex() == expected and check.passed is passes
-        assert t._kept[("zaz", 2)] is kept
+        assert wgi.b_characterization(t, 2).checks["bab"] is kept
 
 
 class TestCheckersRankInBatches:
