@@ -53,7 +53,10 @@ class IndexResult:
 
     ``rank_chain[j]`` is rank(A^j) for j = 0..k+1, counted on the j-th block
     of the staircase, so no power of A is formed; the chain decreases
-    strictly up to position k and then repeats once.
+    strictly up to position k and then repeats once.  The last entry may be
+    certified rather than counted: the SVD of block k proves block k + 1
+    nonsingular at the cut (see ``_staircase``), with the count an SVD of it
+    would give.
     """
 
     k: int
@@ -159,6 +162,19 @@ def _staircase(
     the product of the W factors (None when A is nonsingular, where U1 = I)
     and T the last, nonsingular B.
 
+    The SVD that would only confirm that the rank stopped falling is skipped
+    when the one before proves it: B_{j+1} = diag(s_r) C with C = (Vh U)[:r, :r]
+    a block of a unitary, so by the CS decomposition (Paige & Wei, LAA 208/209,
+    1994) sigma_min(C) = sigma_min(D) with D = (Vh U)[r:, r:], d x d for the
+    drop d = p - r, and sigma_min(D) >= |det D| since no singular value of D
+    exceeds 1.  When s_r |det D| > 2 cut, every singular value of B_{j+1}
+    clears the cut with a margin of one cut, about 1e6 times its O(p eps s_1)
+    rounding at the default rank_rtol; r ends the chain and B_{j+1} is T, the
+    bits that SVD would have returned.  The margin grows to
+    1024 n eps sigma_max(A) under a rank_rtol too small to cover that.  The
+    bound holds for any d; the test is made only when d <= r, where the LU
+    of D costs less than the SVD of B_{j+1} it replaces.
+
     An A with ||A||_F <= nil_atol (roundoff, as A^m of a nilpotent A on a
     route) is read as zero; above that floor, scaling A changes nothing.
     """
@@ -167,14 +183,25 @@ def _staircase(
     u, s, vh = np.linalg.svd(a)
     zero = math.sqrt(s.dot(s)) <= tol.nil_atol  # np.linalg.norm(s), without its wrapper
     cut = np.inf if zero else tol.rank_rtol * float(s[0]) * n
+    sure = cut + max(cut, _ROUNDING * n * float(s[0]))  # s_r |det D| above it: nonsingular
     while True:
         chain.append(r := int(np.count_nonzero(s > cut)))
         if r == chain[-2]:
-            u1 = None if u1 is None else readonly(np.ascontiguousarray(u1))
-            return IndexResult(k=len(chain) - 2, rank_chain=tuple(chain)), u1, b
+            break
         w = u[:, :r]
         u1, b = (w if u1 is None else u1 @ w), (s[:r, None] * vh[:r]) @ w
+        # d <= r only picks the LU of the d x d D over the SVD of the r x r B_{j+1}
+        if len(s) - r <= r and s[r - 1] * abs(np.linalg.det(vh[r:] @ u[:, r:])) > sure:
+            chain.append(r)
+            break
         u, s, vh = np.linalg.svd(b)
+    u1 = None if u1 is None else readonly(np.ascontiguousarray(u1))
+    return IndexResult(k=len(chain) - 2, rank_chain=tuple(chain)), u1, b
+
+
+# a staircase step rounds by O(p eps s_1); the certificate's margin is at least this n s_1
+_ROUNDING = 1024 * np.finfo(np.float64).eps
+
 
 
 def index(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> IndexResult:
@@ -220,7 +247,8 @@ def tower(a, tol: TolerancePolicy = DEFAULT_TOL) -> Tower:
 
     Core-EP decomposition A = U [[T, S], [0, N]] U* (Wang, LAA 508, 2016):
     the staircase gives U1, an orthonormal basis of col(A^k), and the
-    invertible T = U1* A U1 in k + 1 SVDs of shrinking size.  The powers of A,
+    invertible T = U1* A U1 in k + 1 SVDs of shrinking size, or k when the
+    k-th certifies T nonsingular (``_staircase``).  The powers of A,
     A^o = U1 T^-1 U1* and A^D = (A^o)^{k+1} A^k are formed only when first
     read.  For nilpotent A, U1 has no columns and A^o is zero.
 

@@ -1,3 +1,4 @@
+import math
 from functools import reduce
 
 import numpy as np
@@ -15,8 +16,8 @@ from ginverse.classical import (
     moore_penrose,
     tower,
 )
-from ginverse.generators import haar_unitary, rational_with_index, with_index
-from ginverse.matcore import DEFAULT_TOL, approx_equal, frobenius, rel_residual
+from ginverse.generators import conditioned_matrix, haar_unitary, rational_with_index, with_index
+from ginverse.matcore import DEFAULT_TOL, TolerancePolicy, approx_equal, frobenius, rel_residual
 
 J2 = np.array([[0, 1], [0, 0]], dtype=complex)
 J3 = np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=complex)
@@ -26,6 +27,55 @@ IDEMPOTENT = np.array([[1, 1], [0, 0]], dtype=complex)
 def _chain(x, e):
     """X^e as the chain ((X X) X) ... X."""
     return reduce(np.matmul, [x] * e)
+
+
+def _reference_staircase(a, tol):
+    """The staircase with no certificate: it always takes the SVD of the last block
+    and stops when that SVD counts the rank again (k + 1 SVDs)."""
+    n = a.shape[0]
+    chain, u1, b = [n], None, a
+    u, s, vh = np.linalg.svd(a)
+    zero = math.sqrt(s.dot(s)) <= tol.nil_atol
+    cut = np.inf if zero else tol.rank_rtol * float(s[0]) * n
+    while True:
+        chain.append(r := int(np.count_nonzero(s > cut)))
+        if r == chain[-2]:
+            u1 = None if u1 is None else np.ascontiguousarray(u1)
+            return classical.IndexResult(k=len(chain) - 2, rank_chain=tuple(chain)), u1, b, cut
+        w = u[:, :r]
+        u1, b = (w if u1 is None else u1 @ w), (s[:r, None] * vh[:r]) @ w
+        u, s, vh = np.linalg.svd(b)
+
+
+def _svds(a):
+    """The number of SVDs that the staircase of A takes."""
+    calls, svd = [], np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "svd", counting)
+        classical._staircase(a, DEFAULT_TOL)
+    return sum(calls)
+
+
+def _core_ep_form(rng, core, sizes):
+    """Q [[T, S], [0, N]] Q* for Haar Q, Gaussian S, T = core and N nilpotent with
+    Jordan blocks of ``sizes``: rank(A^j) = r + rank(N^j), and the staircase's last
+    block is unitarily similar to T."""
+    r = len(core)
+    n = r + sum(sizes)
+    b = np.zeros((n, n), dtype=np.complex128)
+    b[:r, :r] = core
+    b[:r, r:] = rng.standard_normal((r, n - r))
+    offset = r
+    for size in sizes:
+        b[range(offset, offset + size - 1), range(offset + 1, offset + size)] = 1.0
+        offset += size
+    q = haar_unitary(rng, n)
+    return q @ b @ q.conj().T
 
 
 class TestMoorePenrose:
@@ -278,7 +328,9 @@ class TestStaircase:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_deflation_is_one_product(self, monkeypatch, k):
-        # B_{j+1} is formed as diag(s_r) Vh_r W, which equals W* B_j W
+        # B_{j+1} is formed as diag(s_r) Vh_r W, which equals W* B_j W.  The last
+        # block is factored only at k = 1, where its drop d = 5 exceeds r = 3; at
+        # k = 2, 3 the SVD before it certifies it nonsingular, so it is T unfactored
         a = with_index(np.random.default_rng(60 + k), 8, k)
         steps, svd = [], np.linalg.svd
 
@@ -288,13 +340,93 @@ class TestStaircase:
             return out
 
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
-        chain = index(a).rank_chain
-        assert len(steps) == k + 1
-        for j, ((b, (u, s, vh)), (b_next, _)) in enumerate(zip(steps, steps[1:]), start=1):
+        idx, _, core = classical._staircase(a, DEFAULT_TOL)
+        chain = idx.rank_chain
+        assert len(steps) == (k + 1 if k == 1 else k)
+        blocks = [b for b, _ in steps[1:]] + ([core] if len(steps) == k else [])
+        assert np.array_equal(blocks[-1], core)
+        for j, ((b, (u, s, vh)), b_next) in enumerate(zip(steps, blocks), start=1):
             r = chain[j]
             w = u[:, :r]
             assert np.array_equal(b_next, (s[:r, None] * vh[:r]) @ w)
             assert approx_equal(b_next, w.conj().T @ b @ w)
+
+    @staticmethod
+    def _assert_matches_reference(a, tol=DEFAULT_TOL):
+        """The staircase gives the reference's IndexResult and the bytes of its U1 and T."""
+        idx, u1, core = classical._staircase(a, tol)
+        ref_idx, ref_u1, ref_core, cut = _reference_staircase(a, tol)
+        assert idx == ref_idx
+        assert (u1 is None) == (ref_u1 is None)
+        if u1 is not None:
+            assert u1.shape == ref_u1.shape and u1.tobytes() == ref_u1.tobytes()
+        assert core.shape == ref_core.shape and core.tobytes() == ref_core.tobytes()
+        return ref_idx, ref_core, cut
+
+    @staticmethod
+    def _near_cut(seed, k, ratio):
+        """A of index k, n = 12, whose T has sigma_min = ratio * cut, the rest in [1, 10]."""
+        rng = np.random.default_rng(seed)
+        sizes = [k] * int(rng.integers(1, 4))  # the last drop d = len(sizes) <= 3 < r
+        r = 12 - sum(sizes)
+        s = np.exp(rng.uniform(0.0, np.log(10.0), r))
+        u, v = haar_unitary(rng, r), haar_unitary(rng, r)
+
+        def build(smallest):
+            s[-1] = smallest
+            return _core_ep_form(np.random.default_rng([seed, 1]), (u * s) @ v, sizes)
+
+        sigma_max = np.linalg.svd(build(0.0), compute_uv=False)[0]
+        return build(ratio * DEFAULT_TOL.rank_rtol * sigma_max * 12)
+
+    def test_certified_step_matches_reference(self):
+        rng = np.random.default_rng(70)
+        for sigma in self.SIGMA_ROWS:  # the sweep rows
+            for i in range(60):
+                self._assert_matches_reference(with_index(rng, 12, 1 + i % 3, core_sigma=sigma))
+        for j in (-20, -9, 7, 20):  # exact scalings
+            for i in range(30):
+                n = 2 + i % 14
+                self._assert_matches_reference(2.0**j * with_index(rng, n, min(i % 5, n)))
+        for n in (2, 5, 16, 64):
+            for k in range(min(n, 4) + 1):
+                for _ in range(3 if n == 64 else 10):
+                    self._assert_matches_reference(with_index(rng, n, k))
+        tiny = np.random.default_rng(71)
+        for i in range(150):  # a cut at roundoff: 2 cut alone would certify wrongly here
+            a = with_index(tiny, 2 + i % 3, 2, core_sigma=(0.001, 1000))
+            self._assert_matches_reference(a, TolerancePolicy(rank_rtol=5e-17))
+        fired = set()
+        for i in range(120):  # sigma_min(T) within 1-4x the cut, or 0.3-0.9x: then B_{k+1} is singular
+            k, ratio = 1 + i % 3, 0.3 + 3.65 * (i % 12) / 11
+            a = self._near_cut(100 + i, k, ratio)
+            idx, core, cut = self._assert_matches_reference(a)
+            if ratio > 1.0:
+                assert idx.k == k
+                assert 1.0 < np.linalg.svd(core, compute_uv=False)[-1] / cut < 4.0
+                fired.add(_svds(a) == k)
+            else:
+                assert idx.k > k
+        assert fired == {True, False}  # the certificate both takes and leaves last steps here
+
+    @pytest.mark.parametrize(
+        "r, sizes, chain, svds",
+        [
+            (5, [1, 1, 1], (8, 5, 5), 1),  # d = 3 <= r = 5: certified
+            (2, [1] * 6, (8, 2, 2), 2),  # d = 6 > r = 2: the confirming SVD
+            (4, [2, 2], (8, 6, 4, 4), 2),
+            (1, [2, 2, 2, 1], (8, 4, 1, 1), 3),  # last d = 3 > r = 1
+            (3, [3, 2], (8, 6, 4, 3, 3), 3),
+            (1, [3, 3, 1], (8, 5, 3, 1, 1), 4),  # last d = 2 > r = 1
+        ],
+    )
+    def test_certificate_needs_drop_at_most_rank(self, r, sizes, chain, svds):
+        # k SVDs when the last drop d is at most the rank r it leaves, k + 1 if not
+        rng = np.random.default_rng(80 + r)
+        a = _core_ep_form(rng, conditioned_matrix(rng, r, (0.5, 2.0)), sizes)
+        idx, _, _ = self._assert_matches_reference(a)
+        assert idx.rank_chain == chain
+        assert _svds(a) == svds
 
 
 class TestCoreInverseFromTower:
