@@ -185,9 +185,7 @@ def _fuzz_trial(rng: np.random.Generator, tol: TolerancePolicy, n: int, k: int, 
     z = wgi.mwgi(t, m, tol).Z
     residuals: dict[str, float] = {}
     for route in wgi.Route:
-        if route is wgi.Route.CORE_EP or (
-            m < 2 and route in (wgi.Route.RECURSIVE, wgi.Route.REGULAR_LIFT)
-        ):
+        if route is wgi.Route.CORE_EP or (m < 2 and route in wgi._NEED_M2):
             continue
         key = "route_" + route.value.replace("-", "_")
         residuals[key] = rel_residual(z, wgi.mwgi_by_route(t, m, route, tol))

@@ -29,6 +29,8 @@ __all__ = [
 # around 1e5, comfortably inside the 1e3 per-factor cap the fuzz suite assumes.
 CORE_SIGMA = (0.5, 2.0)
 BASIS_SIGMA = (0.7, 1.4)
+# Draws the exact generators reject before they give up with RuntimeError.
+_MAX_ATTEMPTS = 1000
 
 
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -156,7 +158,6 @@ def rational_with_index(
     k: int,
     max_entry: int = 10,
     halves: bool = False,
-    max_attempts: int = 1000,
 ) -> RationalMatrix:
     """Gaussian-rational matrix of exact index k with entry height at most max_entry.
 
@@ -166,7 +167,7 @@ def rational_with_index(
     """
     if k < 0 or k > n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         core_size = _core_size(rng, n, k)
         core = _random_gaussian_integer_matrix(rng, core_size, 2, halves) if core_size else None
         if core is not None and exact_rank(core) != core_size:
@@ -176,7 +177,7 @@ def rational_with_index(
         if max(max(abs(p.numerator), p.denominator) for p in parts) <= max_entry:
             return a
     raise RuntimeError(
-        f"no matrix with entry height <= {max_entry} found in {max_attempts} attempts"
+        f"no matrix with entry height <= {max_entry} found in {_MAX_ATTEMPTS} attempts"
     )
 
 
@@ -200,9 +201,7 @@ def _shears(rng: np.random.Generator, n: int) -> RationalMatrix:
     return _unimodular(rng, n, shears=int(rng.integers(1, n + 1)) if n > 1 else 0)
 
 
-def dyadic_with_index(
-    rng: np.random.Generator, n: int, k: int, e_max: int, max_attempts: int = 1000
-) -> RationalMatrix:
+def dyadic_with_index(rng: np.random.Generator, n: int, k: int, e_max: int) -> RationalMatrix:
     """Real dyadic matrix S diag(C, N) S^{-1} of exact index k whose float image is exact.
 
     S is unimodular, made of 1..n integer shears, and N is ``nilpotent_jordan``
@@ -216,7 +215,7 @@ def dyadic_with_index(
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     if e_max < 0:
         raise ValueError(f"need e_max >= 0, got {e_max}")
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         core_size, core = _core_size(rng, n, k), None
         if core_size:
             g, h = _shears(rng, core_size), _shears(rng, core_size)
@@ -229,4 +228,4 @@ def dyadic_with_index(
         exact = (GaussianRational(Fraction(z.real), Fraction(z.imag)) for z in image)
         if all(x == y for x, y in zip(exact, (x for row in a.entries for x in row))):
             return a
-    raise RuntimeError(f"no exactly representable draw found in {max_attempts} attempts")
+    raise RuntimeError(f"no exactly representable draw found in {_MAX_ATTEMPTS} attempts")

@@ -134,10 +134,6 @@ def rel_residual(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if a.ndim == 2 and a.dtype == b.dtype == np.complex128:
-        # the steps frobenius takes on these, without its dispatch on each norm
-        gap = math.sqrt(_sumsq_complex(a - b))
-        return gap / max(1.0, math.sqrt(_sumsq_complex(a)), math.sqrt(_sumsq_complex(b)))
     return frobenius(a - b) / max(1.0, frobenius(a), frobenius(b))
 
 

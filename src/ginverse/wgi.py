@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import Tower, _build, _kept_tower, _pinv, core_inverse, tower
+from .classical import Tower, _build, _pinv, core_inverse, tower
 from .matcore import (
     DEFAULT_TOL,
     TolerancePolicy,
@@ -36,13 +36,10 @@ from .matcore import (
     _one_rank,
     _span_matrices,
     as_matrix,
-    as_square_matrix,
     col_space_equal,
     conj_transpose,
-    frobenius,
     numerical_ranks,
     readonly,
-    rel_residual,
 )
 from .report import Check, VerificationReport, _bool_check, _eq_check, _evaluate
 from .report import _hermitian_check, _nil_check, _zero_check
@@ -97,9 +94,8 @@ class Route(enum.Enum):
     REGULAR_LIFT = "regular-lift"
 
 
-def _pow(a: np.ndarray, e: int) -> np.ndarray:
-    """np.linalg.matrix_power(A, e), which returns A itself at e = 1."""
-    return a if e == 1 else np.linalg.matrix_power(a, e)
+# The routes that start from weight m - 1, so need m >= 2 (see mwgi_by_route).
+_NEED_M2 = (Route.RECURSIVE, Route.REGULAR_LIFT)
 
 
 @dataclass(frozen=True)
@@ -132,8 +128,8 @@ class GroupDecomposition:
         labels = ("sum", "orth_left", "orth_right", "y_nilpotent", "x_index")
         checks = _evaluate(identities, labels, _eq_check, tol)
         # A^n from A itself: the one nilpotency witness that is not read off the staircase
-        a_nilpotent = frobenius(_pow(a, n)) <= tol.nil_atol
-        checks["x_nonzero"] = _bool_check(a_nilpotent or frobenius(x) > tol.nil_atol)
+        a_nilpotent = _nil_check(np.linalg.matrix_power(a, n), tol).passed
+        checks["x_nonzero"] = _bool_check(a_nilpotent or not _nil_check(x, tol).passed)
         checks.update(_evaluate(identities, ("group_matches",), _eq_check, tol))
         return VerificationReport(checks=checks)
 
@@ -149,15 +145,15 @@ class PolarData:
         """Check p^2 = p, the Hermitian weighting (A^m)* A^m p, nilpotency of
         A p, invertibility of (I-p)A(I-p) inside the corner, the range identity
         col(I-p) = col(A(I-p)), and invertibility of A + p (full-rank test)."""
-        a = _matrix(a, tol)
+        a = tower(a, tol).a
         n = a.shape[0]
         one_minus_p = np.eye(n, dtype=np.complex128) - self.p
         corner = one_minus_p @ a @ one_minus_p
         checks: dict[str, Check] = {}
         checks["idempotent"] = _eq_check(self.p @ self.p, self.p, tol)
-        am = _pow(a, m)
+        am = np.linalg.matrix_power(a, m)
         checks["hermitian"] = _hermitian_check(conj_transpose(am) @ am @ self.p, tol)
-        checks["ap_nilpotent"] = _nil_check(_pow(a @ self.p, n), tol)
+        checks["ap_nilpotent"] = _nil_check(np.linalg.matrix_power(a @ self.p, n), tol)
         checks["corner_right"] = _eq_check(corner @ self.corner_inverse, one_minus_p, tol)
         checks["corner_left"] = _eq_check(self.corner_inverse @ corner, one_minus_p, tol)
         spans = _span_matrices(one_minus_p, a @ one_minus_p, True)
@@ -242,12 +238,6 @@ def _candidate(t: Tower, z, m: int, default=None) -> np.ndarray:
     return z
 
 
-def _matrix(a, tol: TolerancePolicy) -> np.ndarray:
-    """A from its Tower or the kept one, or A validated, for a function that needs no tower."""
-    t = tower(a, tol) if isinstance(a, Tower) else _kept_tower(a, tol)
-    return as_square_matrix(a) if t is None else t.a
-
-
 def mwgi(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> MwgiResult:
     """m-weak group inverse by the canonical route Z = (A^o)^{m+1} A^m.
 
@@ -283,8 +273,9 @@ def mwgi_via_power(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     _check_m(m)
     if m == 1:
         return mwgi(a, 1, tol).Z.copy()
-    a = _matrix(a, tol)
-    return _pow(a, m - 1) @ mwgi(_build(_finite(_pow(a, m)), tol), 1, tol).Z
+    a = tower(a, tol).a
+    lifted = _build(_finite(np.linalg.matrix_power(a, m)), tol)
+    return np.linalg.matrix_power(a, m - 1) @ mwgi(lifted, 1, tol).Z
 
 
 def mwgi_normal_equation(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -313,7 +304,7 @@ def mwgi_step(a, zm, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     The caller owns the precondition that zm is the m-weak group inverse of a
     for some m; no validation is attempted.
     """
-    a = _matrix(a, tol)
+    a = tower(a, tol).a
     zm = as_matrix(zm)
     return zm @ zm @ a
 
@@ -339,12 +330,12 @@ def mwgi_core_chain(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray
     b = t.power(m + 1) @ t.o
     c = core_inverse(_build(_finite(b), tol), tol)  # NoCoreInverse if B misbehaves
     om = t.pow("o", m)
-    residual = rel_residual(c, om)
-    if not residual <= tol.eq_rtol:
+    check = _eq_check(c, om, tol)
+    if not check.passed:
         raise RepresentationMismatch(
-            f"core inverse of A^({m + 1}) A^o is not (A^o)^{m}: residual {residual:.3e}"
+            f"core inverse of A^({m + 1}) A^o is not (A^o)^{m}: residual {check.residual:.3e}"
         )
-    return _pow(t.d @ t.power(m) @ c, m + 1) @ t.power(m)
+    return np.linalg.matrix_power(t.d @ t.power(m) @ c, m + 1) @ t.power(m)
 
 
 def mwgi_regular_lift(a, m: int, tol: TolerancePolicy = DEFAULT_TOL, inner=None) -> np.ndarray:
@@ -354,7 +345,7 @@ def mwgi_regular_lift(a, m: int, tol: TolerancePolicy = DEFAULT_TOL, inner=None)
     to the Moore-Penrose inverse; any matrix with A A^- A = A may be supplied.
     """
     _check_m(m)
-    a = _matrix(a, tol)
+    a = tower(a, tol).a
     inner = _pinv(a, tol) if inner is None else as_matrix(inner)
     w = mwgi(_build(_finite(a @ a @ inner), tol), m, tol).Z
     return w @ w @ a
@@ -380,7 +371,7 @@ def mwgi_by_route(a, m: int, route: Route, tol: TolerancePolicy = DEFAULT_TOL) -
     """
     if route not in _ROUTES:
         raise ValueError(f"unknown route {route!r}")
-    if route in (Route.RECURSIVE, Route.REGULAR_LIFT) and m < 2:
+    if route in _NEED_M2 and m < 2:
         raise ValueError(f"the {route.value} route needs m >= 2")
     return _ROUTES[route](a, m, tol)
 
@@ -498,7 +489,8 @@ def outer_inverse_subspaces(
 
 def additive_mwgi(a, b, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Sum rule: when AB = BA = A*B = 0, the inverse of A + B splits blockwise."""
-    ma, mb = _matrix(a, tol), _matrix(b, tol)
+    ta, tb = tower(a, tol), tower(b, tol)
+    ma, mb = ta.a, tb.a
     if ma.shape != mb.shape:
         raise ValueError(f"shape mismatch: {ma.shape} vs {mb.shape}")
     _check_m(m)
@@ -506,4 +498,4 @@ def additive_mwgi(a, b, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarra
         check = _zero_check(product, tol)
         if not check.passed:
             raise OrthogonalityViolation(f"{label} is not zero (residual {check.residual:.3e})")
-    return mwgi(a, m, tol).Z + mwgi(b, m, tol).Z
+    return mwgi(ta, m, tol).Z + mwgi(tb, m, tol).Z

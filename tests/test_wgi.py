@@ -1239,6 +1239,47 @@ class TestTowerParity:
         assert classical._last[2] is t
 
 
+# the functions that read A through its tower (call(a), with the weight of the
+# mwgi that warms that tower first)
+_READS_A = {
+    "mwgi_via_power[m=2]": (2, lambda a: wgi.mwgi_via_power(a, 2)),
+    "mwgi_via_power[m=3]": (3, lambda a: wgi.mwgi_via_power(a, 3)),
+    "mwgi_step": (2, lambda a: wgi.mwgi_step(a, _B)),
+    "mwgi_regular_lift": (3, lambda a: wgi.mwgi_regular_lift(a, 2)),
+    "PolarData.verify": (2, lambda a: wgi.PolarData(_B, _Y).verify(a, 2)),
+}
+
+
+class TestColdCallsMatchWarm:
+    """A function that reads A gets it from A's tower: called on a fresh A it builds that
+    tower once and leaves it kept, and gives the bits it gives after mwgi(A, m)."""
+
+    A = with_index(np.random.default_rng(66), 6, 2)
+
+    @pytest.mark.parametrize("name", list(_READS_A))
+    def test_cold_matches_warm(self, monkeypatch, builds, name):
+        m, call = _READS_A[name]
+        cold = _bits(call(self.A))
+        assert len(builds) == 1
+        assert tower(self.A) is classical._last[2]
+        assert len(builds) == 1  # a hit: the cold call kept A's tower
+        monkeypatch.setattr(classical, "_last", None)
+        wgi.mwgi(self.A, m)
+        assert _bits(call(self.A)) == cold
+        assert len(builds) == 2
+
+    def test_additive_cold_matches_warm(self, monkeypatch, builds):
+        a, b = orthogonal_pair(np.random.default_rng(67), 3, 3, 2, 1)
+        cold = _bits(wgi.additive_mwgi(a, b, 2))
+        assert len(builds) == 2
+        assert tower(b) is classical._last[2]  # the last tower built is kept
+        assert len(builds) == 2
+        monkeypatch.setattr(classical, "_last", None)
+        wgi.mwgi(a, 2)
+        assert _bits(wgi.additive_mwgi(a, b, 2)) == cold
+        assert len(builds) == 4
+
+
 class TestCheckersTakeZ:
     """Each checker judges the candidate Z it is given; left out, Z comes from A's tower."""
 
@@ -1291,7 +1332,7 @@ class TestFormedOperandsNotCopied:
 
         for module in (wgi, classical):
             monkeypatch.setattr(module, "as_matrix", copying)
-            monkeypatch.setattr(module, "as_square_matrix", copying)
+        monkeypatch.setattr(classical, "as_square_matrix", copying)
         for route in (
             wgi.Route.POWER_REDUCTION,
             wgi.Route.NORMAL_EQUATION,
