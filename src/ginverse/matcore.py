@@ -62,6 +62,8 @@ class TolerancePolicy:
 
 
 DEFAULT_TOL = TolerancePolicy()
+# frobenius's dispatch, tested with == since an unpickled array's dtype is an equal copy
+_COMPLEX128 = np.dtype(np.complex128)
 
 
 def readonly(a: np.ndarray) -> np.ndarray:
@@ -120,7 +122,7 @@ def frobenius(a: np.ndarray) -> float:
     """||A||_F: the root of ``_sumsq_complex`` for a complex128 matrix, and
     np.linalg.norm(A, "fro") for every other input."""
     a = np.asarray(a)
-    if a.ndim == 2 and a.dtype == np.complex128:
+    if a.ndim == 2 and a.dtype == _COMPLEX128:
         return math.sqrt(_sumsq_complex(a))
     return float(np.linalg.norm(a, "fro"))
 

@@ -158,6 +158,25 @@ def _b_identities(a, b, m: int, power, star, ab, a2b) -> dict:
     }
 
 
+def _polar_identities(a, p, w, m: int, power, star) -> dict:
+    """The polar-like idempotent p = I - A Z and W, the inverse of the corner q A q inside
+    q = I - p: p^2 = p, (A^m)* A^m p Hermitian, A p nilpotent, corner W = W corner = q."""
+    q = power(0) - p
+    corner = q @ a @ q
+    return {
+        "idempotent": lambda: (p @ p, p),
+        "hermitian": lambda: (star(power(m)) @ power(m) @ p, _Is.HERMITIAN),
+        "ap_nilpotent": lambda: (a @ p, _Is.NILPOTENT),
+        "corner_right": lambda: (corner @ w, q),
+        "corner_left": lambda: (w @ corner, q),
+    }
+
+
+def _bc_identities(a, x, b, c) -> dict:
+    """The (b, c)-inverse X of A: X A b = b and c A X = c."""
+    return {"xab": lambda: (x @ a @ b, b), "cax": lambda: (c @ a @ x, c)}
+
+
 def _equation_identities(x, b, m: int, power, qs) -> dict:
     """(A A^D)* A^{m+1} X = (A A^D)* A^m B at X, with qs(M) = (A A^D)* M."""
     return {"equation": lambda: (qs(power(m + 1)) @ x, qs(power(m)) @ b)}

@@ -41,9 +41,9 @@ from .matcore import (
     numerical_ranks,
     readonly,
 )
-from .report import Check, VerificationReport, _bool_check, _eq_check, _evaluate
-from .report import _hermitian_check, _nil_check, _zero_check
-from .report import _b_identities, _decomposition_identities, _definition_identities
+from .report import Check, VerificationReport, _bool_check, _eq_check, _evaluate, _nil_check
+from .report import _b_identities, _bc_identities, _decomposition_identities, _zero_check
+from .report import _definition_identities, _polar_identities
 
 __all__ = [
     "OrthogonalityViolation",
@@ -145,18 +145,13 @@ class PolarData:
         """Check p^2 = p, the Hermitian weighting (A^m)* A^m p, nilpotency of
         A p, invertibility of (I-p)A(I-p) inside the corner, the range identity
         col(I-p) = col(A(I-p)), and invertibility of A + p (full-rank test)."""
-        a = tower(a, tol).a
-        n = a.shape[0]
-        one_minus_p = np.eye(n, dtype=np.complex128) - self.p
-        corner = one_minus_p @ a @ one_minus_p
-        checks: dict[str, Check] = {}
-        checks["idempotent"] = _eq_check(self.p @ self.p, self.p, tol)
-        am = np.linalg.matrix_power(a, m)
-        checks["hermitian"] = _hermitian_check(conj_transpose(am) @ am @ self.p, tol)
-        checks["ap_nilpotent"] = _nil_check(np.linalg.matrix_power(a @ self.p, n), tol)
-        checks["corner_right"] = _eq_check(corner @ self.corner_inverse, one_minus_p, tol)
-        checks["corner_left"] = _eq_check(self.corner_inverse @ corner, one_minus_p, tol)
-        spans = _span_matrices(one_minus_p, a @ one_minus_p, True)
+        _check_m(m)
+        t = tower(a, tol)
+        a, n = t.a, t.a.shape[0]
+        identities = _polar_identities(a, self.p, self.corner_inverse, m, t.power, conj_transpose)
+        checks = _evaluate(identities, identities, _eq_check, tol)
+        q = t.power(0) - self.p
+        spans = _span_matrices(q, a @ q, True)
         *span_ranks, plus_p_rank = numerical_ranks([*spans, a + self.p], tol)
         checks["range_eq"] = _bool_check(_one_rank(span_ranks))
         checks["plus_p_invertible"] = _bool_check(plus_p_rank == n)
@@ -273,9 +268,9 @@ def mwgi_via_power(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     _check_m(m)
     if m == 1:
         return mwgi(a, 1, tol).Z.copy()
-    a = tower(a, tol).a
-    lifted = _build(_finite(np.linalg.matrix_power(a, m)), tol)
-    return np.linalg.matrix_power(a, m - 1) @ mwgi(lifted, 1, tol).Z
+    t = tower(a, tol)
+    lifted = _build(_finite(t.power(m)), tol)
+    return t.power(m - 1) @ mwgi(lifted, 1, tol).Z
 
 
 def mwgi_normal_equation(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -415,12 +410,10 @@ def group_decomposition(a, m: int, tol: TolerancePolicy = DEFAULT_TOL, z=None) -
 def polar_idempotent(a, m: int, tol: TolerancePolicy = DEFAULT_TOL, z=None) -> PolarData:
     """Polar-like data p = I - A Z and corner witness (I-p) Z (I-p); Z defaults to mwgi(A, m)."""
     t = tower(a, tol)
-    a, n = t.a, t.a.shape[0]
     z = mwgi(t, m, tol).Z if z is None else _candidate(t, z, m)
-    p = np.eye(n, dtype=np.complex128) - a @ z
-    one_minus_p = np.eye(n, dtype=np.complex128) - p
-    corner_inverse = one_minus_p @ z @ one_minus_p
-    return PolarData(p=readonly(p), corner_inverse=readonly(corner_inverse))
+    p = t.power(0) - t.a @ z
+    q = t.power(0) - p
+    return PolarData(p=readonly(p), corner_inverse=readonly(q @ z @ q))
 
 
 def b_characterization(a, m: int, tol: TolerancePolicy = DEFAULT_TOL, z=None) -> VerificationReport:
@@ -454,12 +447,9 @@ def bc_inverse_check(a, m: int, tol: TolerancePolicy = DEFAULT_TOL, z=None) -> V
     col(Z) in col(b0) and the row-space inclusion row(Z) in row(c0).
     """
     t = tower(a, tol)
-    a, z, am = t.a, _candidate(t, z, m, _z), t.power(m)
-    b0 = _b0(t, m)
-    c0 = t.d @ a @ t.o @ am
-    checks: dict[str, Check] = {}
-    checks["xab"] = _eq_check(z @ a @ b0, b0, tol)
-    checks["cax"] = _eq_check(c0 @ a @ z, c0, tol)
+    a, z, b0 = t.a, _candidate(t, z, m, _z), _b0(t, m)
+    c0 = t.d @ a @ t.o @ t.power(m)
+    checks = _evaluate(_bc_identities(a, z, b0, c0), ("xab", "cax"), _eq_check, tol)
     # col(Z) in col(b0) and row(Z) in row(c0), ranked together
     row = _span_matrices(conj_transpose(c0), conj_transpose(z), False)
     ranks = numerical_ranks([*_span_matrices(b0, z, False), *row], tol)

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -130,6 +131,7 @@ _R = _KERNEL_RNG.standard_normal((5, 4))
 _KERNEL_INPUTS = {
     "complex C-order": _C,
     "complex F-order": np.asfortranarray(_C),
+    "complex big-endian": _C.astype(">c16"),
     "conj-transposed view": np.conj(_C).T,
     "float64": _R,
     "float64 transposed view": _R.T,
@@ -138,6 +140,7 @@ _KERNEL_INPUTS = {
     "1x1": np.array([[3 - 4j]]),
     "zero": np.zeros((3, 3), dtype=complex),
     "near 1e154": 1e154 / 8 * _C,
+    "near 1e154, unpickled": pickle.loads(pickle.dumps(1e154 / 8 * _C)),  # dtype an equal copy
     "one entry near 1e154": np.diag([1.0, 1.3e154]).astype(complex),
 }
 

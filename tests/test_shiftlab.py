@@ -113,6 +113,19 @@ class TestVerifyShiftIdentities:
         assert not report.checks["ax2"].passed
         assert not report.overall
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "word, failed",
+        [
+            (lambda m: sl.S(m + 2) * sl.L(m), {"ax2", "def_eq", "limit", "rep_word"}),
+            (lambda m: sl.S(m + 1) * sl.L(m + 1), {"ax2", "def_eq", "limit", "rep_word"}),
+            (lambda m: sl.S(1), {"rep_word"}),  # the right inverse x passes the rest
+        ],
+    )
+    def test_wrong_candidate_fails_exactly(self, m, word, failed):
+        report = sl.verify_shift_identities(m, 8, z=word(m))
+        assert {name for name, check in report.checks.items() if not check.passed} == failed
+
     def test_window_too_small(self):
         with pytest.raises(ValueError):
             sl.verify_shift_identities(3, 4)

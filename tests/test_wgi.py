@@ -861,6 +861,24 @@ class TestCheckersJudgeOneZ:
         report = wgi.polar_idempotent(self.A, m).verify(self.A, m)
         assert not report.checks["idempotent"].passed
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_polar_corners_catch_corrupted_corner_inverse(self, m):
+        polar = wgi.polar_idempotent(self.A, m)
+        assert polar.verify(self.A, m).overall
+        w = polar.corner_inverse * (1 + 1e-6)
+        report = dataclasses.replace(polar, corner_inverse=w).verify(self.A, m)
+        failed = {name for name, check in report.checks.items() if not check.passed}
+        assert failed == {"corner_left", "corner_right"}
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_bc_equations_catch_corrupted_z(self, monkeypatch, m):
+        self.corrupt_z(monkeypatch)
+        report = wgi.bc_inverse_check(self.A, m)
+        assert {name for name, check in report.checks.items() if not check.passed} == {
+            "cax",
+            "xab",
+        }
+
     def test_decomposition_verify_builds_no_tower(self, svd_calls):
         decomp = wgi.group_decomposition(self.A, 2)
         t = tower(self.A)
@@ -870,8 +888,8 @@ class TestCheckersJudgeOneZ:
         assert tower(self.A) is t  # A's tower is still the kept one
 
     def test_matrix_power_of_a_only_without_a_tower(self, monkeypatch):
-        # every route, report and the equation, as one fuzz trial runs them;
-        # only functions that hold no tower of A raise A itself to a power
+        # every route, report and the equation, as one fuzz trial runs them; all read
+        # A's powers from its tower but x_nonzero's A^n, which the staircase does not give
         a = with_index(np.random.default_rng(44), 6, 3)
         n = a.shape[0]
         rng = np.random.default_rng(45)
@@ -898,14 +916,7 @@ class TestCheckersJudgeOneZ:
             assert wgi.outer_inverse_subspaces(a, m).overall
             x = eqsolve.solve_general(a, b, m, y).X
             assert eqsolve.residual(a, b, m, x) <= DEFAULT_TOL.eq_rtol
-        # PolarData.verify forms A^m itself: it holds no tower of A either
-        assert callers <= {
-            "mwgi_via_power",
-            "mwgi_regular_lift",
-            "GroupDecomposition.verify",
-            "PolarData.verify",
-        }
-        assert "GroupDecomposition.verify" in callers  # x_nonzero's A^n
+        assert callers == {"GroupDecomposition.verify"}
 
 
 @pytest.fixture
@@ -1442,3 +1453,43 @@ class TestCheckersRankInBatches:
         assert wgi.outer_inverse_subspaces(t, 2, z=z).overall
         # the 17 matrices the four checkers rank, in 8 calls (one per checker and shape)
         assert len(calls) == 8 and sum(calls) == 17
+
+
+def _scaling_trials():
+    """150 (A, m): n uniform in 2..6, k uniform in 0..min(n, 3), m = 1 + i mod 3."""
+    rng = np.random.default_rng(11)
+    for i in range(150):
+        n = int(rng.integers(2, 7))
+        k = int(rng.integers(0, min(n, 3) + 1))
+        yield with_index(rng, n, k), 1 + i % 3
+
+
+class TestPowerOfTwoScaling:
+    """Multiplying A by 2^j is exact in floating point, and so is Z's answer to it."""
+
+    SCALES = (-20, -10, -5, 5, 10, 20)
+
+    def test_z_scales_bit_for_bit(self):
+        pairs = 0
+        for a, m in _scaling_trials():
+            z = wgi.mwgi(a, m).Z
+            for j in self.SCALES:
+                try:
+                    scaled = wgi.mwgi(a * 2.0**j, m).Z
+                except wgi.RepresentationMismatch:
+                    continue  # the xfail below
+                assert np.array_equal(scaled, z * 2.0**-j), (m, j)
+                pairs += 1
+        assert pairs == 870
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=wgi.RepresentationMismatch,
+        reason="ROADMAP item 9: ax2 and wgm_k divide by max(1, ||L||, ||R||), not by their "
+        "factors' norms, so mwgi(2^j A) raises on 1, 12 and 17 trials at j = 5, 10 and 20",
+    )
+    def test_mwgi_returns_at_every_scale(self):
+        for a, m in _scaling_trials():
+            wgi.mwgi(a, m)
+            for j in self.SCALES:
+                wgi.mwgi(a * 2.0**j, m)
