@@ -70,10 +70,10 @@ class Tower:
 
     ``u1`` is C-contiguous, or None when k = 0 (U1 = I).  Everything else the
     tower forms when first read and keeps, through ``keep``, for as long as it
-    lives: ``o`` = A^o, ``d`` = A^D, ``ad`` = A A^D, the powers ``pow(name, e)``
-    of A, A^o, A^D and T^-1, and what its callers name, such as the b0 of
-    ``wgi.bc_inverse_check`` and the Z that ``wgi.mwgi`` checked, with that Z's
-    products and checks (``wgi._products``, ``wgi._checks``).
+    lives: ``o`` = A^o, ``d`` = A^D, ``ad`` = A A^D, A^0 = I, the powers
+    ``pow(name, e)`` of A, A^o, A^D and T^-1, and what its callers name, such as
+    the b0 of ``wgi.bc_inverse_check`` and the Z that ``wgi.mwgi`` checked, with
+    that Z's products and checks (``wgi._products``, ``wgi._checks``).
     """
 
     index: IndexResult
@@ -93,6 +93,8 @@ class Tower:
         """X^e for e >= 1 and X the tower's ``a``, ``o``, ``d`` or ``tinv``, formed as
         X^{e-1} X from the kept X^{e-1}: up to e = 3 these are the bits of
         np.linalg.matrix_power(X, e).  At k = 0, A^o is T^-1 and shares its powers."""
+        if e < 1:
+            raise ValueError(f"exponent must be positive, got {e!r}")
         if name == "o" and self.u1 is None:
             name = "tinv"
         x = getattr(self, name)
@@ -101,8 +103,10 @@ class Tower:
         return self.keep((name, e), lambda: readonly(self.pow(name, e - 1) @ x))
 
     def power(self, j: int) -> np.ndarray:
-        """A^j; A^0 = I is formed on each read."""
-        return self.pow("a", j) if j else readonly(np.eye(len(self.a), dtype=np.complex128))
+        """A^j for j >= 0 (``pow`` raises below); A^0 = I is one read-only identity, kept."""
+        if j:
+            return self.pow("a", j)
+        return self.keep(("a", 0), lambda: readonly(np.eye(len(self.a), dtype=np.complex128)))
 
     @property
     def ak(self) -> np.ndarray:

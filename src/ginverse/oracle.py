@@ -58,7 +58,7 @@ from fractions import Fraction
 import numpy as np
 
 from .matcore import MatrixFormatError, _check_m, _json_envelope, readonly
-from .report import Check, VerificationReport, _Is, _evaluate, _merge
+from .report import Check, VerificationReport, _Is, _evaluate, _merge, _zero_pair
 from .report import _core_ep_identities, _drazin_identities, _penrose_identities
 from .report import _b_identities, _decomposition_identities, _definition_identities
 from .report import _equation_identities
@@ -799,13 +799,9 @@ def _diff_residual(left: RationalMatrix, right: RationalMatrix) -> float:
 
 
 def _exact_check(left: RationalMatrix, right) -> Check:
-    """Left = right exactly, or the property that right names of left (``report._Is``)."""
-    if type(right) is _Is:  # a property of left
-        if right is _Is.HERMITIAN:
-            right = left.conj_transpose()
-        else:  # zero, or nilpotent: its n-th power is zero
-            left = left if right is _Is.ZERO else left.power(left.rows)
-            right = RationalMatrix.zeros(*left.shape)
+    """Left = right exactly, or left nilpotent when right is ``report._Is.NILPOTENT``."""
+    if right is _Is.NILPOTENT:  # its n-th power is zero
+        left, right = _zero_pair(left.power(left.rows))
     residual = _diff_residual(left, right)
     return Check(residual=residual, passed=residual == 0.0)  # 0.0 iff left == right
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import TolerancePolicy, conj_transpose, frobenius, rel_residual
+from .matcore import TolerancePolicy, frobenius, rel_residual
 
 __all__ = ["Check", "VerificationReport"]
 
@@ -46,12 +46,8 @@ class VerificationReport:
 
 
 def _eq_check(left: np.ndarray, right, tol: TolerancePolicy) -> Check:
-    """Left = right within eq_rtol, or the property of left that right names (``_Is``)."""
-    if type(right) is _Is:
-        if right is _Is.HERMITIAN:
-            return _hermitian_check(left, tol)
-        if right is _Is.ZERO:
-            return _zero_check(left, tol)
+    """Left = right within eq_rtol, or left nilpotent when right is ``_Is.NILPOTENT``."""
+    if right is _Is.NILPOTENT:
         return _nil_check(np.linalg.matrix_power(left, len(left)), tol)
     residual = rel_residual(left, right)
     return Check(residual=residual, passed=residual <= tol.eq_rtol)
@@ -90,16 +86,25 @@ def _penrose_identities(a, x, k: int, power, star) -> dict:
 
 
 class _Is(enum.Enum):
-    """A right side that names a property of the left side W: W is Hermitian, zero or nilpotent."""
+    """A right side that names a property of the left side W, not an equation: W is
+    nilpotent, its n-th power vanishing under nil_atol."""
 
-    HERMITIAN = "Hermitian"
-    ZERO = "zero"
     NILPOTENT = "nilpotent"
 
 
+def _adjoint_pair(w, star) -> tuple:
+    """(W, W*): the equation that says W is Hermitian."""
+    return w, star(w)
+
+
+def _zero_pair(w) -> tuple:
+    """(W, W - W): the equation that says W vanishes, with a zero of W's own type."""
+    return w, w - w
+
+
 # The m-weak group inverse Z's characterizations, one list each, in the form above:
-# sides() may also form a right side that is an _Is, or a list of pairs whose checks
-# the label merges, so a checker forms only the entries it reads.
+# sides() may also form a list of pairs whose checks the label merges, or the pair
+# (W, _Is.NILPOTENT), so a checker forms only the entries it reads.
 def _definition_identities(a, z, k: int, m: int, power, star, az, az2, am1z, qs, aao) -> dict:
     """The definition of Z for A of index k: ax2 and wgm_k (``mwgi``'s self-check),
     then its consequences.  The caller holds A Z, A Z^2 = (A Z) Z and
@@ -121,7 +126,7 @@ def _definition_identities(a, z, k: int, m: int, power, star, az, az2, am1z, qs,
         "ax2": lambda: (z, az2),
         "def11": lambda: (qs(am1z), qs(am)),
         "wgm_k": wgm_k,
-        "hermitian31": lambda: (star(am) @ am1z, _Is.HERMITIAN),
+        "hermitian31": lambda: _adjoint_pair(star(am) @ am1z, star),
         "coreEP48": lambda: (am1z, aao(am)),
         "limit": lambda: (ak, az if k == 0 else az @ ak),
         "idem34": idem34,
@@ -138,8 +143,8 @@ def _decomposition_identities(a, x, y, z, m: int, power, star) -> dict:
 
     return {
         "sum": lambda: (a, x + y),
-        "orth_left": lambda: (star(x) @ power(m - 1) @ y, _Is.ZERO),
-        "orth_right": lambda: (y @ x, _Is.ZERO),
+        "orth_left": lambda: _zero_pair(star(x) @ power(m - 1) @ y),
+        "orth_right": lambda: _zero_pair(y @ x),
         "y_nilpotent": lambda: (y, _Is.NILPOTENT),
         "x_index": x_index,
         "group_matches": lambda: (z @ x @ z, z),
@@ -153,19 +158,18 @@ def _b_identities(a, b, m: int, power, star, ab, a2b) -> dict:
     return {
         "bab": lambda: (b @ a @ b, b),
         "a2b2": lambda: (a2b @ b, ab),
-        "herm": lambda: (star(power(m)) @ (power(m) @ ab), _Is.HERMITIAN),
+        "herm": lambda: _adjoint_pair(star(power(m)) @ (power(m) @ ab), star),
         "qnil": lambda: (a - a2b, _Is.NILPOTENT),
     }
 
 
-def _polar_identities(a, p, w, m: int, power, star) -> dict:
+def _polar_identities(a, p, q, w, m: int, power, star) -> dict:
     """The polar-like idempotent p = I - A Z and W, the inverse of the corner q A q inside
     q = I - p: p^2 = p, (A^m)* A^m p Hermitian, A p nilpotent, corner W = W corner = q."""
-    q = power(0) - p
     corner = q @ a @ q
     return {
         "idempotent": lambda: (p @ p, p),
-        "hermitian": lambda: (star(power(m)) @ power(m) @ p, _Is.HERMITIAN),
+        "hermitian": lambda: _adjoint_pair(star(power(m)) @ power(m) @ p, star),
         "ap_nilpotent": lambda: (a @ p, _Is.NILPOTENT),
         "corner_right": lambda: (corner @ w, q),
         "corner_left": lambda: (w @ corner, q),
@@ -193,20 +197,6 @@ def _evaluate(identities: dict, labels, check, *args) -> dict[str, Check]:
         else:
             checks[label] = check(*pairs, *args)
     return checks
-
-
-def _hermitian_check(w: np.ndarray, tol: TolerancePolicy) -> Check:
-    """``_eq_check(W, W*)`` with one norm: ||W*||_F has the bits of ||W||_F."""
-    residual = frobenius(w - conj_transpose(w)) / max(1.0, frobenius(w))
-    return Check(residual=residual, passed=residual <= tol.eq_rtol)
-
-
-def _zero_check(p: np.ndarray, tol: TolerancePolicy) -> Check:
-    """``_eq_check(P, zeros)`` with one norm, ||P|| / max(1, ||P||), and its bits for a
-    C-contiguous P, such as a matmul product; a transposed view may differ."""
-    norm = frobenius(p)
-    residual = norm / max(1.0, norm)
-    return Check(residual=residual, passed=residual <= tol.eq_rtol)
 
 
 def _nil_check(power: np.ndarray, tol: TolerancePolicy) -> Check:

@@ -42,7 +42,7 @@ from .matcore import (
     readonly,
 )
 from .report import Check, VerificationReport, _bool_check, _eq_check, _evaluate, _nil_check
-from .report import _b_identities, _bc_identities, _decomposition_identities, _zero_check
+from .report import _b_identities, _bc_identities, _decomposition_identities, _zero_pair
 from .report import _definition_identities, _polar_identities
 
 __all__ = [
@@ -148,11 +148,11 @@ class PolarData:
         _check_m(m)
         t = tower(a, tol)
         a, n = t.a, t.a.shape[0]
-        identities = _polar_identities(a, self.p, self.corner_inverse, m, t.power, conj_transpose)
+        p, q = self.p, t.power(0) - self.p
+        identities = _polar_identities(a, p, q, self.corner_inverse, m, t.power, conj_transpose)
         checks = _evaluate(identities, identities, _eq_check, tol)
-        q = t.power(0) - self.p
         spans = _span_matrices(q, a @ q, True)
-        *span_ranks, plus_p_rank = numerical_ranks([*spans, a + self.p], tol)
+        *span_ranks, plus_p_rank = numerical_ranks([*spans, a + p], tol)
         checks["range_eq"] = _bool_check(_one_rank(span_ranks))
         checks["plus_p_invertible"] = _bool_check(plus_p_rank == n)
         return VerificationReport(checks=checks)
@@ -485,7 +485,7 @@ def additive_mwgi(a, b, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarra
         raise ValueError(f"shape mismatch: {ma.shape} vs {mb.shape}")
     _check_m(m)
     for label, product in (("A B", ma @ mb), ("B A", mb @ ma), ("A* B", conj_transpose(ma) @ mb)):
-        check = _zero_check(product, tol)
+        check = _eq_check(*_zero_pair(product), tol)
         if not check.passed:
             raise OrthogonalityViolation(f"{label} is not zero (residual {check.residual:.3e})")
     return mwgi(ta, m, tol).Z + mwgi(tb, m, tol).Z

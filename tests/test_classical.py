@@ -491,3 +491,30 @@ class TestKeptPowers:
         assert t.ad is t.ad
         assert classical._same_bits(t.ad, t.a @ t.d)
         assert not t.ad.flags.writeable
+
+
+class TestExponentDomain:
+    """Tower.pow takes e >= 1 and Tower.power j >= 0; below that both raise ValueError,
+    and A^0 = I is one read-only identity kept with the tower."""
+
+    @pytest.mark.parametrize("name", ["a", "o", "d", "tinv"])
+    @pytest.mark.parametrize("e", [0, -1])
+    def test_pow_below_one_raises(self, name, e):
+        t = tower(np.eye(3))
+        with pytest.raises(ValueError, match="exponent must be positive"):
+            t.pow(name, e)
+
+    @pytest.mark.parametrize("j", [-1, -2])
+    def test_negative_power_raises(self, j):
+        t = tower(np.eye(3))
+        with pytest.raises(ValueError, match="exponent must be positive"):
+            t.power(j)
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_power_zero_is_one_kept_identity(self, k):
+        t = classical._build(with_index(np.random.default_rng(67 + k), 5, k), DEFAULT_TOL)
+        eye = t.power(0)
+        assert classical._same_bits(eye, np.eye(5, dtype=np.complex128))
+        assert not eye.flags.writeable
+        stored = len(t._kept)
+        assert t.power(0) is eye and len(t._kept) == stored

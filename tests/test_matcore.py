@@ -24,7 +24,7 @@ from ginverse.matcore import (
     numerical_rank,
     rel_residual,
 )
-from ginverse.report import _eq_check, _hermitian_check, _zero_check
+from ginverse.report import _adjoint_pair, _eq_check, _zero_pair
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -198,22 +198,24 @@ def _hermitian_inputs():
 
 
 class TestHermitianCheck:
-    """_hermitian_check(W) is _eq_check(W, W*) bit for bit, with one norm for both sides."""
+    """The pair (W, W*) scores ||W - W*|| / max(1, ||W||) bit for bit: ||W*||_F has
+    the bits of ||W||_F."""
 
     def test_bits_of_eq_check(self):
         for w in _hermitian_inputs():
-            one = _hermitian_check(w, DEFAULT_TOL)
-            two = _eq_check(w, conj_transpose(w), DEFAULT_TOL)
-            assert one.residual.hex() == two.residual.hex(), w.shape
-            assert one.passed == two.passed
+            check = _eq_check(*_adjoint_pair(w, conj_transpose), DEFAULT_TOL)
+            residual = frobenius(w - conj_transpose(w)) / max(1.0, frobenius(w))
+            assert check.residual.hex() == residual.hex(), w.shape
+            assert check.passed == (residual <= DEFAULT_TOL.eq_rtol)
 
     def test_flags_a_non_hermitian_matrix(self):
-        assert _hermitian_check(np.eye(3, dtype=complex), DEFAULT_TOL).passed
-        assert not _hermitian_check(as_matrix([[1, 1], [0, 1]]), DEFAULT_TOL).passed
+        for w, hermitian in ((np.eye(3) + 0j, True), (as_matrix([[1, 1], [0, 1]]), False)):
+            assert _eq_check(*_adjoint_pair(w, conj_transpose), DEFAULT_TOL).passed == hermitian
 
 
 class TestZeroCheck:
-    """_zero_check(P) is _eq_check(P, zeros) bit for bit for a matmul product P, with one norm."""
+    """The pair (P, P - P) scores ||P|| / max(1, ||P||) bit for bit for a matmul
+    product P: P - (P - P) is P."""
 
     def test_bits_of_eq_check(self):
         rng = np.random.default_rng(35)
@@ -224,16 +226,17 @@ class TestZeroCheck:
                 p = (scale / n) * u @ u
                 p[0, 0] = complex(-0.0, p[0, 0].imag)  # a signed zero
                 assert p.flags.c_contiguous
-                one = _zero_check(p, DEFAULT_TOL)
-                two = _eq_check(p, np.zeros((n, n), dtype=np.complex128), DEFAULT_TOL)
-                assert one.residual.hex() == two.residual.hex(), (n, scale)
-                assert one.passed == two.passed
-                norms.append(frobenius(p))
+                check = _eq_check(*_zero_pair(p), DEFAULT_TOL)
+                norm = frobenius(p)
+                residual = norm / max(1.0, norm)
+                assert check.residual.hex() == residual.hex(), (n, scale)
+                assert check.passed == (residual <= DEFAULT_TOL.eq_rtol)
+                norms.append(norm)
         assert min(norms) < 1.0 < max(norms)
 
     def test_flags_a_nonzero_matrix(self):
-        assert _zero_check(np.zeros((3, 3), dtype=complex), DEFAULT_TOL).passed
-        assert not _zero_check(np.eye(3, dtype=complex) * 1e-6, DEFAULT_TOL).passed
+        assert _eq_check(*_zero_pair(np.zeros((3, 3), dtype=complex)), DEFAULT_TOL).passed
+        assert not _eq_check(*_zero_pair(np.eye(3, dtype=complex) * 1e-6), DEFAULT_TOL).passed
 
 
 class TestColSpaceContains:

@@ -10,10 +10,11 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from ginverse import eqsolve, wgi
+from ginverse import report as report_module
 from ginverse import oracle as o
-from ginverse.classical import drazin, tower
-from ginverse.generators import dyadic_with_index, rational_with_index
-from ginverse.matcore import DEFAULT_TOL, rel_residual
+from ginverse.classical import drazin, moore_penrose, tower
+from ginverse.generators import dyadic_with_index, rational_with_index, with_index
+from ginverse.matcore import DEFAULT_TOL, conj_transpose, rel_residual
 from ginverse.report import _b_identities, _decomposition_identities, _evaluate
 
 RM = o.RationalMatrix
@@ -1048,3 +1049,88 @@ class TestOneListTwoArithmetics:
             assert float_equation == certified["equation"].passed
             corrupted += not o.certify(a, m, z=z).overall
         assert corrupted == 8
+
+
+def _every_list(a, z, x_d, x_o, x_mp, k, m, power, star, b):
+    """Every identity list of ``report``, by name, over A, its Z, A^D, A^o and A^+ in
+    one arithmetic; power(j) is A^j, star the conjugate transpose, B a right side."""
+    az = a @ z
+    a2z, am1z = a @ az, power(m) @ az
+    qs = star(a @ x_d)
+    p = power(0) - az
+    q = power(0) - p
+    b0 = power(m)
+    for _ in range(m + 1):
+        b0 = x_d @ b0  # (A^D)^{m+1} A^m
+    c0 = x_d @ a @ x_o @ power(m)
+    return {
+        "_drazin_identities": report_module._drazin_identities(a, x_d, k, power, star),
+        "_core_ep_identities": report_module._core_ep_identities(a, x_o, k, power, star),
+        "_penrose_identities": report_module._penrose_identities(a, x_mp, 0, power, star),
+        "_definition_identities": report_module._definition_identities(
+            a, z, k, m, power, star, az, az @ z, am1z, qs.__matmul__, lambda x: a @ (x_o @ x)
+        ),
+        "_decomposition_identities": report_module._decomposition_identities(
+            a, a2z, a - a2z, z, m, power, star
+        ),
+        "_b_identities": report_module._b_identities(a, z, m, power, star, az, a2z),
+        "_polar_identities": report_module._polar_identities(
+            a, p, q, q @ z @ q, m, power, star
+        ),
+        "_bc_identities": report_module._bc_identities(a, z, b0, c0),
+        "_equation_identities": report_module._equation_identities(
+            z @ b, b, m, power, qs.__matmul__
+        ),
+    }
+
+
+class TestEveryEntryIsAnEquation:
+    """Every entry of every identity list forms a pair of matrices, a list of such pairs,
+    or (W, _Is.NILPOTENT), in floats and exactly; nilpotency is the one named property."""
+
+    @staticmethod
+    def assert_entries(lists, kind):
+        def is_pair(value):
+            return (
+                isinstance(value, tuple)
+                and len(value) == 2
+                and all(isinstance(side, kind) for side in value)
+                and value[0].shape == value[1].shape
+            )
+
+        names = {name for name in dir(report_module) if name.endswith("_identities")}
+        assert set(lists) == names
+        for name, identities in lists.items():
+            for label, sides in identities.items():
+                value = sides()
+                nilpotent = (
+                    isinstance(value, tuple)
+                    and len(value) == 2
+                    and isinstance(value[0], kind)
+                    and value[1] is report_module._Is.NILPOTENT
+                )
+                pairs = isinstance(value, list) and value and all(map(is_pair, value))
+                assert is_pair(value) or pairs or nilpotent, (name, label)
+
+    def test_one_named_property(self):
+        assert list(report_module._Is) == [report_module._Is.NILPOTENT]
+
+    @pytest.mark.parametrize("k, m", [(0, 2), (2, 1), (2, 3)])
+    def test_float_entries(self, k, m):
+        a = with_index(np.random.default_rng(70 + k + m), 5, k)
+        t = tower(a)
+        z = wgi.mwgi(t, m).Z
+        b = np.random.default_rng(k).standard_normal((5, 5)) + 0j
+        lists = _every_list(t.a, z, t.d, t.o, moore_penrose(a), k, m, t.power, conj_transpose, b)
+        self.assert_entries(lists, np.ndarray)
+
+    @pytest.mark.parametrize("k, m", [(0, 2), (2, 1), (2, 3)])
+    def test_exact_entries(self, k, m):
+        a = rational_with_index(np.random.default_rng(70 + k + m), 4, k)
+        k_exact, d, cep = o._tower(a, o.MAX_HEIGHT_BITS)
+        assert k_exact == k
+        b = o._test_matrices(4)[0]
+        lists = _every_list(
+            a, o.exact_mwgi(a, m), d, cep, o.exact_mp(a), k, m, a.power, RM.conj_transpose, b
+        )
+        self.assert_entries(lists, RM)
