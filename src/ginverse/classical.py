@@ -71,9 +71,8 @@ class Tower:
     ``u1`` is C-contiguous, or None when k = 0 (U1 = I).  Everything else the
     tower forms when first read and keeps, through ``keep``, for as long as it
     lives: ``o`` = A^o, ``d`` = A^D, ``ad`` = A A^D, A^0 = I, the powers
-    ``pow(name, e)`` of A, A^o, A^D and T^-1, and what its callers name, such as
-    the b0 of ``wgi.bc_inverse_check`` and the Z that ``wgi.mwgi`` checked, with
-    that Z's products and checks (``wgi._products``, ``wgi._checks``).
+    ``pow(name, e)`` of A, A^o, A^D and T^-1, and the Z that ``wgi.mwgi``
+    checked, with that Z's products and checks (``wgi._products``, ``wgi._checks``).
     """
 
     index: IndexResult
@@ -207,7 +206,6 @@ def _staircase(
 _ROUNDING = 1024 * np.finfo(np.float64).eps
 
 
-
 def index(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> IndexResult:
     """Smallest k >= 0 with rank(A^k) = rank(A^{k+1}), by the staircase (no power of A)."""
     return _staircase(as_square_matrix(a), tol)[0]
@@ -222,21 +220,6 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 # (A, tol, tower) of the last tower built, replaced as one tuple: a thread
 # that races a rebuild reads the old entry, the new one or None, never a mix.
 _last: tuple[np.ndarray, TolerancePolicy, Tower] | None = None
-
-
-def _kept_tower(a, tol: TolerancePolicy) -> Tower | None:
-    """The kept tower if A is a complex128 array of the kept A's bits and layout
-    under ``tol``: the kept A is validated, so A needs no copy and no check."""
-    last = _last
-    if (
-        last is not None
-        and last[1] == tol
-        and isinstance(a, np.ndarray)
-        and a.dtype == np.complex128
-        and _same_bits(last[0], a)
-    ):
-        return last[2]
-    return None
 
 
 def _build(a: np.ndarray, tol: TolerancePolicy) -> Tower:
@@ -257,24 +240,28 @@ def tower(a, tol: TolerancePolicy = DEFAULT_TOL) -> Tower:
     read.  For nilpotent A, U1 has no columns and A^o is zero.
 
     The last tower built is kept with the private copy of A and with ``tol``.
-    A call whose A has the same shape, memory layout and bit-identical entries
-    (a signed zero or a one-ulp change is a miss) under an equal policy
-    returns that tower; any other call drops it before building, so at most
-    one tower is alive, and a build that raises keeps nothing.  A Tower passed
-    as A comes back as it is if built under ``tol``, else raises ValueError.
+    A call compares its A with that copy once: a complex128 array as it is,
+    with no copy and no check (so a strided view of A's values misses), any
+    other input once validated.  An A of the same shape, memory layout and
+    bit-identical entries (a signed zero or a one-ulp change is a miss) under
+    an equal policy returns that tower; any other call drops it before
+    building, so at most one tower is alive, and a build that raises keeps
+    nothing.  A Tower passed as A comes back as it is if built under ``tol``,
+    else raises ValueError.
     """
     global _last
     if isinstance(a, Tower):
         if a.tol != tol:
             raise ValueError(f"the tower was built under {a.tol}, not under {tol}")
         return a
-    t = _kept_tower(a, tol)
-    if t is not None:
-        return t
-    a = as_square_matrix(a)
+    raw = isinstance(a, np.ndarray) and a.dtype == np.complex128
+    if not raw:  # validated first, so a float64 array or a list of A's values can hit
+        a = as_square_matrix(a)
     last = _last
-    if last is not None and last[1] == tol and _same_bits(last[0], a):  # e.g. float64 values
+    if last is not None and last[1] == tol and _same_bits(last[0], a):
         return last[2]
+    if raw:
+        a = as_square_matrix(a)
     _last = None
     t = _build(a, tol)
     _last = (a, tol, t)

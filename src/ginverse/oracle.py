@@ -23,13 +23,15 @@ A product A B is a single numpy object-array dot of A's left layout
 (2n x 2c), whose loop runs in C on exact integers of any height.  The result
 [Re AB | Im AB] is AB's own left layout, kept as it is when the product is
 already in lowest terms.  Each layout is built at its first use, kept with
-its matrix and read-only.  The outermost public call (``certify``,
-``exact_mwgi``, ``exact_drazin``, ``exact_core_ep``, ``exact_mp``) opens one
-product store, keyed by the operand matrices (each hashes once; equal values
-are equal keys), and every call nested in it reads and fills the same store,
-so a product of equal operands is formed once per call even where the
-operands are distinct objects.  The store is dropped when that call returns
-or raises; it lives in a context variable, so threads never share one.
+its matrix and read-only; the left layout is the one view of the numerators
+that ``entries``, ``to_complex`` and the elimination read, row by row.  The
+outermost public call (``certify``, ``exact_mwgi``, ``exact_drazin``,
+``exact_core_ep``, ``exact_mp``) opens one product store, keyed by the
+operand matrices (each hashes once; equal values are equal keys), and every
+call nested in it reads and fills the same store, so a product of equal
+operands is formed once per call even where the operands are distinct
+objects.  The store is dropped when that call returns or raises; it lives
+in a context variable, so threads never share one.
 
 A :class:`RationalMatrix` stores Gaussian-integer numerators (real and
 imaginary parts as Python ints, in the order of its left layout) over one
@@ -286,27 +288,15 @@ class RationalMatrix:
         return obj
 
     @property
-    def _re(self) -> tuple:
-        """The real-part numerators, row-major."""
-        c, num = self._ncols, self._num
-        return tuple(x for i in range(0, len(num), 2 * c) for x in num[i : i + c])
-
-    @property
-    def _im(self) -> tuple:
-        """The imaginary-part numerators, row-major."""
-        c, num = self._ncols, self._num
-        return tuple(x for i in range(0, len(num), 2 * c) for x in num[i + c : i + 2 * c])
-
-    @property
     def entries(self) -> tuple[tuple[GaussianRational, ...], ...]:
         if self._entries is None:
             d, c = self._den, self._ncols
-            flat = [
-                GaussianRational(Fraction(x, d), Fraction(y, d))
-                for x, y in zip(self._re, self._im)
-            ]
             self._entries = tuple(
-                tuple(flat[i * c : (i + 1) * c]) for i in range(self._nrows)
+                tuple(
+                    GaussianRational(Fraction(x, d), Fraction(y, d))
+                    for x, y in zip(row[:c], row[c:])
+                )
+                for row in self._left_layout().tolist()
             )
         return self._entries
 
@@ -476,9 +466,10 @@ class RationalMatrix:
         return obj
 
     def to_complex(self) -> np.ndarray:
-        d = self._den
-        values = [complex(x / d, y / d) for x, y in zip(self._re, self._im)]
-        return np.array(values, dtype=np.complex128).reshape(self.shape)
+        d, c = self._den, self._ncols
+        rows = self._left_layout().tolist()
+        values = [[complex(x / d, y / d) for x, y in zip(r[:c], r[c:])] for r in rows]
+        return np.array(values, dtype=np.complex128)
 
     def to_json(self) -> dict:
         entries = [
@@ -502,12 +493,8 @@ class RationalMatrix:
 
     def _int_rows(self) -> tuple[list[list[int]], list[list[int]]]:
         """Working copies of the numerator rows, real and imaginary parts."""
-        c, num = self._ncols, self._num
-        starts = range(0, len(num), 2 * c)
-        return (
-            [list(num[i : i + c]) for i in starts],
-            [list(num[i + c : i + 2 * c]) for i in starts],
-        )
+        c, rows = self._ncols, self._left_layout().tolist()
+        return [r[:c] for r in rows], [r[c:] for r in rows]
 
     def _same_shape(self, other: "RationalMatrix") -> None:
         if self.shape != other.shape:

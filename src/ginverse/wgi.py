@@ -421,22 +421,17 @@ def b_characterization(a, m: int, tol: TolerancePolicy = DEFAULT_TOL, z=None) ->
 
     Named checks: bab (b A b = b), a2b2 (A^2 b^2 = A b), herm ((A^m)* A^{m+1} b
     Hermitian), range (col(A b) = col(A^2 b)), qnil ((A - A^2 b)^n vanishes).
-    For the Z that ``mwgi`` kept, A b is its kept A Z and the checks are kept too.
+    For the Z that ``mwgi`` kept, the checks are kept too.
     """
     t = tower(a, tol)
     a, b = t.a, _candidate(t, z, m, _z)
-    ab = _products(t, b, m)[0] if b is _kept_z(t, m) else a @ b
+    ab = a @ b
     a2b = a @ ab
     identities = _b_identities(a, b, m, t.power, conj_transpose, ab, a2b)
     checks = _checks(t, b, m, identities, ("bab", "a2b2", "herm"))
     checks["range"] = _bool_check(col_space_equal(ab, a2b, tol))
     checks.update(_checks(t, b, m, identities, ("qnil",)))
     return VerificationReport(checks=checks)
-
-
-def _b0(t: Tower, m: int) -> np.ndarray:
-    """b0 = (A^D)^{m+1} A^m, the range of Z, formed once per tower and m."""
-    return t.keep(("b0", m), lambda: readonly(t.pow("d", m + 1) @ t.power(m)))
 
 
 def bc_inverse_check(a, m: int, tol: TolerancePolicy = DEFAULT_TOL, z=None) -> VerificationReport:
@@ -447,7 +442,7 @@ def bc_inverse_check(a, m: int, tol: TolerancePolicy = DEFAULT_TOL, z=None) -> V
     col(Z) in col(b0) and the row-space inclusion row(Z) in row(c0).
     """
     t = tower(a, tol)
-    a, z, b0 = t.a, _candidate(t, z, m, _z), _b0(t, m)
+    a, z, b0 = t.a, _candidate(t, z, m, _z), t.pow("d", m + 1) @ t.power(m)
     c0 = t.d @ a @ t.o @ t.power(m)
     checks = _evaluate(_bc_identities(a, z, b0, c0), ("xab", "cax"), _eq_check, tol)
     # col(Z) in col(b0) and row(Z) in row(c0), ranked together
@@ -471,7 +466,8 @@ def outer_inverse_subspaces(
     checks["outer"] = _checks(t, z, m, bab, ("bab",))["bab"]
     # col(Z) = col(b0) and row(Z) = row(A^o A^m), ranked together
     kernel = _span_matrices(conj_transpose(kernel_target), conj_transpose(z), True)
-    ranks = numerical_ranks([*_span_matrices(_b0(t, m), z, True), *kernel], tol)
+    b0 = t.pow("d", m + 1) @ t.power(m)
+    ranks = numerical_ranks([*_span_matrices(b0, z, True), *kernel], tol)
     checks["range_eq"] = _bool_check(_one_rank(ranks[:3]))
     checks["kernel_eq"] = _bool_check(_one_rank(ranks[3:]))
     return VerificationReport(checks=checks)

@@ -467,7 +467,7 @@ def ref_rref(rows):
 
 def assert_canonical(a):
     assert a._den > 0
-    assert math.gcd(a._den, *a._re, *a._im) == 1
+    assert math.gcd(a._den, *a._num) == 1
 
 
 def assert_layouts(a):
@@ -557,6 +557,32 @@ class TestEquivalence:
         assert got.shape == (a.cols, a.rows)
         assert a.is_zero() == all(u.is_zero() for r in x for u in r)
         assert a.max_height_bits() == max(u.bit_height() for r in x for u in r)
+
+    @SETTINGS
+    @given(st.data())
+    def test_to_complex_rounds_each_entry(self, data):
+        mixes = [ENTRIES, HUGE_ENTRIES, st.one_of(ENTRIES, HUGE_ENTRIES)]
+        entries = data.draw(st.sampled_from(mixes))
+        x = data.draw(rational_rows(entries=entries))
+        y = data.draw(rational_rows(len(x), len(x[0]), entries))
+        w = data.draw(rational_rows(len(x[0]), data.draw(st.integers(1, 4)), entries))
+        a, b, c = RM.from_rows(x), RM.from_rows(y), RM.from_rows(w)
+        for got, want in (
+            (a @ c, ref_matmul(x, w)),
+            (a + b, [[u + v for u, v in zip(r, s)] for r, s in zip(x, y)]),
+            (-a, [[-u for u in r] for r in x]),
+            (a.conj_transpose(), [[r[j].conjugate() for r in x] for j in range(len(x[0]))]),
+        ):
+            try:  # Fraction.__float__ raises OverflowError past the float range
+                bits = np.array(
+                    [[complex(float(u.re), float(u.im)) for u in r] for r in want], dtype=complex
+                ).tobytes()
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    got.to_complex()
+                continue
+            z = got.to_complex()
+            assert z.shape == got.shape and z.tobytes() == bits
 
     @SETTINGS
     @given(square_rows(), st.integers(0, 4))
@@ -866,7 +892,7 @@ class TestExactCheckIsExact:
         y = data.draw(rational_rows(rows=len(x), cols=len(x[0])))
         a, b = RM.from_rows(x), RM.from_rows(y)
         diff = a - b
-        total = sum(v * v for v in diff._re + diff._im)
+        total = sum(v * v for v in diff._num)
         assert o._diff_residual(a, b) == math.sqrt(total / diff._den**2)
         assert o._exact_check(a, b).passed == (a == b)
 

@@ -56,6 +56,20 @@ class TestRoutes:
         assert approx_equal(wgi.mwgi_via_power(np.eye(2), 3), np.eye(2))
         assert frobenius(wgi.mwgi_via_power(J2, 2)) < 1e-12
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 9: A^4 of a scaled nilpotent A is roundoff above the absolute "
+        "nil_atol, and its own staircase cuts at its own sigma_max, so the power route reads "
+        "it as nonsingular and returns max|Z| of 4.2e12 to 2.9e15 where Z = 0",
+    )
+    def test_power_route_scaled_nilpotent(self):
+        # A is nilpotent of index 4, so its 4-weak group inverse is Z = 0
+        for s in range(5):
+            for c in (30, 100, 300, 1000):
+                a = c * with_index(np.random.default_rng(s), 4, 4)
+                assert np.abs(wgi.mwgi_via_power(a, 4)).max() < 1e-10, (s, c)
+
     def test_normal_route_trivial(self):
         assert approx_equal(wgi.mwgi_normal_equation(np.eye(2), 1), np.eye(2))
         j3 = np.zeros((3, 3), dtype=complex)
@@ -561,8 +575,9 @@ class TestTowerMemo:
 
 
 class TestCopyFreeHits:
-    """A caller's complex128 array with the kept A's bits hits with no copy and no
-    check; every other input is validated first and hits or misses as before."""
+    """A caller's complex128 array is compared with the kept A as it is: with A's bits
+    and layout it hits with no copy and no check, and a strided view of A's values
+    misses.  Every other input is validated first and hits or misses as before."""
 
     # diag(2) + J3: real, so a float64 copy holds A's values; exact zeros to flip
     A = np.zeros((4, 4), dtype=np.complex128)
@@ -597,6 +612,7 @@ class TestCopyFreeHits:
             ("ulp", False),
             ("signed_zero", False),
             ("fortran", False),
+            ("strided", False),
             ("float64", True),
             ("nested_list", True),
         ],
@@ -610,13 +626,21 @@ class TestCopyFreeHits:
             b[3, 0] = complex(-0.0, 0.0)
         elif change == "fortran":
             b = np.asfortranarray(b)
+        elif change == "strided":
+            big = np.zeros((8, 8), dtype=np.complex128)
+            big[::2, ::2] = b
+            b = big[::2, ::2]
         elif change == "float64":
             b = b.real.copy()
         else:
             b = b.tolist()
-        assert (tower(b) is t) == hits
+        got = tower(b)
+        assert (got is t) == hits
         assert len(validations) == 2
         assert len(builds) == (1 if hits else 2)
+        if change == "strided":  # built afresh from a copy with A's bits and layout
+            for name in ("a", "u1", "tinv"):
+                assert classical._same_bits(getattr(got, name), getattr(t, name)), name
 
     def test_nan_still_raises(self):
         tower(self.A)
@@ -1364,14 +1388,13 @@ class TestFormedOperandsNotCopied:
 
 
 class TestB0FormedOnce:
-    """b0 = (A^D)^{m+1} A^m is formed once per tower and m, from the (A^D)^{m+1}
-    that the normal route reads, and bc_inverse_check and outer_inverse_subspaces
-    share it."""
+    """b0 = (A^D)^{m+1} A^m is formed from the (A^D)^{m+1} that the normal route
+    reads, so bc_inverse_check and outer_inverse_subspaces form no power of A^D."""
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_shared(self, monkeypatch, m):
         t = classical._build(with_index(np.random.default_rng(85 + m), 5, 2), DEFAULT_TOL)
-        z, d = wgi.mwgi(t, m).Z, t.d
+        z = wgi.mwgi(t, m).Z
         formed = []
         keep = classical.Tower.keep
 
@@ -1386,9 +1409,6 @@ class TestB0FormedOnce:
         assert wgi.outer_inverse_subspaces(t, m, z=z).overall
         d_powers = sorted(key[1] for key in formed if isinstance(key, tuple) and key[0] == "d")
         assert d_powers == list(range(2, m + 2))
-        assert formed.count(("b0", m)) == 1
-        b0 = t._kept[("b0", m)]
-        assert classical._same_bits(b0, reduce(np.matmul, [d] * (m + 1)) @ t.power(m))
 
 
 class TestOuterCheckShared:
