@@ -68,16 +68,17 @@ class Tower:
     """A, its index (with rank chain), the factors U1, T^-1 of A^o and the policy
     ``tol`` it was built under; arrays are read-only.
 
-    ``u1`` is C-contiguous, or None when k = 0 (U1 = I).  Everything else the
-    tower forms when first read and keeps, through ``keep``, for as long as it
-    lives: ``o`` = A^o, ``d`` = A^D, ``ad`` = A A^D, A^0 = I, the powers
-    ``pow(name, e)`` of A, A^o, A^D and T^-1, and the Z that ``wgi.mwgi``
-    checked, with that Z's products and checks (``wgi._products``, ``wgi._checks``).
+    ``u1`` is n x r and C-contiguous, the identity when k = 0 (where T = A and N
+    is empty).  Everything else the tower forms when first read and keeps,
+    through ``keep``, for as long as it lives: ``o`` = A^o, ``d`` = A^D,
+    ``ad`` = A A^D, A^0 = I, the powers ``pow(name, e)`` of A, A^o, A^D and
+    T^-1, and the Z that ``wgi.mwgi`` checked, with that Z's products and
+    checks (``wgi._products``, ``wgi._checks``).
     """
 
     index: IndexResult
     a: np.ndarray
-    u1: np.ndarray | None
+    u1: np.ndarray
     tinv: np.ndarray
     tol: TolerancePolicy
     _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -91,11 +92,10 @@ class Tower:
     def pow(self, name: str, e: int) -> np.ndarray:
         """X^e for e >= 1 and X the tower's ``a``, ``o``, ``d`` or ``tinv``, formed as
         X^{e-1} X from the kept X^{e-1}: up to e = 3 these are the bits of
-        np.linalg.matrix_power(X, e).  At k = 0, A^o is T^-1 and shares its powers."""
+        np.linalg.matrix_power(X, e).  At k = 0, U1 = I, so A^o and T^-1 hold equal values,
+        each with its own powers."""
         if e < 1:
             raise ValueError(f"exponent must be positive, got {e!r}")
-        if name == "o" and self.u1 is None:
-            name = "tinv"
         x = getattr(self, name)
         if e == 1:
             return x
@@ -112,14 +112,12 @@ class Tower:
         return self.power(self.index.k)
 
     def coords(self, x: np.ndarray) -> np.ndarray:
-        """U1* X (X itself when k = 0)."""
-        return x if self.u1 is None else self.u1.conj().T @ x
+        """U1* X (the values of X when k = 0, where U1 = I)."""
+        return self.u1.conj().T @ x
 
     @property
     def o(self) -> np.ndarray:
         """A^o = U1 T^-1 U1*."""
-        if self.u1 is None:
-            return self.tinv
         return self.keep("o", lambda: readonly(self.u1 @ self.tinv @ self.u1.conj().T))
 
     @property
@@ -152,9 +150,7 @@ def _pinv(a: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
     return (vh.conj().T * inv_s) @ u.conj().T
 
 
-def _staircase(
-    a: np.ndarray, tol: TolerancePolicy
-) -> tuple[IndexResult, np.ndarray | None, np.ndarray]:
+def _staircase(a: np.ndarray, tol: TolerancePolicy) -> tuple[IndexResult, np.ndarray, np.ndarray]:
     """The index of a square A with its rank chain, U1 and T, by range deflation.
 
     Staircase reduction (Beelen & Van Dooren, LAA 105, 1988): B_1 = A, and
@@ -162,8 +158,8 @@ def _staircase(
     vectors of B_j = U diag(s) Vh and B_{j+1} = W* B_j W = diag(s_r) Vh_r W.
     Each r_j is counted against one cut, rank_rtol * sigma_max(A) * n, on a
     unitary compression of A, and equals rank(A^j) in exact arithmetic.  U1 is
-    the product of the W factors (None when A is nonsingular, where U1 = I)
-    and T the last, nonsingular B.
+    the product of the W factors, read-only and C-contiguous, and T the last,
+    nonsingular B; when A is nonsingular there is no W, U1 = I and T = A.
 
     The SVD that would only confirm that the rank stopped falling is skipped
     when the one before proves it: B_{j+1} = diag(s_r) C with C = (Vh U)[:r, :r]
@@ -198,8 +194,8 @@ def _staircase(
             chain.append(r)
             break
         u, s, vh = np.linalg.svd(b)
-    u1 = None if u1 is None else readonly(np.ascontiguousarray(u1))
-    return IndexResult(k=len(chain) - 2, rank_chain=tuple(chain)), u1, b
+    u1 = np.eye(n, dtype=np.complex128) if u1 is None else np.ascontiguousarray(u1)
+    return IndexResult(k=len(chain) - 2, rank_chain=tuple(chain)), readonly(u1), b
 
 
 # a staircase step rounds by O(p eps s_1); the certificate's margin is at least this n s_1
@@ -237,7 +233,8 @@ def tower(a, tol: TolerancePolicy = DEFAULT_TOL) -> Tower:
     invertible T = U1* A U1 in k + 1 SVDs of shrinking size, or k when the
     k-th certifies T nonsingular (``_staircase``).  The powers of A,
     A^o = U1 T^-1 U1* and A^D = (A^o)^{k+1} A^k are formed only when first
-    read.  For nilpotent A, U1 has no columns and A^o is zero.
+    read.  For nonsingular A, U1 = I and T = A; for nilpotent A, U1 has no
+    columns and A^o is zero.
 
     The last tower built is kept with the private copy of A and with ``tol``.
     A call compares its A with that copy once: a complex128 array as it is,

@@ -441,13 +441,14 @@ class RationalMatrix:
         return (self.rows, self.cols)
 
     def power(self, e: int) -> "RationalMatrix":
-        """A^e, formed as A^{e-1} A and kept with A under its exponent."""
+        """A^e, formed as A^{e-1} A and kept with A under its exponent; A^0 = I is one
+        identity kept under 0, with the elimination that F reads from it at index 0."""
         if not self.is_square():
             raise ValueError("matrix power requires a square matrix")
         if e < 0:
             raise ValueError("negative powers are not supported; invert first")
         if e == 0:
-            return RationalMatrix.identity(self.rows)
+            return self.keep(0, lambda: RationalMatrix.identity(self.rows))
         x = self._kept.get(e)
         if x is None:  # A^1 is A itself
             x = self
@@ -676,11 +677,11 @@ def _tower(
     With F the pivot columns of A^k, A^o = F (F* A F)^-1 F*, the exact twin of
     U1 T^-1 U1* (core-EP decomposition, Wang, LAA 508, 2016): A maps col(A^k)
     onto itself, so A F = F M with M invertible and F* A F = F* F M is too.
-    At k = 0, F = I and A^o = A^-1.  Then A^D = (A^o)^{k+1} A^k; both are
-    zero if A^k is.  ``core_ep``, when given, makes A^o in place of F: the
-    tower of A^m is read from A's as (A^o)^m (``certify``).  The core-EP and
-    Drazin lists of ``report``, required below, determine both uniquely,
-    whichever way A^o was made.
+    At k = 0, A^0 = I is its own pivot columns, so F = I and A^o = A^-1.
+    Then A^D = (A^o)^{k+1} A^k; both are zero if A^k is.  ``core_ep``, when
+    given, makes A^o in place of F: the tower of A^m is read from A's as
+    (A^o)^m (``certify``).  The core-EP and Drazin lists of ``report``,
+    required below, determine both uniquely, whichever way A^o was made.
     """
     return a.keep(("tower", max_bits), lambda: _build_tower(a, max_bits, core_ep))
 
@@ -693,8 +694,6 @@ def _build_tower(a: RationalMatrix, max_bits: int, core_ep) -> tuple:
     ak = a.power(k)
     if core_ep is not None:
         cep = _guard(core_ep(), max_bits)
-    elif k == 0:
-        cep = inverse(a, max_bits)
     elif ak.is_zero():
         cep = RationalMatrix.zeros(a.rows, a.rows)
     else:

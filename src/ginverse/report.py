@@ -112,11 +112,8 @@ def _definition_identities(a, z, k: int, m: int, power, star, az, az2, am1z, qs,
     am, ak = power(m), power(k)
 
     def wgm_k():
-        first = (z @ power(k + 1), ak)
-        if k == 0:  # A^0 = I
-            return [first, (am1z, am)]
         ak_star = star(ak)
-        return [first, (ak_star @ am1z, ak_star @ am)]
+        return [(z @ power(k + 1), ak), (ak_star @ am1z, ak_star @ am)]
 
     def idem34():  # A Z = A^j Z^j for j = 2, 3
         a2z2 = a @ az2
@@ -128,7 +125,7 @@ def _definition_identities(a, z, k: int, m: int, power, star, az, az2, am1z, qs,
         "wgm_k": wgm_k,
         "hermitian31": lambda: _adjoint_pair(star(am) @ am1z, star),
         "coreEP48": lambda: (am1z, aao(am)),
-        "limit": lambda: (ak, az if k == 0 else az @ ak),
+        "limit": lambda: (ak, az @ ak),
         "idem34": idem34,
     }
 

@@ -216,8 +216,7 @@ def _z(t: Tower, m: int) -> np.ndarray:
     z = _kept_z(t, m)
     if z is not None:
         return z
-    z = t.pow("tinv", m + 1) @ t.coords(t.power(m))
-    return z if t.u1 is None else t.u1 @ z
+    return t.u1 @ (t.pow("tinv", m + 1) @ t.coords(t.power(m)))
 
 
 def _candidate(t: Tower, z, m: int, default=None) -> np.ndarray:
@@ -386,11 +385,9 @@ def verify_definition(a, z, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> Verif
     """
     t = tower(a, tol)
     z = _candidate(t, z, m)
-    # A A^D = (A U1) G with G = T^-(k+1) U1* A^k (T^-1 at k = 0, where U1* A^0 = I)
-    # and A A^o = (A U1) T^-1 U1*; A U1 is formed rather than taken as U1 T, which
-    # is what def11 and coreEP48 test
-    k, au1 = t.index.k, t.a if t.u1 is None else t.a @ t.u1
-    g = t.tinv if k == 0 else t.pow("tinv", k + 1) @ t.coords(t.ak)
+    # A A^D = (A U1) G with G = T^-(k+1) U1* A^k and A A^o = (A U1) T^-1 U1*; A U1
+    # is formed rather than taken as U1 T, which is what def11 and coreEP48 test
+    au1, g = t.a @ t.u1, t.pow("tinv", t.index.k + 1) @ t.coords(t.ak)
     g_star, au1_star = conj_transpose(g), conj_transpose(au1)
     identities = _definition(
         t, z, m, _products(t, z, m),

@@ -40,7 +40,7 @@ def _reference_staircase(a, tol):
     while True:
         chain.append(r := int(np.count_nonzero(s > cut)))
         if r == chain[-2]:
-            u1 = None if u1 is None else np.ascontiguousarray(u1)
+            u1 = np.eye(n, dtype=np.complex128) if u1 is None else np.ascontiguousarray(u1)
             return classical.IndexResult(k=len(chain) - 2, rank_chain=tuple(chain)), u1, b, cut
         w = u[:, :r]
         u1, b = (w if u1 is None else u1 @ w), (s[:r, None] * vh[:r]) @ w
@@ -255,17 +255,16 @@ class TestTower:
         ak = np.linalg.matrix_power(a, k)
         _, u1, core = classical._staircase(a, DEFAULT_TOL)
         assert np.array_equal(t.tinv, np.linalg.inv(core))
-        if k == 0:
-            assert t.u1 is None
-            o = np.linalg.inv(a)
-        else:
-            # the staircase's U1 is an orthonormal basis of col(A^k) and T = U1* A U1
-            assert np.array_equal(t.u1, u1) and t.u1.flags.c_contiguous
-            u1h = u1.conj().T
-            assert approx_equal(u1h @ u1, np.eye(t.index.rank_chain[k]))
-            assert approx_equal(u1 @ u1h, ak @ moore_penrose(ak))
-            assert approx_equal(core, u1h @ a @ u1)
-            o = u1 @ np.linalg.inv(core) @ u1h
+        # the staircase's U1 is an orthonormal basis of col(A^k) and T = U1* A U1
+        assert np.array_equal(t.u1, u1) and t.u1.flags.c_contiguous and not t.u1.flags.writeable
+        u1h = u1.conj().T
+        assert approx_equal(u1h @ u1, np.eye(t.index.rank_chain[k]))
+        assert approx_equal(u1 @ u1h, ak @ moore_penrose(ak))
+        assert approx_equal(core, u1h @ a @ u1)
+        o = u1 @ np.linalg.inv(core) @ u1h
+        if k == 0:  # U1 = I and T = A, so A^o = A^-1
+            assert np.array_equal(u1, np.eye(6)) and np.array_equal(core, a)
+            assert np.array_equal(o, np.linalg.inv(a))
         d = _chain(o, k + 1) @ ak
         assert np.array_equal(t.ak, ak)
         assert np.array_equal(t.o, o)
@@ -353,13 +352,13 @@ class TestStaircase:
 
     @staticmethod
     def _assert_matches_reference(a, tol=DEFAULT_TOL):
-        """The staircase gives the reference's IndexResult and the bytes of its U1 and T."""
+        """The staircase gives the reference's IndexResult and the bytes of its U1 (the
+        identity at k = 0) and T."""
         idx, u1, core = classical._staircase(a, tol)
         ref_idx, ref_u1, ref_core, cut = _reference_staircase(a, tol)
         assert idx == ref_idx
-        assert (u1 is None) == (ref_u1 is None)
-        if u1 is not None:
-            assert u1.shape == ref_u1.shape and u1.tobytes() == ref_u1.tobytes()
+        assert u1.shape == ref_u1.shape and u1.tobytes() == ref_u1.tobytes()
+        assert u1.flags.c_contiguous and not u1.flags.writeable
         assert core.shape == ref_core.shape and core.tobytes() == ref_core.tobytes()
         return ref_idx, ref_core, cut
 
@@ -482,9 +481,10 @@ class TestKeptPowers:
             assert len(t._kept) == 12
 
     def test_index_zero_shares_the_powers_of_t_inverse(self):
+        # U1 = I, so A^o = I T^-1 I* holds the values of T^-1, and so do its powers
         t = tower(with_index(np.random.default_rng(65), 4, 0))
-        assert t.o is t.tinv
-        assert t.pow("o", 3) is t.pow("tinv", 3)
+        assert np.array_equal(t.o, t.tinv)
+        assert np.array_equal(t.pow("o", 3), t.pow("tinv", 3))
 
     def test_ad_formed_once(self):
         t = tower(with_index(np.random.default_rng(66), 5, 2))

@@ -323,6 +323,13 @@ class TestPowersOncePerCall:
         assert o.certify(a, 3).overall
         assert formed and max(formed.values()) == 1, formed
 
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_power_zero_is_one_kept_identity(self, n):
+        # one A^0 per matrix, so F at index 0 reads the one elimination kept with it
+        a = rational_with_index(np.random.default_rng(n), n, 0)
+        assert a.power(0) is a.power(0)
+        assert a.power(0) == RM.identity(n)
+
 
 class TestPowersUnderThreads:
     """Each power is kept under its exponent, so threads sharing one matrix never
@@ -853,11 +860,13 @@ class TestOneRankPerMatrix:
         a = rational_with_index(np.random.default_rng(5), 4, k)
         monkeypatch.setattr(o, "_rref", counting_rref)
         assert o.certify(a, m).overall
-        # exact_index(A) ranks A, ..., A^{k+1}, and F reads the elimination of A^k;
-        # exact_index(A^m), whose index is ceil(k / m), ranks (A^m)^1, ..., the first of
-        # which is the kept A^m when m <= k + 1; the tower of A^m needs no F
+        # exact_index(A) ranks A, ..., A^{k+1}, and F reads the elimination of A^k, one
+        # more at k = 0, where A^0 = I is ranked by nothing else; exact_index(A^m), whose
+        # index is ceil(k / m), ranks (A^m)^1, ..., the first of which is the kept A^m
+        # when m <= k + 1; the tower of A^m needs no F
         of_am = 0 if m == 1 else (-(-k // m) + 1) - (m <= k + 1)  # A^1 is A: no second index
-        assert len(ranked) == (k + 1) + of_am
+        assert len(ranked) == (k + 1) + (k == 0) + of_am
+        assert sum(x is a.power(0) for x in ranked) == (k == 0)
         assert len({id(x) for x in ranked}) == len(ranked)
         assert sum(x is a.power(m) for x in ranked) == 1
 

@@ -689,6 +689,20 @@ class TestProductsFormedOnce:
         assert np.array_equal(z, expected)
         assert approx_equal(z, power(core_ep(a), m + 1) @ power(a, m))
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_index_zero_reads_u1_as_the_identity(self, m):
+        # a nonsingular A is its own core: U1 = I, so A^o holds the values of T^-1 and Z
+        # those of T^-(m+1) A^m
+        a = with_index(np.random.default_rng(75 + m), 5, 0)
+        z = wgi.mwgi(a, m).Z
+        t = tower(a)
+        assert t.index.k == 0 and np.array_equal(t.u1, np.eye(5))
+        assert t.u1.flags.c_contiguous and not t.u1.flags.writeable
+        assert np.array_equal(t.o, t.tinv)
+        assert np.array_equal(t.pow("o", 3), t.pow("tinv", 3))
+        tinv_power = reduce(np.matmul, [t.tinv] * (m + 1))
+        assert np.array_equal(z, tinv_power @ np.linalg.matrix_power(a, m))
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_verdicts_match_reference(self, k, m):
