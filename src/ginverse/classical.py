@@ -143,8 +143,6 @@ def moore_penrose(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarr
 def _pinv(a: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
     """``moore_penrose`` of a matrix already checked as ``as_matrix`` checks one."""
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((a.shape[1], a.shape[0]), dtype=np.complex128)
     cutoff = tol.rank_rtol * float(s[0]) * max(a.shape)
     inv_s = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
     return (vh.conj().T * inv_s) @ u.conj().T

@@ -164,8 +164,8 @@ def numerical_ranks(mats, tol: TolerancePolicy = DEFAULT_TOL) -> list[int]:
             raise np.linalg.LinAlgError(f"expected a 2-D matrix, got shape {shape}")
         stack = np.linalg.svd(np.array([mats[i] for i in members]), compute_uv=False)
         for i, s in zip(members, stack.tolist()):  # Python floats hold the same doubles
-            if s and s[0] != 0.0:
-                cutoff = tol.rank_rtol * s[0] * max(shape)
+            if s:
+                cutoff = tol.rank_rtol * s[0] * max(shape)  # 0 at A = 0, so it keeps none
                 ranks[i] = sum(value > cutoff for value in s)
     return ranks
 

@@ -10,7 +10,9 @@ inverse A^o = F (F* A F)^-1 F* with F the pivot columns of A^k, and the
 Drazin inverse A^D = (A^o)^{k+1} A^k) is built and its identities verified
 once per matrix and height bound.  ``certify`` reads the tower of A^m from
 A's, since (A^m)^o = (A^o)^m (Wang, LAA 508, 2016); the identities that pin
-a tower down are required of that one too.
+a tower down are required of that one too.  At a nilpotent A, F has no
+columns and the same products give A^o = A^D = 0: matrices formed here may
+have a zero dimension, though the public constructors reject one.
 
 Each matrix keeps everything derived from it in one store (``keep``): its
 powers, keyed by exponent, its one fraction-free elimination, which both its
@@ -356,7 +358,7 @@ class RationalMatrix:
 
     def _height_bound(self) -> int:
         """An upper bound of ``max_height_bits``, read off the stored integers."""
-        return max(self._den.bit_length(), *(x.bit_length() for x in self._num))
+        return max(x.bit_length() for x in (self._den, *self._num))
 
     def _plus(self, other: "RationalMatrix", sign: int) -> "RationalMatrix":
         self._same_shape(other)
@@ -441,20 +443,17 @@ class RationalMatrix:
         return (self.rows, self.cols)
 
     def power(self, e: int) -> "RationalMatrix":
-        """A^e, formed as A^{e-1} A and kept with A under its exponent; A^0 = I is one
-        identity kept under 0, with the elimination that F reads from it at index 0."""
+        """A^e, formed as A^{e-1} A from the kept A^{e-1} (A^1 is A) and kept under e;
+        A^0 = I is one identity kept under 0, with the elimination F reads at index 0."""
         if not self.is_square():
             raise ValueError("matrix power requires a square matrix")
         if e < 0:
             raise ValueError("negative powers are not supported; invert first")
+        if e == 1:
+            return self
         if e == 0:
             return self.keep(0, lambda: RationalMatrix.identity(self.rows))
-        x = self._kept.get(e)
-        if x is None:  # A^1 is A itself
-            x = self
-            for j in range(2, e + 1):
-                x = self.keep(j, lambda x=x: x @ self)
-        return x
+        return self.keep(e, lambda: self.power(e - 1) @ self)
 
     def conj_transpose(self) -> "RationalMatrix":
         c, num = self._ncols, self._num
@@ -527,7 +526,7 @@ def _rref(re: list[list[int]], im: list[list[int]]) -> tuple[list[int], int, int
     the rows hold p times the reduced row echelon form, where p = pr + i pi
     is the last pivot; returns the pivot columns, pr and pi.
     """
-    n_rows, n_cols = len(re), len(re[0])
+    n_rows, n_cols = len(re), len(re[0]) if re else 0
     pivots: list[int] = []
     qr, qi = 1, 0
     r = 0
@@ -565,14 +564,14 @@ def _rref(re: list[list[int]], im: list[list[int]]) -> tuple[list[int], int, int
 
 
 def _over_pivot(
-    re: list[list[int]], im: list[list[int]], pr: int, pi: int, scale: int = 1
+    re: list[list[int]], im: list[list[int]], cols: int, pr: int, pi: int, scale: int = 1
 ) -> RationalMatrix:
-    """The matrix scale (re + i im) / (pr + i pi) from integer rows."""
+    """The matrix scale (re + i im) / (pr + i pi) from integer rows of ``cols`` entries."""
     num = []
     for xs, ys in zip(re, im):
         num += [scale * (x * pr + y * pi) for x, y in zip(xs, ys)]
         num += [scale * (y * pr - x * pi) for x, y in zip(xs, ys)]
-    return RationalMatrix._of(len(re), len(re[0]), num, pr * pr + pi * pi)
+    return RationalMatrix._of(len(re), cols, num, pr * pr + pi * pi)
 
 
 def _eliminate(a: RationalMatrix) -> tuple:
@@ -605,8 +604,18 @@ def inverse(a: RationalMatrix, max_bits: int = MAX_HEIGHT_BITS) -> RationalMatri
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     # A = N / den and the right half holds p N^-1, so A^-1 = den (p N^-1) / p
-    right = _over_pivot([row[n:] for row in re], [row[n:] for row in im], pr, pi, a._den)
+    right = _over_pivot([row[n:] for row in re], [row[n:] for row in im], n, pr, pi, a._den)
     return _guard(right, max_bits)
+
+
+def _pivot_columns(a: RationalMatrix, max_bits: int) -> RationalMatrix:
+    """F, the pivot columns of A, from its kept elimination; rows x 0 when A is zero."""
+    pivots = _elimination(a)[2]
+    r, num, taken = len(pivots), a._num, pivots + [a.cols + c for c in pivots]  # Re, then Im
+    f = RationalMatrix._of(
+        a.rows, r, (num[i + c] for i in range(0, len(num), 2 * a.cols) for c in taken), a._den
+    )
+    return _guard(f, max_bits)
 
 
 def full_rank_factorization(
@@ -614,19 +623,12 @@ def full_rank_factorization(
 ) -> tuple[RationalMatrix, RationalMatrix]:
     """A = F G with F of full column rank and G of full row rank.
 
-    F holds the pivot columns of A; G holds the nonzero rows of rref(A).
-    The caller must ensure A is nonzero (rank 0 has no such factorization).
+    F holds the pivot columns of A; G holds the nonzero rows of rref(A).  At
+    rank 0, F is rows x 0 and G is 0 x cols, and F G is A all the same.
     """
     re, im, pivots, pr, pi = _elimination(a)
-    r = len(pivots)
-    if r == 0:
-        raise ValueError("zero matrix has no full-rank factorization")
-    num, taken = a._num, pivots + [a.cols + c for c in pivots]  # in Re, then in Im
-    f = RationalMatrix._of(
-        a.rows, r, (num[i + c] for i in range(0, len(num), 2 * a.cols) for c in taken), a._den
-    )
-    g = _over_pivot(re[:r], im[:r], pr, pi)
-    return _guard(f, max_bits), _guard(g, max_bits)
+    g = _over_pivot(re[: len(pivots)], im[: len(pivots)], a.cols, pr, pi)
+    return _pivot_columns(a, max_bits), _guard(g, max_bits)
 
 
 def _require_exact(checks: dict[str, Check]) -> None:
@@ -643,10 +645,9 @@ def _require_identities(identities, a: RationalMatrix, x: RationalMatrix, k: int
 
 @_with_products
 def exact_mp(a: RationalMatrix, max_bits: int = MAX_HEIGHT_BITS) -> RationalMatrix:
-    """Exact Moore-Penrose inverse via A = FG and G*(GG*)^-1 (F*F)^-1 F*."""
+    """Exact Moore-Penrose inverse via A = FG and G*(GG*)^-1 (F*F)^-1 F*; at A = 0,
+    F and G have no columns and no rows, and the same product is zero."""
     _guard(a, max_bits)
-    if a.is_zero():
-        return RationalMatrix.zeros(a.cols, a.rows)
     f, g = full_rank_factorization(a, max_bits)
     fs, gs = f.conj_transpose(), g.conj_transpose()
     mp = gs @ inverse(g @ gs, max_bits) @ inverse(fs @ f, max_bits) @ fs
@@ -677,8 +678,9 @@ def _tower(
     With F the pivot columns of A^k, A^o = F (F* A F)^-1 F*, the exact twin of
     U1 T^-1 U1* (core-EP decomposition, Wang, LAA 508, 2016): A maps col(A^k)
     onto itself, so A F = F M with M invertible and F* A F = F* F M is too.
-    At k = 0, A^0 = I is its own pivot columns, so F = I and A^o = A^-1.
-    Then A^D = (A^o)^{k+1} A^k; both are zero if A^k is.  ``core_ep``, when
+    At k = 0, A^0 = I is its own pivot columns, so F = I and A^o = A^-1;
+    at a nilpotent A, A^k = 0 has no pivot columns, so F is n x 0, F* A F
+    is 0 x 0 and A^o = 0.  Then A^D = (A^o)^{k+1} A^k.  ``core_ep``, when
     given, makes A^o in place of F: the tower of A^m is read from A's as
     (A^o)^m (``certify``).  The core-EP and Drazin lists of ``report``,
     required below, determine both uniquely, whichever way A^o was made.
@@ -694,10 +696,8 @@ def _build_tower(a: RationalMatrix, max_bits: int, core_ep) -> tuple:
     ak = a.power(k)
     if core_ep is not None:
         cep = _guard(core_ep(), max_bits)
-    elif ak.is_zero():
-        cep = RationalMatrix.zeros(a.rows, a.rows)
     else:
-        f = full_rank_factorization(ak, max_bits)[0]
+        f = _pivot_columns(ak, max_bits)
         fs = f.conj_transpose()
         core = inverse(_guard(fs @ a @ f, max_bits), max_bits)
         cep = _guard(f @ core @ fs, max_bits)
@@ -844,9 +844,8 @@ def certify(
     checks = _evaluate(identities, identities, _exact_check)
     if z is z_computed and all(checks[label].passed for label in _REQUIRED):
         a.keep(("mwgi", max_bits, m), lambda: z)
-    am = a.power(m)
-    if m >= 2:  # (A^m)^o = (A^o)^m, so A^m's tower is read from A's
-        _tower(am, max_bits, lambda: cep.power(m))
+    am = a.power(m)  # A itself at m = 1, whose tower is kept above
+    _tower(am, max_bits, lambda: cep.power(m))  # (A^m)^o = (A^o)^m: read from A's
     w = exact_mwgi(am, 1, max_bits)
     checks["route_power"] = _merge(
         _exact_check(a.power(m - 1) @ w, z_computed),

@@ -85,6 +85,13 @@ class TestMoorePenrose:
     def test_diagonal(self):
         assert approx_equal(moore_penrose(np.diag([2.0, 0.0])), np.diag([0.5, 0.0]))
 
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (4, 2)])
+    def test_zero(self, shape):
+        # at A = 0 the cut is 0 and keeps no singular value: the product is +0 throughout
+        got = moore_penrose(np.zeros(shape))
+        assert got.shape == shape[::-1] and not got.any()
+        assert not np.signbit(got.real).any() and not np.signbit(got.imag).any()
+
     def test_rank_one_against_exact_oracle(self):
         # expected value derived from the exact rank-factorization pseudoinverse
         expected = oracle.exact_mp(oracle.RationalMatrix.from_rows([[1, 1], [1, 1]]))

@@ -79,6 +79,12 @@ class TestExactMP:
     def test_zero(self):
         assert o.exact_mp(RM.zeros(2, 3)) == RM.zeros(3, 2)
 
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (4, 2)])
+    def test_zero_takes_the_general_formula(self, shape):
+        # F has no columns and G no rows, so G* (G G*)^-1 (F* F)^-1 F* is zero
+        rows, cols = shape
+        assert o.exact_mp(RM.zeros(rows, cols)) == RM.zeros(cols, rows)
+
     @pytest.mark.parametrize("shape", [(2, 2), (3, 4), (5, 5), (4, 3)])
     def test_penrose_equations_random(self, rng, shape):
         # exact_mp raises internally if any Penrose equation fails; also
@@ -172,6 +178,27 @@ class TestCertify:
             a = rational_with_index(rng, n, k, halves=trial % 2 == 0)
             report = o.certify(a, 1 + trial % 3)
             assert report.overall, report.to_dict()
+
+
+class TestNilpotentTowers:
+    """At a nilpotent A, F (the pivot columns of A^k = 0) has no columns, and the
+    general formulas give A^o = A^D = 0 and Z = 0 with no separate case."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("dyadic", [False, True], ids=["rational", "dyadic"])
+    def test_tower_is_zero_and_certified(self, n, seed, dyadic):
+        rng = np.random.default_rng(seed)
+        a = dyadic_with_index(rng, n, n, 4) if dyadic else rational_with_index(rng, n, n)
+        zero = RM.zeros(n, n)
+        assert o.exact_core_ep(a) == zero and o.exact_drazin(a) == zero
+        for m in (1, 2, 3):
+            report = o.certify(a, m)
+            assert report.overall, (m, report.to_dict())
+            assert o.exact_mwgi(a, m) == zero
+
+    def test_guard_reads_an_empty_matrix(self):
+        assert o._guard(RM.zeros(0, 0), 1) == RM.zeros(0, 0)
 
 
 class TestHeightGuard:
@@ -631,11 +658,11 @@ class TestEquivalence:
         reduced, pivots = ref_rref(x)
         a = RM.from_rows(x)
         assert o.rank(a) == len(pivots)
-        if not pivots:
-            with pytest.raises(ValueError):
-                o.full_rank_factorization(a)
-            return
         f, g = o.full_rank_factorization(a)
+        if not pivots:  # F has no columns and G no rows, and F G is A all the same
+            assert f.shape == (a.rows, 0) and g.shape == (0, a.cols)
+            assert f @ g == a
+            return
         assert f.entries == as_entries([[row[c] for c in pivots] for row in x])
         assert g.entries == as_entries(reduced[: len(pivots)])
         assert f @ g == a
