@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matcore import DEFAULT_TOL, TolerancePolicy, as_matrix, as_square_matrix, readonly
+from .matcore import _COMPLEX128, DEFAULT_TOL, TolerancePolicy, as_matrix, as_square_matrix
+from .matcore import readonly
 
 __all__ = [
     "NoGroupInverse",
@@ -72,8 +73,8 @@ class Tower:
     is empty).  Everything else the tower forms when first read and keeps,
     through ``keep``, for as long as it lives: ``o`` = A^o, ``d`` = A^D,
     ``ad`` = A A^D, A^0 = I, the powers ``pow(name, e)`` of A, A^o, A^D and
-    T^-1, and the Z that ``wgi.mwgi`` checked, with that Z's products and
-    checks (``wgi._products``, ``wgi._checks``).
+    T^-1, and per weight m one record of the Z that ``wgi.mwgi`` checked, with
+    that Z's products, definition list and checks (``wgi._CheckedZ``).
     """
 
     index: IndexResult
@@ -92,14 +93,25 @@ class Tower:
     def pow(self, name: str, e: int) -> np.ndarray:
         """X^e for e >= 1 and X the tower's ``a``, ``o``, ``d`` or ``tinv``, formed as
         X^{e-1} X from the kept X^{e-1}: up to e = 3 these are the bits of
-        np.linalg.matrix_power(X, e).  At k = 0, U1 = I, so A^o and T^-1 hold equal values,
-        each with its own powers."""
+        np.linalg.matrix_power(X, e).  A missing power is filled upward in a loop from
+        the highest one kept below it, each kept under (name, exponent), so no exponent
+        is too deep.  At k = 0, U1 = I, so A^o and T^-1 hold equal values, each with its
+        own powers."""
         if e < 1:
             raise ValueError(f"exponent must be positive, got {e!r}")
-        x = getattr(self, name)
-        if e == 1:
-            return x
-        return self.keep((name, e), lambda: readonly(self.pow(name, e - 1) @ x))
+        x, j = getattr(self, name), e
+        while j > 1 and (name, j) not in self._kept:  # the highest power kept up to e
+            j -= 1
+        p = self._kept[(name, j)] if j > 1 else x
+        if j == e:
+            return p
+
+        def step():  # reads p as the loop leaves it: the kept X^{j-1}
+            return readonly(p @ x)
+
+        for j in range(j + 1, e + 1):
+            p = self.keep((name, j), step)
+        return p
 
     def power(self, j: int) -> np.ndarray:
         """A^j for j >= 0 (``pow`` raises below); A^0 = I is one read-only identity, kept."""
@@ -249,11 +261,11 @@ def tower(a, tol: TolerancePolicy = DEFAULT_TOL) -> Tower:
         if a.tol != tol:
             raise ValueError(f"the tower was built under {a.tol}, not under {tol}")
         return a
-    raw = isinstance(a, np.ndarray) and a.dtype == np.complex128
+    raw = isinstance(a, np.ndarray) and (a.dtype is _COMPLEX128 or a.dtype == _COMPLEX128)
     if not raw:  # validated first, so a float64 array or a list of A's values can hit
         a = as_square_matrix(a)
     last = _last
-    if last is not None and last[1] == tol and _same_bits(last[0], a):
+    if last is not None and (last[1] is tol or last[1] == tol) and _same_bits(last[0], a):
         return last[2]
     if raw:
         a = as_square_matrix(a)

@@ -25,7 +25,8 @@ import sys
 import numpy as np
 
 from . import eqsolve, generators, oracle, shiftlab, wgi
-from .classical import core_ep, core_inverse, drazin, group_inverse, moore_penrose, tower
+from .classical import NoCoreInverse, NoGroupInverse, core_ep, core_inverse, drazin
+from .classical import group_inverse, moore_penrose, tower
 from .matcore import (
     DEFAULT_TOL,
     MatrixFormatError,
@@ -180,38 +181,80 @@ def _cmd_shift(args: argparse.Namespace) -> int:
     return 0 if report.overall else 1
 
 
+# a trial's own failures: each is recorded with the call that raised it, and the run goes on
+_TRIAL_ERRORS = (
+    wgi.RepresentationMismatch,
+    NoCoreInverse,
+    NoGroupInverse,
+    oracle.HeightOverflow,
+    np.linalg.LinAlgError,
+)
+
+
+def _attempt(errors: dict, key: str, call, *args):
+    """call(*args), or None when it raises one of ``_TRIAL_ERRORS``: then ``errors[key]``
+    records the call, the exception's type and its message, and key counts as failed."""
+    try:
+        return call(*args)
+    except _TRIAL_ERRORS as exc:
+        errors[key] = {"call": call.__qualname__, "type": type(exc).__name__, "message": str(exc)}
+        return None
+
+
 def _fuzz_trial(rng: np.random.Generator, tol: TolerancePolicy, n: int, k: int, m: int) -> dict:
-    t = tower(generators.with_index(rng, n, k), tol)  # A's one tower, kept in the memo
-    z = wgi.mwgi(t, m, tol).Z
+    a = generators.with_index(rng, n, k)
+    # B and Y are drawn before any call can raise, so a raise moves no later trial's draws
+    b = generators.conditioned_matrix(rng, n)
+    y = generators.conditioned_matrix(rng, n)
     residuals: dict[str, float] = {}
+    errors: dict[str, dict] = {}
+    t = _attempt(errors, "mwgi", tower, a, tol)  # A's one tower, kept in the memo
+    result = None if t is None else _attempt(errors, "mwgi", wgi.mwgi, t, m, tol)
+    if result is None:  # every other key reads Z
+        return {"n": n, "k": k, "m": m, "failures": ["mwgi"], "residuals": {}, "errors": errors}
+    z = result.Z
     for route in wgi.Route:
         if route is wgi.Route.CORE_EP or (m < 2 and route in wgi._NEED_M2):
             continue
         key = "route_" + route.value.replace("-", "_")
-        residuals[key] = rel_residual(z, wgi.mwgi_by_route(t, m, route, tol))
+        other = _attempt(errors, key, wgi.mwgi_by_route, t, m, route, tol)
+        if other is not None:
+            residuals[key] = rel_residual(z, other)
     failures = [name for name, value in residuals.items() if value > tol.eq_rtol]
 
-    reports = {
-        "definition": wgi.verify_definition(t, z, m, tol),
-        "decomposition": wgi.group_decomposition(t, m, tol, z).verify(t, m, tol, z),
-        "polar": wgi.polar_idempotent(t, m, tol, z).verify(t, m, tol),
-        "b_characterization": wgi.b_characterization(t, m, tol, z),
-        "bc_inverse": wgi.bc_inverse_check(t, m, tol, z),
-        "outer_inverse": wgi.outer_inverse_subspaces(t, m, tol, z),
-    }
+    reports = {"definition": _attempt(errors, "definition", wgi.verify_definition, t, z, m, tol)}
+    split = _attempt(errors, "decomposition", wgi.group_decomposition, t, m, tol, z)
+    if split is not None:
+        reports["decomposition"] = _attempt(errors, "decomposition", split.verify, t, m, tol, z)
+    polar = _attempt(errors, "polar", wgi.polar_idempotent, t, m, tol, z)
+    if polar is not None:
+        reports["polar"] = _attempt(errors, "polar", polar.verify, t, m, tol)
+    for name, check in (
+        ("b_characterization", wgi.b_characterization),
+        ("bc_inverse", wgi.bc_inverse_check),
+        ("outer_inverse", wgi.outer_inverse_subspaces),
+    ):
+        reports[name] = _attempt(errors, name, check, t, m, tol, z)
     for name, report in reports.items():
+        if report is None:  # its raise is in errors
+            continue
         if not report.overall:
             failures.append(name)
         residuals[name] = max(check.residual for check in report.checks.values())
 
-    b = generators.conditioned_matrix(rng, n)
-    y = generators.conditioned_matrix(rng, n)
-    solved = eqsolve.solve_general(t, b, m, y, tol, z)
-    residuals["equation"] = eqsolve.residual(t, b, m, solved.X, tol)
-    if residuals["equation"] > tol.eq_rtol:
-        failures.append("equation")
+    solved = _attempt(errors, "equation", eqsolve.solve_general, t, b, m, y, tol, z)
+    if solved is not None:
+        value = _attempt(errors, "equation", eqsolve.residual, t, b, m, solved.X, tol)
+        if value is not None:
+            residuals["equation"] = value
+            if value > tol.eq_rtol:
+                failures.append("equation")
 
-    return {"n": n, "k": k, "m": m, "failures": sorted(failures), "residuals": residuals}
+    outcome = {"n": n, "k": k, "m": m, "failures": sorted([*failures, *errors])}
+    outcome["residuals"] = residuals
+    if errors:  # a run with no raise prints what it printed before raises were recorded
+        outcome["errors"] = errors
+    return outcome
 
 
 def _m_values(args: argparse.Namespace) -> list[int]:
@@ -236,9 +279,10 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         for name, value in outcome["residuals"].items():
             worst[name] = max(worst.get(name, 0.0), value)
         if outcome["failures"]:
-            failures.append(
-                {"trial": trial, "n": n, "k": k, "m": m, "failures": outcome["failures"]}
-            )
+            failed = {"trial": trial, "n": n, "k": k, "m": m, "failures": outcome["failures"]}
+            if "errors" in outcome:
+                failed["errors"] = outcome["errors"]
+            failures.append(failed)
     payload = {
         "trials": args.trials,
         "seed": args.seed,
@@ -250,26 +294,38 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     lines = [f"fuzz: {args.trials} trials, seed {args.seed}"]
     for name in sorted(worst):
         lines.append(f"{name:<22} max residual {worst[name]:12.5e}")
+    lines += _error_lines(failures)
     lines.append(f"overall: {'PASS' if not failures else 'FAIL'}")
     _emit(args, payload, "\n".join(lines))
     return 0 if not failures else 1
 
 
+def _error_lines(entries, where: str = "trial {trial} ") -> list[str]:
+    """One line per raise recorded in ``entries`` (see ``_attempt``), each led by where."""
+    return [
+        f"{where.format(**entry)}{key}: {error['call']} raised {error['type']}: {error['message']}"
+        for entry in entries
+        for key, error in entry.get("errors", {}).items()
+    ]
+
+
 def _certify_one(
     a: oracle.RationalMatrix, m: int, tol: TolerancePolicy
-) -> tuple[dict, bool, wgi.VerificationReport]:
-    report = oracle.certify(a, m)
-    exact = oracle.exact_mwgi(a, m)
-    float_residual = rel_residual(
-        wgi.mwgi(a.to_complex(), m, tol).Z, exact.to_complex()
-    )
-    float_ok = float_residual <= tol.eq_rtol
+) -> tuple[dict, bool, wgi.VerificationReport | None]:
+    errors: dict[str, dict] = {}
+    report = _attempt(errors, "report", oracle.certify, a, m)
+    exact = _attempt(errors, "float_mwgi", oracle.exact_mwgi, a, m)
+    result = exact and _attempt(errors, "float_mwgi", wgi.mwgi, a.to_complex(), m, tol)
+    float_residual = result and rel_residual(result.Z, exact.to_complex())
+    float_ok = result is not None and float_residual <= tol.eq_rtol
     payload = {
-        "report": report.to_dict(),
+        "report": report and report.to_dict(),
         "float_mwgi_residual": float_residual,
         "float_mwgi_pass": float_ok,
     }
-    return payload, report.overall and float_ok, report
+    if errors:  # a run with no raise prints what it printed before raises were recorded
+        payload["errors"] = errors
+    return payload, report is not None and report.overall and float_ok, report
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
@@ -277,15 +333,19 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         m = args.m if args.m >= 1 else 1
         a = _load_matrix(args.input, oracle.RationalMatrix.from_json)
         payload, ok, report = _certify_one(a, m, args.tol)
-        _emit(args, payload, _report_table(report, f"certify (m={m})"))
+        lines = [_report_table(report, f"certify (m={m})")] if report else []
+        lines += _error_lines([payload], "")
+        _emit(args, payload, "\n".join(lines))
         return 0 if ok else 1
     rng = np.random.default_rng(args.seed)
     results = []
     all_ok = True
     for trial, n, k, m in _trials(args):
         a = generators.rational_with_index(rng, n, k)
-        payload, ok, _ = _certify_one(a, m, args.tol)
+        one, ok, _ = _certify_one(a, m, args.tol)
         results.append({"trial": trial, "n": n, "k": k, "m": m, "pass": ok})
+        if "errors" in one:
+            results[-1]["errors"] = one["errors"]
         all_ok = all_ok and ok
     payload = {
         "trials": args.trials,
@@ -293,7 +353,10 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         "results": results,
         "overall": all_ok,
     }
-    table = f"certify: {args.trials} trials, overall {'PASS' if all_ok else 'FAIL'}"
+    table = "\n".join(
+        [f"certify: {args.trials} trials, overall {'PASS' if all_ok else 'FAIL'}"]
+        + _error_lines(results)
+    )
     _emit(args, payload, table)
     return 0 if all_ok else 1
 

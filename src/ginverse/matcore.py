@@ -62,7 +62,8 @@ class TolerancePolicy:
 
 
 DEFAULT_TOL = TolerancePolicy()
-# frobenius's dispatch, tested with == since an unpickled array's dtype is an equal copy
+# frobenius's dispatch: by identity first, then with == since an unpickled array's
+# dtype is an equal copy
 _COMPLEX128 = np.dtype(np.complex128)
 
 
@@ -110,20 +111,15 @@ def conj_transpose(a: np.ndarray) -> np.ndarray:
     return np.conj(a).T
 
 
-def _sumsq_complex(x: np.ndarray):
-    """The sum of |x_ij|^2 over a complex128 X, as one BLAS zdotc on X's
-    memory-order ravel (X itself when C-contiguous), so memory order fixes the bits."""
-    if not x.flags.c_contiguous:
-        x = x.ravel(order="K")
-    return np.vdot(x, x).real
-
-
 def frobenius(a: np.ndarray) -> float:
-    """||A||_F: the root of ``_sumsq_complex`` for a complex128 matrix, and
-    np.linalg.norm(A, "fro") for every other input."""
+    """||A||_F: for a complex128 matrix, the root of the sum of |a_ij|^2 as one BLAS
+    zdotc on A's memory-order ravel (A itself when C-contiguous), so memory order fixes
+    the bits; np.linalg.norm(A, "fro") for every other input."""
     a = np.asarray(a)
-    if a.ndim == 2 and a.dtype == _COMPLEX128:
-        return math.sqrt(_sumsq_complex(a))
+    if a.ndim == 2 and (a.dtype is _COMPLEX128 or a.dtype == _COMPLEX128):
+        if not a.flags.c_contiguous:
+            a = a.ravel(order="K")
+        return math.sqrt(np.vdot(a, a).real)
     return float(np.linalg.norm(a, "fro"))
 
 

@@ -444,16 +444,28 @@ class RationalMatrix:
 
     def power(self, e: int) -> "RationalMatrix":
         """A^e, formed as A^{e-1} A from the kept A^{e-1} (A^1 is A) and kept under e;
-        A^0 = I is one identity kept under 0, with the elimination F reads at index 0."""
+        a missing power is filled upward in a loop from the highest one kept below it, so
+        no exponent is too deep.  A^0 = I is one identity kept under 0, with the
+        elimination F reads at index 0."""
         if not self.is_square():
             raise ValueError("matrix power requires a square matrix")
         if e < 0:
             raise ValueError("negative powers are not supported; invert first")
-        if e == 1:
-            return self
         if e == 0:
             return self.keep(0, lambda: RationalMatrix.identity(self.rows))
-        return self.keep(e, lambda: self.power(e - 1) @ self)
+        j = e
+        while j > 1 and j not in self._kept:  # the highest power kept up to e
+            j -= 1
+        p = self._kept[j] if j > 1 else self
+        if j == e:
+            return p
+
+        def step():  # reads p as the loop leaves it: the kept A^{j-1}
+            return p @ self
+
+        for j in range(j + 1, e + 1):
+            p = self.keep(j, step)
+        return p
 
     def conj_transpose(self) -> "RationalMatrix":
         c, num = self._ncols, self._num

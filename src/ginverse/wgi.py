@@ -158,40 +158,87 @@ class PolarData:
         return VerificationReport(checks=checks)
 
 
+class _CheckedZ:
+    """What A's tower keeps for weight m, under ("mwgi", m), of the Z that ``mwgi`` checked:
+    Z, U1* A^m (``coords``), the products A Z, A Z^2 and A^{m+1} Z, Z's definition list
+    (``_definition``) with the store of the operands its def11 and coreEP48 form, and
+    its checks by label (see ``_checks``)."""
+
+    __slots__ = ("z", "coords", "products", "identities", "operands", "checks")
+
+    def __init__(self, z, coords, products, identities, operands, checks):
+        self.z, self.coords, self.products = z, coords, products
+        self.identities, self.operands, self.checks = identities, operands, checks
+
+
+def _record(t: Tower, m: int) -> _CheckedZ | None:
+    """What A's tower keeps for weight m of the Z that ``mwgi`` checked, or None."""
+    return t._kept.get(("mwgi", m))
+
+
 def _products(t: Tower, z: np.ndarray, m: int) -> tuple:
-    """A Z, A Z^2 = (A Z) Z and A^{m+1} Z = A^m (A Z): for the Z that ``mwgi`` checked
-    and A's tower keeps for m, the products kept with it; any other z forms its own."""
+    """A Z, A Z^2 = (A Z) Z and A^{m+1} Z = A^m (A Z)."""
+    az = t.a @ z
+    return az, az @ z, t.power(m) @ az
 
-    def form():
-        az = t.a @ z
-        return az, az @ z, t.power(m) @ az
 
-    return t.keep(("products", m), form) if z is _kept_z(t, m) else form()
+# b_characterization's herm and the definition's hermitian31 form one product, (A^m)* (A^m (A Z))
+_HERMITIAN = ("herm", "hermitian31")
 
 
 def _checks(t: Tower, z: np.ndarray, m: int, identities: dict, labels) -> dict[str, Check]:
-    """{label: its check} for ``labels`` of a list of z's identities.  For the Z that
-    ``mwgi`` checked and A's tower keeps for m, each is made once and kept by label for
-    as long as the tower lives, herm as hermitian31 (both form (A^m)* (A^m (A Z)));
-    any other z, a copy, a one-ulp move or a signed zero of it, is judged afresh."""
-    made = t.keep(("checks", m), dict) if z is _kept_z(t, m) else {}
-    keys = {label: "hermitian31" if label == "herm" else label for label in labels}
-    missing = [label for label, key in keys.items() if key not in made]
+    """{label: its check} for ``labels`` of a list of z's identities.  For the Z that A's
+    tower keeps for m, each is made once and kept in its record by label for as long as the
+    tower lives, herm and hermitian31 as one check; any other z, a copy, a one-ulp move
+    or a signed zero of it, is judged afresh."""
+    record = _record(t, m)
+    if record is None or z is not record.z:
+        return _evaluate(identities, labels, _eq_check, t.tol)
+    made = record.checks
+    missing = [label for label in labels if label not in made]
     for label, check in _evaluate(identities, missing, _eq_check, t.tol).items():
-        made.setdefault(keys[label], check)  # of two threads racing here, the first wins
-    return {label: made[key] for label, key in keys.items()}
+        if label in _HERMITIAN:  # hermitian31 first: of two threads racing, both keep its winner
+            label, check = "herm", made.setdefault("hermitian31", check)
+        made.setdefault(label, check)  # of two threads racing here, the first wins
+    return {label: made[label] for label in labels}
 
 
-def _definition(t: Tower, z: np.ndarray, m: int, products: tuple, qs, aao) -> dict:
-    """The definition list of z over its products (``_products``), read from A's tower."""
-    k = t.index.k
-    return _definition_identities(t.a, z, k, m, t.power, conj_transpose, *products, qs, aao)
+def _definition(t: Tower, z: np.ndarray, m: int, coords, products: tuple, operands) -> dict:
+    """The definition list of z over A's tower, U1* A^m (``coords``) and z's products
+    (``_products``).  def11 reads (A A^D)* = G* (A U1)*, with G = T^-(k+1) U1* A^k, and
+    coreEP48 A A^o A^m = (A U1) (T^-1 U1* A^m).  A U1 (formed, not taken as U1 T, which
+    is what the two test) and G are formed at the first read of either and kept in the
+    dict ``operands`` until it is emptied.  The list holds the tower's arrays, with
+    A^{k+1} and T^-(k+1) read when it is built, but not the tower: the tower keeps the
+    list of the Z that ``mwgi`` checked, and a reference cycle would keep a dropped
+    tower alive until the cyclic collector runs."""
+    a, u1, tinv, k = t.a, t.u1, t.tinv, t.index.k
+    am, ak = t.power(m), t.power(k)
+    power = {m: am, k: ak, k + 1: t.power(k + 1)}.__getitem__
+    tinv_k1 = t.pow("tinv", k + 1)
+
+    def read():
+        factors = operands.get("factors")
+        if factors is None:  # two threads racing here form the same bits
+            au1 = a @ u1
+            g = tinv_k1 @ (coords if k == m else u1.conj().T @ ak)
+            factors = operands.setdefault("factors", (au1, conj_transpose(au1), conj_transpose(g)))
+        return factors
+
+    def qs(x):
+        _, au1_star, g_star = read()
+        return g_star @ (au1_star @ x)
+
+    def aao(x):  # A A^o X; the list reads it at X = A^m, whose U1* A^m is coords
+        return read()[0] @ (tinv @ (coords if x is am else u1.conj().T @ x))
+
+    return _definition_identities(a, z, k, m, power, conj_transpose, *products, qs, aao)
 
 
 def _check_z(t: Tower, z: np.ndarray, m: int) -> dict[str, Check]:
     """``mwgi``'s self-check of any Z: ax2, Z = A Z^2, and wgm_k, Z A^{k+1} = A^k and
-    (A^k)* A^{m+1} Z = (A^k)* A^m, which read neither (A A^D)* nor A A^o."""
-    identities = _definition(t, z, m, _products(t, z, m), None, None)
+    (A^k)* A^{m+1} Z = (A^k)* A^m, which read neither U1* A^m, (A A^D)* nor A A^o."""
+    identities = _definition(t, z, m, None, _products(t, z, m), {})
     return _checks(t, z, m, identities, ("ax2", "wgm_k"))
 
 
@@ -204,19 +251,19 @@ def _require(checks: dict[str, Check], what: str) -> None:
             )
 
 
-def _kept_z(t: Tower, m: int) -> np.ndarray | None:
-    """The Z that ``mwgi`` checked and kept in A's tower for weight m, or None."""
-    return t._kept.get(("z", m))
+def _formed(t: Tower, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Z = (A^o)^{m+1} A^m, formed read-only as U1 (T^-(m+1) (U1* A^m)) since U1* U1 = I,
+    and U1* A^m."""
+    coords = t.coords(t.power(m))
+    return readonly(t.u1 @ (t.pow("tinv", m + 1) @ coords)), coords
 
 
 def _z(t: Tower, m: int) -> np.ndarray:
-    """Z = (A^o)^{m+1} A^m: the Z that ``mwgi`` checked and kept in A's tower for
-    this m, or else formed as U1 (T^-(m+1) (U1* A^m)) since U1* U1 = I."""
+    """The Z that ``mwgi`` checked and A's tower keeps for this m, or else Z formed
+    (``_formed``) and not checked."""
     _check_m(m)
-    z = _kept_z(t, m)
-    if z is not None:
-        return z
-    return t.u1 @ (t.pow("tinv", m + 1) @ t.coords(t.power(m)))
+    record = _record(t, m)
+    return _formed(t, m)[0] if record is None else record.z
 
 
 def _candidate(t: Tower, z, m: int, default=None) -> np.ndarray:
@@ -224,7 +271,8 @@ def _candidate(t: Tower, z, m: int, default=None) -> np.ndarray:
     _check_m(m)
     if z is None and default is not None:
         return default(t, m)
-    if z is not None and z is _kept_z(t, m):  # the Z mwgi checked, validated already
+    record = _record(t, m)
+    if record is not None and z is record.z:  # the Z mwgi checked, validated already
         return z
     z = as_matrix(z)
     if z.shape != t.a.shape:
@@ -235,31 +283,31 @@ def _candidate(t: Tower, z, m: int, default=None) -> np.ndarray:
 def mwgi(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> MwgiResult:
     """m-weak group inverse by the canonical route Z = (A^o)^{m+1} A^m.
 
-    Z is formed from the tower's factors of A^o (see ``_z``) and checked against
+    Z is formed from the tower's factors of A^o (see ``_formed``) and checked against
     its defining equations (ax2 and wgm_k of ``verify_definition``); a failure
     beyond tolerance raises RepresentationMismatch naming the failed check.
-    A Z that passes is kept in A's tower for as long as the tower lives, with its
-    products A Z, A Z^2 and A^{m+1} Z and its checks, by label: a repeat call and
-    the checkers' default Z read it unchanged, and each check of that Z object in
-    the definition and fixed-point lists is made once (see ``_checks``).
+    A Z that passes is kept in A's tower for as long as the tower lives, in one
+    record with U1* A^m, its products A Z, A Z^2 and A^{m+1} Z, its definition list
+    and its checks, by label: a repeat call and the checkers' default Z read it
+    unchanged, and each check of that Z object in the definition and fixed-point
+    lists is made once (see ``_checks``).
     """
     _check_m(m)  # before the lookup, where m = True would find the entry of m = 1
     t = tower(a, tol)
-    z = t.keep(("z", m), lambda: _checked_z(t, m))
-    return MwgiResult(Z=z, m=m, k=t.index.k, route=Route.CORE_EP)
+    record = _record(t, m) or t.keep(("mwgi", m), lambda: _checked(t, m))
+    return MwgiResult(Z=record.z, m=m, k=t.index.k, route=Route.CORE_EP)
 
 
-def _checked_z(t: Tower, m: int) -> np.ndarray:
-    """Z formed and checked as ``_check_z`` checks it; if it passes, A's tower keeps
-    its products and checks (``_products``, ``_checks``), and ``mwgi`` keeps Z."""
-    z = readonly(_z(t, m))
-    products = _products(t, z, m)  # formed: z is not kept yet
-    identities = _definition(t, z, m, products, None, None)
+def _checked(t: Tower, m: int) -> _CheckedZ:
+    """Z formed and checked as ``_check_z`` checks it, with what ``mwgi`` keeps of it
+    once it passes."""
+    z, coords = _formed(t, m)
+    products = _products(t, z, m)
+    operands = {}
+    identities = _definition(t, z, m, coords, products, operands)
     checks = _evaluate(identities, ("ax2", "wgm_k"), _eq_check, t.tol)
     _require(checks, "Z")
-    t.keep(("products", m), lambda: products)
-    t.keep(("checks", m), lambda: checks)
-    return z
+    return _CheckedZ(z, coords, products, identities, operands, checks)
 
 
 def mwgi_via_power(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -381,18 +429,18 @@ def verify_definition(a, z, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> Verif
       coreEP48     A^{m+1} Z = A A^o A^m
       limit        A^k = A Z A^k (the eventual identity, at n = k)
       idem34       A Z = A^n Z^n for n = 2, 3
-    For the Z that ``mwgi`` kept, a check made once is read from A's tower (``_checks``).
+    For the Z that ``mwgi`` kept, the list and each check made once are read from its
+    record in A's tower (``_checks``).
     """
     t = tower(a, tol)
     z = _candidate(t, z, m)
-    # A A^D = (A U1) G with G = T^-(k+1) U1* A^k and A A^o = (A U1) T^-1 U1*; A U1
-    # is formed rather than taken as U1 T, which is what def11 and coreEP48 test
-    au1, g = t.a @ t.u1, t.pow("tinv", t.index.k + 1) @ t.coords(t.ak)
-    g_star, au1_star = conj_transpose(g), conj_transpose(au1)
-    identities = _definition(
-        t, z, m, _products(t, z, m),
-        lambda x: g_star @ (au1_star @ x), lambda x: au1 @ (t.tinv @ t.coords(x)),
-    )
+    record = _record(t, m)
+    if record is not None and z is record.z:
+        checks = _checks(t, z, m, record.identities, record.identities)
+        record.operands.clear()  # the checks they made are kept, so they are not read again
+        return VerificationReport(checks=checks)
+    coords = t.coords(t.power(m)) if record is None else record.coords
+    identities = _definition(t, z, m, coords, _products(t, z, m), {})
     return VerificationReport(checks=_checks(t, z, m, identities, identities))
 
 

@@ -487,6 +487,16 @@ class TestKeptPowers:
             # (A^o)^4, (A^D)^2..4 and T^-2..4 in the first round, nothing in the second
             assert len(t._kept) == 12
 
+    def test_deep_exponent_is_filled_by_a_loop(self):
+        # a kept recursion raised RecursionError from about e = 330
+        t = classical._build(with_index(np.random.default_rng(3), 6, 2), DEFAULT_TOL)
+        t.pow("a", 5)
+        stored = len(t._kept)
+        deep = t.pow("a", 400)
+        assert len(t._kept) == stored + 395  # A^6..A^400, each formed once from A^5 up
+        assert classical._same_bits(deep, t.pow("a", 399) @ t.a)
+        assert not deep.flags.writeable and np.isfinite(deep).all()
+
     def test_index_zero_shares_the_powers_of_t_inverse(self):
         # U1 = I, so A^o = I T^-1 I* holds the values of T^-1, and so do its powers
         t = tower(with_index(np.random.default_rng(65), 4, 0))

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 
 import numpy as np
@@ -564,3 +565,99 @@ class TestFuzzTrialFormsPowersOnce:
             outcome = cli._fuzz_trial(rng, DEFAULT_TOL, n, k, m)
             assert not outcome["failures"], (n, k, m)
         assert len(powers) <= 7 * 60
+
+
+class TestTrialRaises:
+    """A raise of the package's own failures in one fuzz or certify trial is recorded
+    with its call, type and message as that key's failure, and the run goes on."""
+
+    @staticmethod
+    def _raising_once(monkeypatch, module, name, error, at):
+        """Make module.name raise error on its call number ``at`` (from 0), and only then."""
+        real, calls = getattr(module, name), []
+
+        @functools.wraps(real)
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == at + 1:
+                raise error("forced")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    def test_fuzz_reports_the_other_trials(self, capsys, monkeypatch):
+        argv = ("fuzz", "--trials", "9", "--seed", "3")
+        clean = json.loads(run_cli(capsys, *argv)[1])
+        # verify_definition runs once per trial, so its third call is trial 2's
+        self._raising_once(monkeypatch, wgi, "verify_definition", wgi.RepresentationMismatch, 2)
+        code, out, _ = run_cli(capsys, *argv)
+        payload = json.loads(out)
+        assert code == 1 and payload["overall"] is False
+        assert payload["failures"] == [
+            {
+                "trial": 2, "n": 4, "k": 2, "m": 3, "failures": ["definition"],
+                "errors": {
+                    "definition": {
+                        "call": "verify_definition",
+                        "type": "RepresentationMismatch",
+                        "message": "forced",
+                    }
+                },
+            }
+        ]
+        assert payload["max_residuals"].keys() == clean["max_residuals"].keys()
+        for name, value in payload["max_residuals"].items():
+            if name != "definition":
+                assert value == clean["max_residuals"][name], name
+        assert "errors" not in json.dumps(clean)
+        self._raising_once(monkeypatch, wgi, "verify_definition", wgi.RepresentationMismatch, 2)
+        code, out, _ = run_cli(capsys, *argv, "--pretty")
+        assert code == 1
+        assert "trial 2 definition: verify_definition raised RepresentationMismatch: forced" in out
+
+    def test_a_raise_in_mwgi_moves_no_later_trial(self, monkeypatch):
+        def outcomes():
+            rng = np.random.default_rng(4)
+            return [cli._fuzz_trial(rng, DEFAULT_TOL, n, n - 2, 2) for n in (3, 4, 5, 6)]
+
+        clean = outcomes()
+        self._raising_once(monkeypatch, wgi, "mwgi", np.linalg.LinAlgError, 0)
+        forced = outcomes()
+        assert forced[0]["failures"] == ["mwgi"] and forced[0]["residuals"] == {}
+        assert forced[0]["errors"]["mwgi"] == {
+            "call": "mwgi", "type": "LinAlgError", "message": "forced"
+        }
+        assert forced[1:] == clean[1:]
+
+    def test_certify_reports_the_other_trials(self, capsys, monkeypatch):
+        argv = ("certify", "--trials", "4", "--seed", "2")
+        clean = json.loads(run_cli(capsys, *argv)[1])
+        self._raising_once(monkeypatch, wgi, "mwgi", oracle.HeightOverflow, 1)
+        code, out, _ = run_cli(capsys, *argv)
+        payload = json.loads(out)
+        assert code == 1 and payload["overall"] is False
+        forced = payload["results"][1]
+        assert forced.pop("errors") == {
+            "float_mwgi": {"call": "mwgi", "type": "HeightOverflow", "message": "forced"}
+        }
+        assert forced.pop("pass") is False
+        assert [r for i, r in enumerate(payload["results"]) if i != 1] == [
+            r for i, r in enumerate(clean["results"]) if i != 1
+        ]
+        assert forced == {k: v for k, v in clean["results"][1].items() if k != "pass"}
+
+    def test_certify_input_prints_its_report(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "r2.json"
+        path.write_text(json.dumps(rational_with_index(np.random.default_rng(3), 5, 2).to_json()))
+        argv = ("certify", "--input", str(path), "--m", "2")
+        self._raising_once(monkeypatch, wgi, "mwgi", np.linalg.LinAlgError, 0)
+        code, out, _ = run_cli(capsys, *argv)
+        payload = json.loads(out)
+        assert code == 1
+        assert payload["report"]["overall"] is True
+        assert payload["float_mwgi_pass"] is False and payload["float_mwgi_residual"] is None
+        assert payload["errors"]["float_mwgi"]["type"] == "LinAlgError"
+        self._raising_once(monkeypatch, wgi, "mwgi", np.linalg.LinAlgError, 0)
+        code, out, _ = run_cli(capsys, *argv, "--pretty")
+        assert code == 1 and "overall: PASS" in out  # the exact report's table
+        assert out.rstrip().endswith("float_mwgi: mwgi raised LinAlgError: forced")

@@ -357,6 +357,14 @@ class TestPowersOncePerCall:
         assert a.power(0) is a.power(0)
         assert a.power(0) == RM.identity(n)
 
+    def test_deep_exponent_is_filled_by_a_loop(self):
+        # a kept recursion raised RecursionError from about e = 330
+        assert o.certify(rational_with_index(np.random.default_rng(3), 5, 5), 340).overall
+        a = random_rational(np.random.default_rng(6), 2, 2)
+        a.power(3)
+        assert a.power(400) == a.power(399) @ a
+        assert sorted(key for key in a._kept if isinstance(key, int)) == list(range(2, 401))
+
 
 class TestPowersUnderThreads:
     """Each power is kept under its exponent, so threads sharing one matrix never

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import sys
 import threading
+import weakref
 from functools import reduce
 
 import numpy as np
@@ -965,8 +967,9 @@ def z_checks(monkeypatch):
     products = wgi._products
 
     def counting(t, z, m):
-        if z is not wgi._kept_z(t, m):  # the kept Z's products are read, not formed
-            calls.append(1)
+        record = wgi._record(t, m)
+        assert record is None or z is not record.z  # the kept Z's products are read, not formed
+        calls.append(1)
         return products(t, z, m)
 
     monkeypatch.setattr(wgi, "_products", counting)
@@ -1070,7 +1073,9 @@ class TestMwgiHandsOffProducts:
 
         def stored():
             values = []
-            for value in t._kept.values():  # the kept Z's products are one tuple
+            for value in t._kept.values():  # the kept Z's products are in its record
+                if isinstance(value, wgi._CheckedZ):
+                    value = (value.z, value.coords, *value.products)
                 values.extend(value if isinstance(value, tuple) else (value,))
             return [_bits(v) for v in values if isinstance(v, np.ndarray)]
 
@@ -1078,7 +1083,7 @@ class TestMwgiHandsOffProducts:
         before = len(t._kept)
         report = wgi.verify_definition(t, z, m)
         assert len(t._kept) == before and not any(p in stored() for p in products)
-        assert t._kept[("z", m)] is kept
+        assert wgi._record(t, m).z is kept
         assert _bits(wgi.verify_definition(t, z, m)) == _bits(report)
 
     def test_second_verify_gives_the_same_report(self, z_checks):
@@ -1151,7 +1156,7 @@ class TestOneCheckedZ:
         report = wgi.verify_definition(a, z, 2)
         assert evaluated == [label for label in report.checks if label not in ("ax2", "wgm_k")]
         assert report.overall
-        assert tower(a)._kept[("z", 2)] is z
+        assert wgi._record(tower(a), 2).z is z
         assert wgi.verify_definition(a, z, 2).checks["ax2"] is report.checks["ax2"]
         assert wgi.group_decomposition(a, 2).verify(a, 2).overall
         assert wgi.b_characterization(a, 2).overall
@@ -1161,6 +1166,33 @@ class TestOneCheckedZ:
         assert len(z_checks) == 1
         fresh = wgi._z(classical._build(np.array(a), DEFAULT_TOL), 2)
         assert _bits(fresh) == _bits(z)
+
+    @pytest.mark.parametrize("k, m", [(0, 2), (2, 1), (3, 2)])
+    def test_dropped_tower_is_freed_at_once(self, k, m):
+        # what the tower keeps of its checked Z holds no reference back to the tower, so
+        # dropping the last reference frees it without the cyclic collector
+        t = classical._build(with_index(np.random.default_rng(15 + k), 6, k), DEFAULT_TOL)
+        z = wgi.mwgi(t, m).Z
+        assert wgi.verify_definition(t, z, m).overall
+        assert wgi.b_characterization(t, m).overall
+        assert wgi.outer_inverse_subspaces(t, m).overall
+        dropped = weakref.ref(t)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del t, z
+            assert dropped() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_verify_keeps_no_operand_of_its_checks(self):
+        # A U1 and G serve def11 and coreEP48 once; their checks are kept, so the tower
+        # does not keep the n x r operands too
+        t = classical._build(with_index(np.random.default_rng(16), 6, 2), DEFAULT_TOL)
+        z = wgi.mwgi(t, 2).Z
+        assert wgi.verify_definition(t, z, 2).overall
+        assert wgi._record(t, 2).operands == {}
 
     def test_k0_residuals_match_identity_products(self):
         # at k = 0, A^0 = I: leaving out the products with I moves no residual bit
