@@ -74,7 +74,7 @@ class Tower:
     through ``keep``, for as long as it lives: ``o`` = A^o, ``d`` = A^D,
     ``ad`` = A A^D, A^0 = I, the powers ``pow(name, e)`` of A, A^o, A^D and
     T^-1, and per weight m one record of the Z that ``wgi.mwgi`` checked, with
-    that Z's products, definition list and checks (``wgi._CheckedZ``).
+    U1* A^m, that Z's products and its self-check (``wgi._CheckedZ``).
     """
 
     index: IndexResult

@@ -160,15 +160,13 @@ class PolarData:
 
 class _CheckedZ:
     """What A's tower keeps for weight m, under ("mwgi", m), of the Z that ``mwgi`` checked:
-    Z, U1* A^m (``coords``), the products A Z, A Z^2 and A^{m+1} Z, Z's definition list
-    (``_definition``) with the store of the operands its def11 and coreEP48 form, and
-    its checks by label (see ``_checks``)."""
+    Z, U1* A^m (``coords``), the products A Z, A Z^2 and A^{m+1} Z, and its self-check,
+    ax2 and wgm_k (``checks``)."""
 
-    __slots__ = ("z", "coords", "products", "identities", "operands", "checks")
+    __slots__ = ("z", "coords", "products", "checks")
 
-    def __init__(self, z, coords, products, identities, operands, checks):
-        self.z, self.coords, self.products = z, coords, products
-        self.identities, self.operands, self.checks = identities, operands, checks
+    def __init__(self, z, coords, products, checks):
+        self.z, self.coords, self.products, self.checks = z, coords, products, checks
 
 
 def _record(t: Tower, m: int) -> _CheckedZ | None:
@@ -182,55 +180,26 @@ def _products(t: Tower, z: np.ndarray, m: int) -> tuple:
     return az, az @ z, t.power(m) @ az
 
 
-# b_characterization's herm and the definition's hermitian31 form one product, (A^m)* (A^m (A Z))
-_HERMITIAN = ("herm", "hermitian31")
-
-
-def _checks(t: Tower, z: np.ndarray, m: int, identities: dict, labels) -> dict[str, Check]:
-    """{label: its check} for ``labels`` of a list of z's identities.  For the Z that A's
-    tower keeps for m, each is made once and kept in its record by label for as long as the
-    tower lives, herm and hermitian31 as one check; any other z, a copy, a one-ulp move
-    or a signed zero of it, is judged afresh."""
-    record = _record(t, m)
-    if record is None or z is not record.z:
-        return _evaluate(identities, labels, _eq_check, t.tol)
-    made = record.checks
-    missing = [label for label in labels if label not in made]
-    for label, check in _evaluate(identities, missing, _eq_check, t.tol).items():
-        if label in _HERMITIAN:  # hermitian31 first: of two threads racing, both keep its winner
-            label, check = "herm", made.setdefault("hermitian31", check)
-        made.setdefault(label, check)  # of two threads racing here, the first wins
-    return {label: made[label] for label in labels}
-
-
-def _definition(t: Tower, z: np.ndarray, m: int, coords, products: tuple, operands) -> dict:
-    """The definition list of z over A's tower, U1* A^m (``coords``) and z's products
-    (``_products``).  def11 reads (A A^D)* = G* (A U1)*, with G = T^-(k+1) U1* A^k, and
-    coreEP48 A A^o A^m = (A U1) (T^-1 U1* A^m).  A U1 (formed, not taken as U1 T, which
-    is what the two test) and G are formed at the first read of either and kept in the
-    dict ``operands`` until it is emptied.  The list holds the tower's arrays, with
-    A^{k+1} and T^-(k+1) read when it is built, but not the tower: the tower keeps the
-    list of the Z that ``mwgi`` checked, and a reference cycle would keep a dropped
-    tower alive until the cyclic collector runs."""
+def _definition(t: Tower, z: np.ndarray, m: int, products: tuple, coords=None) -> dict:
+    """The definition list of z over A's tower and z's products (``_products``).  Given
+    U1* A^m (``coords``), A U1 and G = T^-(k+1) U1* A^k are formed here, once: def11
+    reads (A A^D)* = G* (A U1)* and coreEP48 A A^o A^m = (A U1) (T^-1 U1* A^m), with
+    A U1 formed, not taken as U1 T, which is what the two test.  Without coords only
+    the self-check, ax2 and wgm_k, may be read."""
     a, u1, tinv, k = t.a, t.u1, t.tinv, t.index.k
     am, ak = t.power(m), t.power(k)
     power = {m: am, k: ak, k + 1: t.power(k + 1)}.__getitem__
-    tinv_k1 = t.pow("tinv", k + 1)
+    qs = aao = None
+    if coords is not None:
+        au1 = a @ u1
+        au1_star = conj_transpose(au1)
+        g_star = conj_transpose(t.pow("tinv", k + 1) @ (coords if k == m else u1.conj().T @ ak))
 
-    def read():
-        factors = operands.get("factors")
-        if factors is None:  # two threads racing here form the same bits
-            au1 = a @ u1
-            g = tinv_k1 @ (coords if k == m else u1.conj().T @ ak)
-            factors = operands.setdefault("factors", (au1, conj_transpose(au1), conj_transpose(g)))
-        return factors
+        def qs(x):
+            return g_star @ (au1_star @ x)
 
-    def qs(x):
-        _, au1_star, g_star = read()
-        return g_star @ (au1_star @ x)
-
-    def aao(x):  # A A^o X; the list reads it at X = A^m, whose U1* A^m is coords
-        return read()[0] @ (tinv @ (coords if x is am else u1.conj().T @ x))
+        def aao(x):  # A A^o X; the list reads it at X = A^m, whose U1* A^m is coords
+            return au1 @ (tinv @ (coords if x is am else u1.conj().T @ x))
 
     return _definition_identities(a, z, k, m, power, conj_transpose, *products, qs, aao)
 
@@ -238,8 +207,7 @@ def _definition(t: Tower, z: np.ndarray, m: int, coords, products: tuple, operan
 def _check_z(t: Tower, z: np.ndarray, m: int) -> dict[str, Check]:
     """``mwgi``'s self-check of any Z: ax2, Z = A Z^2, and wgm_k, Z A^{k+1} = A^k and
     (A^k)* A^{m+1} Z = (A^k)* A^m, which read neither U1* A^m, (A A^D)* nor A A^o."""
-    identities = _definition(t, z, m, None, _products(t, z, m), {})
-    return _checks(t, z, m, identities, ("ax2", "wgm_k"))
+    return _evaluate(_definition(t, z, m, _products(t, z, m)), ("ax2", "wgm_k"), _eq_check, t.tol)
 
 
 def _require(checks: dict[str, Check], what: str) -> None:
@@ -287,10 +255,9 @@ def mwgi(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> MwgiResult:
     its defining equations (ax2 and wgm_k of ``verify_definition``); a failure
     beyond tolerance raises RepresentationMismatch naming the failed check.
     A Z that passes is kept in A's tower for as long as the tower lives, in one
-    record with U1* A^m, its products A Z, A Z^2 and A^{m+1} Z, its definition list
-    and its checks, by label: a repeat call and the checkers' default Z read it
-    unchanged, and each check of that Z object in the definition and fixed-point
-    lists is made once (see ``_checks``).
+    record with U1* A^m, its products A Z, A Z^2 and A^{m+1} Z and those two checks:
+    a repeat call and the checkers' default Z read it unchanged, and
+    ``verify_definition`` of that Z object reads them in place of forming them again.
     """
     _check_m(m)  # before the lookup, where m = True would find the entry of m = 1
     t = tower(a, tol)
@@ -303,11 +270,9 @@ def _checked(t: Tower, m: int) -> _CheckedZ:
     once it passes."""
     z, coords = _formed(t, m)
     products = _products(t, z, m)
-    operands = {}
-    identities = _definition(t, z, m, coords, products, operands)
-    checks = _evaluate(identities, ("ax2", "wgm_k"), _eq_check, t.tol)
+    checks = _evaluate(_definition(t, z, m, products), ("ax2", "wgm_k"), _eq_check, t.tol)
     _require(checks, "Z")
-    return _CheckedZ(z, coords, products, identities, operands, checks)
+    return _CheckedZ(z, coords, products, checks)
 
 
 def mwgi_via_power(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -429,19 +394,19 @@ def verify_definition(a, z, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> Verif
       coreEP48     A^{m+1} Z = A A^o A^m
       limit        A^k = A Z A^k (the eventual identity, at n = k)
       idem34       A Z = A^n Z^n for n = 2, 3
-    For the Z that ``mwgi`` kept, the list and each check made once are read from its
-    record in A's tower (``_checks``).
+    For the Z object that ``mwgi`` kept, its products, ax2 and wgm_k are read from its
+    record in A's tower; the other checks, and every check of any other z, are made here.
     """
     t = tower(a, tol)
     z = _candidate(t, z, m)
     record = _record(t, m)
-    if record is not None and z is record.z:
-        checks = _checks(t, z, m, record.identities, record.identities)
-        record.operands.clear()  # the checks they made are kept, so they are not read again
-        return VerificationReport(checks=checks)
+    kept = record is not None and z is record.z
     coords = t.coords(t.power(m)) if record is None else record.coords
-    identities = _definition(t, z, m, coords, _products(t, z, m), {})
-    return VerificationReport(checks=_checks(t, z, m, identities, identities))
+    identities = _definition(t, z, m, record.products if kept else _products(t, z, m), coords)
+    made = record.checks if kept else {}
+    fresh = _evaluate(identities, [label for label in identities if label not in made], _eq_check, tol)
+    checks = {label: made[label] if label in made else fresh[label] for label in identities}
+    return VerificationReport(checks=checks)
 
 
 def group_decomposition(a, m: int, tol: TolerancePolicy = DEFAULT_TOL, z=None) -> GroupDecomposition:
@@ -466,16 +431,17 @@ def b_characterization(a, m: int, tol: TolerancePolicy = DEFAULT_TOL, z=None) ->
 
     Named checks: bab (b A b = b), a2b2 (A^2 b^2 = A b), herm ((A^m)* A^{m+1} b
     Hermitian), range (col(A b) = col(A^2 b)), qnil ((A - A^2 b)^n vanishes).
-    For the Z that ``mwgi`` kept, the checks are kept too.
+    bab is outer_inverse_subspaces' outer check, and herm forms the product that
+    verify_definition's hermitian31 forms, so each pair agrees bit for bit.
     """
     t = tower(a, tol)
     a, b = t.a, _candidate(t, z, m, _z)
     ab = a @ b
     a2b = a @ ab
     identities = _b_identities(a, b, m, t.power, conj_transpose, ab, a2b)
-    checks = _checks(t, b, m, identities, ("bab", "a2b2", "herm"))
+    checks = _evaluate(identities, ("bab", "a2b2", "herm"), _eq_check, tol)
     checks["range"] = _bool_check(col_space_equal(ab, a2b, tol))
-    checks.update(_checks(t, b, m, identities, ("qnil",)))
+    checks.update(_evaluate(identities, ("qnil",), _eq_check, tol))
     return VerificationReport(checks=checks)
 
 
@@ -508,7 +474,7 @@ def outer_inverse_subspaces(
     kernel_target = t.o @ t.power(m)
     checks: dict[str, Check] = {}
     bab = _b_identities(t.a, z, m, t.power, conj_transpose, None, None)  # reads no A Z
-    checks["outer"] = _checks(t, z, m, bab, ("bab",))["bab"]
+    checks["outer"] = _evaluate(bab, ("bab",), _eq_check, tol)["bab"]
     # col(Z) = col(b0) and row(Z) = row(A^o A^m), ranked together
     kernel = _span_matrices(conj_transpose(kernel_target), conj_transpose(z), True)
     b0 = t.pow("d", m + 1) @ t.power(m)

@@ -8,7 +8,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from ginverse import classical, eqsolve, oracle, wgi
+from ginverse import classical, cli, eqsolve, oracle, wgi
 from ginverse.classical import drazin, core_ep, group_inverse, index, moore_penrose, tower
 from ginverse.generators import orthogonal_pair, with_index
 from ginverse.matcore import DEFAULT_TOL, TolerancePolicy, approx_equal, frobenius, rel_residual
@@ -982,6 +982,17 @@ def _cold_report(monkeypatch, a, z, m):
     return wgi.verify_definition(a, z, m)
 
 
+def _checker_reports(a, m, z=None):
+    """The report of every checker of Z but verify_definition; Z defaults to A's kept one."""
+    return [
+        wgi.b_characterization(a, m, z=z),
+        wgi.outer_inverse_subspaces(a, m, z=z),
+        wgi.bc_inverse_check(a, m, z=z),
+        wgi.group_decomposition(a, m, z=z).verify(a, m, z=z),
+        wgi.polar_idempotent(a, m, z=z).verify(a, m),
+    ]
+
+
 def _same_report(got, expected):
     """Same checks and verdicts; each residual within 1e-12 of the other, relatively."""
     assert list(got.checks) == list(expected.checks)
@@ -992,8 +1003,8 @@ def _same_report(got, expected):
 
 
 class TestMwgiHandsOffProducts:
-    """mwgi keeps Z with its products and checks in A's tower, for every later checker of
-    that Z object; any other candidate is judged afresh."""
+    """mwgi keeps Z with its products and self-check in A's tower, for every later checker
+    of that Z object; any other candidate is judged afresh."""
 
     @pytest.mark.parametrize(
         "n, k, m", [(200, 3, 2), (2, 1, 1), (3, 2, 1), (4, 0, 2), (5, 3, 3), (6, 2, 2), (6, 3, 1)]
@@ -1003,10 +1014,12 @@ class TestMwgiHandsOffProducts:
         z = wgi.mwgi(a, m).Z
         warm = wgi.verify_definition(a, z, m)
         assert len(z_checks) == 1  # verify_definition formed no product mwgi had formed
+        warm_checkers = _bits(_checker_reports(a, m))
         cold = _cold_report(monkeypatch, a, z, m)
         assert len(z_checks) == 2
         assert warm.overall
         _same_report(warm, cold)
+        assert _bits(_checker_reports(a, m, z)) == warm_checkers
 
     def test_repeat_mwgi_reads_the_kept_z(self, z_checks):
         a = with_index(np.random.default_rng(7), 6, 2)
@@ -1092,7 +1105,7 @@ class TestMwgiHandsOffProducts:
         first = wgi.verify_definition(a, z, 2)
         second = wgi.verify_definition(a, z, 2)
         assert len(z_checks) == 1  # the kept Z's checks are read, not formed again
-        assert all(second.checks[name] is check for name, check in first.checks.items())
+        assert all(second.checks[name] == check for name, check in first.checks.items())
         assert _bits(second) == _bits(first)
 
     @pytest.mark.parametrize(
@@ -1126,7 +1139,11 @@ class TestMwgiHandsOffProducts:
         reports = [None] * 4
 
         def run(i):
-            reports[i] = wgi.verify_definition(a, z, 2)
+            reports[i] = [
+                wgi.verify_definition(a, z, 2),
+                wgi.b_characterization(a, 2, z=z),
+                wgi.outer_inverse_subspaces(a, 2, z=z),
+            ]
 
         threads = [threading.Thread(target=run, args=(i,)) for i in range(len(reports))]
         for thread in threads:
@@ -1134,13 +1151,15 @@ class TestMwgiHandsOffProducts:
         for thread in threads:
             thread.join()
         cold = _cold_report(monkeypatch, a, z, 2)
-        for report in reports:
-            _same_report(report, cold)
+        cold_checkers = _bits(_checker_reports(a, 2, z)[:2])  # b_characterization and outer
+        for definition, *checkers in reports:
+            _same_report(definition, cold)
+            assert _bits(checkers) == cold_checkers
 
 
 class TestOneCheckedZ:
     """The tower keeps each Z that mwgi checked for the tower's life, with its products
-    and checks, and every later default Z reads the kept one."""
+    and self-check, and every later default Z reads the kept one."""
 
     def test_one_check_per_tower_and_m(self, monkeypatch, z_checks):
         a = with_index(np.random.default_rng(12), 6, 2)
@@ -1187,12 +1206,12 @@ class TestOneCheckedZ:
                 gc.enable()
 
     def test_verify_keeps_no_operand_of_its_checks(self):
-        # A U1 and G serve def11 and coreEP48 once; their checks are kept, so the tower
-        # does not keep the n x r operands too
-        t = classical._build(with_index(np.random.default_rng(16), 6, 2), DEFAULT_TOL)
-        z = wgi.mwgi(t, 2).Z
-        assert wgi.verify_definition(t, z, 2).overall
-        assert wgi._record(t, 2).operands == {}
+        # after every checker of the fuzz battery has judged the kept Z, its record holds
+        # mwgi's self-check alone: no other check, and no operand of one, is kept
+        outcome = cli._fuzz_trial(np.random.default_rng(16), DEFAULT_TOL, 6, 2, 2)
+        assert outcome["failures"] == []
+        t = tower(with_index(np.random.default_rng(16), 6, 2))  # the trial's A, its first draw
+        assert set(wgi._record(t, 2).checks) == {"ax2", "wgm_k"}
 
     def test_k0_residuals_match_identity_products(self):
         # at k = 0, A^0 = I: leaving out the products with I moves no residual bit
@@ -1225,6 +1244,8 @@ def _bits(value):
         return tuple((f.name, _bits(getattr(value, f.name))) for f in dataclasses.fields(value))
     if isinstance(value, dict):
         return tuple((key, _bits(item)) for key, item in value.items())
+    if isinstance(value, (list, tuple)):
+        return tuple(_bits(item) for item in value)
     return value
 
 
@@ -1460,8 +1481,8 @@ class TestB0FormedOnce:
 class TestOuterCheckShared:
     """b_characterization's bab and outer_inverse_subspaces' outer both check Z A Z = Z,
     and its herm and verify_definition's hermitian31 both check (A^m)* A^{m+1} Z
-    Hermitian: one check each for the Z that A's tower keeps, whichever checker runs
-    first, and afresh for any other Z."""
+    Hermitian: each pair agrees bit for bit, in residual and verdict, whichever checker
+    runs first, for the Z that A's tower keeps and for any other Z."""
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_kept_z_checked_once(self, m):
@@ -1475,7 +1496,7 @@ class TestOuterCheckShared:
             hermitian31 = wgi.verify_definition(t, z, m).checks["hermitian31"]
             if not b_first:
                 b = wgi.b_characterization(t, m).checks
-            assert b["bab"] is outer and b["herm"] is hermitian31
+            assert b["bab"] == outer and b["herm"] == hermitian31
             assert outer.residual.hex() == rel_residual(z @ t.a @ z, z).hex()
             am = t.power(m)
             w = am.conj().T @ (am @ (t.a @ z))
@@ -1493,7 +1514,7 @@ class TestOuterCheckShared:
             ):
                 assert check is not kept
                 assert check.residual.hex() == expected and check.passed is passes
-        assert wgi.b_characterization(t, 2).checks["bab"] is kept
+        assert wgi.b_characterization(t, 2).checks["bab"] == kept
 
 
 class TestCheckersRankInBatches:
