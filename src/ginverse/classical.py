@@ -73,8 +73,9 @@ class Tower:
     is empty).  Everything else the tower forms when first read and keeps,
     through ``keep``, for as long as it lives: ``o`` = A^o, ``d`` = A^D,
     ``ad`` = A A^D, A^0 = I, the powers ``pow(name, e)`` of A, A^o, A^D and
-    T^-1, and per weight m one record of the Z that ``wgi.mwgi`` checked, with
-    U1* A^m, that Z's products and its self-check (``wgi._CheckedZ``).
+    T^-1, U1* A^j per exponent (``coords(j)``), and per weight m one record of
+    the Z that ``wgi.mwgi`` formed, with that Z's products and its self-check,
+    whether or not it passed (``wgi._CheckedZ``).
     """
 
     index: IndexResult
@@ -123,9 +124,9 @@ class Tower:
     def ak(self) -> np.ndarray:
         return self.power(self.index.k)
 
-    def coords(self, x: np.ndarray) -> np.ndarray:
-        """U1* X (the values of X when k = 0, where U1 = I)."""
-        return self.u1.conj().T @ x
+    def coords(self, j: int) -> np.ndarray:
+        """U1* A^j for j >= 0 (A^j's values at k = 0, where U1 = I), kept per exponent."""
+        return self.keep(("coords", j), lambda: readonly(self.u1.conj().T @ self.power(j)))
 
     @property
     def o(self) -> np.ndarray:
@@ -155,7 +156,7 @@ def moore_penrose(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarr
 def _pinv(a: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
     """``moore_penrose`` of a matrix already checked as ``as_matrix`` checks one."""
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    cutoff = tol.rank_rtol * float(s[0]) * max(a.shape)
+    cutoff = tol.rank_cut(float(s[0]), max(a.shape))
     inv_s = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
     return (vh.conj().T * inv_s) @ u.conj().T
 
@@ -191,7 +192,7 @@ def _staircase(a: np.ndarray, tol: TolerancePolicy) -> tuple[IndexResult, np.nda
     chain, u1, b = [n], None, a
     u, s, vh = np.linalg.svd(a)
     zero = math.sqrt(s.dot(s)) <= tol.nil_atol  # np.linalg.norm(s), without its wrapper
-    cut = np.inf if zero else tol.rank_rtol * float(s[0]) * n
+    cut = np.inf if zero else tol.rank_cut(float(s[0]), n)
     sure = cut + max(cut, _ROUNDING * n * float(s[0]))  # s_r |det D| above it: nonsingular
     while True:
         chain.append(r := int(np.count_nonzero(s > cut)))

@@ -60,6 +60,10 @@ class TolerancePolicy:
             if not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must lie strictly in (0, 1), got {value!r}")
 
+    def rank_cut(self, s_max: float, size: int) -> float:
+        """rank_rtol * s_max * size, in that order: singular values at or below it count as 0."""
+        return self.rank_rtol * s_max * size
+
 
 DEFAULT_TOL = TolerancePolicy()
 # frobenius's dispatch: by identity first, then with == since an unpickled array's
@@ -161,7 +165,7 @@ def numerical_ranks(mats, tol: TolerancePolicy = DEFAULT_TOL) -> list[int]:
         stack = np.linalg.svd(np.array([mats[i] for i in members]), compute_uv=False)
         for i, s in zip(members, stack.tolist()):  # Python floats hold the same doubles
             if s:
-                cutoff = tol.rank_rtol * s[0] * max(shape)  # 0 at A = 0, so it keeps none
+                cutoff = tol.rank_cut(s[0], max(shape))  # 0 at A = 0, so it keeps none
                 ranks[i] = sum(value > cutoff for value in s)
     return ranks
 

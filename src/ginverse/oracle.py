@@ -55,6 +55,8 @@ from __future__ import annotations
 
 import functools
 import math
+import re
+import sys
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
@@ -112,9 +114,17 @@ def _with_products(call):
     return with_store
 
 
+# a decimal exponent, which Fraction expands in full: 1e10000000 takes seconds to parse
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*\Z")
+
+
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, str) and (exponent := _EXPONENT.search(x)):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300  # 0: no limit
+        if abs(int(exponent[1])) > limit:
+            raise ValueError(f"decimal exponent of {x[:40]!r} exceeds {limit} in magnitude")
     if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"cannot build an exact rational from {type(x).__name__}")
@@ -147,7 +157,7 @@ class GaussianRational:
 
     @classmethod
     def parse(cls, re_str: str, im_str: str) -> "GaussianRational":
-        return cls(Fraction(re_str), Fraction(im_str))
+        return cls(_frac(re_str), _frac(im_str))
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)

@@ -159,18 +159,18 @@ class PolarData:
 
 
 class _CheckedZ:
-    """What A's tower keeps for weight m, under ("mwgi", m), of the Z that ``mwgi`` checked:
-    Z, U1* A^m (``coords``), the products A Z, A Z^2 and A^{m+1} Z, and its self-check,
-    ax2 and wgm_k (``checks``)."""
+    """A Z with its products A Z, A Z^2 and A^{m+1} Z and its self-check, ax2 and wgm_k
+    (``checks``), as ``_self_check`` forms them; A's tower keeps, under ("mwgi", m),
+    the record of each Z that ``mwgi`` forms for weight m."""
 
-    __slots__ = ("z", "coords", "products", "checks")
+    __slots__ = ("z", "products", "checks")
 
-    def __init__(self, z, coords, products, checks):
-        self.z, self.coords, self.products, self.checks = z, coords, products, checks
+    def __init__(self, z, products, checks):
+        self.z, self.products, self.checks = z, products, checks
 
 
 def _record(t: Tower, m: int) -> _CheckedZ | None:
-    """What A's tower keeps for weight m of the Z that ``mwgi`` checked, or None."""
+    """What A's tower keeps for weight m of the Z that ``mwgi`` formed, or None."""
     return t._kept.get(("mwgi", m))
 
 
@@ -180,34 +180,18 @@ def _products(t: Tower, z: np.ndarray, m: int) -> tuple:
     return az, az @ z, t.power(m) @ az
 
 
-def _definition(t: Tower, z: np.ndarray, m: int, products: tuple, coords=None) -> dict:
-    """The definition list of z over A's tower and z's products (``_products``).  Given
-    U1* A^m (``coords``), A U1 and G = T^-(k+1) U1* A^k are formed here, once: def11
-    reads (A A^D)* = G* (A U1)* and coreEP48 A A^o A^m = (A U1) (T^-1 U1* A^m), with
-    A U1 formed, not taken as U1 T, which is what the two test.  Without coords only
-    the self-check, ax2 and wgm_k, may be read."""
-    a, u1, tinv, k = t.a, t.u1, t.tinv, t.index.k
-    am, ak = t.power(m), t.power(k)
-    power = {m: am, k: ak, k + 1: t.power(k + 1)}.__getitem__
-    qs = aao = None
-    if coords is not None:
-        au1 = a @ u1
-        au1_star = conj_transpose(au1)
-        g_star = conj_transpose(t.pow("tinv", k + 1) @ (coords if k == m else u1.conj().T @ ak))
-
-        def qs(x):
-            return g_star @ (au1_star @ x)
-
-        def aao(x):  # A A^o X; the list reads it at X = A^m, whose U1* A^m is coords
-            return au1 @ (tinv @ (coords if x is am else u1.conj().T @ x))
-
-    return _definition_identities(a, z, k, m, power, conj_transpose, *products, qs, aao)
+def _definition(t: Tower, z: np.ndarray, m: int, products: tuple, qs=None, aao=None) -> dict:
+    """The definition list of z over A's tower and z's products (``_products``); without
+    qs(X) = (A A^D)* X and aao(X) = A A^o X only the self-check, ax2 and wgm_k, may be read."""
+    return _definition_identities(t.a, z, t.index.k, m, t.power, conj_transpose, *products, qs, aao)
 
 
-def _check_z(t: Tower, z: np.ndarray, m: int) -> dict[str, Check]:
-    """``mwgi``'s self-check of any Z: ax2, Z = A Z^2, and wgm_k, Z A^{k+1} = A^k and
-    (A^k)* A^{m+1} Z = (A^k)* A^m, which read neither U1* A^m, (A A^D)* nor A A^o."""
-    return _evaluate(_definition(t, z, m, _products(t, z, m)), ("ax2", "wgm_k"), _eq_check, t.tol)
+def _self_check(t: Tower, z: np.ndarray, m: int) -> _CheckedZ:
+    """Any Z with its products and ``mwgi``'s self-check of it: ax2, Z = A Z^2, and
+    wgm_k, Z A^{k+1} = A^k and (A^k)* A^{m+1} Z = (A^k)* A^m."""
+    products = _products(t, z, m)
+    checks = _evaluate(_definition(t, z, m, products), ("ax2", "wgm_k"), _eq_check, t.tol)
+    return _CheckedZ(z, products, checks)
 
 
 def _require(checks: dict[str, Check], what: str) -> None:
@@ -219,19 +203,17 @@ def _require(checks: dict[str, Check], what: str) -> None:
             )
 
 
-def _formed(t: Tower, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Z = (A^o)^{m+1} A^m, formed read-only as U1 (T^-(m+1) (U1* A^m)) since U1* U1 = I,
-    and U1* A^m."""
-    coords = t.coords(t.power(m))
-    return readonly(t.u1 @ (t.pow("tinv", m + 1) @ coords)), coords
+def _formed(t: Tower, m: int) -> np.ndarray:
+    """Z = (A^o)^{m+1} A^m, formed read-only as U1 (T^-(m+1) (U1* A^m)) since U1* U1 = I."""
+    return readonly(t.u1 @ (t.pow("tinv", m + 1) @ t.coords(m)))
 
 
 def _z(t: Tower, m: int) -> np.ndarray:
-    """The Z that ``mwgi`` checked and A's tower keeps for this m, or else Z formed
+    """The Z that ``mwgi`` formed and A's tower keeps for this m, or else Z formed
     (``_formed``) and not checked."""
     _check_m(m)
     record = _record(t, m)
-    return _formed(t, m)[0] if record is None else record.z
+    return _formed(t, m) if record is None else record.z
 
 
 def _candidate(t: Tower, z, m: int, default=None) -> np.ndarray:
@@ -240,7 +222,7 @@ def _candidate(t: Tower, z, m: int, default=None) -> np.ndarray:
     if z is None and default is not None:
         return default(t, m)
     record = _record(t, m)
-    if record is not None and z is record.z:  # the Z mwgi checked, validated already
+    if record is not None and z is record.z:  # the Z mwgi formed, validated already
         return z
     z = as_matrix(z)
     if z.shape != t.a.shape:
@@ -254,25 +236,16 @@ def mwgi(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> MwgiResult:
     Z is formed from the tower's factors of A^o (see ``_formed``) and checked against
     its defining equations (ax2 and wgm_k of ``verify_definition``); a failure
     beyond tolerance raises RepresentationMismatch naming the failed check.
-    A Z that passes is kept in A's tower for as long as the tower lives, in one
-    record with U1* A^m, its products A Z, A Z^2 and A^{m+1} Z and those two checks:
-    a repeat call and the checkers' default Z read it unchanged, and
-    ``verify_definition`` of that Z object reads them in place of forming them again.
+    A's tower keeps the record of that Z (``_self_check``), whether or not it passes,
+    for as long as the tower lives, and each call raises or returns from it: a repeat
+    call and the checkers' default Z read it unchanged, and ``verify_definition`` of
+    that Z object reads its products, ax2 and wgm_k in place of forming them again.
     """
     _check_m(m)  # before the lookup, where m = True would find the entry of m = 1
     t = tower(a, tol)
-    record = _record(t, m) or t.keep(("mwgi", m), lambda: _checked(t, m))
+    record = t.keep(("mwgi", m), lambda: _self_check(t, _formed(t, m), m))
+    _require(record.checks, "Z")
     return MwgiResult(Z=record.z, m=m, k=t.index.k, route=Route.CORE_EP)
-
-
-def _checked(t: Tower, m: int) -> _CheckedZ:
-    """Z formed and checked as ``_check_z`` checks it, with what ``mwgi`` keeps of it
-    once it passes."""
-    z, coords = _formed(t, m)
-    products = _products(t, z, m)
-    checks = _evaluate(_definition(t, z, m, products), ("ax2", "wgm_k"), _eq_check, t.tol)
-    _require(checks, "Z")
-    return _CheckedZ(z, coords, products, checks)
 
 
 def mwgi_via_power(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -394,19 +367,28 @@ def verify_definition(a, z, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> Verif
       coreEP48     A^{m+1} Z = A A^o A^m
       limit        A^k = A Z A^k (the eventual identity, at n = k)
       idem34       A Z = A^n Z^n for n = 2, 3
-    For the Z object that ``mwgi`` kept, its products, ax2 and wgm_k are read from its
-    record in A's tower; the other checks, and every check of any other z, are made here.
+    Z's products, ax2 and wgm_k are read from its record: the one A's tower keeps
+    for the Z object that ``mwgi`` formed, else one made here (``_self_check``).  The
+    other checks are made here, with A U1 and G = T^-(k+1) U1* A^k formed once:
+    def11 reads (A A^D)* = G* (A U1)* and coreEP48 A A^o A^m = (A U1) (T^-1 U1* A^m),
+    with A U1 formed, not taken as U1 T, which is what the two test.
     """
     t = tower(a, tol)
     z = _candidate(t, z, m)
     record = _record(t, m)
-    kept = record is not None and z is record.z
-    coords = t.coords(t.power(m)) if record is None else record.coords
-    identities = _definition(t, z, m, record.products if kept else _products(t, z, m), coords)
-    made = record.checks if kept else {}
-    fresh = _evaluate(identities, [label for label in identities if label not in made], _eq_check, tol)
-    checks = {label: made[label] if label in made else fresh[label] for label in identities}
-    return VerificationReport(checks=checks)
+    if record is None or z is not record.z:
+        record = _self_check(t, z, m)
+    k, au1 = t.index.k, t.a @ t.u1
+    au1_star = conj_transpose(au1)
+    g_star = conj_transpose(t.pow("tinv", k + 1) @ t.coords(k))
+    identities = _definition(
+        t, z, m, record.products,
+        lambda x: g_star @ (au1_star @ x),
+        lambda am: au1 @ (t.tinv @ t.coords(m)),  # A A^o X, which the list reads at X = A^m
+    )
+    rest = [label for label in identities if label not in record.checks]
+    checks = {**record.checks, **_evaluate(identities, rest, _eq_check, tol)}
+    return VerificationReport(checks={label: checks[label] for label in identities})
 
 
 def group_decomposition(a, m: int, tol: TolerancePolicy = DEFAULT_TOL, z=None) -> GroupDecomposition:

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from functools import reduce
 
 import numpy as np
@@ -508,6 +510,49 @@ class TestKeptPowers:
         assert t.ad is t.ad
         assert classical._same_bits(t.ad, t.a @ t.d)
         assert not t.ad.flags.writeable
+
+
+class TestPowersUnderThreads:
+    """Each power and each U1* A^j is kept under its exponent, and the first value stored
+    wins, so threads sharing one tower read one value per key, with the serial bits."""
+
+    NAMES = ("a", "o", "d", "tinv", "coords")
+
+    @staticmethod
+    def _read(t, name, e):
+        return t.coords(e) if name == "coords" else t.pow(name, e)
+
+    def test_two_threads_share_one_tower(self):
+        a = with_index(np.random.default_rng(4), 6, 2)
+        serial = classical._build(a, DEFAULT_TOL)
+        want = {(name, e): self._read(serial, name, e) for name in self.NAMES for e in range(2, 10)}
+
+        def ask(t, exponents, seen):
+            for e in exponents:
+                for name in self.NAMES:
+                    seen.append(((name, e), self._read(t, name, e)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(300):
+                t = classical._build(a, DEFAULT_TOL)  # no power kept yet
+                seen = []
+                threads = [
+                    threading.Thread(target=ask, args=(t, exponents, seen))
+                    for exponents in ((9, 5, 3), (8, 9, 4))
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(seen) == 30
+                for key, value in seen:
+                    assert value is t._kept[key], key
+                    assert classical._same_bits(value, want[key]), key
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestExponentDomain:

@@ -331,6 +331,19 @@ class TestCertify:
         assert payload["report"]["overall"] is True
         assert payload["float_mwgi_pass"] is True
 
+    @pytest.mark.parametrize("entry, code", [("1e5000", 2), ("1e-5000", 2), ("1e4000", 1)])
+    def test_decimal_exponent(self, capsys, tmp_path, entry, code):
+        # an exponent above the int-to-str digit limit is unusable input (exit 2); one
+        # within it parses, and its 13.3k-bit entry overflows the height bound (exit 1)
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps({"rows": 1, "cols": 1, "entries": [[entry, "0"]]}))
+        got, out, err = run_cli(capsys, "certify", "--input", str(path))
+        assert got == code
+        if code == 2:
+            assert "exponent" in err
+        else:
+            assert json.loads(out)["errors"]["float_mwgi"]["type"] == "HeightOverflow"
+
     def test_generated_trials(self, capsys):
         code, out, _ = run_cli(capsys, "certify", "--trials", "3", "--seed", "2")
         assert code == 0

@@ -14,7 +14,7 @@ from ginverse import report as report_module
 from ginverse import oracle as o
 from ginverse.classical import drazin, moore_penrose, tower
 from ginverse.generators import dyadic_with_index, rational_with_index, with_index
-from ginverse.matcore import DEFAULT_TOL, conj_transpose, rel_residual
+from ginverse.matcore import DEFAULT_TOL, MatrixFormatError, conj_transpose, rel_residual
 from ginverse.report import _b_identities, _decomposition_identities, _evaluate
 
 RM = o.RationalMatrix
@@ -231,6 +231,17 @@ class TestRationalJson:
     def test_bad_fraction(self):
         with pytest.raises(ValueError):
             RM.from_json({"rows": 1, "cols": 1, "entries": [["1/0", "0"]]})
+
+    @pytest.mark.parametrize("text", ["1e5000", "1e-5000", "2.5E+5000", "1e5_000 "])
+    def test_exponent_above_the_digit_limit(self, text):
+        # rejected before Fraction expands it, as it would 1e100000000 for minutes
+        with pytest.raises(ValueError, match="exponent"):
+            GR.parse(text, "0")
+        with pytest.raises(MatrixFormatError, match="exponent"):
+            RM.from_json({"rows": 1, "cols": 1, "entries": [["0", text]]})
+
+    def test_exponent_within_the_digit_limit_parses(self):
+        assert GR.parse("1e4000", "-1e-4000") == GR(Fraction(10**4000), Fraction(-1, 10**4000))
 
 
 class TestAgainstSympy:

@@ -1088,7 +1088,7 @@ class TestMwgiHandsOffProducts:
             values = []
             for value in t._kept.values():  # the kept Z's products are in its record
                 if isinstance(value, wgi._CheckedZ):
-                    value = (value.z, value.coords, *value.products)
+                    value = (value.z, *value.products)
                 values.extend(value if isinstance(value, tuple) else (value,))
             return [_bits(v) for v in values if isinstance(v, np.ndarray)]
 
@@ -1204,6 +1204,19 @@ class TestOneCheckedZ:
         finally:
             if enabled:
                 gc.enable()
+
+    def test_failed_z_is_kept_and_raised_from(self, z_checks):
+        # mwgi keeps the record of a Z that fails its self-check too, and raises from it
+        a = with_index(np.random.default_rng(14), 6, 2)
+        tol = TolerancePolicy(eq_rtol=1e-300)  # below any roundoff, so ax2 fails
+        for _ in range(2):
+            with pytest.raises(wgi.RepresentationMismatch, match="ax2"):
+                wgi.mwgi(a, 2, tol)
+        assert len(z_checks) == 1
+        record = wgi._record(tower(a, tol), 2)
+        assert not record.checks["ax2"].passed
+        assert wgi.verify_definition(a, record.z, 2, tol).checks["ax2"] is record.checks["ax2"]
+        assert len(z_checks) == 1
 
     def test_verify_keeps_no_operand_of_its_checks(self):
         # after every checker of the fuzz battery has judged the kept Z, its record holds
