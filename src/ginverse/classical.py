@@ -64,18 +64,19 @@ class IndexResult:
     rank_chain: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tower:
     """A, its index (with rank chain), the factors U1, T^-1 of A^o and the policy
-    ``tol`` it was built under; arrays are read-only.
+    ``tol`` it was built under; arrays are read-only.  Towers compare and hash by
+    identity, since their fields are arrays.
 
     ``u1`` is n x r and C-contiguous, the identity when k = 0 (where T = A and N
     is empty).  Everything else the tower forms when first read and keeps,
-    through ``keep``, for as long as it lives: ``o`` = A^o, ``d`` = A^D,
-    ``ad`` = A A^D, A^0 = I, the powers ``pow(name, e)`` of A, A^o, A^D and
-    T^-1, U1* A^j per exponent (``coords(j)``), and per weight m one record of
-    the Z that ``wgi.mwgi`` formed, with that Z's products and its self-check,
-    whether or not it passed (``wgi._CheckedZ``).
+    through ``keep``, for as long as it lives: ``o`` = A^o, Z_m = (A^o)^{m+1} A^m
+    per m >= 0 (``z(m)``), ``d`` = A^D = Z_k, ``ad`` = A A^D, A^0 = I, the powers
+    ``pow(name, e)`` of A, A^o, A^D and T^-1, U1* A^j per exponent (``coords(j)``),
+    and per weight m one record of the Z that ``wgi.mwgi`` checked, with that Z's
+    products and its self-check, whether or not it passed (``wgi._CheckedZ``).
     """
 
     index: IndexResult
@@ -83,7 +84,7 @@ class Tower:
     u1: np.ndarray
     tinv: np.ndarray
     tol: TolerancePolicy
-    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _kept: dict = field(default_factory=dict, init=False, repr=False)
 
     def keep(self, key, make):
         """What make() returns, made at the first read of ``key`` and kept."""
@@ -120,10 +121,6 @@ class Tower:
             return self.pow("a", j)
         return self.keep(("a", 0), lambda: readonly(np.eye(len(self.a), dtype=np.complex128)))
 
-    @property
-    def ak(self) -> np.ndarray:
-        return self.power(self.index.k)
-
     def coords(self, j: int) -> np.ndarray:
         """U1* A^j for j >= 0 (A^j's values at k = 0, where U1 = I), kept per exponent."""
         return self.keep(("coords", j), lambda: readonly(self.u1.conj().T @ self.power(j)))
@@ -133,10 +130,17 @@ class Tower:
         """A^o = U1 T^-1 U1*."""
         return self.keep("o", lambda: readonly(self.u1 @ self.tinv @ self.u1.conj().T))
 
+    def z(self, m: int) -> np.ndarray:
+        """Z_m = (A^o)^{m+1} A^m for m >= 0, formed as U1 (T^-(m+1) (U1* A^m)) since
+        U1* U1 = I, and kept per m: the m-weak group inverse for m >= 1, A^D at m = k."""
+        return self.keep(
+            ("z", m), lambda: readonly(self.u1 @ (self.pow("tinv", m + 1) @ self.coords(m)))
+        )
+
     @property
     def d(self) -> np.ndarray:
-        """A^D = (A^o)^{k+1} A^k."""
-        return self.keep("d", lambda: readonly(self.pow("o", self.index.k + 1) @ self.ak))
+        """A^D = (A^o)^{k+1} A^k, which is Z_k (``z``)."""
+        return self.z(self.index.k)
 
     @property
     def ad(self) -> np.ndarray:

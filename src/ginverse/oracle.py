@@ -702,29 +702,29 @@ def _tower(
     onto itself, so A F = F M with M invertible and F* A F = F* F M is too.
     At k = 0, A^0 = I is its own pivot columns, so F = I and A^o = A^-1;
     at a nilpotent A, A^k = 0 has no pivot columns, so F is n x 0, F* A F
-    is 0 x 0 and A^o = 0.  Then A^D = (A^o)^{k+1} A^k.  ``core_ep``, when
-    given, makes A^o in place of F: the tower of A^m is read from A's as
-    (A^o)^m (``certify``).  The core-EP and Drazin lists of ``report``,
-    required below, determine both uniquely, whichever way A^o was made.
+    is 0 x 0 and A^o = 0.  Then A^D = (A^o)^{k+1} A^k, which is ``_z_of`` at
+    m = k.  ``core_ep``, when given, makes A^o in place of F: the tower of A^m
+    is read from A's as (A^o)^m (``certify``).  The core-EP and Drazin lists of
+    ``report``, required below, determine both uniquely, whichever way A^o was
+    made.
     """
     return a.keep(("tower", max_bits), lambda: _build_tower(a, max_bits, core_ep))
 
 
 def _build_tower(a: RationalMatrix, max_bits: int, core_ep) -> tuple:
     if not a.is_square():
-        raise ValueError("Drazin inverse requires a square matrix")
+        raise ValueError(f"an exact tower needs a square matrix, got {a.rows} x {a.cols}")
     _guard(a, max_bits)
     k = exact_index(a)
-    ak = a.power(k)
     if core_ep is not None:
         cep = _guard(core_ep(), max_bits)
     else:
-        f = _pivot_columns(ak, max_bits)
+        f = _pivot_columns(a.power(k), max_bits)
         fs = f.conj_transpose()
         core = inverse(_guard(fs @ a @ f, max_bits), max_bits)
         cep = _guard(f @ core @ fs, max_bits)
     _require_identities(_core_ep_identities, a, cep, k)
-    d = _guard(cep.power(k + 1) @ ak, max_bits)
+    d = _z_of(a, cep, k, max_bits)
     _require_identities(_drazin_identities, a, d, k)
     return k, d, cep
 
@@ -738,14 +738,13 @@ def exact_drazin(a: RationalMatrix, max_bits: int = MAX_HEIGHT_BITS) -> Rational
 @_with_products
 def exact_core_ep(a: RationalMatrix, max_bits: int = MAX_HEIGHT_BITS) -> RationalMatrix:
     """Exact core-EP inverse F (F* A F)^-1 F* (F spans col(A^k)); verified once, kept with A."""
-    if not a.is_square():
-        raise ValueError("core-EP inverse requires a square matrix")
     return _tower(a, max_bits)[2]
 
 
-def _mwgi_of(a: RationalMatrix, m: int, d: RationalMatrix, cep: RationalMatrix, max_bits: int):
-    """(A^D)^{m+1} A A^o A^m from A^D and A^o, not yet verified."""
-    return _guard(d.power(m + 1) @ a @ cep @ a.power(m), max_bits)
+def _z_of(a: RationalMatrix, cep: RationalMatrix, m: int, max_bits: int) -> RationalMatrix:
+    """(A^o)^{m+1} A^m from A^o, not yet verified: A^D at m = k, and the m-weak group
+    inverse Z for m >= 1."""
+    return _guard(cep.power(m + 1) @ a.power(m), max_bits)
 
 
 # what exact_mwgi requires of its Z; certify reports these among the rest
@@ -768,19 +767,20 @@ def _mwgi_identities(a: RationalMatrix, m: int, z: RationalMatrix, max_bits: int
 
 @_with_products
 def exact_mwgi(a: RationalMatrix, m: int, max_bits: int = MAX_HEIGHT_BITS) -> RationalMatrix:
-    """Exact m-weak group inverse (A^D)^{m+1} A A^o A^m, fully verified.
+    """Exact m-weak group inverse (A^o)^{m+1} A^m, fully verified.
 
     Requires, with zero tolerance, the identities ``_REQUIRED`` of
-    ``_mwgi_identities``; a failure raises ArithmeticError naming its key.  A Z
-    that ``certify`` has verified for this m and bound is returned as it is,
+    ``_mwgi_identities``, second_form among them: (A^D A A^o)^{m+1} A^m = Z, not
+    the formula Z is formed by.  A failure raises ArithmeticError naming its key.
+    A Z that ``certify`` has verified for this m and bound is returned as it is,
     formed no more.
     """
     _check_m(m)
-    _, d, cep = _tower(a, max_bits)
+    cep = _tower(a, max_bits)[2]
     z = a._kept.get(("mwgi", max_bits, m))
     if z is not None:
         return z
-    z = _mwgi_of(a, m, d, cep, max_bits)
+    z = _z_of(a, cep, m, max_bits)
     _require_exact(_evaluate(_mwgi_identities(a, m, z, max_bits), _REQUIRED, _exact_check))
     return z
 
@@ -855,11 +855,9 @@ def certify(
     corrupted candidate is caught.  The computed Z is kept with A's tower for
     ``exact_mwgi`` once its ``_REQUIRED`` identities hold; a ``z`` passed in never is.
     """
-    if not a.is_square():
-        raise ValueError("certify requires a square matrix")
     _check_m(m)
     _, d, cep = _tower(a, max_bits)
-    z_computed = _mwgi_of(a, m, d, cep, max_bits)
+    z_computed = _z_of(a, cep, m, max_bits)
     if z is None:
         z = z_computed
     identities = _mwgi_identities(a, m, z, max_bits)

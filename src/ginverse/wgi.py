@@ -203,17 +203,10 @@ def _require(checks: dict[str, Check], what: str) -> None:
             )
 
 
-def _formed(t: Tower, m: int) -> np.ndarray:
-    """Z = (A^o)^{m+1} A^m, formed read-only as U1 (T^-(m+1) (U1* A^m)) since U1* U1 = I."""
-    return readonly(t.u1 @ (t.pow("tinv", m + 1) @ t.coords(m)))
-
-
 def _z(t: Tower, m: int) -> np.ndarray:
-    """The Z that ``mwgi`` formed and A's tower keeps for this m, or else Z formed
-    (``_formed``) and not checked."""
-    _check_m(m)
-    record = _record(t, m)
-    return _formed(t, m) if record is None else record.z
+    """The checkers' default Z: the Z that A's tower keeps for weight m (``Tower.z``),
+    the same object that ``mwgi`` checks; one name, so a test can put a fake Z in."""
+    return t.z(m)
 
 
 def _candidate(t: Tower, z, m: int, default=None) -> np.ndarray:
@@ -233,9 +226,9 @@ def _candidate(t: Tower, z, m: int, default=None) -> np.ndarray:
 def mwgi(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> MwgiResult:
     """m-weak group inverse by the canonical route Z = (A^o)^{m+1} A^m.
 
-    Z is formed from the tower's factors of A^o (see ``_formed``) and checked against
-    its defining equations (ax2 and wgm_k of ``verify_definition``); a failure
-    beyond tolerance raises RepresentationMismatch naming the failed check.
+    Z is the one A's tower forms from its factors of A^o and keeps (``Tower.z``),
+    checked against its defining equations (ax2 and wgm_k of ``verify_definition``);
+    a failure beyond tolerance raises RepresentationMismatch naming the failed check.
     A's tower keeps the record of that Z (``_self_check``), whether or not it passes,
     for as long as the tower lives, and each call raises or returns from it: a repeat
     call and the checkers' default Z read it unchanged, and ``verify_definition`` of
@@ -243,7 +236,7 @@ def mwgi(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> MwgiResult:
     """
     _check_m(m)  # before the lookup, where m = True would find the entry of m = 1
     t = tower(a, tol)
-    record = t.keep(("mwgi", m), lambda: _self_check(t, _formed(t, m), m))
+    record = t.keep(("mwgi", m), lambda: _self_check(t, t.z(m), m))
     _require(record.checks, "Z")
     return MwgiResult(Z=record.z, m=m, k=t.index.k, route=Route.CORE_EP)
 

@@ -260,7 +260,7 @@ class TestTower:
         t = tower(a)
         assert t.index == index(a)
         # the tower keeps U1 and T^-1; A^o and A^D are formed when first read
-        assert "o" not in t._kept and "d" not in t._kept
+        assert "o" not in t._kept and ("z", k) not in t._kept
         ak = np.linalg.matrix_power(a, k)
         _, u1, core = classical._staircase(a, DEFAULT_TOL)
         assert np.array_equal(t.tinv, np.linalg.inv(core))
@@ -274,10 +274,12 @@ class TestTower:
         if k == 0:  # U1 = I and T = A, so A^o = A^-1
             assert np.array_equal(u1, np.eye(6)) and np.array_equal(core, a)
             assert np.array_equal(o, np.linalg.inv(a))
-        d = _chain(o, k + 1) @ ak
-        assert np.array_equal(t.ak, ak)
+        # A^D is the tower's Z at m = k: U1 (T^-(k+1) (U1* A^k)), kept once
+        d = u1 @ (_chain(np.linalg.inv(core), k + 1) @ (u1h @ ak))
+        assert np.array_equal(t.power(k), ak)
         assert np.array_equal(t.o, o)
-        assert np.array_equal(t.d, d)
+        assert np.array_equal(t.d, d) and t.d is t.z(k)
+        assert approx_equal(t.d, _chain(o, k + 1) @ ak)
         # the Drazin and core-EP closed forms the decomposition replaces
         d_ref = ak @ moore_penrose(np.linalg.matrix_power(a, 2 * k + 1)) @ ak
         assert approx_equal(t.d, d_ref)
@@ -286,7 +288,7 @@ class TestTower:
     def test_nilpotent(self):
         t = tower(J2)
         assert t.index.k == 2
-        assert np.array_equal(t.ak, np.linalg.matrix_power(J2, 2))
+        assert np.array_equal(t.power(2), np.linalg.matrix_power(J2, 2))
         assert np.array_equal(t.d, np.zeros((2, 2)))
         assert np.array_equal(t.o, np.zeros((2, 2)))
 
@@ -294,6 +296,12 @@ class TestTower:
         t = tower(IDEMPOTENT)
         with pytest.raises(ValueError):
             t.d[0, 0] = 2
+
+    def test_towers_compare_and_hash_by_identity(self):
+        # compared field by field, their arrays made ==, in and hash raise
+        t1, t2 = (classical._build(np.diag([1, 2, v]) + 0j, DEFAULT_TOL) for v in (3, 4))
+        assert t1 == t1 and t1 != t2 and t1 in [t1] and t1 not in [t2]
+        assert len({t1, t2, t1}) == 2 and hash(t1) == hash(t1)
 
 
 class TestStaircase:
@@ -480,14 +488,14 @@ class TestKeptPowers:
 
     def test_each_power_formed_once(self):
         t = classical._build(with_index(np.random.default_rng(64), 5, 2), DEFAULT_TOL)
-        assert t.d is t.d  # A^D = (A^o)^{k+1} A^k keeps A^o, (A^o)^2, (A^o)^3, A^2 and A^D
+        assert t.d is t.d  # A^D = Z_2 = U1 (T^-3 (U1* A^2)) keeps T^-2, T^-3, A^2, U1* A^2, Z_2
         assert len(t._kept) == 5
         for _ in range(2):
             for name in ("o", "d", "tinv"):
                 t.pow(name, 3)
                 t.pow(name, 4)
-            # (A^o)^4, (A^D)^2..4 and T^-2..4 in the first round, nothing in the second
-            assert len(t._kept) == 12
+            # A^o, (A^o)^2..4, (A^D)^2..4 and T^-4 in the first round, nothing in the second
+            assert len(t._kept) == 13
 
     def test_deep_exponent_is_filled_by_a_loop(self):
         # a kept recursion raised RecursionError from about e = 330

@@ -713,22 +713,24 @@ class TestOneIdentityList:
     """exact_mwgi requires, and certify reports, the identities of one function."""
 
     @staticmethod
-    def corrupted(m):
-        # a kept tower whose A^D is doubled: Z = (A^D)^{m+1} A A^o A^m grows by 2^{m+1}
+    def corrupted(monkeypatch, m):
+        # A's tower kept whole, then every Z of A doubled: Z = A Z^2 fails, while the
+        # tower of A^m that certify builds keeps its true A^D
         a = rational_with_index(np.random.default_rng(5), 4, 2)
-        k, d, cep = o._tower(a, o.MAX_HEIGHT_BITS)
-        a._kept[("tower", o.MAX_HEIGHT_BITS)] = (k, d * 2, cep)
-        return a, o._mwgi_of(a, m, d * 2, cep, o.MAX_HEIGHT_BITS)
+        cep = o._tower(a, o.MAX_HEIGHT_BITS)[2]
+        z_of = o._z_of
+        monkeypatch.setattr(o, "_z_of", lambda b, *rest: z_of(b, *rest) * (2 if b is a else 1))
+        return a, o._z_of(a, cep, m, o.MAX_HEIGHT_BITS)
 
     @pytest.mark.parametrize("m", [1, 2])
-    def test_exact_mwgi_names_the_failed_key(self, m):
-        a, _ = self.corrupted(m)
+    def test_exact_mwgi_names_the_failed_key(self, monkeypatch, m):
+        a, _ = self.corrupted(monkeypatch, m)
         with pytest.raises(ArithmeticError, match="'ax2'"):
             o.exact_mwgi(a, m)
 
     @pytest.mark.parametrize("m", [1, 2])
-    def test_identity_list_reports_ax2(self, m):
-        a, z = self.corrupted(m)
+    def test_identity_list_reports_ax2(self, monkeypatch, m):
+        a, z = self.corrupted(monkeypatch, m)
         identities = o._mwgi_identities(a, m, z, o.MAX_HEIGHT_BITS)
         checks = _evaluate(identities, o._REQUIRED, o._exact_check)
         assert list(checks) == ["ax2", "def11", "wgm_k", "second_form"]
@@ -850,15 +852,47 @@ class TestExactTwin:
 
     def test_failed_identities_keep_nothing(self, monkeypatch):
         a = self.matrix()
-        mwgi_of = o._mwgi_of
-        # only Z of weight 2 is corrupted, so certify's own calls at weights 1 and 3 pass
-        monkeypatch.setattr(
-            o, "_mwgi_of", lambda b, m, *rest: mwgi_of(b, m, *rest) * (2 if m == 2 else 1)
-        )
+        z_of = o._z_of
+
+        def corrupted(b, cep, m, bits):
+            # only A's Z of weight 2: certify's own calls at weights 1 and 3 pass, and so
+            # do the towers of A (its A^D is A's Z of weight 3) and of A^2
+            return z_of(b, cep, m, bits) * (2 if b is a and m == 2 else 1)
+
+        monkeypatch.setattr(o, "_z_of", corrupted)
         assert not o.certify(a, 2).overall
         assert ("mwgi", o.MAX_HEIGHT_BITS, 2) not in a._kept
         with pytest.raises(ArithmeticError, match="ax2"):
             o.exact_mwgi(a, 2)
+
+
+class TestZIsDrazinFromK:
+    """Z_m = (A^o)^{m+1} A^m is A^D for every m >= k: A^{m+1} A^D = A^m once m >= k."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("dyadic", [False, True], ids=["rational", "dyadic"])
+    def test_exact_mwgi_is_exact_drazin(self, seed, dyadic):
+        for n in range(4, 9):
+            for k in range(4):
+                rng = np.random.default_rng(seed)
+                a = dyadic_with_index(rng, n, k, 4) if dyadic else rational_with_index(rng, n, k)
+                d = o.exact_drazin(a)
+                for m in range(max(k, 1), k + 4):
+                    assert o.exact_mwgi(a, m) == d, (n, k, m)
+
+
+class TestOneSquareCheck:
+    """The exact tower's build is the one place that rejects a matrix that is not square."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [o.exact_drazin, o.exact_core_ep, lambda a: o.exact_mwgi(a, 2), lambda a: o.certify(a, 2)],
+        ids=["exact_drazin", "exact_core_ep", "exact_mwgi", "certify"],
+    )
+    def test_every_entry_point_names_the_shape(self, call):
+        a = random_rational(np.random.default_rng(0), 2, 3)
+        with pytest.raises(ValueError, match="an exact tower needs a square matrix, got 2 x 3"):
+            call(a)
 
 
 class TestTestMatricesOncePerN:

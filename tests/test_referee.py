@@ -1,0 +1,82 @@
+"""The exact referee: mwgi's float Z and its verdict, judged against the oracle's exact Z.
+
+Per row, 60 dyadic matrices of order 8 and index 1 + i mod 3 (``dyadic_with_index``, one
+``default_rng(5)`` per row), whose core singular values spread over about 2^e_max and
+whose float images are exact.  A float Z is right iff ||Z - Z_exact||_F <= 1e-8
+||Z_exact||_F, with Z_exact = ``exact_mwgi(A, m)``.  Its verdict is pass or FAIL by
+``verify_definition``, or raise when ``mwgi`` raises; then Z is the tower's Z
+(``Tower.z``), the one that ``mwgi`` checked.  The counts per verdict and rightness are
+pinned: a change of Z's formula or of a check moves them, and shows by how much.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+
+from ginverse import oracle
+from ginverse.classical import tower
+from ginverse.generators import dyadic_with_index
+from ginverse.wgi import RepresentationMismatch, mwgi, verify_definition
+
+TRIALS, N, E_MAX = 60, 8, (0, 4, 8, 12, 16)
+# (verdict, right) in the column order of COUNTS
+CELLS = [(verdict, right) for verdict in ("pass", "FAIL", "raise") for right in (True, False)]
+# pass-right, pass-wrong, FAIL-right, FAIL-wrong, raise-right, raise-wrong per (e_max, m)
+COUNTS = {
+    (0, 2): (60, 0, 0, 0, 0, 0),
+    (4, 2): (60, 0, 0, 0, 0, 0),
+    (8, 2): (48, 3, 7, 1, 1, 0),
+    (12, 2): (36, 1, 6, 2, 10, 5),
+    (16, 2): (20, 2, 12, 4, 8, 14),
+    (0, 5): (59, 0, 1, 0, 0, 0),
+    (4, 5): (51, 0, 1, 0, 5, 3),
+    (8, 5): (25, 0, 1, 0, 7, 27),
+    (12, 5): (14, 0, 2, 0, 7, 37),
+    (16, 5): (11, 0, 2, 1, 0, 46),
+}
+
+
+@functools.cache
+def referee(e_max: int, m: int) -> tuple[int, ...]:
+    """The six counts of one row, after checking that every float index is exact."""
+    rng = np.random.default_rng(5)
+    counts = dict.fromkeys(CELLS, 0)
+    for i in range(TRIALS):
+        k = 1 + i % 3
+        exact = dyadic_with_index(rng, N, k, e_max)
+        t = tower(exact.to_complex())
+        assert t.index.k == k, (e_max, i)
+        try:
+            z = mwgi(t, m).Z
+            verdict = "pass" if verify_definition(t, z, m).overall else "FAIL"
+        except RepresentationMismatch:
+            z, verdict = t.z(m), "raise"
+        z_exact = oracle.exact_mwgi(exact, m, max_bits=2**20).to_complex()
+        right = bool(np.linalg.norm(z - z_exact) <= 1e-8 * np.linalg.norm(z_exact))
+        counts[verdict, right] += 1
+    return tuple(counts[cell] for cell in CELLS)
+
+
+@pytest.mark.parametrize("e_max, m", COUNTS)
+def test_counts(e_max, m):
+    assert referee(e_max, m) == COUNTS[e_max, m]
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        pytest.param(
+            2,
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=AssertionError,
+                reason="at m = 2 some wrong Z pass every check (ROADMAP items 6, 14 and 18)",
+            ),
+        ),
+        5,
+    ],
+)
+def test_no_wrong_z_passes(m):
+    pass_wrong = CELLS.index(("pass", False))
+    assert [referee(e_max, m)[pass_wrong] for e_max in E_MAX] == [0] * len(E_MAX)

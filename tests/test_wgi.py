@@ -1186,6 +1186,15 @@ class TestOneCheckedZ:
         fresh = wgi._z(classical._build(np.array(a), DEFAULT_TOL), 2)
         assert _bits(fresh) == _bits(z)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_drazin_is_the_z_of_weight_k(self, k):
+        # A^D = (A^o)^{k+1} A^k is Z at m = k, one kept array: a cold checker's default Z
+        # is that array, and a later mwgi checks and returns it
+        a = with_index(np.random.default_rng(25 + k), 6, k)
+        assert wgi.b_characterization(a, k).overall
+        assert wgi._record(tower(a), k) is None
+        assert wgi.mwgi(a, k).Z is tower(a).d is tower(a).z(k)
+
     @pytest.mark.parametrize("k, m", [(0, 2), (2, 1), (3, 2)])
     def test_dropped_tower_is_freed_at_once(self, k, m):
         # what the tower keeps of its checked Z holds no reference back to the tower, so
