@@ -73,10 +73,11 @@ class Tower:
     ``u1`` is n x r and C-contiguous, the identity when k = 0 (where T = A and N
     is empty).  Everything else the tower forms when first read and keeps,
     through ``keep``, for as long as it lives: ``o`` = A^o, Z_m = (A^o)^{m+1} A^m
-    per m >= 0 (``z(m)``), ``d`` = A^D = Z_k, ``ad`` = A A^D, A^0 = I, the powers
-    ``pow(name, e)`` of A, A^o, A^D and T^-1, U1* A^j per exponent (``coords(j)``),
-    and per weight m one record of the Z that ``wgi.mwgi`` checked, with that Z's
-    products and its self-check, whether or not it passed (``wgi._CheckedZ``).
+    per m >= 0 (``z(m)``), ``g`` = G = T^-(k+1) U1* A^k, ``d`` = A^D = Z_k = U1 G,
+    ``ad`` = A A^D, A^0 = I, the powers ``pow(name, e)`` of A, A^o, A^D and T^-1,
+    U1* A^j per exponent (``coords(j)``), and per weight m one record of the Z that
+    ``wgi.mwgi`` checked, with that Z's products and its self-check, whether or not it
+    passed (``wgi._CheckedZ``).
     """
 
     index: IndexResult
@@ -88,9 +89,10 @@ class Tower:
 
     def keep(self, key, make):
         """What make() returns, made at the first read of ``key`` and kept."""
-        if key not in self._kept:  # of two threads racing here, the first to store wins
-            self._kept.setdefault(key, make())
-        return self._kept[key]
+        kept = self._kept.get(key)  # no kept value is None
+        if kept is None:  # of two threads racing here, the first to store wins
+            kept = self._kept.setdefault(key, make())
+        return kept
 
     def pow(self, name: str, e: int) -> np.ndarray:
         """X^e for e >= 1 and X the tower's ``a``, ``o``, ``d`` or ``tinv``, formed as
@@ -101,6 +103,9 @@ class Tower:
         own powers."""
         if e < 1:
             raise ValueError(f"exponent must be positive, got {e!r}")
+        p = self._kept.get((name, e))
+        if p is not None:
+            return p
         x, j = getattr(self, name), e
         while j > 1 and (name, j) not in self._kept:  # the highest power kept up to e
             j -= 1
@@ -132,14 +137,24 @@ class Tower:
 
     def z(self, m: int) -> np.ndarray:
         """Z_m = (A^o)^{m+1} A^m for m >= 0, formed as U1 (T^-(m+1) (U1* A^m)) since
-        U1* U1 = I, and kept per m: the m-weak group inverse for m >= 1, A^D at m = k."""
-        return self.keep(
-            ("z", m), lambda: readonly(self.u1 @ (self.pow("tinv", m + 1) @ self.coords(m)))
-        )
+        U1* U1 = I, and kept per m: the m-weak group inverse for m >= 1, A^D at m = k,
+        where the inner factor is the kept G (``g``)."""
+
+        def make():
+            inner = self.g if m == self.index.k else self.pow("tinv", m + 1) @ self.coords(m)
+            return readonly(self.u1 @ inner)
+
+        return self.keep(("z", m), make)
+
+    @property
+    def g(self) -> np.ndarray:
+        """G = T^-(k+1) U1* A^k, r x n, so that A^D = U1 G and (A A^D)* = G* (A U1)*."""
+        k = self.index.k
+        return self.keep("g", lambda: readonly(self.pow("tinv", k + 1) @ self.coords(k)))
 
     @property
     def d(self) -> np.ndarray:
-        """A^D = (A^o)^{k+1} A^k, which is Z_k (``z``)."""
+        """A^D = (A^o)^{k+1} A^k, which is Z_k = U1 G (``z``)."""
         return self.z(self.index.k)
 
     @property
@@ -177,17 +192,17 @@ def _staircase(a: np.ndarray, tol: TolerancePolicy) -> tuple[IndexResult, np.nda
     nonsingular B; when A is nonsingular there is no W, U1 = I and T = A.
 
     The SVD that would only confirm that the rank stopped falling is skipped
-    when the one before proves it: B_{j+1} = diag(s_r) C with C = (Vh U)[:r, :r]
-    a block of a unitary, so by the CS decomposition (Paige & Wei, LAA 208/209,
-    1994) sigma_min(C) = sigma_min(D) with D = (Vh U)[r:, r:], d x d for the
-    drop d = p - r, and sigma_min(D) >= |det D| since no singular value of D
-    exceeds 1.  When s_r |det D| > 2 cut, every singular value of B_{j+1}
+    when the one before proves it: B_{j+1} = diag(s_r) C with C = Vh_r W =
+    (Vh U)[:r, :r], r x r, a diagonal block of a unitary, so sigma_min(B_{j+1})
+    >= s_r sigma_min(C) >= s_r |det C| since no singular value of C exceeds 1.
+    By the CS decomposition (Paige & Wei, LAA 208/209, 1994) |det C| = |det D|
+    for the other diagonal block D = (Vh U)[r:, r:], d x d for the drop
+    d = p - r, so the certificate reads the smaller of the two: D when d <= r,
+    C when d > r.  When s_r |det| > 2 cut, every singular value of B_{j+1}
     clears the cut with a margin of one cut, about 1e6 times its O(p eps s_1)
     rounding at the default rank_rtol; r ends the chain and B_{j+1} is T, the
     bits that SVD would have returned.  The margin grows to
-    1024 n eps sigma_max(A) under a rank_rtol too small to cover that.  The
-    bound holds for any d; the test is made only when d <= r, where the LU
-    of D costs less than the SVD of B_{j+1} it replaces.
+    1024 n eps sigma_max(A) under a rank_rtol too small to cover that.
 
     An A with ||A||_F <= nil_atol (roundoff, as A^m of a nilpotent A on a
     route) is read as zero; above that floor, scaling A changes nothing.
@@ -197,15 +212,14 @@ def _staircase(a: np.ndarray, tol: TolerancePolicy) -> tuple[IndexResult, np.nda
     u, s, vh = np.linalg.svd(a)
     zero = math.sqrt(s.dot(s)) <= tol.nil_atol  # np.linalg.norm(s), without its wrapper
     cut = np.inf if zero else tol.rank_cut(float(s[0]), n)
-    sure = cut + max(cut, _ROUNDING * n * float(s[0]))  # s_r |det D| above it: nonsingular
+    sure = cut + max(cut, _ROUNDING * n * float(s[0]))  # s_r |det C| above it: nonsingular
     while True:
         chain.append(r := int(np.count_nonzero(s > cut)))
         if r == chain[-2]:
             break
         w = u[:, :r]
         u1, b = (w if u1 is None else u1 @ w), (s[:r, None] * vh[:r]) @ w
-        # d <= r only picks the LU of the d x d D over the SVD of the r x r B_{j+1}
-        if len(s) - r <= r and s[r - 1] * abs(np.linalg.det(vh[r:] @ u[:, r:])) > sure:
+        if r and s[r - 1] * abs(np.linalg.det(_smaller_block(u, vh, r))) > sure:
             chain.append(r)
             break
         u, s, vh = np.linalg.svd(b)
@@ -215,6 +229,14 @@ def _staircase(a: np.ndarray, tol: TolerancePolicy) -> tuple[IndexResult, np.nda
 
 # a staircase step rounds by O(p eps s_1); the certificate's margin is at least this n s_1
 _ROUNDING = 1024 * np.finfo(np.float64).eps
+
+
+def _smaller_block(u: np.ndarray, vh: np.ndarray, r: int) -> np.ndarray:
+    """The smaller diagonal block of Vh U, whose |det| the certificate reads: the d x d
+    D = (Vh U)[r:, r:] when the drop d = p - r is at most r, else the r x r C = Vh_r W."""
+    if len(u) - r <= r:
+        return vh[r:] @ u[:, r:]
+    return vh[:r] @ u[:, :r]
 
 
 def index(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> IndexResult:

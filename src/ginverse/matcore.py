@@ -116,15 +116,36 @@ def conj_transpose(a: np.ndarray) -> np.ndarray:
 
 
 def frobenius(a: np.ndarray) -> float:
-    """||A||_F: for a complex128 matrix, the root of the sum of |a_ij|^2 as one BLAS
-    zdotc on A's memory-order ravel (A itself when C-contiguous), so memory order fixes
-    the bits; np.linalg.norm(A, "fro") for every other input."""
+    """||A||_F: for a complex128 matrix the zdotc kernel of ``_norm``, so memory order
+    fixes the bits; np.linalg.norm(A, "fro") for every other input."""
     a = np.asarray(a)
     if a.ndim == 2 and (a.dtype is _COMPLEX128 or a.dtype == _COMPLEX128):
-        if not a.flags.c_contiguous:
-            a = a.ravel(order="K")
-        return math.sqrt(np.vdot(a, a).real)
+        return _norm(a)
     return float(np.linalg.norm(a, "fro"))
+
+
+def _norm(a: np.ndarray) -> float:
+    """||A||_F of a complex128 matrix, unchecked: the root of the sum of |a_ij|^2 as one
+    BLAS zdotc on A's memory-order ravel (A itself when C-contiguous).  Only when that
+    sum is not finite (zdotc's overflow reads inf or NaN, past about 1e154) is it taken
+    again over A / max|a_ij| and scaled back, so no in-range bit depends on the
+    rescale; an infinite entry gives inf and a NaN entry NaN."""
+    if not a.flags.c_contiguous:
+        a = a.ravel(order="K")
+    total = np.vdot(a, a).real
+    if total < math.inf:  # false for NaN too
+        return math.sqrt(total)
+    big = float(np.abs(a).max())
+    if big < math.inf:
+        a = a / big
+        return big * math.sqrt(np.vdot(a, a).real)
+    return big
+
+
+def _residual(a: np.ndarray, b: np.ndarray, norm=_norm) -> float:
+    """||A - B|| / max(1, ||A||, ||B||) for A, B of one shape, unchecked; the norm is by
+    default ``_norm``, for complex128 matrices, and ``rel_residual`` passes ``frobenius``."""
+    return norm(a - b) / max(1.0, norm(a), norm(b))
 
 
 def rel_residual(a: np.ndarray, b: np.ndarray) -> float:
@@ -136,7 +157,7 @@ def rel_residual(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return frobenius(a - b) / max(1.0, frobenius(a), frobenius(b))
+    return _residual(a, b, frobenius)
 
 
 def approx_equal(a: np.ndarray, b: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> bool:

@@ -756,10 +756,10 @@ def _mwgi_identities(a: RationalMatrix, m: int, z: RationalMatrix, max_bits: int
     tower, and the exact-only second_form: (A^D A A^o)^{m+1} A^m = Z."""
     k, d, cep = _tower(a, max_bits)
     am, az = a.power(m), a @ z
-    qs = (a @ d).conj_transpose()
+    am1z, qs = am @ az, (a @ d).conj_transpose()
     identities = _definition_identities(
-        a, z, k, m, a.power, RationalMatrix.conj_transpose, az, az @ z, am @ az,
-        qs.__matmul__, lambda x: a @ (cep @ x),
+        a, z, k, m, a.power, RationalMatrix.conj_transpose, az, az @ z, am1z,
+        a.power(k).conj_transpose() @ am1z, qs.__matmul__, lambda x: a @ (cep @ x),
     )
     identities["second_form"] = lambda: ((d @ a @ cep).power(m + 1) @ am, z)
     return identities

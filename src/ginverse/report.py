@@ -3,22 +3,27 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .matcore import TolerancePolicy, frobenius, rel_residual
+from .matcore import TolerancePolicy, _residual, frobenius
 
 __all__ = ["Check", "VerificationReport"]
 
 
-@dataclass(frozen=True)
-class Check:
-    """One named verification: residual plus its pass flag.
+class Check(NamedTuple):
+    """One named verification: residual plus its pass flag, an immutable record that
+    compares by value.
 
     Equation checks store the relative Frobenius residual of left-minus-right;
     nilpotency checks store the absolute Frobenius norm of the tested power;
-    subspace/rank checks are boolean and store 0.0 or 1.0.
+    subspace/rank checks are boolean and store 0.0 or 1.0.  A residual that is NaN
+    (a side that overflowed, or a merged part that did) or infinite fails its check;
+    ``VerificationReport.to_dict`` writes it as the string "nan" or "inf", so the JSON
+    stays standard, and an error line prints it as nan or inf.
     """
 
     residual: float
@@ -38,19 +43,26 @@ class VerificationReport:
     def to_dict(self) -> dict:
         return {
             "checks": {
-                name: {"residual": c.residual, "pass": c.passed}
+                name: {"residual": _json_number(c.residual), "pass": c.passed}
                 for name, c in self.checks.items()
             },
             "overall": self.overall,
         }
 
 
+def _json_number(value: float):
+    """value itself when finite, else its repr ("nan", "inf"), which JSON holds as a string."""
+    return value if math.isfinite(value) else repr(value)
+
+
 def _eq_check(left: np.ndarray, right, tol: TolerancePolicy) -> Check:
-    """Left = right within eq_rtol, or left nilpotent when right is ``_Is.NILPOTENT``."""
-    if right is _Is.NILPOTENT:
+    """Left = right within eq_rtol, or left nilpotent when right is ``_Is.NILPOTENT``; the
+    residual is ``rel_residual``'s, bit for bit, from its kernel with no validation, since
+    the checkers pair complex128 matrices of one shape."""
+    if right is _NILPOTENT:
         return _nil_check(np.linalg.matrix_power(left, len(left)), tol)
-    residual = rel_residual(left, right)
-    return Check(residual=residual, passed=residual <= tol.eq_rtol)
+    residual = _residual(left, right)
+    return Check(residual, residual <= tol.eq_rtol)
 
 
 # Defining identities {label: sides} of the Drazin (group at k <= 1), core-EP (core at
@@ -92,6 +104,9 @@ class _Is(enum.Enum):
     NILPOTENT = "nilpotent"
 
 
+_NILPOTENT = _Is.NILPOTENT  # read by _eq_check at every pair, without the enum's lookup
+
+
 def _adjoint_pair(w, star) -> tuple:
     """(W, W*): the equation that says W is Hermitian."""
     return w, star(w)
@@ -105,15 +120,14 @@ def _zero_pair(w) -> tuple:
 # The m-weak group inverse Z's characterizations, one list each, in the form above:
 # sides() may also form a list of pairs whose checks the label merges, or the pair
 # (W, _Is.NILPOTENT), so a checker forms only the entries it reads.
-def _definition_identities(a, z, k: int, m: int, power, star, az, az2, am1z, qs, aao) -> dict:
+def _definition_identities(
+    a, z, k: int, m: int, power, star, az, az2, am1z, akm1z, qs, aao
+) -> dict:
     """The definition of Z for A of index k: ax2 and wgm_k (``mwgi``'s self-check),
-    then its consequences.  The caller holds A Z, A Z^2 = (A Z) Z and
-    A^{m+1} Z = A^m (A Z), and gives qs(X) = (A A^D)* X and aao(X) = A A^o X."""
+    then its consequences.  The caller holds A Z, A Z^2 = (A Z) Z, A^{m+1} Z = A^m (A Z)
+    and (A^k)* A^{m+1} Z, which wgm_k reads and, at k = m, hermitian31 too (None where
+    neither is read), and gives qs(X) = (A A^D)* X and aao(X) = A A^o X."""
     am, ak = power(m), power(k)
-
-    def wgm_k():
-        ak_star = star(ak)
-        return [(z @ power(k + 1), ak), (ak_star @ am1z, ak_star @ am)]
 
     def idem34():  # A Z = A^j Z^j for j = 2, 3
         a2z2 = a @ az2
@@ -122,8 +136,8 @@ def _definition_identities(a, z, k: int, m: int, power, star, az, az2, am1z, qs,
     return {
         "ax2": lambda: (z, az2),
         "def11": lambda: (qs(am1z), qs(am)),
-        "wgm_k": wgm_k,
-        "hermitian31": lambda: _adjoint_pair(star(am) @ am1z, star),
+        "wgm_k": lambda: [(z @ power(k + 1), ak), (akm1z, star(ak) @ am)],
+        "hermitian31": lambda: _adjoint_pair(akm1z if k == m else star(am) @ am1z, star),
         "coreEP48": lambda: (am1z, aao(am)),
         "limit": lambda: (ak, az @ ak),
         "idem34": idem34,
@@ -198,15 +212,15 @@ def _evaluate(identities: dict, labels, check, *args) -> dict[str, Check]:
 
 def _nil_check(power: np.ndarray, tol: TolerancePolicy) -> Check:
     norm = frobenius(power)
-    return Check(residual=norm, passed=norm <= tol.nil_atol)
+    return Check(norm, norm <= tol.nil_atol)
 
 
 def _bool_check(flag: bool) -> Check:
-    return Check(residual=0.0 if flag else 1.0, passed=flag)
+    return Check(0.0 if flag else 1.0, flag)
 
 
 def _merge(*checks: Check) -> Check:
-    return Check(
-        residual=max(c.residual for c in checks),
-        passed=all(c.passed for c in checks),
-    )
+    """The largest residual, NaN if any part's is NaN (max alone would drop it), and
+    the conjunction of the pass flags."""
+    residuals, flags = zip(*checks)
+    return Check(math.nan if any(map(math.isnan, residuals)) else max(residuals), all(flags))

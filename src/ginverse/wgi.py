@@ -159,9 +159,11 @@ class PolarData:
 
 
 class _CheckedZ:
-    """A Z with its products A Z, A Z^2 and A^{m+1} Z and its self-check, ax2 and wgm_k
-    (``checks``), as ``_self_check`` forms them; A's tower keeps, under ("mwgi", m),
-    the record of each Z that ``mwgi`` forms for weight m."""
+    """A Z with its products (``_products``, the last one only at k = m) and its
+    self-check, ax2 and wgm_k (``checks``), as ``_self_check`` forms them; A's tower
+    keeps, under ("mwgi", m), the record of each Z that ``mwgi`` forms for weight m.
+    It holds arrays and checks only, nothing that refers back to the tower, so a
+    dropped tower is freed at once."""
 
     __slots__ = ("z", "products", "checks")
 
@@ -175,9 +177,10 @@ def _record(t: Tower, m: int) -> _CheckedZ | None:
 
 
 def _products(t: Tower, z: np.ndarray, m: int) -> tuple:
-    """A Z, A Z^2 = (A Z) Z and A^{m+1} Z = A^m (A Z)."""
+    """A Z, A Z^2 = (A Z) Z, A^{m+1} Z = A^m (A Z) and (A^k)* A^{m+1} Z."""
     az = t.a @ z
-    return az, az @ z, t.power(m) @ az
+    am1z = t.power(m) @ az
+    return az, az @ z, am1z, conj_transpose(t.power(t.index.k)) @ am1z
 
 
 def _definition(t: Tower, z: np.ndarray, m: int, products: tuple, qs=None, aao=None) -> dict:
@@ -191,6 +194,8 @@ def _self_check(t: Tower, z: np.ndarray, m: int) -> _CheckedZ:
     wgm_k, Z A^{k+1} = A^k and (A^k)* A^{m+1} Z = (A^k)* A^m."""
     products = _products(t, z, m)
     checks = _evaluate(_definition(t, z, m, products), ("ax2", "wgm_k"), _eq_check, t.tol)
+    if m != t.index.k:  # only hermitian31 at k = m reads (A^k)* A^{m+1} Z again
+        products = (*products[:3], None)
     return _CheckedZ(z, products, checks)
 
 
@@ -362,18 +367,18 @@ def verify_definition(a, z, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> Verif
       idem34       A Z = A^n Z^n for n = 2, 3
     Z's products, ax2 and wgm_k are read from its record: the one A's tower keeps
     for the Z object that ``mwgi`` formed, else one made here (``_self_check``).  The
-    other checks are made here, with A U1 and G = T^-(k+1) U1* A^k formed once:
-    def11 reads (A A^D)* = G* (A U1)* and coreEP48 A A^o A^m = (A U1) (T^-1 U1* A^m),
-    with A U1 formed, not taken as U1 T, which is what the two test.
+    other checks are made here, with A U1 formed once and G = T^-(k+1) U1* A^k read
+    from A's tower (``Tower.g``, the G of A^D = U1 G): def11 reads (A A^D)* =
+    G* (A U1)* and coreEP48 A A^o A^m = (A U1) (T^-1 U1* A^m), with A U1 formed, not
+    taken as U1 T, which is what the two test.
     """
     t = tower(a, tol)
     z = _candidate(t, z, m)
     record = _record(t, m)
     if record is None or z is not record.z:
         record = _self_check(t, z, m)
-    k, au1 = t.index.k, t.a @ t.u1
-    au1_star = conj_transpose(au1)
-    g_star = conj_transpose(t.pow("tinv", k + 1) @ t.coords(k))
+    au1 = t.a @ t.u1
+    au1_star, g_star = conj_transpose(au1), conj_transpose(t.g)
     identities = _definition(
         t, z, m, record.products,
         lambda x: g_star @ (au1_star @ x),

@@ -297,6 +297,16 @@ class TestTower:
         with pytest.raises(ValueError):
             t.d[0, 0] = 2
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_drazin_is_u1_times_the_kept_g(self, k):
+        # G = T^-(k+1) (U1* A^k) is kept once, and A^D = Z_k = U1 G reads it
+        t = classical._build(with_index(np.random.default_rng(50 + k), 6, k), DEFAULT_TOL)
+        g = _chain(t.tinv, k + 1) @ (t.u1.conj().T @ np.linalg.matrix_power(t.a, k))
+        assert t.g.tobytes() == g.tobytes() and t.g is t.g and not t.g.flags.writeable
+        assert t.g.shape == (t.index.rank_chain[k], 6)
+        assert t.z(k) is t.d
+        assert t.d.shape == (6, 6) and t.d.tobytes() == (t.u1 @ g).tobytes()
+
     def test_towers_compare_and_hash_by_identity(self):
         # compared field by field, their arrays made ==, in and hash raise
         t1, t2 = (classical._build(np.diag([1, 2, v]) + 0j, DEFAULT_TOL) for v in (3, 4))
@@ -344,9 +354,9 @@ class TestStaircase:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_deflation_is_one_product(self, monkeypatch, k):
-        # B_{j+1} is formed as diag(s_r) Vh_r W, which equals W* B_j W.  The last
-        # block is factored only at k = 1, where its drop d = 5 exceeds r = 3; at
-        # k = 2, 3 the SVD before it certifies it nonsingular, so it is T unfactored
+        # B_{j+1} is formed as diag(s_r) Vh_r W, which equals W* B_j W.  At every k
+        # here the SVD before the last block certifies it nonsingular, so it is T
+        # unfactored: at k = 1 from C = Vh_r W, since the drop d = 5 exceeds r = 3
         a = with_index(np.random.default_rng(60 + k), 8, k)
         steps, svd = [], np.linalg.svd
 
@@ -358,9 +368,8 @@ class TestStaircase:
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
         idx, _, core = classical._staircase(a, DEFAULT_TOL)
         chain = idx.rank_chain
-        assert len(steps) == (k + 1 if k == 1 else k)
-        blocks = [b for b, _ in steps[1:]] + ([core] if len(steps) == k else [])
-        assert np.array_equal(blocks[-1], core)
+        assert len(steps) == k
+        blocks = [b for b, _ in steps[1:]] + [core]
         for j, ((b, (u, s, vh)), b_next) in enumerate(zip(steps, blocks), start=1):
             r = chain[j]
             w = u[:, :r]
@@ -426,22 +435,40 @@ class TestStaircase:
         assert fired == {True, False}  # the certificate both takes and leaves last steps here
 
     @pytest.mark.parametrize(
-        "r, sizes, chain, svds",
+        "r, sizes, chain",
         [
-            (5, [1, 1, 1], (8, 5, 5), 1),  # d = 3 <= r = 5: certified
-            (2, [1] * 6, (8, 2, 2), 2),  # d = 6 > r = 2: the confirming SVD
-            (4, [2, 2], (8, 6, 4, 4), 2),
-            (1, [2, 2, 2, 1], (8, 4, 1, 1), 3),  # last d = 3 > r = 1
-            (3, [3, 2], (8, 6, 4, 3, 3), 3),
-            (1, [3, 3, 1], (8, 5, 3, 1, 1), 4),  # last d = 2 > r = 1
+            (5, [1, 1, 1], (8, 5, 5)),  # d = 3 <= r = 5: D
+            (2, [1] * 6, (8, 2, 2)),  # d = 6 > r = 2: C
+            (4, [2, 2], (8, 6, 4, 4)),
+            (1, [2, 2, 2, 1], (8, 4, 1, 1)),  # last d = 3 > r = 1
+            (3, [3, 2], (8, 6, 4, 3, 3)),
+            (1, [3, 3, 1], (8, 5, 3, 1, 1)),  # last d = 2 > r = 1
         ],
     )
-    def test_certificate_needs_drop_at_most_rank(self, r, sizes, chain, svds):
-        # k SVDs when the last drop d is at most the rank r it leaves, k + 1 if not
+    def test_certificate_takes_k_svds_whatever_the_drop(self, r, sizes, chain):
+        # the certificate reads the smaller diagonal block of Vh U, D when the last
+        # drop d is at most the rank r it leaves and C when not, so k SVDs either way
         rng = np.random.default_rng(80 + r)
         a = _core_ep_form(rng, conditioned_matrix(rng, r, (0.5, 2.0)), sizes)
         idx, _, _ = self._assert_matches_reference(a)
         assert idx.rank_chain == chain
+        assert _svds(a) == idx.k
+
+    @pytest.mark.parametrize("ratio, svds", [(1e6, 1), (1.5, 2)])
+    def test_certificate_from_c_takes_or_leaves_the_last_svd(self, ratio, svds):
+        # d = 6 > r = 2, T with sigma_min = ratio * cut: far above, s_r |det C| clears
+        # the margin and T is certified; at 1.5 cut it cannot, since sigma_min(B_2) >=
+        # s_r |det C| and a certificate needs 2 cut, so the SVD of B_2 runs and counts r
+        rng = np.random.default_rng(90)
+        core = conditioned_matrix(rng, 2, (1.0, 2.0))
+        probe = _core_ep_form(np.random.default_rng(91), core, [1] * 6)
+        cut = DEFAULT_TOL.rank_cut(np.linalg.svd(probe, compute_uv=False)[0], 8)
+        u, s, vh = np.linalg.svd(core)
+        s[-1] = ratio * cut
+        a = _core_ep_form(np.random.default_rng(91), (u * s) @ vh, [1] * 6)
+        idx, core, cut = self._assert_matches_reference(a)
+        assert idx.rank_chain == (8, 2, 2)
+        assert np.linalg.svd(core, compute_uv=False)[-1] > cut
         assert _svds(a) == svds
 
 
@@ -488,14 +515,15 @@ class TestKeptPowers:
 
     def test_each_power_formed_once(self):
         t = classical._build(with_index(np.random.default_rng(64), 5, 2), DEFAULT_TOL)
-        assert t.d is t.d  # A^D = Z_2 = U1 (T^-3 (U1* A^2)) keeps T^-2, T^-3, A^2, U1* A^2, Z_2
-        assert len(t._kept) == 5
+        # A^D = Z_2 = U1 G, G = T^-3 (U1* A^2), keeps T^-2, T^-3, A^2, U1* A^2, G and Z_2
+        assert t.d is t.d
+        assert len(t._kept) == 6
         for _ in range(2):
             for name in ("o", "d", "tinv"):
                 t.pow(name, 3)
                 t.pow(name, 4)
             # A^o, (A^o)^2..4, (A^D)^2..4 and T^-4 in the first round, nothing in the second
-            assert len(t._kept) == 13
+            assert len(t._kept) == 14
 
     def test_deep_exponent_is_filled_by_a_loop(self):
         # a kept recursion raised RecursionError from about e = 330

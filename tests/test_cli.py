@@ -674,3 +674,37 @@ class TestTrialRaises:
         code, out, _ = run_cli(capsys, *argv, "--pretty")
         assert code == 1 and "overall: PASS" in out  # the exact report's table
         assert out.rstrip().endswith("float_mwgi: mwgi raised LinAlgError: forced")
+
+
+class TestNonFiniteResidual:
+    """A residual that overflows to NaN reads "nan" in an error line, as Python formats
+    it, and the string "nan" in JSON, which then stays standard."""
+
+    @pytest.fixture
+    def huge(self, tmp_path):
+        # A^2 of an index-1 A with entries near 1e200 overflows, and so does every check
+        # that reads it
+        a = 1e200 * with_index(np.random.default_rng(0), 4, 1)
+        return write_matrix(tmp_path / "huge.json", a)
+
+    def test_compute_error_line(self, capsys, huge):
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run_cli(capsys, "compute", "--input", huge, "--inverse", "drazin")
+        assert code == 1 and out == ""
+        assert err.strip().endswith("(A^(k+1) X = A^k): residual nan")
+
+    def test_verify_json(self, capsys, tmp_path, huge):
+        zero = write_matrix(tmp_path / "zero.json", np.zeros((4, 4)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, _ = run_cli(
+                capsys, "verify", "--input", huge, "--candidate", zero, "--m", "1"
+            )
+        assert code == 1
+
+        def forbidden(token):
+            raise AssertionError(f"non-standard JSON token {token}")
+
+        checks = json.loads(out, parse_constant=forbidden)["checks"]
+        assert checks["wgm_k"] == {"pass": False, "residual": "nan"}
+        for check in checks.values():
+            assert isinstance(check["residual"], float) or check["residual"] in ("nan", "inf")

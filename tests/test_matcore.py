@@ -1,3 +1,4 @@
+import json
 import math
 import pickle
 
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ginverse import eqsolve, oracle, shiftlab, wgi
+from ginverse import eqsolve, generators, oracle, shiftlab, wgi
+from ginverse.classical import drazin
 from ginverse.generators import with_index
 from ginverse.matcore import (
     DEFAULT_TOL,
@@ -24,7 +26,8 @@ from ginverse.matcore import (
     numerical_rank,
     rel_residual,
 )
-from ginverse.report import _adjoint_pair, _eq_check, _zero_pair
+from ginverse.report import Check, VerificationReport, _adjoint_pair, _eq_check, _merge
+from ginverse.report import _zero_pair
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -182,6 +185,105 @@ class TestFrobeniusKernel:
             np.linalg.norm(np.ones(shape), "fro")
         with pytest.raises(ValueError):
             frobenius(np.ones(shape))
+
+
+_D = _KERNEL_RNG.standard_normal((5, 4)) + 1j * _KERNEL_RNG.standard_normal((5, 4))
+_WIDE = _KERNEL_RNG.standard_normal((8, 15)) + 1j * _KERNEL_RNG.standard_normal((8, 15))
+
+# 4 x 5 complex128 operands in every memory layout a checker's pair can take
+_LAYOUTS = {
+    "C-ordered": _C,
+    "F-ordered": np.asfortranarray(_D.T),
+    "conj-transposed": conj_transpose(_D),
+    "strided view": _WIDE[::2, ::3],
+}
+
+
+class TestResidualKernel:
+    """``_eq_check`` scores a pair with ``rel_residual``'s kernel, unvalidated: the same
+    bits on every layout, and past 1e154 the rescaled norm, not inf / inf = NaN."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e154])
+    @pytest.mark.parametrize("left", list(_LAYOUTS))
+    @pytest.mark.parametrize("right", list(_LAYOUTS))
+    def test_eq_check_has_rel_residual_bits(self, left, right, scale):
+        a, b = scale * _LAYOUTS[left], scale * _LAYOUTS[right]
+        for x, y in ((a, b), (b, a), (a, a), (a, _moved(a))):
+            residual = _eq_check(x, y, DEFAULT_TOL).residual
+            assert residual.hex() == rel_residual(x, y).hex()
+            if scale == 1.0:  # in range, the plain zdotc sums: no bit moves
+                assert residual.hex() == _norm_residual(x, y).hex()
+            else:  # the sums overflow; the rescale keeps the unscaled residual
+                assert not math.isfinite(np.vdot(x, x).real)  # zdotc reads inf or NaN
+                assert math.isclose(residual, rel_residual(x / scale, y / scale), rel_tol=1e-14)
+
+    @pytest.mark.parametrize("name", list(_LAYOUTS))
+    def test_frobenius_scales_past_the_float_range(self, name):
+        x = _LAYOUTS[name]
+        big = frobenius(2.0**600 * x)
+        assert math.isclose(big, 2.0**600 * frobenius(x), rel_tol=4 * np.finfo(float).eps)
+        assert math.isclose(frobenius(2.0**-600 * (2.0**600 * x)), frobenius(x), rel_tol=1e-15)
+
+    def test_non_finite_entries(self):
+        x = _C.copy()
+        x[1, 2] = np.inf
+        assert frobenius(x) == math.inf
+        x[1, 2] = complex(np.nan, 0.0)
+        assert math.isnan(frobenius(x))
+
+
+class TestCheckRecord:
+    """``Check`` is a light immutable record: built by keyword, equal by value, and
+    reported as before."""
+
+    def test_immutable_and_equal_by_value(self):
+        check = Check(residual=0.25, passed=True)
+        assert check == Check(0.25, True) and hash(check) == hash(Check(0.25, True))
+        assert check != Check(residual=0.25, passed=False)
+        assert (check.residual, check.passed) == (0.25, True)
+        with pytest.raises(AttributeError):
+            check.residual = 0.0
+
+    def test_to_dict_is_unchanged(self):
+        report = VerificationReport(
+            checks={"ax2": Check(residual=2.5e-16, passed=True), "wgm_k": Check(1.5, False)}
+        )
+        text = json.dumps(report.to_dict(), sort_keys=True)
+        assert text == (
+            '{"checks": {"ax2": {"pass": true, "residual": 2.5e-16}, '
+            '"wgm_k": {"pass": false, "residual": 1.5}}, "overall": false}'
+        )
+
+
+class TestNonFiniteResidual:
+    """A NaN part makes a merged residual NaN, so a failed check never reads a residual
+    at or below eq_rtol; JSON writes a non-finite residual as a string."""
+
+    def test_merge_keeps_nan(self):
+        fine, lost = Check(1e-15, True), Check(math.nan, False)
+        for parts in ((fine, lost), (lost, fine)):
+            merged = _merge(*parts)
+            assert math.isnan(merged.residual) and not merged.passed
+        assert _merge(fine, Check(2e-8, False)) == Check(2e-8, False)
+
+    def test_failed_check_reads_a_failing_residual(self):
+        # the index-2 rational matrix of the CI r2 step at m = 340: A^340 reaches 1e171.
+        # Unscaled, the norms of def11, wgm_k and coreEP48 overflowed to NaN, and wgm_k
+        # failed while it printed 2.8e-15; rescaled, the three hold.  hermitian31's
+        # (A^m)* A^{m+1} Z overflows itself, so its residual is NaN
+        a = generators.rational_with_index(np.random.default_rng(3), 5, 2).to_complex()
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = wgi.verify_definition(a, drazin(a), 340)
+        for name, check in report.checks.items():
+            assert check.passed or not check.residual <= DEFAULT_TOL.eq_rtol, name
+        assert all(report.checks[name].passed for name in ("def11", "wgm_k", "coreEP48"))
+        payload = json.dumps(report.to_dict(), allow_nan=False)  # standard JSON
+        assert json.loads(payload)["checks"]["hermitian31"] == {"pass": False, "residual": "nan"}
+        assert report.to_dict()["checks"]["ax2"]["residual"] == report.checks["ax2"].residual
+        assert VerificationReport({"x": Check(math.inf, False)}).to_dict()["checks"]["x"] == {
+            "residual": "inf",
+            "pass": False,
+        }
 
 
 def _hermitian_inputs():

@@ -1183,7 +1183,8 @@ def _every_list(a, z, x_d, x_o, x_mp, k, m, power, star, b):
         "_core_ep_identities": report_module._core_ep_identities(a, x_o, k, power, star),
         "_penrose_identities": report_module._penrose_identities(a, x_mp, 0, power, star),
         "_definition_identities": report_module._definition_identities(
-            a, z, k, m, power, star, az, az @ z, am1z, qs.__matmul__, lambda x: a @ (x_o @ x)
+            a, z, k, m, power, star, az, az @ z, am1z, star(power(k)) @ am1z,
+            qs.__matmul__, lambda x: a @ (x_o @ x),
         ),
         "_decomposition_identities": report_module._decomposition_identities(
             a, a2z, a - a2z, z, m, power, star

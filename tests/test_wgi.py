@@ -11,7 +11,8 @@ import pytest
 from ginverse import classical, cli, eqsolve, oracle, wgi
 from ginverse.classical import drazin, core_ep, group_inverse, index, moore_penrose, tower
 from ginverse.generators import orthogonal_pair, with_index
-from ginverse.matcore import DEFAULT_TOL, TolerancePolicy, approx_equal, frobenius, rel_residual
+from ginverse.matcore import DEFAULT_TOL, TolerancePolicy, approx_equal, conj_transpose
+from ginverse.matcore import frobenius, rel_residual
 
 J2 = np.array([[0, 1], [0, 0]], dtype=complex)
 IDEMPOTENT = np.array([[1, 1], [0, 0]], dtype=complex)
@@ -1213,6 +1214,35 @@ class TestOneCheckedZ:
         finally:
             if enabled:
                 gc.enable()
+
+    @pytest.mark.parametrize("k, m", [(1, 1), (2, 2), (2, 1), (1, 3)])
+    def test_one_product_for_wgm_k_and_hermitian31(self, k, m):
+        # wgm_k's (A^k)* A^{m+1} Z is kept with the checked Z at k = m, where hermitian31
+        # reads it, with the bits of the product it formed of its own before
+        t = classical._build(with_index(np.random.default_rng(30 + k), 6, k), DEFAULT_TOL)
+        z = wgi.mwgi(t, m).Z
+        products = wgi._record(t, m).products
+        am1z, akm1z, star = products[2], products[3], conj_transpose
+        w, w_star = wgi._definition(t, z, m, products)["hermitian31"]()
+        if k == m:
+            assert w is akm1z
+        else:  # nothing reads it again
+            assert akm1z is None
+        assert _bits(w) == _bits(star(t.power(m)) @ am1z) and _bits(w_star) == _bits(star(w))
+        assert _bits(wgi._products(t, z, m)[3]) == _bits(star(t.power(k)) @ am1z)
+        assert wgi.verify_definition(t, z, m).overall
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_verify_definition_reads_the_kept_g(self, monkeypatch, k):
+        # def11 reads (A A^D)* = G* (A U1)* with the tower's G, the one A^D = U1 G reads
+        t = classical._build(with_index(np.random.default_rng(35 + k), 6, k), DEFAULT_TOL)
+        z = wgi.mwgi(t, 2).Z
+        g, reads, kept_g = t.g, [], classical.Tower.g
+        monkeypatch.setattr(
+            classical.Tower, "g", property(lambda tw: reads.append(1) or kept_g.fget(tw))
+        )
+        assert wgi.verify_definition(t, z, 2).overall
+        assert reads == [1] and t._kept["g"] is g
 
     def test_failed_z_is_kept_and_raised_from(self, z_checks):
         # mwgi keeps the record of a Z that fails its self-check too, and raises from it
