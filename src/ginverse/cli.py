@@ -66,6 +66,8 @@ def _load_json(path: str):
         raise InputError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def _load_matrix(path: str, parse=matrix_from_json):
@@ -78,8 +80,11 @@ def _load_matrix(path: str, parse=matrix_from_json):
 def _emit(args: argparse.Namespace, payload: dict, table: str | None = None) -> None:
     text = json.dumps(payload, sort_keys=True, ensure_ascii=False)
     if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(args.output, "w") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            raise InputError(f"{args.output}: {exc.strerror or exc}") from exc
     if args.pretty and table:
         print(table)
     elif not args.output:
@@ -374,7 +379,8 @@ _COMMANDS = {
 
 def run(args: argparse.Namespace) -> int:
     """Check --m, --index, --trials and --dim, set ``args.tol`` and run one parsed command;
-    returns the exit code."""
+    returns the exit code.  The command runs with numpy's overflow and invalid-value
+    warnings off: a check that overflows reads nan in its report, under any warning filter."""
     try:
         if args.m < 0 or (args.command not in ("fuzz", "certify") and args.m < 1):
             raise InputError("--m must be a positive integer")
@@ -385,7 +391,8 @@ def run(args: argparse.Namespace) -> int:
         if getattr(args, "dim", 2) < 2:
             raise InputError("--dim must be an integer >= 2")
         args.tol = _tolerance(args)
-        return _COMMANDS[args.command](args)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _COMMANDS[args.command](args)
     except (ArithmeticError, np.linalg.LinAlgError, wgi.OrthogonalityViolation) as exc:
         # no such inverse, a failed self-check, a singular core block, or
         # exact-arithmetic overflow

@@ -48,7 +48,7 @@ def residual(a, b, m: int, x, tol: TolerancePolicy = DEFAULT_TOL) -> float:
     b, x = _conformable(t.a, b, "B"), _conformable(t.a, x, "X")
     if x.shape[1] != b.shape[1]:
         raise ValueError(f"X has {x.shape[1]} columns but B has {b.shape[1]}")
-    _check_m(m)  # the tower reads m = 0 as A^0 = I and raises only below it
+    m = _check_m(m)  # the tower reads m = 0 as A^0 = I and raises only below it
     q_star = conj_transpose(t.ad)
     sides = _equation_identities(x, b, m, t.power, q_star.__matmul__)["equation"]
     left, right = sides()

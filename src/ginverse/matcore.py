@@ -9,6 +9,7 @@ go through the single relative-Frobenius convention implemented here.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,10 +105,16 @@ def as_square_matrix(values) -> np.ndarray:
     return a
 
 
-def _check_m(m: int) -> None:
-    """The weight m of an m-weak group inverse: a positive int, not a bool."""
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+def _check_m(m) -> int:
+    """The weight m of an m-weak group inverse as an int: a positive integer of any
+    integer type (numpy's too), not a bool."""
+    try:
+        value = None if isinstance(m, bool) else operator.index(m)  # np.bool_ has no index
+    except TypeError:
+        value = None
+    if value is None or value < 1:
         raise ValueError(f"m must be a positive integer, got {m!r}")
+    return value
 
 
 def conj_transpose(a: np.ndarray) -> np.ndarray:

@@ -15,10 +15,12 @@ columns and the same products give A^o = A^D = 0: matrices formed here may
 have a zero dimension, though the public constructors reject one.
 
 Each matrix keeps everything derived from it in one store (``keep``): its
-powers, keyed by exponent, its one fraction-free elimination, which both its
-rank and its full-rank factorization read, its tower per height bound, and
-the Z that ``certify`` verified.  The first value stored under a key wins, so
-threads sharing a matrix read one value per key.
+A^0, its one fraction-free elimination, which both its rank and its full-rank
+factorization read, its tower per height bound, and the Z that ``certify``
+verified.  The first value stored under a key wins, so threads sharing a
+matrix read one value per key.  Its other powers are not kept with it: A^e is
+the chain A A ... A through ``@``, so the call's product store below keeps
+each power once.
 
 A product A B is a single numpy object-array dot of A's left layout
 [Re A | Im A] (r x 2n) and B's right layout [[Re B, Im B], [-Im B, Re B]]
@@ -67,7 +69,7 @@ from .matcore import MatrixFormatError, _check_m, _json_envelope, readonly
 from .report import Check, VerificationReport, _Is, _evaluate, _merge, _zero_pair
 from .report import _core_ep_identities, _drazin_identities, _penrose_identities
 from .report import _b_identities, _decomposition_identities, _definition_identities
-from .report import _equation_identities
+from .report import _equation_identities, _z_products
 
 __all__ = [
     "MAX_HEIGHT_BITS",
@@ -276,10 +278,10 @@ class RationalMatrix:
     def keep(self, key, make):
         """What make() returns, made at the first read of ``key`` and kept with the matrix.
 
-        The one store of everything derived from the matrix: its powers (keyed
-        by exponent), its elimination ("rref"), its tower per height bound
-        (("tower", max_bits)) and the Z that ``certify`` verified
-        (("mwgi", max_bits, m)).  Nothing is kept when make() raises.
+        The one store of everything derived from the matrix: its A^0 (under 0),
+        its elimination ("rref"), its tower per height bound (("tower", max_bits))
+        and the Z that ``certify`` verified (("mwgi", max_bits, m)).  Nothing is
+        kept when make() raises.
         """
         kept = self._kept
         if key not in kept:  # of two threads racing here, the first to store wins
@@ -453,9 +455,9 @@ class RationalMatrix:
         return (self.rows, self.cols)
 
     def power(self, e: int) -> "RationalMatrix":
-        """A^e, formed as A^{e-1} A from the kept A^{e-1} (A^1 is A) and kept under e;
-        a missing power is filled upward in a loop from the highest one kept below it, so
-        no exponent is too deep.  A^0 = I is one identity kept under 0, with the
+        """A^e, the chain (A A) A ... A through ``@``, in a loop, so no exponent is too
+        deep: within a public call the product store forms each power once, and outside
+        one each is formed afresh.  A^0 = I is one identity kept under 0, with the
         elimination F reads at index 0."""
         if not self.is_square():
             raise ValueError("matrix power requires a square matrix")
@@ -463,18 +465,9 @@ class RationalMatrix:
             raise ValueError("negative powers are not supported; invert first")
         if e == 0:
             return self.keep(0, lambda: RationalMatrix.identity(self.rows))
-        j = e
-        while j > 1 and j not in self._kept:  # the highest power kept up to e
-            j -= 1
-        p = self._kept[j] if j > 1 else self
-        if j == e:
-            return p
-
-        def step():  # reads p as the loop leaves it: the kept A^{j-1}
-            return p @ self
-
-        for j in range(j + 1, e + 1):
-            p = self.keep(j, step)
+        p = self
+        for _ in range(e - 1):
+            p = p @ self
         return p
 
     def conj_transpose(self) -> "RationalMatrix":
@@ -755,13 +748,12 @@ def _mwgi_identities(a: RationalMatrix, m: int, z: RationalMatrix, max_bits: int
     """The definition list of Z (``report._definition_identities``) read from A's
     tower, and the exact-only second_form: (A^D A A^o)^{m+1} A^m = Z."""
     k, d, cep = _tower(a, max_bits)
-    am, az = a.power(m), a @ z
-    am1z, qs = am @ az, (a @ d).conj_transpose()
+    star = RationalMatrix.conj_transpose
+    products, qs = _z_products(a, z, k, m, a.power, star), star(a @ d)
     identities = _definition_identities(
-        a, z, k, m, a.power, RationalMatrix.conj_transpose, az, az @ z, am1z,
-        a.power(k).conj_transpose() @ am1z, qs.__matmul__, lambda x: a @ (cep @ x),
+        a, z, k, m, a.power, star, products, qs.__matmul__, lambda x: a @ (cep @ x)
     )
-    identities["second_form"] = lambda: ((d @ a @ cep).power(m + 1) @ am, z)
+    identities["second_form"] = lambda: ((d @ a @ cep).power(m + 1) @ a.power(m), z)
     return identities
 
 
@@ -775,7 +767,7 @@ def exact_mwgi(a: RationalMatrix, m: int, max_bits: int = MAX_HEIGHT_BITS) -> Ra
     A Z that ``certify`` has verified for this m and bound is returned as it is,
     formed no more.
     """
-    _check_m(m)
+    m = _check_m(m)
     cep = _tower(a, max_bits)[2]
     z = a._kept.get(("mwgi", max_bits, m))
     if z is not None:
@@ -855,7 +847,7 @@ def certify(
     corrupted candidate is caught.  The computed Z is kept with A's tower for
     ``exact_mwgi`` once its ``_REQUIRED`` identities hold; a ``z`` passed in never is.
     """
-    _check_m(m)
+    m = _check_m(m)
     _, d, cep = _tower(a, max_bits)
     z_computed = _z_of(a, cep, m, max_bits)
     if z is None:

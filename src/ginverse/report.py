@@ -120,13 +120,20 @@ def _zero_pair(w) -> tuple:
 # The m-weak group inverse Z's characterizations, one list each, in the form above:
 # sides() may also form a list of pairs whose checks the label merges, or the pair
 # (W, _Is.NILPOTENT), so a checker forms only the entries it reads.
-def _definition_identities(
-    a, z, k: int, m: int, power, star, az, az2, am1z, akm1z, qs, aao
-) -> dict:
+def _z_products(a, z, k: int, m: int, power, star) -> tuple:
+    """A Z, A Z^2 = (A Z) Z, A^{m+1} Z = A^m (A Z) and (A^k)* A^{m+1} Z: the products of
+    Z that the definition list reads, formed one way in both arithmetics."""
+    az = a @ z
+    am1z = power(m) @ az
+    return az, az @ z, am1z, star(power(k)) @ am1z
+
+
+def _definition_identities(a, z, k: int, m: int, power, star, products, qs, aao) -> dict:
     """The definition of Z for A of index k: ax2 and wgm_k (``mwgi``'s self-check),
-    then its consequences.  The caller holds A Z, A Z^2 = (A Z) Z, A^{m+1} Z = A^m (A Z)
-    and (A^k)* A^{m+1} Z, which wgm_k reads and, at k = m, hermitian31 too (None where
-    neither is read), and gives qs(X) = (A A^D)* X and aao(X) = A A^o X."""
+    then its consequences.  The caller holds Z's products (``_z_products``), which wgm_k
+    reads and, at k = m, hermitian31 too (the last None where neither is read), and
+    gives qs(X) = (A A^D)* X and aao(X) = A A^o X."""
+    az, az2, am1z, akm1z = products
     am, ak = power(m), power(k)
 
     def idem34():  # A Z = A^j Z^j for j = 2, 3

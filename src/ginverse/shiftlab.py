@@ -163,7 +163,7 @@ def inner(u: FinSeq, v: FinSeq) -> complex:
 
 def mwgi_shift(m: int) -> ShiftWord:
     """The m-weak group inverse of L(1): the word S(m+1)∘L(m)."""
-    _check_m(m)
+    m = _check_m(m)
     return S(m + 1) * L(m)
 
 
@@ -196,7 +196,7 @@ def verify_shift_identities(m: int, window: int, z: ShiftWord | None = None) -> 
       def_eq         a^{m+1} Z = a^m
       limit          a^{n+1} Z = a^n for n = m..window (zero remainder)
     """
-    _check_m(m)
+    m = _check_m(m)
     if window < m + 2:
         raise ValueError(f"window must be at least m + 2 = {m + 2}, got {window}")
     a = L(1)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from .matcore import (
 )
 from .report import Check, VerificationReport, _bool_check, _eq_check, _evaluate, _nil_check
 from .report import _b_identities, _bc_identities, _decomposition_identities, _zero_pair
-from .report import _definition_identities, _polar_identities
+from .report import _definition_identities, _polar_identities, _z_products
 
 __all__ = [
     "OrthogonalityViolation",
@@ -145,7 +146,7 @@ class PolarData:
         """Check p^2 = p, the Hermitian weighting (A^m)* A^m p, nilpotency of
         A p, invertibility of (I-p)A(I-p) inside the corner, the range identity
         col(I-p) = col(A(I-p)), and invertibility of A + p (full-rank test)."""
-        _check_m(m)
+        m = _check_m(m)
         t = tower(a, tol)
         a, n = t.a, t.a.shape[0]
         p, q = self.p, t.power(0) - self.p
@@ -158,17 +159,16 @@ class PolarData:
         return VerificationReport(checks=checks)
 
 
-class _CheckedZ:
-    """A Z with its products (``_products``, the last one only at k = m) and its
-    self-check, ax2 and wgm_k (``checks``), as ``_self_check`` forms them; A's tower
+class _CheckedZ(NamedTuple):
+    """A Z with its products (``report._z_products``, the last one only at k = m) and
+    its self-check, ax2 and wgm_k (``checks``), as ``_self_check`` forms them; A's tower
     keeps, under ("mwgi", m), the record of each Z that ``mwgi`` forms for weight m.
     It holds arrays and checks only, nothing that refers back to the tower, so a
     dropped tower is freed at once."""
 
-    __slots__ = ("z", "products", "checks")
-
-    def __init__(self, z, products, checks):
-        self.z, self.products, self.checks = z, products, checks
+    z: np.ndarray
+    products: tuple
+    checks: dict[str, Check]
 
 
 def _record(t: Tower, m: int) -> _CheckedZ | None:
@@ -176,23 +176,16 @@ def _record(t: Tower, m: int) -> _CheckedZ | None:
     return t._kept.get(("mwgi", m))
 
 
-def _products(t: Tower, z: np.ndarray, m: int) -> tuple:
-    """A Z, A Z^2 = (A Z) Z, A^{m+1} Z = A^m (A Z) and (A^k)* A^{m+1} Z."""
-    az = t.a @ z
-    am1z = t.power(m) @ az
-    return az, az @ z, am1z, conj_transpose(t.power(t.index.k)) @ am1z
-
-
 def _definition(t: Tower, z: np.ndarray, m: int, products: tuple, qs=None, aao=None) -> dict:
-    """The definition list of z over A's tower and z's products (``_products``); without
-    qs(X) = (A A^D)* X and aao(X) = A A^o X only the self-check, ax2 and wgm_k, may be read."""
-    return _definition_identities(t.a, z, t.index.k, m, t.power, conj_transpose, *products, qs, aao)
+    """The definition list of z over A's tower and z's products; without qs(X) =
+    (A A^D)* X and aao(X) = A A^o X only the self-check, ax2 and wgm_k, may be read."""
+    return _definition_identities(t.a, z, t.index.k, m, t.power, conj_transpose, products, qs, aao)
 
 
 def _self_check(t: Tower, z: np.ndarray, m: int) -> _CheckedZ:
     """Any Z with its products and ``mwgi``'s self-check of it: ax2, Z = A Z^2, and
     wgm_k, Z A^{k+1} = A^k and (A^k)* A^{m+1} Z = (A^k)* A^m."""
-    products = _products(t, z, m)
+    products = _z_products(t.a, z, t.index.k, m, t.power, conj_transpose)
     checks = _evaluate(_definition(t, z, m, products), ("ax2", "wgm_k"), _eq_check, t.tol)
     if m != t.index.k:  # only hermitian31 at k = m reads (A^k)* A^{m+1} Z again
         products = (*products[:3], None)
@@ -216,7 +209,7 @@ def _z(t: Tower, m: int) -> np.ndarray:
 
 def _candidate(t: Tower, z, m: int, default=None) -> np.ndarray:
     """Candidate z for weight m, validated and of A's shape; default(t, m) if z is None."""
-    _check_m(m)
+    m = _check_m(m)
     if z is None and default is not None:
         return default(t, m)
     record = _record(t, m)
@@ -239,7 +232,7 @@ def mwgi(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> MwgiResult:
     call and the checkers' default Z read it unchanged, and ``verify_definition`` of
     that Z object reads its products, ax2 and wgm_k in place of forming them again.
     """
-    _check_m(m)  # before the lookup, where m = True would find the entry of m = 1
+    m = _check_m(m)  # before the lookup, where m = True would find the entry of m = 1
     t = tower(a, tol)
     record = t.keep(("mwgi", m), lambda: _self_check(t, t.z(m), m))
     _require(record.checks, "Z")
@@ -248,7 +241,7 @@ def mwgi(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> MwgiResult:
 
 def mwgi_via_power(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Power-reduction route: A^{m-1} W with W the 1-weak group inverse of A^m (A's Z at m = 1)."""
-    _check_m(m)
+    m = _check_m(m)
     if m == 1:
         return mwgi(a, 1, tol).Z.copy()
     t = tower(a, tol)
@@ -262,7 +255,7 @@ def mwgi_normal_equation(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.nd
     x = Q^+ A^m works because Q Q^+ is the orthogonal projector onto col(Q);
     the remaining null(Q) freedom in x is annihilated by the (A^D)^{m+1} factor.
     """
-    _check_m(m)
+    m = _check_m(m)
     t = tower(a, tol)
     x = _pinv(_finite(t.ad), tol) @ t.power(m)
     return t.pow("d", m + 1) @ x
@@ -270,7 +263,7 @@ def mwgi_normal_equation(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.nd
 
 def mwgi_drazin_solve(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Drazin-weighted route: (A^D)^{m+2} x with x solving (A^D)* A^D x = (A^D)* A^m."""
-    _check_m(m)
+    m = _check_m(m)
     t = tower(a, tol)
     x = _pinv(_finite(t.d), tol) @ t.power(m)
     return t.pow("d", m + 2) @ x
@@ -292,7 +285,7 @@ def mwgi_core_of_drazin(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.nda
 
     A^D always has index <= 1, so its core inverse exists unconditionally.
     """
-    _check_m(m)
+    m = _check_m(m)
     t = tower(a, tol)
     return t.pow("d", m + 2) @ core_inverse(_build(_finite(t.d), tol), tol) @ t.power(m)
 
@@ -303,7 +296,7 @@ def mwgi_core_chain(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray
     B = A^{m+1} A^o always has index <= 1 (its core inverse is (A^o)^m, which
     is verified here), even when A itself has no core inverse.
     """
-    _check_m(m)
+    m = _check_m(m)
     t = tower(a, tol)
     b = t.power(m + 1) @ t.o
     c = core_inverse(_build(_finite(b), tol), tol)  # NoCoreInverse if B misbehaves
@@ -322,7 +315,7 @@ def mwgi_regular_lift(a, m: int, tol: TolerancePolicy = DEFAULT_TOL, inner=None)
     Returns the (m+1)-weak group inverse of A.  The inner inverse A^- defaults
     to the Moore-Penrose inverse; any matrix with A A^- A = A may be supplied.
     """
-    _check_m(m)
+    m = _check_m(m)
     a = tower(a, tol).a
     inner = _pinv(a, tol) if inner is None else as_matrix(inner)
     w = mwgi(_build(_finite(a @ a @ inner), tol), m, tol).Z
@@ -470,7 +463,7 @@ def additive_mwgi(a, b, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarra
     ma, mb = ta.a, tb.a
     if ma.shape != mb.shape:
         raise ValueError(f"shape mismatch: {ma.shape} vs {mb.shape}")
-    _check_m(m)
+    m = _check_m(m)
     for label, product in (("A B", ma @ mb), ("B A", mb @ ma), ("A* B", conj_transpose(ma) @ mb)):
         check = _eq_check(*_zero_pair(product), tol)
         if not check.passed:

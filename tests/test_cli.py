@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -688,17 +689,13 @@ class TestNonFiniteResidual:
         return write_matrix(tmp_path / "huge.json", a)
 
     def test_compute_error_line(self, capsys, huge):
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, out, err = run_cli(capsys, "compute", "--input", huge, "--inverse", "drazin")
+        code, out, err = run_cli(capsys, "compute", "--input", huge, "--inverse", "drazin")
         assert code == 1 and out == ""
         assert err.strip().endswith("(A^(k+1) X = A^k): residual nan")
 
     def test_verify_json(self, capsys, tmp_path, huge):
         zero = write_matrix(tmp_path / "zero.json", np.zeros((4, 4)))
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, out, _ = run_cli(
-                capsys, "verify", "--input", huge, "--candidate", zero, "--m", "1"
-            )
+        code, out, _ = run_cli(capsys, "verify", "--input", huge, "--candidate", zero, "--m", "1")
         assert code == 1
 
         def forbidden(token):
@@ -708,3 +705,52 @@ class TestNonFiniteResidual:
         assert checks["wgm_k"] == {"pass": False, "residual": "nan"}
         for check in checks.values():
             assert isinstance(check["residual"], float) or check["residual"] in ("nan", "inf")
+
+
+class TestOverflowUnderAnyWarningFilter:
+    """A check whose product overflows reads nan in standard JSON, and numpy's overflow
+    warning neither prints nor raises, whatever the warning filter."""
+
+    @pytest.mark.parametrize("action", ["error", "always"])
+    def test_verify_at_m_340(self, capsys, tmp_path, action):
+        # the float image of an index-2 rational matrix and its Drazin inverse: A^340 of a
+        # core with entries near 1 overflows, and hermitian31 reads (A^m)* A^{m+1} Z
+        exact = rational_with_index(np.random.default_rng(3), 5, 2)
+        a = write_matrix(tmp_path / "r2f.json", exact.to_complex())
+        code, _, _ = run_cli(capsys, "compute", "--input", a, "--inverse", "drazin",
+                             "--output", str(tmp_path / "d2.json"))
+        assert code == 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            code, out, err = run_cli(capsys, "verify", "--input", a, "--candidate",
+                                     str(tmp_path / "d2.json"), "--m", "340")
+        assert code == 1 and err == "" and caught == []
+
+        def forbidden(token):
+            raise AssertionError(f"non-standard JSON token {token}")
+
+        checks = json.loads(out, parse_constant=forbidden)["checks"]
+        assert checks["hermitian31"] == {"pass": False, "residual": "nan"}
+
+
+class TestUnusablePaths:
+    """An output path that cannot be written, or an input that is not UTF-8, is unusable
+    input: one error line naming the path, exit 2."""
+
+    def test_output_is_a_directory(self, capsys, tmp_path, identity3):
+        code, out, err = run_cli(capsys, "compute", "--input", identity3, "--output", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err == f"error: {tmp_path}: Is a directory\n"
+
+    def test_output_directory_missing(self, capsys, tmp_path, identity3):
+        path = str(tmp_path / "missing" / "z.json")
+        code, out, err = run_cli(capsys, "compute", "--input", identity3, "--output", path)
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: No such file or directory\n"
+
+    def test_input_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"rows": 1, "cols": 1, "entries": [["\u00e9", 0]]}'.encode("latin-1"))
+        code, out, err = run_cli(capsys, "compute", "--input", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: 'utf-8' codec can't decode") and err.count("\n") == 1

@@ -503,6 +503,23 @@ class TestOneMRule:
         with pytest.raises(ValueError, match="m must be a positive integer"):
             M_ENTRY_POINTS[name](m)
 
+    @pytest.mark.parametrize("m", [np.bool_(True), np.float64(2.0), np.int64(0)], ids=repr)
+    @pytest.mark.parametrize("name", sorted(M_ENTRY_POINTS))
+    def test_numpy_non_weight_rejected(self, name, m):
+        with pytest.raises(ValueError, match="m must be a positive integer"):
+            M_ENTRY_POINTS[name](m)
+
+    @pytest.mark.parametrize("name", sorted(M_ENTRY_POINTS))
+    def test_numpy_integer_accepted(self, name):
+        M_ENTRY_POINTS[name](np.int64(2))
+
+    def test_numpy_integer_is_its_int(self):
+        result = wgi.mwgi(A3, np.int64(2))
+        assert result.Z is wgi.mwgi(A3, 2).Z and type(result.m) is int
+        assert oracle.certify(RA3, np.int64(1)) == oracle.certify(RA3, 1)
+        shift = shiftlab.verify_shift_identities(np.int64(2), 8)
+        assert shift.overall and shift == shiftlab.verify_shift_identities(2, 8)
+
 
 def _rank_one_at_a_time(x):
     """numerical_rank's rule, from one s-only SVD of x alone."""

@@ -306,7 +306,7 @@ class TestOneExactTowerPerCall:
         o.exact_mwgi(a, 2)
         d, cep = o.exact_drazin(a), o.exact_core_ep(a)
         assert len(calls) == 2
-        assert calls[0] is a and calls[1] is a.power(2)
+        assert calls[0] is a and calls[1] == a.power(2)  # A^2 of the call, formed afresh here
         assert d is o.exact_drazin(a) and cep is o.exact_core_ep(a)
 
     def test_tower_kept_per_height_bound(self):
@@ -344,20 +344,20 @@ class TestLargerMatrices:
 
 class TestPowersOncePerCall:
     def test_certify_forms_each_power_once(self, monkeypatch):
+        # every read of A^e walks the chain through the call's store, but forms it once
         a = rational_with_index(np.random.default_rng(5), 4, 2)
-        fresh = RM.from_json(a.to_json())  # same value, no powers kept yet
-        powers = [fresh.power(j) for j in range(12)]
+        powers = [a.power(j) for j in range(12)]  # outside a call: nothing is stored
         formed: dict[int, int] = {}
-        matmul = RM.__matmul__
+        times = RM._times
 
-        def counting_matmul(left, right):
+        def counting_times(left, right):
             if right is a:  # a product that extends a power of A
                 for j, p in enumerate(powers):
                     if left == p:
                         formed[j + 1] = formed.get(j + 1, 0) + 1
-            return matmul(left, right)
+            return times(left, right)
 
-        monkeypatch.setattr(RM, "__matmul__", counting_matmul)
+        monkeypatch.setattr(RM, "_times", counting_times)
         assert o.certify(a, 3).overall
         assert formed and max(formed.values()) == 1, formed
 
@@ -372,14 +372,20 @@ class TestPowersOncePerCall:
         # a kept recursion raised RecursionError from about e = 330
         assert o.certify(rational_with_index(np.random.default_rng(3), 5, 5), 340).overall
         a = random_rational(np.random.default_rng(6), 2, 2)
-        a.power(3)
-        assert a.power(400) == a.power(399) @ a
-        assert sorted(key for key in a._kept if isinstance(key, int)) == list(range(2, 401))
+        assert a.power(400) == a.power(399) @ a  # outside a call, each formed afresh
+
+    @pytest.mark.parametrize("k, m", [(0, 2), (1, 1), (2, 3), (3, 2)])
+    def test_no_power_is_kept_after_certify(self, k, m):
+        # the call's store held the powers; A and its A^o keep their A^0 at most
+        a = rational_with_index(np.random.default_rng(40 + k), 5, k)
+        assert o.certify(a, m).overall
+        bits = o.MAX_HEIGHT_BITS
+        assert set(a._kept) <= {0, "rref", ("tower", bits), ("mwgi", bits, m)}
+        assert not any(isinstance(key, int) and key > 0 for key in o.exact_core_ep(a)._kept)
 
 
 class TestPowersUnderThreads:
-    """Each power is kept under its exponent, so threads sharing one matrix never
-    read a power of another exponent."""
+    """Threads sharing one matrix read the power of the exponent each asks for."""
 
     def test_two_threads_share_one_matrix(self):
         base = random_rational(np.random.default_rng(4), 4, 4)
@@ -418,11 +424,15 @@ class TestTowerOfAPower:
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_read_from_a_equals_built_from_f(self, k, m):
         a = rational_with_index(np.random.default_rng(20 + k), 5, k)
-        assert o.certify(a, m).overall
-        am = a.power(m)
+
+        def call():  # certify, then A^m and (A^o)^m read from the same product store
+            return o.certify(a, m), a.power(m), o.exact_core_ep(a).power(m)
+
+        report, am, cep_m = o._with_products(call)()
+        assert report.overall
         kept = am._kept[("tower", o.MAX_HEIGHT_BITS)]
         if m >= 2:
-            assert kept[2] is o.exact_core_ep(a).power(m)  # read from A's tower
+            assert kept[2] is cep_m  # read from A's tower
         fresh = RM.from_json(am.to_json())  # same value, no tower kept: built from F
         assert kept == o._tower(fresh, o.MAX_HEIGHT_BITS)
         assert kept[0] == -(-k // m)
@@ -924,7 +934,7 @@ class TestTestMatricesOncePerN:
 
 class TestOneRankPerMatrix:
     """A matrix is eliminated once, and its rank and full-rank factorization read that one
-    elimination, kept with the matrix like its powers."""
+    elimination, kept with the matrix."""
 
     @pytest.mark.parametrize("k, m", [(0, 2), (1, 1), (1, 2), (2, 2), (2, 3), (3, 2), (3, 5)])
     def test_certify_ranks_each_power_once(self, monkeypatch, k, m):
@@ -948,7 +958,7 @@ class TestOneRankPerMatrix:
         assert len(ranked) == (k + 1) + (k == 0) + of_am
         assert sum(x is a.power(0) for x in ranked) == (k == 0)
         assert len({id(x) for x in ranked}) == len(ranked)
-        assert sum(x is a.power(m) for x in ranked) == 1
+        assert sum(x == a.power(m) for x in ranked) == 1  # A^m of the call, formed afresh here
 
 
 class TestExactCheckIsExact:
@@ -1170,8 +1180,7 @@ def _every_list(a, z, x_d, x_o, x_mp, k, m, power, star, b):
     """Every identity list of ``report``, by name, over A, its Z, A^D, A^o and A^+ in
     one arithmetic; power(j) is A^j, star the conjugate transpose, B a right side."""
     az = a @ z
-    a2z, am1z = a @ az, power(m) @ az
-    qs = star(a @ x_d)
+    a2z, qs = a @ az, star(a @ x_d)
     p = power(0) - az
     q = power(0) - p
     b0 = power(m)
@@ -1183,7 +1192,7 @@ def _every_list(a, z, x_d, x_o, x_mp, k, m, power, star, b):
         "_core_ep_identities": report_module._core_ep_identities(a, x_o, k, power, star),
         "_penrose_identities": report_module._penrose_identities(a, x_mp, 0, power, star),
         "_definition_identities": report_module._definition_identities(
-            a, z, k, m, power, star, az, az @ z, am1z, star(power(k)) @ am1z,
+            a, z, k, m, power, star, report_module._z_products(a, z, k, m, power, star),
             qs.__matmul__, lambda x: a @ (x_o @ x),
         ),
         "_decomposition_identities": report_module._decomposition_identities(
@@ -1250,3 +1259,39 @@ class TestEveryEntryIsAnEquation:
             a, o.exact_mwgi(a, m), d, cep, o.exact_mp(a), k, m, a.power, RM.conj_transpose, b
         )
         self.assert_entries(lists, RM)
+
+
+class TestOneProductRecipe:
+    """``report._z_products`` forms the products of Z that the definition list reads: A Z,
+    (A Z) Z, A^m (A Z) and (A^k)* A^{m+1} Z, one recipe in both arithmetics."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_float_bits(self, k, m, order):
+        t = tower(with_index(np.random.default_rng(80 + k), 6, k))
+        kept = wgi.mwgi(t, m).Z
+        z = np.asfortranarray(kept) if order == "F" else kept.copy()
+        got = report_module._z_products(t.a, z, k, m, t.power, conj_transpose)
+        az = t.a @ z  # the recipe, operand for operand, as the float self-check formed it
+        am1z = t.power(m) @ az
+        want = (az, az @ z, am1z, conj_transpose(t.power(k)) @ am1z)
+        assert [(p.shape, p.tobytes()) for p in got] == [(p.shape, p.tobytes()) for p in want]
+        record = wgi._record(t, m).products  # what mwgi's self-check kept of its Z
+        if order == "C":
+            assert [p.tobytes() for p in record[:3]] == [p.tobytes() for p in got[:3]]
+            assert (record[3] is None) == (k != m)
+
+    @pytest.mark.parametrize("k, m", [(0, 1), (1, 2), (2, 3), (3, 1)])
+    def test_exact_values(self, k, m):
+        a = rational_with_index(np.random.default_rng(90 + k), 5, k)
+        z = o.exact_mwgi(a, m)
+        az, az2, am1z, akm1z = report_module._z_products(a, z, k, m, a.power, RM.conj_transpose)
+        am1 = a.power(m + 1)
+        assert az == a @ z and az2 == a @ (z @ z) and am1z == am1 @ z
+        assert akm1z == a.power(k).conj_transpose() @ (am1 @ z)
+        floats = report_module._z_products(
+            a.to_complex(), z.to_complex(), k, m, tower(a.to_complex()).power, conj_transpose
+        )
+        for exact, value in zip((az, az2, am1z, akm1z), floats):
+            assert rel_residual(value, exact.to_complex()) <= DEFAULT_TOL.eq_rtol

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from ginverse import classical, cli, eqsolve, oracle, wgi
+from ginverse.report import _z_products
 from ginverse.classical import drazin, core_ep, group_inverse, index, moore_penrose, tower
 from ginverse.generators import orthogonal_pair, with_index
 from ginverse.matcore import DEFAULT_TOL, TolerancePolicy, approx_equal, conj_transpose
@@ -962,18 +963,19 @@ class TestCheckersJudgeOneZ:
 
 @pytest.fixture
 def z_checks(monkeypatch):
-    """A list that grows by one per Z whose products with A are formed, with no tower kept."""
+    """A list that grows by one per Z whose products with A are formed (each self-check
+    forms them once), with no tower kept."""
     monkeypatch.setattr(classical, "_last", None)
     calls = []
-    products = wgi._products
+    self_check = wgi._self_check
 
     def counting(t, z, m):
         record = wgi._record(t, m)
         assert record is None or z is not record.z  # the kept Z's products are read, not formed
         calls.append(1)
-        return products(t, z, m)
+        return self_check(t, z, m)
 
-    monkeypatch.setattr(wgi, "_products", counting)
+    monkeypatch.setattr(wgi, "_self_check", counting)
     return calls
 
 
@@ -1229,7 +1231,7 @@ class TestOneCheckedZ:
         else:  # nothing reads it again
             assert akm1z is None
         assert _bits(w) == _bits(star(t.power(m)) @ am1z) and _bits(w_star) == _bits(star(w))
-        assert _bits(wgi._products(t, z, m)[3]) == _bits(star(t.power(k)) @ am1z)
+        assert _bits(_z_products(t.a, z, k, m, t.power, star)[3]) == _bits(star(t.power(k)) @ am1z)
         assert wgi.verify_definition(t, z, m).overall
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
