@@ -274,9 +274,9 @@ def tower(a, tol: TolerancePolicy = DEFAULT_TOL) -> Tower:
     columns and A^o is zero.
 
     The last tower built is kept with the private copy of A and with ``tol``.
-    A call compares its A with that copy once: a complex128 array as it is,
-    with no copy and no check (so a strided view of A's values misses), any
-    other input once validated.  An A of the same shape, memory layout and
+    A call compares its A with that copy once (``_same_bits``): a complex128
+    array with no check (so a strided view of A's values misses), any other
+    input once validated.  An A of the same shape, memory layout and
     bit-identical entries (a signed zero or a one-ulp change is a miss) under
     an equal policy returns that tower; any other call drops it before
     building, so at most one tower is alive, and a build that raises keeps

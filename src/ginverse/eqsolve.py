@@ -69,7 +69,7 @@ def solve_general(
         if y.shape[1] != b.shape[1]:
             raise ValueError(f"Y has {y.shape[1]} columns but B has {b.shape[1]}")
         free_part_used = frobenius(y) > 0.0
-        x = x + (np.eye(a.shape[0], dtype=np.complex128) - z @ a) @ y
+        x = x + (t.power(0) - z @ a) @ y
     return EquationSolution(X=x, free_part_used=free_part_used)
 
 

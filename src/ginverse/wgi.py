@@ -316,10 +316,10 @@ def mwgi_regular_lift(a, m: int, tol: TolerancePolicy = DEFAULT_TOL, inner=None)
     to the Moore-Penrose inverse; any matrix with A A^- A = A may be supplied.
     """
     m = _check_m(m)
-    a = tower(a, tol).a
-    inner = _pinv(a, tol) if inner is None else as_matrix(inner)
-    w = mwgi(_build(_finite(a @ a @ inner), tol), m, tol).Z
-    return w @ w @ a
+    t = tower(a, tol)
+    inner = _pinv(t.a, tol) if inner is None else as_matrix(inner)
+    w = mwgi(_build(_finite(t.power(2) @ inner), tol), m, tol).Z
+    return w @ w @ t.a
 
 
 _ROUTES = {
@@ -385,9 +385,9 @@ def verify_definition(a, z, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> Verif
 def group_decomposition(a, m: int, tol: TolerancePolicy = DEFAULT_TOL, z=None) -> GroupDecomposition:
     """Split A = X + Y along Z (by default mwgi(A, m)): X = A^2 Z carries the group part."""
     t = tower(a, tol)
-    a, z = t.a, mwgi(t, m, tol).Z if z is None else _candidate(t, z, m)
-    x = a @ a @ z
-    return GroupDecomposition(X=readonly(x), Y=readonly(a - x))
+    z = mwgi(t, m, tol).Z if z is None else _candidate(t, z, m)
+    x = t.power(2) @ z
+    return GroupDecomposition(X=readonly(x), Y=readonly(t.a - x))
 
 
 def polar_idempotent(a, m: int, tol: TolerancePolicy = DEFAULT_TOL, z=None) -> PolarData:
@@ -418,20 +418,22 @@ def b_characterization(a, m: int, tol: TolerancePolicy = DEFAULT_TOL, z=None) ->
     return VerificationReport(checks=checks)
 
 
-def bc_inverse_check(a, m: int, tol: TolerancePolicy = DEFAULT_TOL, z=None) -> VerificationReport:
-    """Check that Z (by default from A's tower) is the (b0, c0)-inverse of A
-    for the canonical pair b0 = (A^D)^{m+1} A^m and c0 = A^D A A^o A^m.
+def _subspace_ranks(t: Tower, z: np.ndarray, c0: np.ndarray, equal: bool) -> list[int]:
+    """Ranks of [A^D | Z], A^D, [c0* | Z*] and c0*, each span with Z (or Z*) after it
+    when ``equal``, in one ``numerical_ranks`` call (see ``_span_matrices``)."""
+    rows = _span_matrices(conj_transpose(c0), conj_transpose(z), equal)
+    return numerical_ranks([*_span_matrices(t.d, z, equal), *rows], t.tol)
 
-    Membership x in b0*R*x and x*R*c0 is realized as the column-space inclusion
-    col(Z) in col(b0) and the row-space inclusion row(Z) in row(c0).
-    """
+
+def bc_inverse_check(a, m: int, tol: TolerancePolicy = DEFAULT_TOL, z=None) -> VerificationReport:
+    """Check that Z (by default from A's tower) is the (b0, c0)-inverse of A for
+    b0 = (A^D)^{m+1} A^m = A^D and c0 = A^D A A^o A^m = A^o A^m, as A^D A is the
+    idempotent onto col(A^k) = col(A^o) that commutes with A.  Membership x in b0*R*x
+    and x*R*c0 is realized as col(Z) in col(b0) and row(Z) in row(c0)."""
     t = tower(a, tol)
-    a, z, b0 = t.a, _candidate(t, z, m, _z), t.pow("d", m + 1) @ t.power(m)
-    c0 = t.d @ a @ t.o @ t.power(m)
-    checks = _evaluate(_bc_identities(a, z, b0, c0), ("xab", "cax"), _eq_check, tol)
-    # col(Z) in col(b0) and row(Z) in row(c0), ranked together
-    row = _span_matrices(conj_transpose(c0), conj_transpose(z), False)
-    ranks = numerical_ranks([*_span_matrices(b0, z, False), *row], tol)
+    z, c0 = _candidate(t, z, m, _z), t.o @ t.power(m)
+    checks = _evaluate(_bc_identities(t.a, z, t.d, c0), ("xab", "cax"), _eq_check, tol)
+    ranks = _subspace_ranks(t, z, c0, False)
     checks["memb_col"] = _bool_check(_one_rank(ranks[:2]))
     checks["memb_row"] = _bool_check(_one_rank(ranks[2:]))
     return VerificationReport(checks=checks)
@@ -440,18 +442,14 @@ def bc_inverse_check(a, m: int, tol: TolerancePolicy = DEFAULT_TOL, z=None) -> V
 def outer_inverse_subspaces(
     a, m: int, tol: TolerancePolicy = DEFAULT_TOL, z=None
 ) -> VerificationReport:
-    """Check that Z (by default from A's tower) is the outer inverse with range
-    col((A^D)^{m+1} A^m) and kernel that of A^o A^m (tested as row-space equality)."""
+    """Check that Z (by default from A's tower) is the outer inverse with range col(A^D)
+    and kernel that of A^o A^m (row-space equality): bc_inverse_check's b0 and c0, as
+    (A^D)^{m+1} A^m = A^D and A^D A A^o A^m = A^o A^m; both rank through one helper."""
     t = tower(a, tol)
     z = _candidate(t, z, m, _z)
-    kernel_target = t.o @ t.power(m)
-    checks: dict[str, Check] = {}
     bab = _b_identities(t.a, z, m, t.power, conj_transpose, None, None)  # reads no A Z
-    checks["outer"] = _evaluate(bab, ("bab",), _eq_check, tol)["bab"]
-    # col(Z) = col(b0) and row(Z) = row(A^o A^m), ranked together
-    kernel = _span_matrices(conj_transpose(kernel_target), conj_transpose(z), True)
-    b0 = t.pow("d", m + 1) @ t.power(m)
-    ranks = numerical_ranks([*_span_matrices(b0, z, True), *kernel], tol)
+    checks = {"outer": _evaluate(bab, ("bab",), _eq_check, tol)["bab"]}
+    ranks = _subspace_ranks(t, z, t.o @ t.power(m), True)
     checks["range_eq"] = _bool_check(_one_rank(ranks[:3]))
     checks["kernel_eq"] = _bool_check(_one_rank(ranks[3:]))
     return VerificationReport(checks=checks)

@@ -891,6 +891,22 @@ class TestZIsDrazinFromK:
                     assert o.exact_mwgi(a, m) == d, (n, k, m)
 
 
+class TestBcPairIsShort:
+    """The (b, c) pair of the subspace checkers is read from A's tower: exactly,
+    b0 = (A^D)^{m+1} A^m is A^D and c0 = A^D A A^o A^m is A^o A^m."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_b0_is_drazin_and_c0_is_core_ep_times_power(self, seed):
+        for n in range(3, 7):
+            for k in range(3):
+                a = rational_with_index(np.random.default_rng(seed), n, k)
+                d, cep = o.exact_drazin(a), o.exact_core_ep(a)
+                for m in range(1, 4):
+                    am = a.power(m)
+                    assert d.power(m + 1) @ am == d, (n, k, m)
+                    assert d @ a @ cep @ am == cep @ am, (n, k, m)
+
+
 class TestOneSquareCheck:
     """The exact tower's build is the one place that rejects a matrix that is not square."""
 

@@ -1509,8 +1509,8 @@ class TestFormedOperandsNotCopied:
 
 
 class TestB0FormedOnce:
-    """b0 = (A^D)^{m+1} A^m is formed from the (A^D)^{m+1} that the normal route
-    reads, so bc_inverse_check and outer_inverse_subspaces form no power of A^D."""
+    """b0 is A^D, which A's tower keeps, so bc_inverse_check and outer_inverse_subspaces
+    form no power of A^D; the powers of A^D formed are the normal route's own."""
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_shared(self, monkeypatch, m):
@@ -1524,12 +1524,40 @@ class TestB0FormedOnce:
                 formed.append(key)
             return keep(self, key, make)
 
+        def d_powers():
+            return sorted(key[1] for key in formed if isinstance(key, tuple) and key[0] == "d")
+
         monkeypatch.setattr(classical.Tower, "keep", recording)
-        wgi.mwgi_normal_equation(t, m)
         assert wgi.bc_inverse_check(t, m, z=z).overall
         assert wgi.outer_inverse_subspaces(t, m, z=z).overall
-        d_powers = sorted(key[1] for key in formed if isinstance(key, tuple) and key[0] == "d")
-        assert d_powers == list(range(2, m + 2))
+        assert d_powers() == []
+        wgi.mwgi_normal_equation(t, m)
+        assert d_powers() == list(range(2, m + 2))
+
+
+class TestSubspaceChecksShareRanks:
+    """bc_inverse_check's memberships and outer_inverse_subspaces' equalities rank the
+    same spans of A^D, A^o A^m and Z, so range_eq passing means memb_col passes, and
+    kernel_eq memb_row, for the kept Z and for corrupted ones."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_equality_implies_membership(self, m):
+        rng = np.random.default_rng(140 + m)
+        a = with_index(rng, 6, 2)
+        z = wgi.mwgi(a, m).Z
+        noise = rng.standard_normal((6, 6))
+        cut = np.diag([1, 1, 1, 0, 0, 0])  # Z's span cut down: inclusion without equality
+        candidates = [z, z * (1 + 1e-6), z + 1e-3 * noise, z @ cut, cut @ z, z.T]
+        seen = set()
+        for candidate in candidates:
+            bc = wgi.bc_inverse_check(a, m, z=candidate).checks
+            outer = wgi.outer_inverse_subspaces(a, m, z=candidate).checks
+            for equal, member in (("range_eq", "memb_col"), ("kernel_eq", "memb_row")):
+                assert bc[member].passed or not outer[equal].passed, (equal, member)
+                seen.add((equal, outer[equal].passed, bc[member].passed))
+        # each pair is seen both passing and failing
+        assert {("range_eq", True, True), ("kernel_eq", True, True)} <= seen
+        assert {("range_eq", False, False), ("kernel_eq", False, False)} <= seen
 
 
 class TestOuterCheckShared:
