@@ -73,11 +73,11 @@ class Tower:
     ``u1`` is n x r and C-contiguous, the identity when k = 0 (where T = A and N
     is empty).  Everything else the tower forms when first read and keeps,
     through ``keep``, for as long as it lives: ``o`` = A^o, Z_m = (A^o)^{m+1} A^m
-    per m >= 0 (``z(m)``), ``g`` = G = T^-(k+1) U1* A^k, ``d`` = A^D = Z_k = U1 G,
-    ``ad`` = A A^D, A^0 = I, the powers ``pow(name, e)`` of A, A^o, A^D and T^-1,
-    U1* A^j per exponent (``coords(j)``), and per weight m one record of the Z that
-    ``wgi.mwgi`` checked, with that Z's products and its self-check, whether or not it
-    passed (``wgi._CheckedZ``).
+    for 0 <= m <= k only (``z(m)``, A^D for every m >= k), ``g`` = G = T^-(k+1) U1* A^k,
+    ``d`` = A^D = Z_k = U1 G, ``ad`` = A A^D, A^0 = I, the powers ``pow(name, e)`` of A,
+    A^o, A^D and T^-1, U1* A^j per exponent (``coords(j)``), and per weight m one record
+    of the Z that ``wgi.mwgi`` checked, with that Z's products and its self-check,
+    whether or not it passed (``wgi._CheckedZ``).
     """
 
     index: IndexResult
@@ -136,9 +136,11 @@ class Tower:
         return self.keep("o", lambda: readonly(self.u1 @ self.tinv @ self.u1.conj().T))
 
     def z(self, m: int) -> np.ndarray:
-        """Z_m = (A^o)^{m+1} A^m for m >= 0, formed as U1 (T^-(m+1) (U1* A^m)) since
-        U1* U1 = I, and kept per m: the m-weak group inverse for m >= 1, A^D at m = k,
-        where the inner factor is the kept G (``g``)."""
+        """Z_m = (A^o)^{m+1} A^m for m >= 0: the m-weak group inverse for m >= 1.  From
+        m = k on Z_m = A^D, so the weight is read as min(m, k) and every m >= k returns
+        the one kept A^D (``d``), U1 G with G the kept ``g``; below k, Z_m is formed as
+        U1 (T^-(m+1) (U1* A^m)), since U1* U1 = I, and kept per m."""
+        m = min(m, self.index.k)
 
         def make():
             inner = self.g if m == self.index.k else self.pow("tinv", m + 1) @ self.coords(m)

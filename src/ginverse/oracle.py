@@ -736,7 +736,8 @@ def exact_core_ep(a: RationalMatrix, max_bits: int = MAX_HEIGHT_BITS) -> Rationa
 
 def _z_of(a: RationalMatrix, cep: RationalMatrix, m: int, max_bits: int) -> RationalMatrix:
     """(A^o)^{m+1} A^m from A^o, not yet verified: A^D at m = k, and the m-weak group
-    inverse Z for m >= 1."""
+    inverse Z for m >= 1.  Its callers pass min(m, k), as Z_m = A^D for every m >= k,
+    so no power of A^o above the (k+1)-th is formed for a Z."""
     return _guard(cep.power(m + 1) @ a.power(m), max_bits)
 
 
@@ -761,18 +762,20 @@ def _mwgi_identities(a: RationalMatrix, m: int, z: RationalMatrix, max_bits: int
 def exact_mwgi(a: RationalMatrix, m: int, max_bits: int = MAX_HEIGHT_BITS) -> RationalMatrix:
     """Exact m-weak group inverse (A^o)^{m+1} A^m, fully verified.
 
-    Requires, with zero tolerance, the identities ``_REQUIRED`` of
-    ``_mwgi_identities``, second_form among them: (A^D A A^o)^{m+1} A^m = Z, not
-    the formula Z is formed by.  A failure raises ArithmeticError naming its key.
+    Z is formed at weight min(m, k) (``_z_of``): for every m >= k it is A^D, so its
+    height stops growing with m.  Requires, with zero tolerance and at the m asked
+    for, the identities ``_REQUIRED`` of ``_mwgi_identities``, second_form among
+    them: (A^D A A^o)^{m+1} A^m = Z, not the formula Z is formed by.  A failure
+    raises ArithmeticError naming its key.
     A Z that ``certify`` has verified for this m and bound is returned as it is,
     formed no more.
     """
     m = _check_m(m)
-    cep = _tower(a, max_bits)[2]
+    k, _, cep = _tower(a, max_bits)
     z = a._kept.get(("mwgi", max_bits, m))
     if z is not None:
         return z
-    z = _z_of(a, cep, m, max_bits)
+    z = _z_of(a, cep, min(m, k), max_bits)
     _require_exact(_evaluate(_mwgi_identities(a, m, z, max_bits), _REQUIRED, _exact_check))
     return z
 
@@ -848,8 +851,8 @@ def certify(
     ``exact_mwgi`` once its ``_REQUIRED`` identities hold; a ``z`` passed in never is.
     """
     m = _check_m(m)
-    _, d, cep = _tower(a, max_bits)
-    z_computed = _z_of(a, cep, m, max_bits)
+    k, d, cep = _tower(a, max_bits)
+    z_computed = _z_of(a, cep, min(m, k), max_bits)
     if z is None:
         z = z_computed
     identities = _mwgi_identities(a, m, z, max_bits)

@@ -224,8 +224,9 @@ def _candidate(t: Tower, z, m: int, default=None) -> np.ndarray:
 def mwgi(a, m: int, tol: TolerancePolicy = DEFAULT_TOL) -> MwgiResult:
     """m-weak group inverse by the canonical route Z = (A^o)^{m+1} A^m.
 
-    Z is the one A's tower forms from its factors of A^o and keeps (``Tower.z``),
-    checked against its defining equations (ax2 and wgm_k of ``verify_definition``);
+    Z is the one A's tower forms from its factors of A^o and keeps (``Tower.z``):
+    for every m >= k that is A^D, the tower's one kept ``d``.  It is checked at the
+    m asked for against its defining equations (ax2 and wgm_k of ``verify_definition``);
     a failure beyond tolerance raises RepresentationMismatch naming the failed check.
     A's tower keeps the record of that Z (``_self_check``), whether or not it passes,
     for as long as the tower lives, and each call raises or returns from it: a repeat

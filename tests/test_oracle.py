@@ -890,6 +890,26 @@ class TestZIsDrazinFromK:
                 for m in range(max(k, 1), k + 4):
                     assert o.exact_mwgi(a, m) == d, (n, k, m)
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_certify_above_k_keeps_drazin_for_exact_mwgi(self, monkeypatch, k):
+        # both entry points form A's Z at the weight min(m, k), never above k
+        a = rational_with_index(np.random.default_rng(60 + k), 5, k)
+        weights = []
+        z_of = o._z_of
+
+        def recording(b, cep, m, max_bits):
+            if b is a:
+                weights.append(m)
+            return z_of(b, cep, m, max_bits)
+
+        monkeypatch.setattr(o, "_z_of", recording)
+        d = o.exact_drazin(a)
+        for m in range(k + 1, k + 3):
+            assert o.certify(a, m).overall, m
+            kept = a._kept[("mwgi", o.MAX_HEIGHT_BITS, m)]
+            assert kept == d and o.exact_mwgi(a, m) is kept, m
+        assert max(weights) <= k, weights
+
 
 class TestBcPairIsShort:
     """The (b, c) pair of the subspace checkers is read from A's tower: exactly,

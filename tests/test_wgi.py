@@ -11,7 +11,7 @@ import pytest
 from ginverse import classical, cli, eqsolve, oracle, wgi
 from ginverse.report import _z_products
 from ginverse.classical import drazin, core_ep, group_inverse, index, moore_penrose, tower
-from ginverse.generators import orthogonal_pair, with_index
+from ginverse.generators import conditioned_matrix, orthogonal_pair, with_index
 from ginverse.matcore import DEFAULT_TOL, TolerancePolicy, approx_equal, conj_transpose
 from ginverse.matcore import frobenius, rel_residual
 
@@ -682,21 +682,23 @@ class TestProductsFormedOnce:
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_z_bits_match_closed_form(self, k, m):
-        # Z = U1 (T^-(m+1) (U1* A^m)) from the tower's factors, bit for bit;
-        # the closed form (A^o)^{m+1} A^m it replaces agrees to tolerance
+        # Z = U1 (T^-(j+1) (U1* A^j)) from the tower's factors, bit for bit, at the
+        # weight j = min(m, k) (Z_m = A^D from m = k on); the closed form
+        # (A^o)^{m+1} A^m it replaces agrees to tolerance
         a = with_index(np.random.default_rng(70 + k), 6, k)
         power = np.linalg.matrix_power
         z = wgi.mwgi(a, m).Z
         t = tower(a)
-        tinv_power = reduce(np.matmul, [t.tinv] * (m + 1))  # the chain ((T^-1 T^-1) T^-1) ...
-        expected = t.u1 @ (tinv_power @ (t.u1.conj().T @ power(a, m)))
+        j = min(m, k)
+        tinv_power = reduce(np.matmul, [t.tinv] * (j + 1))  # the chain ((T^-1 T^-1) T^-1) ...
+        expected = t.u1 @ (tinv_power @ (t.u1.conj().T @ power(a, j)))
         assert np.array_equal(z, expected)
         assert approx_equal(z, power(core_ep(a), m + 1) @ power(a, m))
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_index_zero_reads_u1_as_the_identity(self, m):
-        # a nonsingular A is its own core: U1 = I, so A^o holds the values of T^-1 and Z
-        # those of T^-(m+1) A^m
+        # a nonsingular A is its own core: U1 = I, so A^o holds the values of T^-1, and
+        # Z, read at the weight min(m, k) = 0, those of T^-1 A^0 = A^D
         a = with_index(np.random.default_rng(75 + m), 5, 0)
         z = wgi.mwgi(a, m).Z
         t = tower(a)
@@ -704,8 +706,9 @@ class TestProductsFormedOnce:
         assert t.u1.flags.c_contiguous and not t.u1.flags.writeable
         assert np.array_equal(t.o, t.tinv)
         assert np.array_equal(t.pow("o", 3), t.pow("tinv", 3))
-        tinv_power = reduce(np.matmul, [t.tinv] * (m + 1))
-        assert np.array_equal(z, tinv_power @ np.linalg.matrix_power(a, m))
+        j = min(m, t.index.k)
+        tinv_power = reduce(np.matmul, [t.tinv] * (j + 1))
+        assert np.array_equal(z, tinv_power @ np.linalg.matrix_power(a, j))
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -751,6 +754,43 @@ class TestProductsFormedOnce:
             z = wgi.mwgi(a, m).Z
             wgi.verify_definition(a, z, m)
         assert not bases
+
+
+class TestZIsDrazinAboveK:
+    """Z_m = A^D for every m >= k: the tower reads the weight as min(m, k), so every
+    m > k returns its one kept A^D, still judged at m."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_z_above_k_is_the_kept_drazin(self, k):
+        t = classical._build(with_index(np.random.default_rng(40 + k), 6, k), DEFAULT_TOL)
+        for m in range(k + 1, k + 4):
+            assert t.z(m) is t.d, m
+            assert wgi.mwgi(t, m).Z is tower(t).d, m
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_no_inverse_power_above_k_plus_one(self, k):
+        # mwgi and verify_definition at m > k form no T^-(m+1) for Z
+        t = classical._build(with_index(np.random.default_rng(45 + k), 6, k), DEFAULT_TOL)
+        for m in range(max(k, 1), k + 4):
+            z = wgi.mwgi(t, m).Z
+            assert wgi.verify_definition(t, z, m).overall, m
+        tinv = [key[1] for key in t._kept if isinstance(key, tuple) and key[0] == "tinv"]
+        assert all(e <= k + 1 for e in tinv), tinv  # T^-1 itself is kept as t.tinv
+
+    @pytest.mark.parametrize(
+        "make, m",
+        [
+            (lambda: conditioned_matrix(np.random.default_rng(5), 6), 100),  # a0.json
+            (lambda: with_index(np.random.default_rng(3), 6, 2), 400),  # i2.json
+        ],
+        ids=["a0-m100", "i2-m400"],
+    )
+    def test_high_weight_returns_drazin(self, make, m):
+        # at these weights T^-(m+1) U1* A^m rounded Z away from A^D, and mwgi raised
+        a = make()
+        z = wgi.mwgi(a, m).Z
+        assert np.array_equal(z, drazin(a))
+        assert wgi.verify_definition(a, z, m).overall
 
 
 class TestDefiningSelfCheck:
