@@ -75,7 +75,8 @@ class Tower:
     through ``keep``, for as long as it lives: ``o`` = A^o, Z_m = (A^o)^{m+1} A^m
     for 0 <= m <= k only (``z(m)``, A^D for every m >= k), ``g`` = G = T^-(k+1) U1* A^k,
     ``d`` = A^D = Z_k = U1 G, ``ad`` = A A^D, A^0 = I, the powers ``pow(name, e)`` of A,
-    A^o, A^D and T^-1, U1* A^j per exponent (``coords(j)``), and per weight m one record
+    A^o, A^D and T^-1, U1* A^j per exponent (``coords(j)``), A^o A^m per m (``oam(m)``,
+    the c0 of wgi's (b, c) and outer-inverse checkers), and per weight m one record
     of the Z that ``wgi.mwgi`` checked, with that Z's products and its self-check,
     whether or not it passed (``wgi._CheckedZ``).
     """
@@ -134,6 +135,10 @@ class Tower:
     def o(self) -> np.ndarray:
         """A^o = U1 T^-1 U1*."""
         return self.keep("o", lambda: readonly(self.u1 @ self.tinv @ self.u1.conj().T))
+
+    def oam(self, m: int) -> np.ndarray:
+        """A^o A^m for m >= 0, kept per m."""
+        return self.keep(("oam", m), lambda: readonly(self.o @ self.power(m)))
 
     def z(self, m: int) -> np.ndarray:
         """Z_m = (A^o)^{m+1} A^m for m >= 0: the m-weak group inverse for m >= 1.  From

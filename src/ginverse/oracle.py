@@ -8,9 +8,9 @@ floating point modules are validated against these computations.
 The spectral tower of a square A (the index k by exact rank, the core-EP
 inverse A^o = F (F* A F)^-1 F* with F the pivot columns of A^k, and the
 Drazin inverse A^D = (A^o)^{k+1} A^k) is built and its identities verified
-once per matrix and height bound.  ``certify`` reads the tower of A^m from
-A's, since (A^m)^o = (A^o)^m (Wang, LAA 508, 2016); the identities that pin
-a tower down are required of that one too.  At a nilpotent A, F has no
+once per matrix and height bound.  ``certify`` reads the tower of A^m wholly
+from A's, with index ceil(k / m) and (A^m)^o = (A^o)^m (Wang, LAA 508, 2016),
+and requires the same six identities of it.  At a nilpotent A, F has no
 columns and the same products give A^o = A^D = 0: matrices formed here may
 have a zero dimension, though the public constructors reject one.
 
@@ -685,9 +685,7 @@ def exact_index(a: RationalMatrix) -> int:
         k += 1
 
 
-def _tower(
-    a: RationalMatrix, max_bits: int, core_ep=None
-) -> tuple[int, RationalMatrix, RationalMatrix]:
+def _tower(a: RationalMatrix, max_bits: int) -> tuple[int, RationalMatrix, RationalMatrix]:
     """The index k, A^D and A^o of A, verified once and kept with A per bound.
 
     With F the pivot columns of A^k, A^o = F (F* A F)^-1 F*, the exact twin of
@@ -695,28 +693,29 @@ def _tower(
     onto itself, so A F = F M with M invertible and F* A F = F* F M is too.
     At k = 0, A^0 = I is its own pivot columns, so F = I and A^o = A^-1;
     at a nilpotent A, A^k = 0 has no pivot columns, so F is n x 0, F* A F
-    is 0 x 0 and A^o = 0.  Then A^D = (A^o)^{k+1} A^k, which is ``_z_of`` at
-    m = k.  ``core_ep``, when given, makes A^o in place of F: the tower of A^m
-    is read from A's as (A^o)^m (``certify``).  The core-EP and Drazin lists of
-    ``report``, required below, determine both uniquely, whichever way A^o was
-    made.
+    is 0 x 0 and A^o = 0.  Then A^D = (A^o)^{k+1} A^k.  ``certify`` keeps the
+    tower of A^m read from A's through ``_verified_tower``, at index ceil(k / m),
+    since rank(A^i) falls strictly up to i = k and then stays, and with (A^m)^o =
+    (A^o)^m: no power of A^m is eliminated, and the same six identities hold.
     """
-    return a.keep(("tower", max_bits), lambda: _build_tower(a, max_bits, core_ep))
+    return a.keep(("tower", max_bits), lambda: _build_tower(a, max_bits))
 
 
-def _build_tower(a: RationalMatrix, max_bits: int, core_ep) -> tuple:
+def _build_tower(a: RationalMatrix, max_bits: int) -> tuple:
     if not a.is_square():
         raise ValueError(f"an exact tower needs a square matrix, got {a.rows} x {a.cols}")
     _guard(a, max_bits)
     k = exact_index(a)
-    if core_ep is not None:
-        cep = _guard(core_ep(), max_bits)
-    else:
-        f = _pivot_columns(a.power(k), max_bits)
-        fs = f.conj_transpose()
-        core = inverse(_guard(fs @ a @ f, max_bits), max_bits)
-        cep = _guard(f @ core @ fs, max_bits)
-    _require_identities(_core_ep_identities, a, cep, k)
+    f = _pivot_columns(a.power(k), max_bits)
+    fs = f.conj_transpose()
+    core = inverse(_guard(fs @ a @ f, max_bits), max_bits)
+    return _verified_tower(a, k, f @ core @ fs, max_bits)
+
+
+def _verified_tower(a: RationalMatrix, k: int, cep: RationalMatrix, max_bits: int) -> tuple:
+    """(k, A^D, A^o) once A^o's core-EP list and A^D's Drazin list hold exactly at k;
+    no X gives A^{k+1} X = A^k below ind(A), so k is checked too."""
+    _require_identities(_core_ep_identities, a, _guard(cep, max_bits), k)
     d = _z_of(a, cep, k, max_bits)
     _require_identities(_drazin_identities, a, d, k)
     return k, d, cep
@@ -859,8 +858,8 @@ def certify(
     checks = _evaluate(identities, identities, _exact_check)
     if z is z_computed and all(checks[label].passed for label in _REQUIRED):
         a.keep(("mwgi", max_bits, m), lambda: z)
-    am = a.power(m)  # A itself at m = 1, whose tower is kept above
-    _tower(am, max_bits, lambda: cep.power(m))  # (A^m)^o = (A^o)^m: read from A's
+    am = _guard(a.power(m), max_bits)  # A itself at m = 1, whose tower is kept above
+    am.keep(("tower", max_bits), lambda: _verified_tower(am, -(-k // m), cep.power(m), max_bits))
     w = exact_mwgi(am, 1, max_bits)
     checks["route_power"] = _merge(
         _exact_check(a.power(m - 1) @ w, z_computed),

@@ -432,7 +432,7 @@ def bc_inverse_check(a, m: int, tol: TolerancePolicy = DEFAULT_TOL, z=None) -> V
     idempotent onto col(A^k) = col(A^o) that commutes with A.  Membership x in b0*R*x
     and x*R*c0 is realized as col(Z) in col(b0) and row(Z) in row(c0)."""
     t = tower(a, tol)
-    z, c0 = _candidate(t, z, m, _z), t.o @ t.power(m)
+    z, c0 = _candidate(t, z, m, _z), t.oam(m)
     checks = _evaluate(_bc_identities(t.a, z, t.d, c0), ("xab", "cax"), _eq_check, tol)
     ranks = _subspace_ranks(t, z, c0, False)
     checks["memb_col"] = _bool_check(_one_rank(ranks[:2]))
@@ -450,7 +450,7 @@ def outer_inverse_subspaces(
     z = _candidate(t, z, m, _z)
     bab = _b_identities(t.a, z, m, t.power, conj_transpose, None, None)  # reads no A Z
     checks = {"outer": _evaluate(bab, ("bab",), _eq_check, tol)["bab"]}
-    ranks = _subspace_ranks(t, z, t.o @ t.power(m), True)
+    ranks = _subspace_ranks(t, z, t.oam(m), True)
     checks["range_eq"] = _bool_check(_one_rank(ranks[:3]))
     checks["kernel_eq"] = _bool_check(_one_rank(ranks[3:]))
     return VerificationReport(checks=checks)

@@ -291,8 +291,8 @@ class TestExactRank:
 
 class TestOneExactTowerPerCall:
     def test_certify_index_and_drazin_counts(self, monkeypatch):
-        # the tower of A and that of A^2 are built once each, then kept with
-        # the matrix: later exact calls on the same object rebuild nothing
+        # the tower of A is built once and kept with the matrix, and that of A^2 is
+        # read from it: later exact calls on the same object rebuild nothing
         calls = []
         exact_index = o.exact_index
 
@@ -305,8 +305,7 @@ class TestOneExactTowerPerCall:
         assert o.certify(a, 2).overall
         o.exact_mwgi(a, 2)
         d, cep = o.exact_drazin(a), o.exact_core_ep(a)
-        assert len(calls) == 2
-        assert calls[0] is a and calls[1] == a.power(2)  # A^2 of the call, formed afresh here
+        assert len(calls) == 1 and calls[0] is a  # ind(A^2) = ceil(k / 2), read from A's
         assert d is o.exact_drazin(a) and cep is o.exact_core_ep(a)
 
     def test_tower_kept_per_height_bound(self):
@@ -442,8 +441,53 @@ class TestTowerOfAPower:
         am = a.power(2)
         cep = o.exact_core_ep(a)
         with pytest.raises(ArithmeticError, match="exact identity"):
-            o._tower(am, o.MAX_HEIGHT_BITS, lambda: cep.power(2) * 2)
+            am.keep(  # as certify keeps it, at ind(A^2) = ceil(2 / 2) = 1
+                ("tower", o.MAX_HEIGHT_BITS),
+                lambda: o._verified_tower(am, 1, cep.power(2) * 2, o.MAX_HEIGHT_BITS),
+            )
         assert ("tower", o.MAX_HEIGHT_BITS) not in am._kept
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_certify_eliminates_no_power_of_a_power(self, monkeypatch, k):
+        # exact_index runs on A alone, and every matrix eliminated is one of A^0..A^{k+1},
+        # which A's own rank chain and F read: no power of A^m is eliminated for its tower
+        indexed, eliminated = [], []
+        exact_index, eliminate = o.exact_index, o._eliminate
+
+        def counting_index(b):
+            indexed.append(b)
+            return exact_index(b)
+
+        def counting_eliminate(b):
+            eliminated.append(b)
+            return eliminate(b)
+
+        monkeypatch.setattr(o, "exact_index", counting_index)
+        monkeypatch.setattr(o, "_eliminate", counting_eliminate)
+        for m in range(1, 6):
+            a = rational_with_index(np.random.default_rng(40 + k), 5, k)
+            indexed.clear()
+            eliminated.clear()
+            assert o.certify(a, m).overall, m
+            assert len(indexed) == 1 and indexed[0] is a, m
+            powers = [a.power(i) for i in range(k + 2)]
+            assert all(any(b == p for p in powers) for b in eliminated), m
+            assert len(eliminated) == (k + 1) + (k == 0), m
+
+
+class TestLiftIdentity:
+    """Z_m(A) = W^2 A with W = Z_{m-1}(B), B = A^2 A^+, and W = B^o at m = 1: the
+    identity the lift route (``wgi.mwgi_regular_lift``) rests on, held exactly."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_exact_mwgi_is_w_squared_a(self, seed):
+        for n in range(2, 6):
+            for k in range(min(n, 3) + 1):
+                a = rational_with_index(np.random.default_rng([seed, n, k]), n, k)
+                b = a.power(2) @ o.exact_mp(a)
+                for m in range(1, 4):
+                    w = o.exact_core_ep(b) if m == 1 else o.exact_mwgi(b, m - 1)
+                    assert o.exact_mwgi(a, m) == w @ w @ a, (n, k, m)
 
 
 # ------------------------------------------------------------------------------
@@ -987,14 +1031,12 @@ class TestOneRankPerMatrix:
         monkeypatch.setattr(o, "_rref", counting_rref)
         assert o.certify(a, m).overall
         # exact_index(A) ranks A, ..., A^{k+1}, and F reads the elimination of A^k, one
-        # more at k = 0, where A^0 = I is ranked by nothing else; exact_index(A^m), whose
-        # index is ceil(k / m), ranks (A^m)^1, ..., the first of which is the kept A^m
-        # when m <= k + 1; the tower of A^m needs no F
-        of_am = 0 if m == 1 else (-(-k // m) + 1) - (m <= k + 1)  # A^1 is A: no second index
-        assert len(ranked) == (k + 1) + (k == 0) + of_am
+        # more at k = 0, where A^0 = I is ranked by nothing else; the tower of A^m is
+        # read from A's, so A^m is ranked only as one of those powers, when m <= k + 1
+        assert len(ranked) == (k + 1) + (k == 0)
         assert sum(x is a.power(0) for x in ranked) == (k == 0)
         assert len({id(x) for x in ranked}) == len(ranked)
-        assert sum(x == a.power(m) for x in ranked) == 1  # A^m of the call, formed afresh here
+        assert sum(x == a.power(m) for x in ranked) == (m <= k + 1)  # A^m formed afresh here
 
 
 class TestExactCheckIsExact:

@@ -1664,6 +1664,28 @@ class TestCheckersRankInBatches:
         assert len(calls) == 8 and sum(calls) == 17
 
 
+class TestOneC0PerTowerAndM:
+    """c0 = A^o A^m of the (b, c) and outer-inverse checkers is formed once per tower and
+    m, kept under one key with the bits of t.o @ t.power(m)."""
+
+    @pytest.mark.parametrize("k, m", [(0, 1), (1, 2), (2, 2), (3, 1), (3, 5)])
+    def test_both_checkers_read_one_c0(self, monkeypatch, k, m):
+        a = with_index(np.random.default_rng(30 + k), 6, k)
+
+        def reports(*checkers):  # on a tower built afresh, each checker on the kept Z
+            monkeypatch.setattr(classical, "_last", None)
+            t = tower(a)
+            z = wgi.mwgi(t, m).Z
+            return t, [check(t, m, z=z).to_dict() for check in checkers]
+
+        t, both = reports(wgi.bc_inverse_check, wgi.outer_inverse_subspaces)
+        kept = [key for key in t._kept if isinstance(key, tuple) and key[0] == "oam"]
+        assert kept == [("oam", m)]
+        assert t._kept[("oam", m)].tobytes() == (t.o @ t.power(m)).tobytes()
+        assert both == reports(wgi.bc_inverse_check)[1] + reports(wgi.outer_inverse_subspaces)[1]
+        assert all(report["overall"] for report in both)
+
+
 def _scaling_trials():
     """150 (A, m): n uniform in 2..6, k uniform in 0..min(n, 3), m = 1 + i mod 3."""
     rng = np.random.default_rng(11)
