@@ -128,16 +128,20 @@ class GroupDecomposition:
         identities = _decomposition_identities(a, x, self.Y, z, m, t.power, conj_transpose)
         labels = ("sum", "orth_left", "orth_right", "y_nilpotent", "x_index")
         checks = _evaluate(identities, labels, _eq_check, tol)
-        # A^n from A itself: the one nilpotency witness that is not read off the staircase
-        a_nilpotent = _nil_check(np.linalg.matrix_power(a, n), tol).passed
-        checks["x_nonzero"] = _bool_check(a_nilpotent or not _nil_check(x, tol).passed)
+        # X nonzero, else A nilpotent; A^n is formed from A itself only when X reads as
+        # zero: the one nilpotency witness that is not read off the staircase
+        checks["x_nonzero"] = _bool_check(
+            not _nil_check(x, tol).passed
+            or _nil_check(np.linalg.matrix_power(a, n), tol).passed
+        )
         checks.update(_evaluate(identities, ("group_matches",), _eq_check, tol))
         return VerificationReport(checks=checks)
 
 
 @dataclass(frozen=True)
 class PolarData:
-    """Polar-like idempotent p = I - A Z and the inverse of the (I-p)-corner."""
+    """Polar-like idempotent p = I - A Z and the inverse of the (I-p)-corner, which
+    ``polar_idempotent`` gives as Z itself: (I-p) Z (I-p) = Z A Z = Z."""
 
     p: np.ndarray
     corner_inverse: np.ndarray
@@ -392,12 +396,12 @@ def group_decomposition(a, m: int, tol: TolerancePolicy = DEFAULT_TOL, z=None) -
 
 
 def polar_idempotent(a, m: int, tol: TolerancePolicy = DEFAULT_TOL, z=None) -> PolarData:
-    """Polar-like data p = I - A Z and corner witness (I-p) Z (I-p); Z defaults to mwgi(A, m)."""
+    """Polar-like data p = I - A Z and corner witness Z itself, as (I-p) Z (I-p) =
+    (A Z^2)(A Z) = Z A Z = Z, not formed again; Z defaults to mwgi(A, m)."""
     t = tower(a, tol)
     z = mwgi(t, m, tol).Z if z is None else _candidate(t, z, m)
     p = t.power(0) - t.a @ z
-    q = t.power(0) - p
-    return PolarData(p=readonly(p), corner_inverse=readonly(q @ z @ q))
+    return PolarData(p=readonly(p), corner_inverse=z)
 
 
 def b_characterization(a, m: int, tol: TolerancePolicy = DEFAULT_TOL, z=None) -> VerificationReport:

@@ -55,3 +55,41 @@ def test_a_flipped_verdict_is_a_difference():
         "exit", "output.failures", "output.overall"
     ]
     assert behaviour.differences([dict(step, calls=[call])], [dict(step, calls=[call])]) == []
+
+
+
+def _run(polar: float, float_mwgi: float, solve: float) -> list[dict]:
+    """One step's log of a fuzz, a certify and a solve call, as the shim writes it."""
+    payloads = {
+        "fuzz": {"max_residuals": {"definition": 1e-15, "polar": polar}, "overall": True},
+        "certify": {
+            "report": {"checks": {"ax2": {"pass": True, "residual": 0.0}}, "overall": True},
+            "float_mwgi_residual": float_mwgi,
+            "float_mwgi_pass": True,
+        },
+        "solve": {"residual": solve, "pass": True},
+    }
+    calls = [
+        {
+            "argv": argv,
+            "exit": 0,
+            "output": behaviour.digest(payload),
+            "residuals": behaviour.residuals(payload),
+        }
+        for argv, payload in payloads.items()
+    ]
+    return [{"step": "CLI", "exit": 0, "calls": calls}]
+
+
+def test_residual_moves_name_each_moved_residual_with_both_values():
+    before, after = _run(2e-15, 3e-15, 6e-15), _run(2.5e-15, 3e-15, 7e-15)
+    assert before[0]["calls"][1]["residuals"] == {
+        "float_mwgi_residual": 3e-15,
+        "report.checks.ax2": 0.0,
+    }
+    assert behaviour.residual_moves(before, after) == [
+        "CLI: call 1 (ginv fuzz): max_residuals.polar 2e-15 -> 2.5e-15",
+        "CLI: call 3 (ginv solve): residual 6e-15 -> 7e-15",
+    ]
+    assert behaviour.differences(before, after) == []  # a residual is no verdict
+    assert behaviour.residual_moves(before, before) == []

@@ -490,6 +490,22 @@ class TestLiftIdentity:
                     assert o.exact_mwgi(a, m) == w @ w @ a, (n, k, m)
 
 
+class TestPolarCornerIdentity:
+    """q Z q = Z A Z = Z with q = A Z, the (I-p)-corner of p = I - A Z: the identity by
+    which ``wgi.polar_idempotent`` gives Z itself as the corner's inverse, held exactly."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_corner_witness_is_z(self, seed):
+        for n in range(2, 6):
+            for k in range(min(n, 3) + 1):
+                a = rational_with_index(np.random.default_rng([seed, n, k]), n, k)
+                for m in range(1, 4):
+                    z = o.exact_mwgi(a, m)
+                    q = a @ z
+                    assert q @ z @ q == z, (n, k, m)
+                    assert z @ a @ z == z, (n, k, m)
+
+
 # ------------------------------------------------------------------------------
 # Equivalence with plain per-entry Gaussian-rational arithmetic.  The reference
 # below works on lists of GaussianRational rows; RationalMatrix must agree with

@@ -281,6 +281,24 @@ class TestPolarIdempotent:
             report = wgi.polar_idempotent(a, m).verify(a, m)
             assert report.overall, (i, n, k, m, report.to_dict())
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_corner_inverse_is_z(self, k, m):
+        # (I-p) Z (I-p) = Z A Z = Z, so the corner witness is the checked Z, not a product
+        a = with_index(np.random.default_rng(k), 6, k)
+        t = tower(a)
+        assert wgi.polar_idempotent(t, m).corner_inverse is wgi.mwgi(t, m).Z
+
+    def test_corner_inverse_is_the_validated_candidate(self):
+        a = with_index(np.random.default_rng(7), 5, 2)
+        z = wgi.mwgi(a, 2).Z.copy()
+        z[0, 0] += 1e-3  # any candidate, right or not
+        polar = wgi.polar_idempotent(a, 2, z=z.tolist())
+        w = polar.corner_inverse
+        assert w.dtype == np.complex128 and not w.flags.writeable
+        assert np.array_equal(w, z)
+        assert np.array_equal(polar.p, np.eye(5) - tower(a).a @ w)
+
 
 class TestBCharacterization:
     def test_identity(self):
@@ -969,10 +987,10 @@ class TestCheckersJudgeOneZ:
         assert len(svd_calls) == 0
         assert tower(self.A) is t  # A's tower is still the kept one
 
-    def test_matrix_power_of_a_only_without_a_tower(self, monkeypatch):
-        # every route, report and the equation, as one fuzz trial runs them; all read
-        # A's powers from its tower but x_nonzero's A^n, which the staircase does not give
-        a = with_index(np.random.default_rng(44), 6, 3)
+    @staticmethod
+    def power_callers(monkeypatch, a) -> set[str]:
+        """The functions that call np.linalg.matrix_power on A itself while every route,
+        report and the equation run on A at m = 1, 2 and 3, as one fuzz trial runs them."""
         n = a.shape[0]
         rng = np.random.default_rng(45)
         b, y = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in "by")
@@ -998,7 +1016,21 @@ class TestCheckersJudgeOneZ:
             assert wgi.outer_inverse_subspaces(a, m).overall
             x = eqsolve.solve_general(a, b, m, y).X
             assert eqsolve.residual(a, b, m, x) <= DEFAULT_TOL.eq_rtol
-        assert callers == {"GroupDecomposition.verify"}
+        monkeypatch.undo()
+        return callers
+
+    def test_matrix_power_of_a_only_without_a_tower(self, monkeypatch):
+        # all read A's powers from its tower but x_nonzero's A^n, which the staircase does
+        # not give; it is formed only when X = A^2 Z reads as zero, as on a nilpotent A
+        a = with_index(np.random.default_rng(44), 6, 3)
+        assert self.power_callers(monkeypatch, a) <= {"GroupDecomposition.verify"}
+        # there Z = 0, so the nilpotency checks' A p, Y = A - X and A - A^2 b are A bit
+        # for bit, and _eq_check raises them, not A, to the n-th power
+        nilpotent = with_index(np.random.default_rng(44), 6, 6)
+        assert self.power_callers(monkeypatch, nilpotent) == {
+            "GroupDecomposition.verify",
+            "_eq_check",
+        }
 
 
 @pytest.fixture

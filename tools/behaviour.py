@@ -2,6 +2,7 @@
 
     python3 tools/behaviour.py            # run the commands, write tools/behaviour.json
     python3 tools/behaviour.py --check    # run them, print every difference, exit 1 on any
+    python3 tools/behaviour.py --against REV   # run them at REV and here, print what moved
 
 Every step of ``.github/workflows/tests.yml`` that calls ``ginv`` (or
 ``ginverse.cli``) runs under ``bash -e``, in order, in one temporary
@@ -15,6 +16,14 @@ report's check names, and ``pass`` where a command prints one.  Residual values
 depend on the BLAS build and the CPU, so none is kept.  A step's own exit
 status is kept too, which covers the ``test`` and ``cmp`` lines around its
 calls.
+
+``--against REV`` runs the same steps twice on one machine: with the ``src/`` of
+git revision REV, unpacked by ``git archive`` into a temporary directory that is
+removed afterwards, and with this checkout's ``src/``.  It prints every verdict
+difference, then one line per residual that moved, with both values: each fuzz
+``max_residuals`` key, each report check (certify's, verify's, decompose's),
+``float_mwgi_residual`` and solve's ``residual``.  It exits 1 on a verdict
+difference only.
 """
 
 from __future__ import annotations
@@ -91,6 +100,21 @@ def digest(payload):
     return out
 
 
+def residuals(payload, prefix: str = "") -> dict[str, float]:
+    """Every residual of one command's JSON output, by its path of keys."""
+    if not isinstance(payload, dict):
+        return {}
+    worst = payload.get("max_residuals", {})  # fuzz
+    out = {f"{prefix}max_residuals.{key}": value for key, value in worst.items()}
+    for name, check in payload.get("checks", {}).items():  # a report
+        out[f"{prefix}checks.{name}"] = check["residual"]
+    for key in ("residual", "float_mwgi_residual"):
+        if key in payload:
+            out[prefix + key] = payload[key]
+    out.update(residuals(payload.get("report"), f"{prefix}report."))
+    return out
+
+
 def shim(argv: list[str]) -> int:
     """Run ``ginv argv`` without --pretty, pass its output on, and log its digest."""
     from ginverse import cli
@@ -105,13 +129,15 @@ def shim(argv: list[str]) -> int:
     except ValueError:  # no output, or an --output file in its place
         payload = None
     record = {"argv": " ".join(argv), "exit": code, "output": digest(payload)}
+    record["residuals"] = residuals(payload)  # for --against; never written to the digest
     with open(os.environ[LOG], "a") as log:
         log.write(json.dumps(record) + "\n")
     return code
 
 
-def run_steps() -> list[dict]:
-    """Run each workflow step that calls ginv, in order, in one temporary directory."""
+def run_steps(src: Path = ROOT / "src") -> list[dict]:
+    """Run each workflow step that calls ginv, in order, in one temporary directory,
+    with the package imported from ``src``."""
     steps = [(n, s) for n, s in workflow_steps(WORKFLOW.read_text()) if calls_ginv(s)]
     out = []
     with tempfile.TemporaryDirectory(prefix="ginv-behaviour-") as tmp:
@@ -128,7 +154,7 @@ def run_steps() -> list[dict]:
         log = Path(tmp) / "log.jsonl"
         env = dict(os.environ)
         env["PATH"] = f"{bin_dir}{os.pathsep}{env.get('PATH', '')}"
-        paths = [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+        paths = [str(src), *filter(None, [env.get("PYTHONPATH")])]
         env["PYTHONPATH"] = os.pathsep.join(paths)
         env["OPENBLAS_NUM_THREADS"] = "1"  # as CI's job sets it
         env[LOG] = str(log)
@@ -152,25 +178,59 @@ def _fields(call: dict) -> dict:
     return {"argv": call.get("argv"), "exit": call.get("exit"), **output}
 
 
+def _moved(where: str, x: dict, y: dict) -> list[str]:
+    """One line per key whose value differs between x and y, with both values."""
+    return [
+        f"{where}: {key} {json.dumps(x.get(key))} -> {json.dumps(y.get(key))}"
+        for key in sorted(x.keys() | y.keys())
+        if x.get(key) != y.get(key)
+    ]
+
+
+def _steps(before: list[dict], after: list[dict]):
+    """(name, old step, new step) of each step in both runs, in the new run's order."""
+    old = {s["step"]: s for s in before}
+    return [(s["step"], old[s["step"]], s) for s in after if s["step"] in old]
+
+
+def _calls(name: str, a: dict, b: dict):
+    """(where, old call, new call) of each call of one step, paired by position."""
+    for i, (x, y) in enumerate(itertools.zip_longest(a["calls"], b["calls"], fillvalue={})):
+        yield f"{name}: call {i + 1} (ginv {y.get('argv') or x.get('argv')})", x, y
+
+
 def differences(expected: list[dict], actual: list[dict]) -> list[str]:
     """One line per difference between two digests: a step gone or new, a step's exit
     status, or one field of one call."""
-    old = {s["step"]: s for s in expected}
-    new = {s["step"]: s for s in actual}
-    lines = [f"step gone: {name}" for name in old if name not in new]
-    lines += [f"step new: {name}" for name in new if name not in old]
-    for name in (n for n in new if n in old):
-        a, b = old[name], new[name]
+    old = {s["step"] for s in expected}
+    new = {s["step"] for s in actual}
+    lines = [f"step gone: {s['step']}" for s in expected if s["step"] not in new]
+    lines += [f"step new: {s['step']}" for s in actual if s["step"] not in old]
+    for name, a, b in _steps(expected, actual):
         if a["exit"] != b["exit"]:
             lines.append(f"{name}: step exit {a['exit']} -> {b['exit']}")
-        for i, (x, y) in enumerate(itertools.zip_longest(a["calls"], b["calls"], fillvalue={})):
-            x, y = _fields(x), _fields(y)
-            where = f"{name}: call {i + 1} (ginv {y['argv'] or x['argv']})"
-            for key in sorted(x.keys() | y.keys()):
-                if x.get(key) != y.get(key):
-                    old_value, new_value = json.dumps(x.get(key)), json.dumps(y.get(key))
-                    lines.append(f"{where}: {key} {old_value} -> {new_value}")
+        for where, x, y in _calls(name, a, b):
+            lines += _moved(where, _fields(x), _fields(y))
     return lines
+
+
+def residual_moves(before: list[dict], after: list[dict]) -> list[str]:
+    """One line per residual of one call that differs between two runs, with both values."""
+    lines = []
+    for name, a, b in _steps(before, after):
+        for where, x, y in _calls(name, a, b):
+            lines += _moved(where, x.get("residuals", {}), y.get("residuals", {}))
+    return lines
+
+
+def run_at(rev: str) -> list[dict]:
+    """``run_steps`` with the src/ of git revision rev, unpacked into a temporary directory."""
+    with tempfile.TemporaryDirectory(prefix="ginv-against-") as tmp:
+        tree = subprocess.run(
+            ["git", "-C", str(ROOT), "archive", rev, "src"], capture_output=True, check=True
+        ).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=tree, check=True)
+        return run_steps(Path(tmp) / "src")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -181,10 +241,22 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--check", action="store_true", help=f"compare with {DIGEST.name}, exit 1 on a difference"
     )
+    parser.add_argument(
+        "--against", metavar="REV", help="run at git revision REV and here, print what moved"
+    )
     args = parser.parse_args(argv)
+    before = run_at(args.against) if args.against else None
     actual = run_steps()
-    calls =f"{len(actual)} steps, {sum(len(s['calls']) for s in actual)} ginv calls"
+    calls = f"{len(actual)} steps, {sum(len(s['calls']) for s in actual)} ginv calls"
+    if before is not None:
+        lines = differences(before, actual)
+        moves = residual_moves(before, actual)
+        summary = f"{calls}: {len(lines)} differences, {len(moves)} residuals moved"
+        print("\n".join([*lines, *moves, f"{summary} against {args.against}"]))
+        return 1 if lines else 0
     if not args.check:
+        for call in (call for step in actual for call in step["calls"]):
+            del call["residuals"]  # the digest keeps verdicts only
         DIGEST.write_text(json.dumps({"steps": actual}, indent=1) + "\n")
         print(f"wrote {DIGEST.relative_to(ROOT)}: {calls}")
         return 0
